@@ -8,35 +8,38 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import fields
 from pathlib import Path
 
 from .engine import run_scenario
 from .report import analyze_trace, sweep_grid, write_sweep_csv
-from .scenarios import load_script
+from .scenarios import load_script, script_from_dict
 from .scheduler import Budget
 from .trace import TraceFormatError, load_trace
 from .types import MPH_TO_MPS, ModelParams
 
 
 class InputError(Exception):
-    pass
+    """Bad user input: the command line, a params, trace or script file."""
 
 
 def parse_speed(text: str) -> float:
     """A speed flag value: plain m/s, or with an explicit mph/mps suffix."""
     t = text.strip().lower().replace(" ", "")
+    scale = 1.0
+    if t.endswith("mph"):
+        t, scale = t[:-3], MPH_TO_MPS
+    elif t.endswith(("mps", "m/s")):
+        t = t[:-3]
     try:
-        if t.endswith("mph"):
-            return float(t[:-3]) * MPH_TO_MPS
-        if t.endswith("mps"):
-            return float(t[:-3])
-        if t.endswith("m/s"):
-            return float(t[:-3])
-        return float(t)
+        v = float(t) * scale
     except ValueError:
         raise InputError(f"cannot parse speed {text!r}") from None
+    if not 0.0 <= v < math.inf:
+        raise InputError(f"speed must be finite and >= 0, got {text!r}")
+    return v
 
 
 def load_params(path: str | None) -> tuple[ModelParams, float | None]:
@@ -51,8 +54,8 @@ def load_params(path: str | None) -> tuple[ModelParams, float | None]:
         obj = json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise InputError(f"no such params file: {path}") from None
-    except json.JSONDecodeError as e:
-        raise InputError(f"params file {path}: invalid JSON ({e})") from None
+    except (OSError, ValueError, RecursionError) as e:
+        raise InputError(f"params file {path}: cannot read ({e})") from None
     if not isinstance(obj, dict):
         raise InputError(f"params file {path}: expected a JSON object")
     l0 = obj.pop("l0", None)
@@ -84,6 +87,11 @@ def cmd_analyze(args) -> int:
         trace = load_trace(args.trace)
     except TraceFormatError as e:
         raise InputError(str(e)) from None
+    if args.mrf:
+        try:
+            script_from_dict(trace.metadata["script"])
+        except (KeyError, TypeError, ValueError) as e:
+            raise InputError(f"--mrf needs the trace's scenario script: {e!r}") from None
     result = analyze_trace(trace, params, mrf=args.mrf, collision_radius=args.collision_radius)
     fh, close = _open_out(args.out)
     try:
@@ -98,8 +106,10 @@ def cmd_simulate(args) -> int:
     params, _ = load_params(args.params)
     try:
         script = load_script(args.script)
-    except (OSError, KeyError, ValueError) as e:
+    except (OSError, KeyError, TypeError, ValueError) as e:
         raise InputError(f"script {args.script}: {e}") from None
+    if args.budget is not None and not args.budget > 0.0:
+        raise InputError("--budget must be > 0")
     budget = Budget(args.budget) if args.budget is not None else None
     result = run_scenario(
         script,
@@ -155,8 +165,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     params, l0 = load_params(args.params)
-    if args.sn <= 0:
-        raise InputError("--sn must be > 0")
+    if not 0.0 < args.sn < math.inf:
+        raise InputError("--sn must be finite and > 0")
     if args.steps < 2:
         raise InputError("--steps must be >= 2")
     ve0_lo, ve0_hi = parse_speed(args.ve0_min), parse_speed(args.ve0_max)
@@ -222,9 +232,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (TraceFormatError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -22,21 +22,10 @@ class CameraConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.fov <= 2.0 * math.pi + 1e-12:
             raise ValueError(f"fov must be in (0, 2*pi], got {self.fov}")
+        if not math.isfinite(self.azimuth):
+            raise ValueError(f"azimuth must be finite, got {self.azimuth}")
         object.__setattr__(self, "azimuth", normalize_angle(self.azimuth))
 
-
-@dataclass(frozen=True)
-class VehicleExtent:
-    """Combined half-extent subtracted from center-to-center distances."""
-
-    margin: float = 0.0  # m
-
-    def __post_init__(self) -> None:
-        if self.margin < 0.0:
-            raise ValueError("margin must be >= 0")
-
-
-POINT_EXTENT = VehicleExtent(0.0)
 
 # Five-camera rig: narrow + wide front, two sides, rear. Wedges overlap, so
 # every bearing is covered.
@@ -49,14 +38,9 @@ DEFAULT_CAMERA_RIG = (
 )
 
 
-def separation(
-    ego: KinematicState,
-    actor: KinematicState,
-    extent: VehicleExtent = POINT_EXTENT,
-) -> float:
-    """Center distance between two states minus the extent margin, floored at 0."""
-    d = math.hypot(actor.x - ego.x, actor.y - ego.y)
-    return max(0.0, d - extent.margin)
+def separation(ego: KinematicState, actor: KinematicState) -> float:
+    """Center-to-center distance between two states."""
+    return math.hypot(actor.x - ego.x, actor.y - ego.y)
 
 
 def bearing_to(ego: KinematicState, actor: KinematicState) -> float:

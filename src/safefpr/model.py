@@ -15,7 +15,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import POINT_EXTENT, VehicleExtent, fov_members
+from .geometry import fov_members
 from .types import (
     INFEASIBLE,
     L0_CANDIDATE,
@@ -123,14 +123,12 @@ def _check(
     decel: float,
     probe_time: float,
     params: ModelParams,
-    margin: float,
 ) -> ConstraintCheck:
     d1, d2, ve = _ego_motion(ego0.v, ego0.a, t_react, decel, probe_time)
     ax, ay, av = traj.state_at(probe_time)
     dx = ax - ego0.x
     dy = ay - ego0.y
-    sep = max(0.0, math.sqrt(dx * dx + dy * dy) - margin)
-    distance_gap = params.distance_margin * sep - d1 - d2
+    distance_gap = params.distance_margin * math.sqrt(dx * dx + dy * dy) - d1 - d2
     speed_gap = ve - params.speed_margin * av
     return ConstraintCheck(
         met=distance_gap >= -ACCEPT_SLACK and speed_gap <= ACCEPT_SLACK,
@@ -147,7 +145,6 @@ def constraints_met(
     l0: float,
     probe_time: float,
     params: ModelParams,
-    extent: VehicleExtent = POINT_EXTENT,
 ) -> ConstraintCheck:
     """Evaluate both safety constraints at probe_time.
 
@@ -160,9 +157,7 @@ def constraints_met(
     t_react = reaction_time(latency, l0_eff, params)
     if probe_time < t_react - 1e-12:
         raise ValueError(f"probe_time {probe_time} precedes reaction time {t_react}")
-    return _check(
-        ego0, traj, t_react, braking_decel(ego0.a, params), probe_time, params, extent.margin
-    )
+    return _check(ego0, traj, t_react, braking_decel(ego0.a, params), probe_time, params)
 
 
 def probe_time_update(
@@ -214,8 +209,7 @@ def _search_impl(
 ) -> tuple[int, float]:
     """Descending-grid search over one trajectory; (grid index, probe time).
 
-    Compiled with numba when available; the pure-Python path runs the same
-    arithmetic. Returns index -1 when the whole grid fails.
+    Returns index -1 when the whole grid fails.
     """
     n = ts.shape[0]
     t_last = ts[n - 1]
@@ -274,20 +268,12 @@ def _search_impl(
                 step = gap_v / decel
             else:
                 step = 0.0
-            if step <= 0.0:
+            # a probe that does not move would repeat the same failed check
+            advanced = probe + step
+            if not probe < advanced <= horizon:
                 break
-            probe += step
-            if probe > horizon:
-                break
+            probe = advanced
     return -1, 0.0
-
-
-try:  # keep the search usable without the JIT, just slower
-    import numba
-
-    _search = numba.njit(cache=True)(_search_impl)
-except ImportError:  # pragma: no cover
-    _search = _search_impl
 
 
 def tolerable_latency(
@@ -306,7 +292,7 @@ def tolerable_latency(
     fails.
     """
     ts, xs, ys, vs = traj.columns()
-    gi, probe = _search(
+    gi, probe = _search_impl(
         ego0.x,
         ego0.y,
         ego0.v,
@@ -569,7 +555,7 @@ def estimate_compute_ops(
         num_actors
         * num_trajectories
         * params.max_time_adjustments
-        * params.grid_steps()
+        * len(params.latency_grid)
         * ops_per_iteration
     )
 

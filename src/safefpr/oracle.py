@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import POINT_EXTENT, VehicleExtent
 from .model import braking_decel, reaction_time, resolve_l0
 from .types import KinematicState, ModelParams, Trajectory
 
@@ -141,7 +140,6 @@ def feasible_latency_scan(
     l0: float,
     latency: float,
     params: ModelParams,
-    extent: VehicleExtent = POINT_EXTENT,
     return_witness: bool = False,
 ) -> bool | tuple[bool, float | None]:
     """Exhaustively test one latency over the probe-time grid.
@@ -169,7 +167,7 @@ def feasible_latency_scan(
     ax = np.interp(grid, ts, xs)
     ay = np.interp(grid, ts, ys)
     av = np.interp(grid, ts, vs)
-    sep = np.maximum(0.0, np.hypot(ax - ego0.x, ay - ego0.y) - extent.margin)
+    sep = np.hypot(ax - ego0.x, ay - ego0.y)
     ok = (params.distance_margin * sep - d >= -FLOAT_SLACK) & (
         ve <= params.speed_margin * av + FLOAT_SLACK
     )
@@ -185,13 +183,10 @@ def oracle_best_latency(
     traj: Trajectory,
     l0: float,
     params: ModelParams,
-    extent: VehicleExtent = POINT_EXTENT,
 ) -> OracleVerdict:
     """Largest grid latency that passes the exhaustive scan."""
     for latency in params.latency_grid:
-        ok, witness = feasible_latency_scan(
-            ego0, traj, l0, latency, params, extent, return_witness=True
-        )
+        ok, witness = feasible_latency_scan(ego0, traj, l0, latency, params, return_witness=True)
         if ok:
             return OracleVerdict(feasible=True, best_latency=latency, probe_time=witness)
     return OracleVerdict(feasible=False, best_latency=None)

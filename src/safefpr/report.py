@@ -8,14 +8,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Sequence
 
-from .geometry import in_fov
-from .model import camera_fpr, tolerable_latency
+from .model import evaluate_scene, tolerable_latency
 from .oracle import feasible_latency_scan
 from .trace import ScenarioTrace, ground_truth_trajectory
 from .types import (
     KinematicState,
     L0_FIXED,
-    LatencyEstimate,
     ModelParams,
     constant_separation_trajectory,
 )
@@ -51,9 +49,10 @@ def analyze_trace(
 
     Post-run analysis uses the recorded future of each actor (a single
     known trajectory) and the latency the trace was recorded at as the
-    reference latency l0.
+    reference latency l0; each tick is one ``evaluate_scene`` call.
     """
     l0 = trace.operating_latency()
+    actor_ids = trace.actor_ids
     fixed = params.replace(l0_policy=L0_FIXED)
     out = AnalysisResult()
     per_camera_max: dict[str, float] = {c.camera_id: 0.0 for c in trace.cameras}
@@ -62,25 +61,20 @@ def analyze_trace(
     any_infeasible = False
 
     for k, tick in enumerate(trace.ticks):
-        estimates: list[tuple[str, LatencyEstimate]] = []
-        for aid in trace.actor_ids:
-            traj = ground_truth_trajectory(trace, aid, k)
-            estimates.append((aid, tolerable_latency(tick.ego, traj, l0, fixed)))
-        for aid, est in estimates:
+        futures = {aid: [ground_truth_trajectory(trace, aid, k)] for aid in actor_ids}
+        per_actor, reports = evaluate_scene(tick.ego, futures, trace.cameras, l0, fixed)
+        for aid in actor_ids:
             out.records.append(
                 {
                     "tick": k,
                     "t": tick.t,
                     "actor": aid,
-                    "latency": est.latency,
+                    "latency": per_actor[aid].latency,
                 }
             )
         total = 0.0
         for cam in trace.cameras:
-            members = {
-                aid for aid, st in tick.actors.items() if in_fov(tick.ego, st, cam)
-            }
-            rep = camera_fpr(estimates, members, params)
+            rep = reports[cam.camera_id]
             any_infeasible = any_infeasible or rep.infeasible
             total += rep.fpr
             cid = cam.camera_id

@@ -9,6 +9,7 @@ canonical formatting.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO
@@ -38,12 +39,12 @@ class ScenarioTrace:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.dt <= 0.0:
-            raise TraceFormatError(f"dt must be > 0, got {self.dt}")
+        if not 0.0 < self.dt < math.inf:
+            raise TraceFormatError(f"dt must be finite and > 0, got {self.dt}")
         ids: set[str] | None = None
         for i, tick in enumerate(self.ticks):
             expected = i * self.dt
-            if abs(tick.t - expected) > 1e-9 + 1e-12 * i:
+            if not abs(tick.t - expected) <= 1e-9 + 1e-12 * i:
                 raise TraceFormatError(
                     f"non-monotone or misaligned time at tick {i}: "
                     f"t={tick.t}, expected {expected}"
@@ -73,20 +74,29 @@ def _state_to_obj(s: KinematicState) -> dict:
     return {"x": s.x, "y": s.y, "v": s.v, "a": s.a, "heading": s.heading}
 
 
+def _finite(obj: dict, key: str, where: str, default: float | None = None) -> float:
+    """``obj[key]`` as a finite float; errors name ``where`` and the field."""
+    if key not in obj:
+        if default is None:
+            raise TraceFormatError(f"{where}: missing field {key!r}")
+        return default
+    try:
+        value = float(obj[key])
+    except (TypeError, ValueError, OverflowError):
+        value = math.nan
+    if not math.isfinite(value):
+        raise TraceFormatError(f"{where}: field {key!r} must be a finite number, got {obj[key]!r}")
+    return value
+
+
 def _state_from_obj(obj, where: str) -> KinematicState:
     if not isinstance(obj, dict):
         raise TraceFormatError(f"{where}: expected an object")
+    fields = [_finite(obj, key, where) for key in ("x", "y", "v")]
+    fields += [_finite(obj, key, where, 0.0) for key in ("a", "heading")]
     try:
-        return KinematicState(
-            x=float(obj["x"]),
-            y=float(obj["y"]),
-            v=float(obj["v"]),
-            a=float(obj.get("a", 0.0)),
-            heading=float(obj.get("heading", 0.0)),
-        )
-    except KeyError as e:
-        raise TraceFormatError(f"{where}: missing field {e}") from None
-    except (TypeError, ValueError) as e:
+        return KinematicState(*fields)
+    except ValueError as e:
         raise TraceFormatError(f"{where}: {e}") from None
 
 
@@ -119,57 +129,76 @@ def save_trace(trace: ScenarioTrace, dest: str | Path | IO[str]) -> None:
         Path(dest).write_text(text)
 
 
+def _json(line: str, where: str):
+    try:
+        return json.loads(line)
+    except (ValueError, RecursionError) as e:
+        raise TraceFormatError(f"{where}: invalid JSON ({e})") from None
+
+
 def load_trace(source: str | Path | IO[str]) -> ScenarioTrace:
-    """Parse and validate a trace file (path, file object, or text)."""
+    """Parse and validate a trace file (a path or a file object)."""
     if hasattr(source, "read"):
         text = source.read()
     else:
-        p = Path(source)
-        if p.exists():
-            text = p.read_text()
-        else:
-            raise TraceFormatError(f"no such trace file: {source}")
+        try:
+            text = Path(source).read_text()
+        except FileNotFoundError:
+            raise TraceFormatError(f"no such trace file: {source}") from None
+        except (OSError, ValueError) as e:
+            raise TraceFormatError(f"cannot read trace file {source}: {e}") from None
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise TraceFormatError("empty trace")
 
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as e:
-        raise TraceFormatError(f"header: invalid JSON ({e})") from None
-    if not isinstance(header, dict) or "dt" not in header:
-        raise TraceFormatError("header: missing field 'dt'")
-    dt = float(header["dt"])
+    header = _json(lines[0], "header")
+    if not isinstance(header, dict):
+        raise TraceFormatError("header: expected an object")
+    dt = _finite(header, "dt", "header")
+    cams = header.get("cameras", [])
+    if not isinstance(cams, list):
+        raise TraceFormatError("header: field 'cameras' must be a list")
     cameras = []
-    for j, cam in enumerate(header.get("cameras", [])):
+    for j, cam in enumerate(cams):
+        where = f"header camera {j}"
+        if not isinstance(cam, dict) or "camera_id" not in cam:
+            raise TraceFormatError(f"{where}: expected an object with a 'camera_id'")
         try:
             cameras.append(
                 CameraConfig(
                     camera_id=str(cam["camera_id"]),
-                    azimuth=float(cam["azimuth"]),
-                    fov=float(cam["fov"]),
+                    azimuth=_finite(cam, "azimuth", where),
+                    fov=_finite(cam, "fov", where),
                 )
             )
-        except (KeyError, TypeError, ValueError) as e:
-            raise TraceFormatError(f"header camera {j}: {e}") from None
+        except ValueError as e:
+            raise TraceFormatError(f"{where}: {e}") from None
+    ids = [c.camera_id for c in cameras]
+    if len(set(ids)) < len(ids):
+        raise TraceFormatError(f"header: duplicate camera_id in {ids}")
     metadata = header.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise TraceFormatError("header: field 'metadata' must be an object")
+    if "fpr0" in metadata and not _finite(metadata, "fpr0", "header metadata") > 0.0:
+        raise TraceFormatError("header metadata: field 'fpr0' must be > 0")
 
     ticks = []
     for i, line in enumerate(lines[1:]):
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise TraceFormatError(f"tick {i}: invalid JSON ({e})") from None
-        if "t" not in obj:
-            raise TraceFormatError(f"tick {i}: missing field 't'")
+        where = f"tick {i}"
+        obj = _json(line, where)
+        if not isinstance(obj, dict):
+            raise TraceFormatError(f"{where}: expected an object")
+        t = _finite(obj, "t", where)
         if "ego" not in obj:
-            raise TraceFormatError(f"tick {i}: missing field 'ego'")
-        ego = _state_from_obj(obj["ego"], f"tick {i} ego")
+            raise TraceFormatError(f"{where}: missing field 'ego'")
+        ego = _state_from_obj(obj["ego"], f"{where} ego")
+        actors = obj.get("actors", {})
+        if not isinstance(actors, dict):
+            raise TraceFormatError(f"{where}: field 'actors' must be an object")
         actors = {
-            str(aid): _state_from_obj(s, f"tick {i} actor {aid!r}")
-            for aid, s in obj.get("actors", {}).items()
+            aid: _state_from_obj(s, f"{where} actor {aid!r}") for aid, s in actors.items()
         }
-        ticks.append(TickRecord(t=float(obj["t"]), ego=ego, actors=actors))
+        ticks.append(TickRecord(t=t, ego=ego, actors=actors))
 
     return ScenarioTrace(dt=dt, ticks=tuple(ticks), cameras=tuple(cameras), metadata=metadata)
 

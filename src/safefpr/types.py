@@ -78,8 +78,8 @@ class Trajectory:
         if samples[0][0] != 0.0:
             raise ValueError("trajectory must start at t = 0")
         ts = tuple(t for t, _ in samples)
-        if any(b <= a for a, b in zip(ts, ts[1:])):
-            raise ValueError("trajectory times must be strictly increasing")
+        if not (all(b > a for a, b in zip(ts, ts[1:])) and math.isfinite(ts[-1])):
+            raise ValueError("trajectory times must be finite and strictly increasing")
         if not 0.0 <= self.probability <= 1.0:
             raise ValueError(f"probability must be in [0, 1], got {self.probability}")
         object.__setattr__(self, "samples", samples)
@@ -169,17 +169,17 @@ class ModelParams:
             raise ValueError("distance_margin must be in (0, 1]")
         if not 0.0 < self.speed_margin <= 1.0:
             raise ValueError("speed_margin must be in (0, 1]")
-        if self.min_brake_decel <= 0.0:
+        if not self.min_brake_decel > 0.0:
             raise ValueError("min_brake_decel must be > 0")
-        if self.brake_boost < 1.0:
+        if not self.brake_boost >= 1.0:
             raise ValueError("brake_boost must be >= 1")
-        if self.confirmation_frames < 0:
+        if not self.confirmation_frames >= 0:
             raise ValueError("confirmation_frames must be >= 0")
-        if self.max_time_adjustments < 1:
+        if not self.max_time_adjustments >= 1:
             raise ValueError("max_time_adjustments must be >= 1")
         if not 0.0 < self.latency_min <= self.latency_max:
             raise ValueError("need 0 < latency_min <= latency_max")
-        if self.latency_step <= 0.0:
+        if not self.latency_step > 0.0:
             raise ValueError("latency_step must be > 0")
         if not 0.0 < self.percentile <= 100.0:
             raise ValueError("percentile must be in (0, 100]")
@@ -187,10 +187,10 @@ class ModelParams:
             raise ValueError(f"aggregator must be one of {AGGREGATORS}")
         if self.l0_policy not in (L0_CANDIDATE, L0_FIXED):
             raise ValueError(f"l0_policy must be '{L0_CANDIDATE}' or '{L0_FIXED}'")
-        if self.fine_dt <= 0.0:
+        if not self.fine_dt > 0.0:
             raise ValueError("fine_dt must be > 0")
-        if self.horizon <= self.latency_max:
-            raise ValueError("horizon must exceed latency_max")
+        if not self.latency_max < self.horizon < math.inf:
+            raise ValueError("horizon must be finite and exceed latency_max")
         steps = int(math.floor((self.latency_max - self.latency_min) / self.latency_step + 1e-9))
         grid = tuple(self.latency_max - i * self.latency_step for i in range(steps + 1))
         object.__setattr__(self, "latency_grid", grid)
@@ -199,10 +199,6 @@ class ModelParams:
     def grid_array(self):
         """The descending latency grid as a float64 array."""
         return self._grid_arr
-
-    def grid_steps(self) -> int:
-        """Size of the descending latency search grid."""
-        return int(round(self.latency_max / self.latency_step))
 
     def fpr_bounds(self) -> tuple[float, float]:
         """(min, max) reportable frame-processing rate in Hz."""

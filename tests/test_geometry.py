@@ -8,7 +8,6 @@ from safefpr import (
     DEFAULT_CAMERA_RIG,
     CameraConfig,
     KinematicState,
-    VehicleExtent,
     bearing_to,
     in_fov,
     separation,
@@ -24,12 +23,6 @@ def test_separation_straight_ahead():
 
 def test_separation_3_4_5():
     assert separation(KinematicState(0, 0, 0), KinematicState(3, 4, 0)) == pytest.approx(5.0)
-
-
-def test_separation_margin_subtracted():
-    ext = VehicleExtent(4.5)
-    assert separation(KinematicState(0, 0, 0), KinematicState(30, 0, 0), ext) == 25.5
-    assert separation(KinematicState(0, 0, 0), KinematicState(2, 0, 0), ext) == 0.0
 
 
 def test_in_fov_dead_ahead():
@@ -152,5 +145,5 @@ def test_bearing_to_quadrants():
 def test_camera_validation():
     with pytest.raises(ValueError):
         CameraConfig("bad", 0.0, 0.0)
-    with pytest.raises(ValueError):
-        VehicleExtent(-1.0)
+    with pytest.raises(ValueError, match="azimuth"):
+        CameraConfig("bad", math.nan, 1.0)

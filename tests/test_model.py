@@ -427,6 +427,12 @@ class TestComputeOps:
     def test_twelve_by_five(self, params):
         assert estimate_compute_ops(12, 5, params) == 1_800_000
 
+    def test_counts_the_grid_entries(self):
+        # latency_min=0.1 leaves 28 entries on the default grid
+        params = ModelParams(latency_min=0.1)
+        assert len(params.latency_grid) == 28
+        assert estimate_compute_ops(1, 1, params) == 28_000
+
     @given(a=st.integers(0, 50), t=st.integers(0, 20))
     @settings(max_examples=100)
     def test_multiplicative(self, a, t):

@@ -3,9 +3,17 @@ import json
 
 import pytest
 
+import safefpr.cli as cli
 from safefpr import (
+    DEFAULT_CAMERA_RIG,
+    KinematicState,
     ModelParams,
+    ScenarioTrace,
+    TickRecord,
     analyze_trace,
+    camera_fpr,
+    ground_truth_trajectory,
+    in_fov,
     fraction_of_provisioned,
     generate_scenario,
     required_fpr_cell,
@@ -13,11 +21,12 @@ from safefpr import (
     save_script,
     save_trace,
     sweep_grid,
+    tolerable_latency,
     write_sweep_csv,
 )
 from safefpr.cli import main, parse_speed
 from safefpr.report import OVER_MAX, format_cell
-from safefpr.types import MPH_TO_MPS
+from safefpr.types import L0_FIXED, MPH_TO_MPS
 
 PARAMS = ModelParams()
 
@@ -37,8 +46,6 @@ class TestFraction:
 
 class TestAnalyze:
     def test_empty_scene_all_floor(self):
-        from safefpr import DEFAULT_CAMERA_RIG, KinematicState, ScenarioTrace, TickRecord
-
         ticks = tuple(
             TickRecord(t=i / 30.0, ego=KinematicState(0, 0, 10.0), actors={})
             for i in range(30)
@@ -57,9 +64,35 @@ class TestAnalyze:
         assert s["max_total_fpr"] >= max(s["max_fpr_per_camera"].values())
         assert 0.0 < s["fraction_of_provisioned"] <= 1.0
 
-    def test_mrf_requires_script(self):
-        from safefpr import DEFAULT_CAMERA_RIG, KinematicState, ScenarioTrace, TickRecord
+    def test_matches_scalar_search_and_in_fov_membership(self):
+        # every tick of a recorded run against the per-actor scalar search and
+        # per-camera in_fov membership that analyze_trace used before it ran
+        # each tick through evaluate_scene
+        trace = run_scenario(generate_scenario("cut_out"), PARAMS, frame_rate=10.0).trace
+        l0 = trace.operating_latency()
+        fixed = PARAMS.replace(l0_policy=L0_FIXED)
+        expected = []
+        for k, tick in enumerate(trace.ticks):
+            ests = [
+                (aid, tolerable_latency(tick.ego, ground_truth_trajectory(trace, aid, k), l0, fixed))
+                for aid in trace.actor_ids
+            ]
+            expected += [(k, aid, est.latency) for aid, est in ests]
+            for cam in trace.cameras:
+                members = {aid for aid, st in tick.actors.items() if in_fov(tick.ego, st, cam)}
+                rep = camera_fpr(ests, members, PARAMS)
+                expected.append((k, cam.camera_id, rep.fpr, rep.latency, rep.binding_actor))
+        got = [
+            (r["tick"], r["actor"], r["latency"])
+            if "actor" in r
+            else (r["tick"], r["camera"], r["fpr"], r["latency"], r["binding_actor"])
+            for r in analyze_trace(trace, PARAMS).records
+        ]
+        assert got == expected
+        latencies = {e[2] for e in expected if len(e) == 3}
+        assert len(latencies) > 3 and None not in latencies
 
+    def test_mrf_requires_script(self):
         ticks = (TickRecord(t=0.0, ego=KinematicState(0, 0, 0.0), actors={}),)
         trace = ScenarioTrace(dt=1 / 30.0, ticks=ticks, cameras=DEFAULT_CAMERA_RIG)
         with pytest.raises(ValueError, match="script"):
@@ -200,6 +233,46 @@ class TestCli:
         summary = json.loads(out.read_text().strip().splitlines()[-1])["summary"]
         assert summary["alarms"] == 0
         assert summary["collision"] is None
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--trace", "{scriptless}", "--mrf"],
+            ["analyze", "--trace", "{nan_trace}"],
+            ["analyze", "--trace", "{binary}"],
+            ["sweep", "--sn", "30", "--ve0-max", "-5", "--van-max", "10"],
+            ["sweep", "--sn", "30", "--ve0-max", "nan", "--van-max", "10"],
+            ["sweep", "--sn", "nan", "--ve0-max", "10", "--van-max", "10"],
+            ["sweep", "--sn", "30", "--ve0-max", "10", "--van-max", "10", "--params", "{binary}"],
+            ["simulate", "--script", "{script}", "--budget", "0"],
+            ["simulate", "--script", "{script}", "--budget", "nan"],
+        ],
+    )
+    def test_bad_input_exits_2(self, tmp_path, argv):
+        ticks = (TickRecord(t=0.0, ego=KinematicState(0, 0, 0.0), actors={}),)
+        save_trace(
+            ScenarioTrace(dt=0.1, ticks=ticks, cameras=DEFAULT_CAMERA_RIG),
+            tmp_path / "scriptless.jsonl",
+        )
+        text = (tmp_path / "scriptless.jsonl").read_text()
+        (tmp_path / "nan_trace.jsonl").write_text(text.replace('"v": 0.0', '"v": NaN', 1))
+        (tmp_path / "binary").write_bytes(b"\xff\xfe\x00")
+        save_script(generate_scenario("cut_in"), tmp_path / "script.json")
+        names = {n: str(tmp_path / f) for n, f in [
+            ("scriptless", "scriptless.jsonl"), ("nan_trace", "nan_trace.jsonl"),
+            ("binary", "binary"), ("script", "script.json"),
+        ]}
+        assert main([a.format(**names) for a in argv]) == 2
+
+    def test_internal_value_error_is_not_input_error(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("internal fault")
+
+        result = run_scenario(generate_scenario("cut_in"), PARAMS, frame_rate=30.0)
+        save_trace(result.trace, tmp_path / "t.jsonl")
+        monkeypatch.setattr(cli, "analyze_trace", broken)
+        with pytest.raises(ValueError, match="internal fault"):
+            main(["analyze", "--trace", str(tmp_path / "t.jsonl"), "--out", "-"])
 
     def test_missing_trace_is_input_error(self, tmp_path):
         rc = main(["analyze", "--trace", str(tmp_path / "none.jsonl")])

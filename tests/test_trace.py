@@ -1,6 +1,9 @@
 import io
+import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from safefpr import (
     DEFAULT_CAMERA_RIG,
@@ -142,3 +145,122 @@ class TestGroundTruth:
     def test_unknown_actor(self):
         with pytest.raises(KeyError):
             ground_truth_trajectory(build_trace(), "ghost", 0)
+
+
+HEADER = {"dt": 0.1, "cameras": [{"camera_id": "front", "azimuth": 0.0, "fov": 1.0}]}
+STATE = {"x": 0.0, "y": 0.0, "v": 1.0, "a": 0.0, "heading": 0.0}
+
+
+def trace_text(header=None, tick=None) -> str:
+    """A one-tick trace with one actor; ``header``/``tick`` replace its lines."""
+    if header is None:
+        header = json.dumps(HEADER)
+    if tick is None:
+        tick = json.dumps({"t": 0.0, "ego": STATE, "actors": {"lead": STATE}})
+    return header + "\n" + tick + "\n"
+
+
+def with_state(where: str, key: str, raw: str) -> str:
+    """Tick line whose ``where`` state (ego or the actor) has ``key`` set to raw JSON."""
+    obj = {"t": 0.0, "ego": dict(STATE), "actors": {"lead": dict(STATE)}}
+    target = obj["ego"] if where == "ego" else obj["actors"]["lead"]
+    target[key] = "@"
+    return json.dumps(obj).replace('"@"', raw)
+
+
+class TestMalformedInput:
+    def test_valid_text_loads(self):
+        assert load_trace(io.StringIO(trace_text())).actor_ids == ("lead",)
+
+    @pytest.mark.parametrize("raw", ["NaN", "Infinity", "-Infinity", "1e999", '"fast"', "null"])
+    def test_bad_dt(self, raw):
+        with pytest.raises(TraceFormatError, match="header: field 'dt'"):
+            load_trace(io.StringIO(trace_text(header=f'{{"dt": {raw}}}')))
+
+    @pytest.mark.parametrize("raw", ["0", "-0.1"])
+    def test_dt_must_be_positive(self, raw):
+        with pytest.raises(TraceFormatError, match="dt must be finite and > 0"):
+            load_trace(io.StringIO(trace_text(header=f'{{"dt": {raw}}}')))
+
+    @pytest.mark.parametrize("raw", ["NaN", "Infinity", '"soon"', "[]"])
+    def test_bad_tick_time(self, raw):
+        tick = f'{{"t": {raw}, "ego": {json.dumps(STATE)}}}'
+        with pytest.raises(TraceFormatError, match="tick 0: field 't'"):
+            load_trace(io.StringIO(trace_text(tick=tick)))
+
+    @pytest.mark.parametrize("where,prefix", [("ego", "tick 0 ego"), ("lead", "tick 0 actor 'lead'")])
+    @pytest.mark.parametrize("key", ["x", "y", "v", "a", "heading"])
+    @pytest.mark.parametrize("raw", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400, '"x"'])
+    def test_bad_state_field(self, where, prefix, key, raw):
+        text = trace_text(tick=with_state(where, key, raw))
+        with pytest.raises(TraceFormatError, match=f"{prefix}: field '{key}'"):
+            load_trace(io.StringIO(text))
+
+    @pytest.mark.parametrize("tick", ["[1, 2]", '"t"', "3", "null"])
+    def test_tick_not_an_object(self, tick):
+        with pytest.raises(TraceFormatError, match="tick 0: expected an object"):
+            load_trace(io.StringIO(trace_text(tick=tick)))
+
+    def test_actors_not_an_object(self):
+        tick = json.dumps({"t": 0.0, "ego": STATE, "actors": [STATE]})
+        with pytest.raises(TraceFormatError, match="tick 0: field 'actors'"):
+            load_trace(io.StringIO(trace_text(tick=tick)))
+
+    def test_duplicate_camera_ids(self):
+        cam = {"camera_id": "front", "azimuth": 0.0, "fov": 1.0}
+        header = json.dumps({"dt": 0.1, "cameras": [cam, dict(cam, azimuth=1.0)]})
+        with pytest.raises(TraceFormatError, match="duplicate camera_id"):
+            load_trace(io.StringIO(trace_text(header=header)))
+
+    @pytest.mark.parametrize(
+        "header,match",
+        [
+            ("[0.1]", "header: expected an object"),
+            ('{"dt": 0.1, "cameras": 5}', "header: field 'cameras'"),
+            ('{"dt": 0.1, "cameras": ["front"]}', "header camera 0"),
+            ('{"dt": 0.1, "cameras": [{"camera_id": "f", "azimuth": NaN, "fov": 1}]}',
+             "header camera 0: field 'azimuth'"),
+            ('{"dt": 0.1, "metadata": []}', "header: field 'metadata'"),
+            ('{"dt": 0.1, "metadata": {"fpr0": NaN}}', "header metadata: field 'fpr0'"),
+            ('{"dt": 0.1, "metadata": {"fpr0": 0}}', "field 'fpr0' must be > 0"),
+        ],
+    )
+    def test_bad_header(self, header, match):
+        with pytest.raises(TraceFormatError, match=match):
+            load_trace(io.StringIO(trace_text(header=header)))
+
+
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4)
+)
+STATES = SCALARS | st.dictionaries(st.sampled_from(sorted(STATE)), SCALARS)
+HEADERS = st.fixed_dictionaries(
+    {},
+    optional={
+        "dt": SCALARS,
+        "cameras": SCALARS
+        | st.lists(
+            st.dictionaries(st.sampled_from(["camera_id", "azimuth", "fov"]), SCALARS),
+            max_size=3,
+        ),
+        "metadata": SCALARS | st.dictionaries(st.sampled_from(["fpr0", "name"]), SCALARS),
+    },
+)
+TICKS = st.fixed_dictionaries(
+    {},
+    optional={
+        "t": SCALARS,
+        "ego": STATES,
+        "actors": SCALARS | st.dictionaries(st.text(max_size=2), STATES, max_size=2),
+    },
+)
+LINES = st.one_of(st.text(), HEADERS.map(json.dumps), TICKS.map(json.dumps))
+
+
+@given(lines=st.lists(LINES, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_any_text_loads_or_raises_format_error(lines):
+    try:
+        load_trace(io.StringIO("\n".join(lines)))
+    except TraceFormatError:
+        pass

@@ -37,6 +37,13 @@ class TestTrajectory:
         with pytest.raises(ValueError, match="increasing"):
             Trajectory(samples=((0.0, self.ST), (1.0, self.ST), (1.0, self.ST)))
 
+    @pytest.mark.parametrize(
+        "times", [(0.0, math.nan, 2.0), (0.0, 1.0, math.nan), (0.0, 1.0, math.inf)]
+    )
+    def test_non_finite_times_rejected(self, times):
+        with pytest.raises(ValueError, match="finite"):
+            Trajectory(samples=tuple((t, self.ST) for t in times))
+
     def test_probability_range(self):
         with pytest.raises(ValueError, match="probability"):
             Trajectory(samples=((0.0, self.ST), (1.0, self.ST)), probability=1.5)
@@ -81,6 +88,14 @@ class TestModelParams:
             {"l0_policy": "sometimes"},
             {"fine_dt": 0.0},
             {"horizon": 0.5},
+            {"min_brake_decel": math.nan},
+            {"brake_boost": math.nan},
+            {"confirmation_frames": math.nan},
+            {"max_time_adjustments": math.nan},
+            {"latency_step": math.nan},
+            {"fine_dt": math.nan},
+            {"horizon": math.nan},
+            {"horizon": math.inf},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
