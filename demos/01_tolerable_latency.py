@@ -21,7 +21,7 @@ params = ModelParams()
 # ego at 25 mph; a stalled car sits 30 m ahead
 ego = KinematicState(x=0.0, y=0.0, v=11.18, a=0.0)
 stalled = KinematicState(x=30.0, y=0.0, v=0.0)
-trajectory = Trajectory(samples=((0.0, stalled), (40.0, stalled)))
+trajectory = Trajectory.from_states(((0.0, stalled), (40.0, stalled)))
 
 print("Ego: 11.18 m/s (25 mph), stalled car 30 m ahead")
 print(f"Hard-braking deceleration: {braking_decel(ego.a, params):.2f} m/s^2")

@@ -42,11 +42,16 @@ def parse_speed(text: str) -> float:
     return v
 
 
+def _check_collision_radius(radius: float) -> None:
+    if not 0.0 <= radius < math.inf:
+        raise InputError(f"--collision-radius must be finite and >= 0, got {radius}")
+
+
 def load_params(path: str | None) -> tuple[ModelParams, float | None]:
     """Params file: JSON keyed by ModelParams field names; absent keys default.
 
-    An extra key ``l0`` supplies the fixed reference latency for commands
-    that need one.
+    An extra key ``l0`` supplies the fixed reference latency, a finite
+    number > 0, for commands that need one.
     """
     if path is None:
         return ModelParams(), None
@@ -64,9 +69,18 @@ def load_params(path: str | None) -> tuple[ModelParams, float | None]:
     if unknown:
         raise InputError(f"params file {path}: unknown keys {sorted(unknown)}")
     try:
-        return ModelParams(**obj), (float(l0) if l0 is not None else None)
+        params = ModelParams(**obj)
     except (TypeError, ValueError) as e:
         raise InputError(f"params file {path}: {e}") from None
+    if l0 is None:
+        return params, None
+    try:
+        l0 = float(l0)
+    except (TypeError, ValueError, OverflowError):
+        l0 = math.nan
+    if not 0.0 < l0 < math.inf:
+        raise InputError(f"params file {path}: l0 must be a finite number > 0")
+    return params, l0
 
 
 def _open_out(path: str | None):
@@ -92,6 +106,7 @@ def cmd_analyze(args) -> int:
             script_from_dict(trace.metadata["script"])
         except (KeyError, TypeError, ValueError) as e:
             raise InputError(f"--mrf needs the trace's scenario script: {e!r}") from None
+        _check_collision_radius(args.collision_radius)
     result = analyze_trace(trace, params, mrf=args.mrf, collision_radius=args.collision_radius)
     fh, close = _open_out(args.out)
     try:
@@ -110,6 +125,7 @@ def cmd_simulate(args) -> int:
         raise InputError(f"script {args.script}: {e}") from None
     if args.budget is not None and not args.budget > 0.0:
         raise InputError("--budget must be > 0")
+    _check_collision_radius(args.collision_radius)
     budget = Budget(args.budget) if args.budget is not None else None
     result = run_scenario(
         script,

@@ -174,6 +174,8 @@ def run_scenario(
     """
     if (frame_rate is None) == (not adaptive):
         raise ValueError("pass either frame_rate or adaptive=True")
+    if not 0.0 <= collision_radius < math.inf:
+        raise ValueError(f"collision_radius must be finite and >= 0, got {collision_radius}")
     floor_fpr, cap_fpr = params.fpr_bounds()
     if frame_rate is not None and not floor_fpr <= frame_rate <= cap_fpr:
         raise ValueError(f"frame_rate must be within [{floor_fpr}, {cap_fpr}]")

@@ -45,8 +45,11 @@ def separation(ego: KinematicState, actor: KinematicState) -> float:
 
 def bearing_to(ego: KinematicState, actor: KinematicState) -> float:
     """Bearing from ego to actor relative to the ego heading, in (-pi, pi]."""
-    absolute = math.atan2(actor.y - ego.y, actor.x - ego.x)
-    return normalize_angle(absolute - ego.heading)
+    return _bearing(ego, actor.x, actor.y)
+
+
+def _bearing(ego: KinematicState, x: float, y: float) -> float:
+    return normalize_angle(math.atan2(y - ego.y, x - ego.x) - ego.heading)
 
 
 def in_fov(ego: KinematicState, actor: KinematicState, cam: CameraConfig) -> bool:
@@ -57,7 +60,7 @@ def in_fov(ego: KinematicState, actor: KinematicState, cam: CameraConfig) -> boo
     """
     if actor.x == ego.x and actor.y == ego.y:
         return True
-    return _in_wedge(bearing_to(ego, actor), cam)
+    return _in_wedge(_bearing(ego, actor.x, actor.y), cam)
 
 
 def _in_wedge(bearing: float, cam: CameraConfig) -> bool:
@@ -68,18 +71,20 @@ def _in_wedge(bearing: float, cam: CameraConfig) -> bool:
 
 def fov_members(
     ego: KinematicState,
-    actors: dict[str, KinematicState],
+    positions: dict[str, tuple[float, float]],
     cameras: Iterable[CameraConfig],
 ) -> dict[str, set[str]]:
-    """Per camera id, the actors ``in_fov`` of that camera.
+    """Per camera id, the actors ``in_fov`` of that camera, given each actor's (x, y).
 
     Each actor's bearing is computed once for all cameras.
     """
     bearings = {
-        aid: bearing_to(ego, st) for aid, st in actors.items() if st.x != ego.x or st.y != ego.y
+        aid: _bearing(ego, x, y) for aid, (x, y) in positions.items() if x != ego.x or y != ego.y
     }
     return {
-        cam.camera_id: {aid for aid in actors if aid not in bearings or _in_wedge(bearings[aid], cam)}
+        cam.camera_id: {
+            aid for aid in positions if aid not in bearings or _in_wedge(bearings[aid], cam)
+        }
         for cam in cameras
     }
 

@@ -367,7 +367,7 @@ def _search_batch(
     # the same trajectory: (t, x, y, v) and the increments (dt, dx, dy, dv).
     # A trajectory's last column serves probes at or past its end time: it
     # holds the final state (zero increments; a unit dt keeps w finite).
-    counts = [len(t.samples) for t in trajs]
+    counts = [t.t.shape[0] for t in trajs]
     last = np.cumsum(counts) - 1
     seg = np.empty((8, last[-1] + 1))
     for k, col in enumerate(zip(*(t.columns() for t in trajs))):
@@ -570,9 +570,10 @@ def evaluate_scene(
     """One full tick: per-actor latencies and per-camera required rates.
 
     Trajectory probabilities weight the aggregation; camera membership is
-    evaluated on each trajectory's state now (its first sample). Every
-    trajectory of every actor goes through one batched search, which gives
-    the same estimates as ``tolerable_latency`` on each trajectory.
+    evaluated on each actor's position now (the first sample of its first
+    trajectory). Every trajectory of every actor goes through one batched
+    search, which gives the same estimates as ``tolerable_latency`` on each
+    trajectory.
     """
     for aid, trajs in actor_trajectories.items():
         if not trajs:
@@ -580,7 +581,7 @@ def evaluate_scene(
     flat = [traj for trajs in actor_trajectories.values() for traj in trajs]
     gis, probes = _search_batch(ego, flat, l0, params) if flat else ([], [])
     per_actor: dict[str, LatencyEstimate] = {}
-    positions_now: dict[str, KinematicState] = {}
+    positions_now: dict[str, tuple[float, float]] = {}
     k = 0
     for aid, trajs in actor_trajectories.items():
         ests = [
@@ -589,7 +590,7 @@ def evaluate_scene(
         ]
         k += len(trajs)
         per_actor[aid] = aggregate_actor_latency(ests, params)
-        positions_now[aid] = trajs[0].samples[0][1]
+        positions_now[aid] = (trajs[0].x.item(0), trajs[0].y.item(0))
 
     latencies = sorted(per_actor.items())
     reports = {

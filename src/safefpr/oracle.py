@@ -207,8 +207,8 @@ def collision_check(
     means the separation dropped below ``collision_radius`` somewhere within
     the horizon.
     """
-    if collision_radius < 0.0:
-        raise ValueError("collision_radius must be >= 0")
+    if not 0.0 <= collision_radius < math.inf:
+        raise ValueError(f"collision_radius must be finite and >= 0, got {collision_radius}")
     l0_eff = resolve_l0(latency, l0, params)
     t_react = reaction_time(latency, l0_eff, params)
     decel = braking_decel(ego0.a, params)
@@ -237,7 +237,7 @@ def scenario_mrf(
 
     Runs the scenario once per rate on the grid (floored at 1 Hz). Returns
     the smallest rate r such that no rate >= r collides, or None when even
-    the fastest rate collides.
+    the fastest rate collides. ``collision_radius`` must be finite and >= 0.
     """
     from .engine import run_scenario  # engine imports the model, not the oracle
 

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO
 
+import numpy as np
+
 from .geometry import CameraConfig
 from .types import KinematicState, Trajectory
 
@@ -37,6 +39,8 @@ class ScenarioTrace:
     ticks: tuple[TickRecord, ...]
     cameras: tuple[CameraConfig, ...]
     metadata: dict = field(default_factory=dict)
+    # per actor: recorded t, x, y and v, built on the first ground-truth query
+    _columns: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.dt < math.inf:
@@ -63,6 +67,22 @@ class ScenarioTrace:
 
     def duration(self) -> float:
         return self.ticks[-1].t if self.ticks else 0.0
+
+    def _actor_columns(self, actor_id: str) -> np.ndarray:
+        """The actor's recorded t, x, y and v over every tick, as the rows of one array."""
+        cols = self._columns.get(actor_id)
+        if cols is None:
+            states = [tick.actors[actor_id] for tick in self.ticks]
+            cols = np.array(
+                [
+                    [tick.t for tick in self.ticks],
+                    [s.x for s in states],
+                    [s.y for s in states],
+                    [s.v for s in states],
+                ]
+            )
+            self._columns[actor_id] = cols
+        return cols
 
     def operating_latency(self) -> float:
         """Processing latency the trace was recorded at (defaults to dt)."""
@@ -214,11 +234,8 @@ def ground_truth_trajectory(trace: ScenarioTrace, actor_id: str, from_tick: int)
         raise IndexError(f"from_tick {from_tick} outside trace of {len(trace.ticks)} ticks")
     if actor_id not in trace.ticks[from_tick].actors:
         raise KeyError(f"unknown actor {actor_id!r}")
-    base = trace.ticks[from_tick].t
-    samples = [
-        (tick.t - base, tick.actors[actor_id]) for tick in trace.ticks[from_tick:]
-    ]
-    if len(samples) == 1:
-        held = samples[0][1]
-        samples.append((trace.dt, held))
-    return Trajectory(samples=tuple(samples), probability=1.0)
+    t, x, y, v = trace._actor_columns(actor_id)
+    k = from_tick
+    if k == len(t) - 1:
+        return Trajectory(t=(0.0, trace.dt), x=(x[k], x[k]), y=(y[k], y[k]), v=(v[k], v[k]))
+    return Trajectory(t=t[k:] - t[k], x=x[k:], y=y[k:], v=v[k:])

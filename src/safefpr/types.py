@@ -7,7 +7,8 @@ in Hz; mph exists only at the CLI presentation layer.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+import numbers
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +34,7 @@ class KinematicState:
     ``x``/``y`` are world-frame positions in meters, ``v`` is speed (never a
     signed velocity, so always >= 0), ``a`` is signed longitudinal
     acceleration (negative while decelerating) and ``heading`` is the course
-    angle in radians, normalized to (-pi, pi].
+    angle in radians, normalized to (-pi, pi]. Every field must be finite.
     """
 
     x: float
@@ -43,6 +44,14 @@ class KinematicState:
     heading: float = 0.0
 
     def __post_init__(self) -> None:
+        if not (
+            math.isfinite(self.x)
+            and math.isfinite(self.y)
+            and math.isfinite(self.v)
+            and math.isfinite(self.a)
+            and math.isfinite(self.heading)
+        ):
+            raise ValueError(f"state fields must be finite, got {self}")
         if self.v < 0.0:
             raise ValueError(f"speed must be >= 0, got {self.v}")
         object.__setattr__(self, "heading", normalize_angle(self.heading))
@@ -51,75 +60,116 @@ class KinematicState:
         return (self.x, self.y)
 
 
-@dataclass(frozen=True)
+class _Samples(Sequence):
+    """``(t, KinematicState)`` pairs read from a trajectory's columns.
+
+    Each pair is built when it is read; the states carry position and
+    speed only (acceleration and heading 0). The traced benchmark
+    (``bench/tracing.py``) counts samples through ``len`` of this view.
+    """
+
+    __slots__ = ("_traj",)
+
+    def __init__(self, traj: "Trajectory") -> None:
+        self._traj = traj
+
+    def __len__(self) -> int:
+        return self._traj.t.shape[0]
+
+    def __getitem__(self, i: int) -> tuple[float, KinematicState]:
+        tr = self._traj
+        return (tr.t.item(i), KinematicState(tr.x.item(i), tr.y.item(i), tr.v.item(i)))
+
+
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """One predicted future of an actor with an occurrence probability.
 
-    ``samples`` is an ordered sequence of ``(t, state)`` pairs with strictly
-    increasing times starting at t = 0. Queries between samples linearly
-    interpolate position and speed; queries past the last sample hold the
-    final state (a finite prediction horizon is extended conservatively).
+    The columns ``t``, ``x``, ``y`` and ``v`` hold one entry per sample:
+    finite, strictly increasing times starting at t = 0, finite positions
+    and finite speeds >= 0. They are read-only float64 arrays, copied from
+    the sequences passed in. Queries between samples linearly interpolate
+    position and speed; queries past the last sample hold the final state
+    (a finite prediction horizon is extended conservatively).
     """
 
-    samples: tuple[tuple[float, KinematicState], ...]
+    t: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    v: np.ndarray
     probability: float = 1.0
 
-    # flattened per-sample columns, built once for fast interpolation
-    _ts: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    _xs: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    _ys: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    _vs: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    _cols: tuple = field(init=False, repr=False, compare=False)
-
     def __post_init__(self) -> None:
-        samples = tuple((float(t), s) for t, s in self.samples)
-        if len(samples) < 2:
+        # one owned block: the caller keeps no handle through which to write
+        try:
+            cols = np.array((self.t, self.x, self.y, self.v), dtype=np.float64)
+        except ValueError as e:
+            raise ValueError(f"trajectory columns must be equal-length sequences ({e})") from None
+        if cols.ndim != 2:
+            raise ValueError("trajectory columns must be equal-length sequences")
+        cols.setflags(write=False)
+        t, v = cols[0], cols[3]
+        n = cols.shape[1]
+        if n < 2:
             raise ValueError("trajectory needs at least 2 samples")
-        if samples[0][0] != 0.0:
+        if t[0] != 0.0:
             raise ValueError("trajectory must start at t = 0")
-        ts = tuple(t for t, _ in samples)
-        if not (all(b > a for a, b in zip(ts, ts[1:])) and math.isfinite(ts[-1])):
+        # increasing from 0 up to a finite end time makes every time finite
+        if not (np.count_nonzero(t[1:] > t[:-1]) == n - 1 and math.isfinite(t[-1])):
             raise ValueError("trajectory times must be finite and strictly increasing")
+        if np.count_nonzero(np.isfinite(cols[1:])) != 3 * n:
+            raise ValueError("trajectory positions and speeds must be finite")
+        if np.count_nonzero(v < 0.0):
+            raise ValueError("trajectory speeds must be >= 0")
         if not 0.0 <= self.probability <= 1.0:
             raise ValueError(f"probability must be in [0, 1], got {self.probability}")
-        object.__setattr__(self, "samples", samples)
-        object.__setattr__(self, "_ts", ts)
-        object.__setattr__(self, "_xs", tuple(s.x for _, s in samples))
-        object.__setattr__(self, "_ys", tuple(s.y for _, s in samples))
-        object.__setattr__(self, "_vs", tuple(s.v for _, s in samples))
-        object.__setattr__(
-            self,
-            "_cols",
-            (
-                np.asarray(self._ts, dtype=np.float64),
-                np.asarray(self._xs, dtype=np.float64),
-                np.asarray(self._ys, dtype=np.float64),
-                np.asarray(self._vs, dtype=np.float64),
-            ),
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "x", cols[1])
+        object.__setattr__(self, "y", cols[2])
+        object.__setattr__(self, "v", v)
+
+    @classmethod
+    def from_states(
+        cls, samples: Iterable[tuple[float, KinematicState]], probability: float = 1.0
+    ) -> "Trajectory":
+        """Columns from ordered ``(t, state)`` pairs; only position and speed are kept."""
+        samples = tuple(samples)
+        return cls(
+            t=[t for t, _ in samples],
+            x=[s.x for _, s in samples],
+            y=[s.y for _, s in samples],
+            v=[s.v for _, s in samples],
+            probability=probability,
         )
 
-    def columns(self) -> tuple:
-        """(times, xs, ys, speeds) as float64 arrays."""
-        return self._cols
+    @property
+    def samples(self) -> Sequence[tuple[float, KinematicState]]:
+        """The samples as ``(t, KinematicState)`` pairs, built from the columns."""
+        return _Samples(self)
+
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(times, xs, ys, speeds)."""
+        return self.t, self.x, self.y, self.v
 
     def state_at(self, t: float) -> tuple[float, float, float]:
         """Interpolated ``(x, y, speed)`` at time t >= 0."""
-        ts = self._ts
+        ts, xs, ys, vs = self.t, self.x, self.y, self.v
         if t >= ts[-1]:
-            return (self._xs[-1], self._ys[-1], self._vs[-1])
+            return (xs.item(-1), ys.item(-1), vs.item(-1))
         if t <= 0.0:
-            return (self._xs[0], self._ys[0], self._vs[0])
-        i = bisect_right(ts, t)
-        t0, t1 = ts[i - 1], ts[i]
+            return (xs.item(0), ys.item(0), vs.item(0))
+        i = int(ts.searchsorted(t, side="right"))
+        t0, t1 = ts.item(i - 1), ts.item(i)
         w = (t - t0) / (t1 - t0)
+        x0, y0, v0 = xs.item(i - 1), ys.item(i - 1), vs.item(i - 1)
         return (
-            self._xs[i - 1] + w * (self._xs[i] - self._xs[i - 1]),
-            self._ys[i - 1] + w * (self._ys[i] - self._ys[i - 1]),
-            self._vs[i - 1] + w * (self._vs[i] - self._vs[i - 1]),
+            x0 + w * (xs.item(i) - x0),
+            y0 + w * (ys.item(i) - y0),
+            v0 + w * (vs.item(i) - v0),
         )
 
     def end_time(self) -> float:
-        return self._ts[-1]
+        return self.t.item(-1)
 
 
 # How the reference latency l0 (the latency the system currently runs at) is
@@ -134,6 +184,25 @@ L0_CANDIDATE = "candidate"
 L0_FIXED = "fixed"
 
 AGGREGATORS = ("min", "max", "mean", "percentile")
+
+
+MAX_GRID_SIZE = 10_000  # latency candidates; bounds the search's work and memory
+# the search computes with the counts as floats, which hold every integer
+# up to 2**53 exactly
+_MAX_COUNT = 2**53
+_COUNT_FIELDS = ("confirmation_frames", "max_time_adjustments")
+_REAL_FIELDS = (
+    "distance_margin",
+    "speed_margin",
+    "min_brake_decel",
+    "brake_boost",
+    "latency_max",
+    "latency_min",
+    "latency_step",
+    "percentile",
+    "fine_dt",
+    "horizon",
+)
 
 
 @dataclass(frozen=True)
@@ -165,6 +234,23 @@ class ModelParams:
     _grid_arr: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        for name in _COUNT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if not value <= _MAX_COUNT:
+                raise ValueError(f"{name} must be <= 2**53, got {value}")
+        for name in _REAL_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            try:
+                as_float = float(value)
+            except OverflowError:
+                as_float = math.nan
+            if not math.isfinite(as_float):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+            object.__setattr__(self, name, as_float)
         if not 0.0 < self.distance_margin <= 1.0:
             raise ValueError("distance_margin must be in (0, 1]")
         if not 0.0 < self.speed_margin <= 1.0:
@@ -189,9 +275,12 @@ class ModelParams:
             raise ValueError(f"l0_policy must be '{L0_CANDIDATE}' or '{L0_FIXED}'")
         if not self.fine_dt > 0.0:
             raise ValueError("fine_dt must be > 0")
-        if not self.latency_max < self.horizon < math.inf:
-            raise ValueError("horizon must be finite and exceed latency_max")
-        steps = int(math.floor((self.latency_max - self.latency_min) / self.latency_step + 1e-9))
+        if not self.horizon > self.latency_max:
+            raise ValueError("horizon must exceed latency_max")
+        span = (self.latency_max - self.latency_min) / self.latency_step + 1e-9
+        if not span < MAX_GRID_SIZE:
+            raise ValueError(f"the latency grid may hold at most {MAX_GRID_SIZE} candidates")
+        steps = int(math.floor(span))
         grid = tuple(self.latency_max - i * self.latency_step for i in range(steps + 1))
         object.__setattr__(self, "latency_grid", grid)
         object.__setattr__(self, "_grid_arr", np.asarray(grid, dtype=np.float64))
@@ -274,33 +363,18 @@ def straight_line_trajectory(
     n = max(1, int(math.ceil(duration / sample_dt)))
     cos_h = math.cos(start.heading)
     sin_h = math.sin(start.heading)
-    samples = []
-    for i in range(n + 1):
-        t = min(duration, i * sample_dt)
-        if start.a < 0.0:
-            t_stop = start.v / -start.a if start.a != 0.0 else math.inf
-            if t >= t_stop:
-                dist = 0.5 * start.v * t_stop
-                v = 0.0
-            else:
-                dist = start.v * t + 0.5 * start.a * t * t
-                v = start.v + start.a * t
-        else:
-            dist = start.v * t + 0.5 * start.a * t * t
-            v = start.v + start.a * t
-        samples.append(
-            (
-                t,
-                KinematicState(
-                    x=start.x + dist * cos_h,
-                    y=start.y + dist * sin_h,
-                    v=v,
-                    a=start.a if v > 0.0 or start.a > 0.0 else 0.0,
-                    heading=start.heading,
-                ),
-            )
-        )
-    return Trajectory(samples=tuple(samples), probability=probability)
+    v0, a = start.v, start.a
+    t = np.minimum(np.arange(n + 1.0) * sample_dt, duration)
+    dist = v0 * t + 0.5 * a * t * t
+    v = v0 + a * t
+    if a < 0.0:
+        t_stop = v0 / -a
+        stopped = t >= t_stop
+        dist[stopped] = 0.5 * v0 * t_stop
+        v[stopped] = 0.0
+    x = start.x + dist * cos_h
+    y = start.y + dist * sin_h
+    return Trajectory(t=t, x=x, y=y, v=v, probability=probability)
 
 
 def constant_separation_trajectory(
@@ -314,9 +388,6 @@ def constant_separation_trajectory(
     Used by sensitivity sweeps that hold the separation budget constant and
     vary the actor's end speed independently.
     """
-    state = KinematicState(
-        x=separation * math.cos(bearing),
-        y=separation * math.sin(bearing),
-        v=actor_speed,
-    )
-    return Trajectory(samples=((0.0, state), (duration, state)), probability=1.0)
+    x = separation * math.cos(bearing)
+    y = separation * math.sin(bearing)
+    return Trajectory(t=(0.0, duration), x=(x, x), y=(y, y), v=(actor_speed, actor_speed))

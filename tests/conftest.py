@@ -25,7 +25,7 @@ def fixed_params():
 
 def static_actor_trajectory(distance: float, duration: float = 40.0) -> Trajectory:
     state = KinematicState(x=distance, y=0.0, v=0.0)
-    return Trajectory(samples=((0.0, state), (duration, state)))
+    return Trajectory.from_states(((0.0, state), (duration, state)))
 
 
 def random_case(rng: np.random.Generator):
@@ -66,7 +66,7 @@ def random_case(rng: np.random.Generator):
             v = v2
             samples.append((t, KinematicState(x, y, v, a if v > 0.0 else 0.0, heading)))
     l0 = float(rng.uniform(1.0 / 30.0, 1.0))
-    return ego, Trajectory(samples=tuple(samples)), l0
+    return ego, Trajectory.from_states(samples), l0
 
 
 def corpus_params(i: int) -> ModelParams:

@@ -63,7 +63,7 @@ def test_fov_members_matches_in_fov():
     }
     actors["twin"] = KinematicState(1.0, -2.0, 3.0)
     cams = (*DEFAULT_CAMERA_RIG, CameraConfig("all_round", 0.3, 2.0 * math.pi))
-    got = fov_members(ego, actors, cams)
+    got = fov_members(ego, {aid: (st.x, st.y) for aid, st in actors.items()}, cams)
     assert list(got) == [cam.camera_id for cam in cams]
     for cam in cams:
         assert got[cam.camera_id] == {aid for aid, st in actors.items() if in_fov(ego, st, cam)}

@@ -126,7 +126,7 @@ class TestBrakingProfile:
 class TestConstraints:
     def test_receding_actor_trivially_safe(self, params):
         actor = KinematicState(20.0, 0.0, 10.0)
-        traj = Trajectory(samples=((0.0, actor), (40.0, KinematicState(420.0, 0.0, 10.0))))
+        traj = Trajectory.from_states(((0.0, actor), (40.0, KinematicState(420.0, 0.0, 10.0))))
         ego = KinematicState(0, 0, 0.0)
         chk = constraints_met(ego, traj, 1.0, 1.0, 1.0, params)
         assert chk.met
@@ -170,7 +170,7 @@ class TestTolerableLatency:
     def test_receding_actor_max_latency(self, params):
         ego = KinematicState(0, 0, 0.0)
         actor = KinematicState(20.0, 0.0, 10.0)
-        traj = Trajectory(samples=((0.0, actor), (40.0, KinematicState(420.0, 0.0, 10.0))))
+        traj = Trajectory.from_states(((0.0, actor), (40.0, KinematicState(420.0, 0.0, 10.0))))
         est = tolerable_latency(ego, traj, 1.0, params)
         assert est.latency == params.latency_max
 

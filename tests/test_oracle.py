@@ -17,8 +17,8 @@ from conftest import corpus_params, random_case, static_actor_trajectory
 
 
 def receding_trajectory():
-    return Trajectory(
-        samples=((0.0, KinematicState(20.0, 0.0, 10.0)), (40.0, KinematicState(420.0, 0.0, 10.0)))
+    return Trajectory.from_states(
+        ((0.0, KinematicState(20.0, 0.0, 10.0)), (40.0, KinematicState(420.0, 0.0, 10.0)))
     )
 
 

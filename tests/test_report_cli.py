@@ -1,7 +1,10 @@
+import dataclasses
 import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import safefpr.cli as cli
 from safefpr import (
@@ -26,7 +29,7 @@ from safefpr import (
 )
 from safefpr.cli import main, parse_speed
 from safefpr.report import OVER_MAX, format_cell
-from safefpr.types import L0_FIXED, MPH_TO_MPS
+from safefpr.types import L0_FIXED, MPH_TO_MPS, straight_line_trajectory
 
 PARAMS = ModelParams()
 
@@ -246,6 +249,17 @@ class TestCli:
             ["sweep", "--sn", "30", "--ve0-max", "10", "--van-max", "10", "--params", "{binary}"],
             ["simulate", "--script", "{script}", "--budget", "0"],
             ["simulate", "--script", "{script}", "--budget", "nan"],
+            ["sweep", "--sn", "30", "--ve0-max", "10", "--van-max", "10", "--steps", "2",
+             "--params", "{fractional_adjustments}"],
+            ["sweep", "--sn", "30", "--ve0-max", "10", "--van-max", "10", "--steps", "2",
+             "--params", "{fractional_frames}"],
+            ["sweep", "--sn", "30", "--ve0-max", "10", "--van-max", "10", "--steps", "2",
+             "--params", "{nan_l0}"],
+            ["simulate", "--script", "{script}", "--collision-radius", "nan"],
+            ["simulate", "--script", "{script}", "--collision-radius", "inf"],
+            ["simulate", "--script", "{script}", "--collision-radius", "-1"],
+            ["analyze", "--trace", "{scripted}", "--mrf", "--collision-radius", "nan"],
+            ["analyze", "--trace", "{scripted}", "--mrf", "--collision-radius", "-1"],
         ],
     )
     def test_bad_input_exits_2(self, tmp_path, argv):
@@ -258,9 +272,18 @@ class TestCli:
         (tmp_path / "nan_trace.jsonl").write_text(text.replace('"v": 0.0', '"v": NaN', 1))
         (tmp_path / "binary").write_bytes(b"\xff\xfe\x00")
         save_script(generate_scenario("cut_in"), tmp_path / "script.json")
+        save_trace(
+            run_scenario(generate_scenario("cut_out_fast"), PARAMS, frame_rate=1.0).trace,
+            tmp_path / "scripted.jsonl",
+        )
+        (tmp_path / "fractional_adjustments.json").write_text('{"max_time_adjustments": 2.5}')
+        (tmp_path / "fractional_frames.json").write_text('{"confirmation_frames": 2.5}')
+        (tmp_path / "nan_l0.json").write_text('{"l0": NaN}')
         names = {n: str(tmp_path / f) for n, f in [
             ("scriptless", "scriptless.jsonl"), ("nan_trace", "nan_trace.jsonl"),
-            ("binary", "binary"), ("script", "script.json"),
+            ("binary", "binary"), ("script", "script.json"), ("scripted", "scripted.jsonl"),
+            ("fractional_adjustments", "fractional_adjustments.json"),
+            ("fractional_frames", "fractional_frames.json"), ("nan_l0", "nan_l0.json"),
         ]}
         assert main([a.format(**names) for a in argv]) == 2
 
@@ -295,3 +318,26 @@ class TestCli:
         rows = out.read_text().strip().splitlines()
         # slow safe cells now bottom out at 1/0.5 = 2 Hz
         assert rows[1].split(",")[1] == "2"
+
+
+PARAM_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4),
+    st.lists(st.integers(), max_size=2), st.sampled_from([0.05, 0.5, 1, 2.5, 10, 30.0, "min"]),
+)
+PARAM_KEYS = [f.name for f in dataclasses.fields(ModelParams) if f.init] + ["l0", "latency_grid"]
+PARAM_OBJECTS = st.dictionaries(st.sampled_from(PARAM_KEYS), PARAM_VALUES)
+PARAM_TEXTS = st.one_of(st.text(), PARAM_VALUES.map(json.dumps), PARAM_OBJECTS.map(json.dumps))
+
+
+@given(text=PARAM_TEXTS)
+@settings(max_examples=300, deadline=None)
+def test_any_params_text_loads_or_raises_input_error(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("params") / "p.json"
+    path.write_text(text)
+    try:
+        params, l0 = cli.load_params(str(path))
+    except cli.InputError:
+        return
+    ego = KinematicState(0.0, 0.0, 12.0)
+    traj = straight_line_trajectory(KinematicState(40.0, 0.0, 3.0), duration=5.0)
+    tolerable_latency(ego, traj, params.latency_min if l0 is None else l0, params)

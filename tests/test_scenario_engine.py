@@ -16,6 +16,7 @@ from safefpr import (
     run_scenario,
     save_script,
     save_trace,
+    scenario_mrf,
 )
 from safefpr.geometry import DEFAULT_CAMERA_RIG
 from safefpr.scenarios import RoadSpec, script_from_dict, script_to_dict
@@ -33,9 +34,10 @@ class TestPredictor:
 
     def test_stationary_actor_braking_variants_stay_put(self):
         cfg = PredictorConfig(num_variants=5, decel_spread=4.9)
-        for traj in predict_trajectories(KinematicState(7.0, -2.0, 0.0), cfg):
+        fan = predict_trajectories(KinematicState(7.0, -2.0, 0.0), cfg)
+        for offset, traj in zip(cfg.acceleration_offsets(), fan):
             x, y, v = traj.state_at(traj.end_time())
-            if traj.samples[0][1].a <= 0:
+            if offset <= 0:
                 assert (x, y) == (7.0, -2.0)
 
     def test_braking_variant_stops_at_kinematic_distance(self):
@@ -211,3 +213,19 @@ class TestEngine:
             run_scenario(script, params)
         with pytest.raises(ValueError):
             run_scenario(script, params, frame_rate=10.0, adaptive=True)
+
+    def test_collision_radius_sets_the_collision(self):
+        # at 1 Hz the ego of cut_out_fast reaches the revealed obstacle
+        result = run_scenario(
+            generate_scenario("cut_out_fast"), ModelParams(), frame_rate=1.0, collision_radius=0.5
+        )
+        assert result.collision is not None
+        assert result.collision[0] == pytest.approx(6.13, abs=0.01)
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, -1.0])
+    def test_rejects_bad_collision_radius(self, radius):
+        script = generate_scenario("cut_out_fast")
+        with pytest.raises(ValueError, match="collision_radius"):
+            run_scenario(script, ModelParams(), frame_rate=1.0, collision_radius=radius)
+        with pytest.raises(ValueError, match="collision_radius"):
+            scenario_mrf(script, ModelParams(), collision_radius=radius)

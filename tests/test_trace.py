@@ -146,6 +146,35 @@ class TestGroundTruth:
         with pytest.raises(KeyError):
             ground_truth_trajectory(build_trace(), "ghost", 0)
 
+    def test_columns_are_the_recorded_future(self):
+        trace = build_trace(n_ticks=12, dt=1 / 30)
+        last = len(trace.ticks) - 1
+        for aid in trace.actor_ids:
+            for k in range(len(trace.ticks)):
+                traj = ground_truth_trajectory(trace, aid, k)
+                base = trace.ticks[k].t
+                future = trace.ticks[k:]
+                times = [tick.t - base for tick in future]
+                states = [tick.actors[aid] for tick in future]
+                if k == last:  # the final tick holds its state for one more dt
+                    times.append(trace.dt)
+                    states.append(states[0])
+                assert traj.t.tolist() == times
+                assert traj.x.tolist() == [s.x for s in states]
+                assert traj.y.tolist() == [s.y for s in states]
+                assert traj.v.tolist() == [s.v for s in states]
+                assert traj.probability == 1.0
+
+    def test_columns_cannot_be_written(self):
+        trace = build_trace()
+        for k in (0, 4, len(trace.ticks) - 1):
+            traj = ground_truth_trajectory(trace, "lead", k)
+            for col in traj.columns():
+                with pytest.raises(ValueError, match="read-only"):
+                    col[-1] = -1.0
+        again = ground_truth_trajectory(trace, "lead", 4)
+        assert again.x.tolist() == [30.0 + 8.0 * tick.t for tick in trace.ticks[4:]]
+
 
 HEADER = {"dt": 0.1, "cameras": [{"camera_id": "front", "azimuth": 0.0, "fov": 1.0}]}
 STATE = {"x": 0.0, "y": 0.0, "v": 1.0, "a": 0.0, "heading": 0.0}

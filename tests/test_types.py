@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from safefpr import KinematicState, ModelParams, Trajectory
@@ -15,6 +16,14 @@ class TestKinematicState:
         with pytest.raises(ValueError, match="speed"):
             KinematicState(0, 0, -0.1)
 
+    @pytest.mark.parametrize("field", ["x", "y", "v", "a", "heading"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_fields_rejected(self, field, value):
+        fields = dict(x=0.0, y=0.0, v=1.0, a=0.0, heading=0.0)
+        fields[field] = value
+        with pytest.raises(ValueError, match="finite"):
+            KinematicState(**fields)
+
     def test_heading_normalized(self):
         s = KinematicState(0, 0, 1.0, heading=3 * math.pi)
         assert s.heading == pytest.approx(math.pi)
@@ -27,35 +36,72 @@ class TestTrajectory:
 
     def test_needs_two_samples(self):
         with pytest.raises(ValueError, match="2 samples"):
-            Trajectory(samples=((0.0, self.ST),))
+            Trajectory.from_states(((0.0, self.ST),))
 
     def test_must_start_at_zero(self):
         with pytest.raises(ValueError, match="t = 0"):
-            Trajectory(samples=((0.5, self.ST), (1.0, self.ST)))
+            Trajectory.from_states(((0.5, self.ST), (1.0, self.ST)))
 
     def test_times_strictly_increasing(self):
         with pytest.raises(ValueError, match="increasing"):
-            Trajectory(samples=((0.0, self.ST), (1.0, self.ST), (1.0, self.ST)))
+            Trajectory.from_states(((0.0, self.ST), (1.0, self.ST), (1.0, self.ST)))
 
     @pytest.mark.parametrize(
         "times", [(0.0, math.nan, 2.0), (0.0, 1.0, math.nan), (0.0, 1.0, math.inf)]
     )
     def test_non_finite_times_rejected(self, times):
         with pytest.raises(ValueError, match="finite"):
-            Trajectory(samples=tuple((t, self.ST) for t in times))
+            Trajectory.from_states(tuple((t, self.ST) for t in times))
 
     def test_probability_range(self):
         with pytest.raises(ValueError, match="probability"):
-            Trajectory(samples=((0.0, self.ST), (1.0, self.ST)), probability=1.5)
+            Trajectory.from_states(((0.0, self.ST), (1.0, self.ST)), probability=1.5)
+
+    @pytest.mark.parametrize("column", ["x", "y", "v"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_positions_and_speeds_rejected(self, column, value):
+        cols = dict(t=[0.0, 1.0], x=[0.0, 1.0], y=[0.0, 1.0], v=[1.0, 1.0])
+        cols[column][1] = value
+        with pytest.raises(ValueError, match="finite"):
+            Trajectory(**cols)
+
+    def test_negative_speed_rejected(self):
+        with pytest.raises(ValueError, match="speeds"):
+            Trajectory(t=[0.0, 1.0], x=[0.0, 1.0], y=[0.0, 0.0], v=[1.0, -0.5])
+
+    def test_columns_of_unequal_length_rejected(self):
+        with pytest.raises(ValueError, match="equal-length"):
+            Trajectory(t=[0.0, 1.0], x=[0.0, 1.0, 2.0], y=[0.0, 0.0], v=[1.0, 1.0])
+
+    def test_columns_read_only_and_detached_from_caller(self):
+        xs = np.array([0.0, 1.0])
+        traj = Trajectory(t=[0.0, 1.0], x=xs, y=[0.0, 0.0], v=[1.0, 1.0])
+        xs[1] = 50.0
+        assert traj.x.tolist() == [0.0, 1.0]
+        for col in traj.columns():
+            assert col.dtype == np.float64
+            with pytest.raises(ValueError, match="read-only"):
+                col[0] = 1.0
+
+    def test_from_states_keeps_position_and_speed(self):
+        states = ((0.0, KinematicState(1.0, 2.0, 3.0, a=-1.0, heading=0.5)),
+                  (2.0, KinematicState(4.0, 6.0, 1.0)))
+        traj = Trajectory.from_states(states, probability=0.25)
+        cols = [c.tolist() for c in traj.columns()]
+        assert cols == [[0.0, 2.0], [1.0, 4.0], [2.0, 6.0], [3.0, 1.0]]
+        assert traj.probability == 0.25
+        assert len(traj.samples) == 2
+        assert traj.samples[-1] == (2.0, KinematicState(4.0, 6.0, 1.0))
+        assert traj.samples[0] == (0.0, KinematicState(1.0, 2.0, 3.0))
 
     def test_holds_last_state_beyond_horizon(self):
         moving = KinematicState(10.0, 0.0, 5.0)
-        traj = Trajectory(samples=((0.0, self.ST), (2.0, moving)))
+        traj = Trajectory.from_states(((0.0, self.ST), (2.0, moving)))
         assert traj.state_at(100.0) == (10.0, 0.0, 5.0)
 
     def test_interpolates_between_samples(self):
         far = KinematicState(10.0, 2.0, 3.0)
-        traj = Trajectory(samples=((0.0, self.ST), (2.0, far)))
+        traj = Trajectory.from_states(((0.0, self.ST), (2.0, far)))
         x, y, v = traj.state_at(1.0)
         assert (x, y) == (5.0, 1.0)
         assert v == pytest.approx(2.0)
@@ -96,11 +142,35 @@ class TestModelParams:
             {"fine_dt": math.nan},
             {"horizon": math.nan},
             {"horizon": math.inf},
+            {"max_time_adjustments": 2.5},
+            {"max_time_adjustments": 2.0},
+            {"max_time_adjustments": True},
+            {"max_time_adjustments": 2**53 + 1},
+            {"confirmation_frames": 2.5},
+            {"confirmation_frames": "5"},
+            {"confirmation_frames": 10**400},
+            {"distance_margin": "0.5"},
+            {"min_brake_decel": math.inf},
+            {"brake_boost": math.inf},
+            {"fine_dt": math.inf},
+            {"horizon": 10**400},
+            {"latency_step": 1e-9},
+            {"latency_step": 5e-324},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ModelParams(**kwargs)
+
+    def test_largest_grid_accepted(self):
+        p = ModelParams(latency_min=1e-4, latency_step=1e-4)
+        assert len(p.latency_grid) == 10_000
+        assert p.latency_grid[-1] == pytest.approx(1e-4)
+
+    def test_numbers_stored_as_floats(self):
+        p = ModelParams(latency_max=1, horizon=30)
+        assert type(p.latency_max) is float and type(p.horizon) is float
+        assert p == ModelParams()
 
     def test_fpr_bounds(self):
         lo, hi = ModelParams().fpr_bounds()
@@ -127,3 +197,38 @@ class TestHelpers:
             x, y, v = traj.state_at(t)
             assert math.hypot(x, y) == pytest.approx(30.0)
             assert v == 12.0
+
+
+def scalar_straight_line(start: KinematicState, duration: float, sample_dt: float):
+    """Columns of straight_line_trajectory, one sample at a time in Python floats."""
+    n = max(1, int(math.ceil(duration / sample_dt)))
+    cos_h, sin_h = math.cos(start.heading), math.sin(start.heading)
+    cols = ([], [], [], [])
+    for i in range(n + 1):
+        t = min(duration, i * sample_dt)
+        if start.a < 0.0 and t >= start.v / -start.a:
+            dist = 0.5 * start.v * (start.v / -start.a)
+            v = 0.0
+        else:
+            dist = start.v * t + 0.5 * start.a * t * t
+            v = start.v + start.a * t
+        for col, value in zip(cols, (t, start.x + dist * cos_h, start.y + dist * sin_h, v)):
+            col.append(value)
+    return cols
+
+
+@pytest.mark.parametrize(
+    "start",
+    [
+        KinematicState(3.0, -1.5, 12.3, a=2.45, heading=0.4),       # accelerating
+        KinematicState(-7.1, 2.2, 13.7, a=-4.9, heading=-2.9),      # brakes to a stop mid-way
+        KinematicState(0.3, 0.0, 9.0, a=-3.0, heading=math.pi / 2),  # stops exactly on a sample
+        KinematicState(5.0, 5.0, 0.0, a=-2.45, heading=1.0),        # stationary, braking
+        KinematicState(5.0, 5.0, 0.0, heading=-1.0),                # stationary, coasting
+    ],
+)
+@pytest.mark.parametrize("duration,sample_dt", [(6.0, 0.25), (5.9, 0.25), (30.0, 30.0), (1.0, 0.3)])
+def test_straight_line_columns_match_scalar_reference(start, duration, sample_dt):
+    traj = straight_line_trajectory(start, duration, sample_dt=sample_dt)
+    want = scalar_straight_line(start, duration, sample_dt)
+    assert [c.tolist() for c in traj.columns()] == [list(c) for c in want]
