@@ -104,7 +104,7 @@ def cmd_analyze(args) -> int:
     if args.mrf:
         try:
             script_from_dict(trace.metadata["script"])
-        except (KeyError, TypeError, ValueError) as e:
+        except (KeyError, ValueError) as e:
             raise InputError(f"--mrf needs the trace's scenario script: {e!r}") from None
         _check_collision_radius(args.collision_radius)
     result = analyze_trace(trace, params, mrf=args.mrf, collision_radius=args.collision_radius)
@@ -121,7 +121,7 @@ def cmd_simulate(args) -> int:
     params, _ = load_params(args.params)
     try:
         script = load_script(args.script)
-    except (OSError, KeyError, TypeError, ValueError) as e:
+    except (OSError, ValueError) as e:
         raise InputError(f"script {args.script}: {e}") from None
     if args.budget is not None and not args.budget > 0.0:
         raise InputError("--budget must be > 0")

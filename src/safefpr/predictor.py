@@ -7,9 +7,12 @@ hard braking to mild speed-up, each with a configured probability.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 
-from .types import KinematicState, Trajectory, straight_line_trajectory
+import numpy as np
+
+from .types import KinematicState, Trajectory, finite_float, sample_times, straight_line_block
 
 SAMPLE_DT = 0.25  # s between emitted trajectory samples
 
@@ -21,34 +24,45 @@ class PredictorConfig:
     decel_spread: float = 4.9  # m/s^2 swing around the current acceleration
     variant_probabilities: tuple[float, ...] | None = None  # uniform if None
 
+    _times: np.ndarray = field(init=False, repr=False, compare=False)
+    _offsets: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    _probs: tuple[float, ...] = field(init=False, repr=False, compare=False)
+
     def __post_init__(self) -> None:
-        if self.horizon <= 0.0:
-            raise ValueError("horizon must be > 0")
-        if self.num_variants < 1:
+        n = self.num_variants
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+            raise ValueError(f"num_variants must be an integer, got {n!r}")
+        if not n >= 1:
             raise ValueError("num_variants must be >= 1")
-        if self.decel_spread < 0.0:
+        if not finite_float("horizon", self.horizon) > 0.0:
+            raise ValueError("horizon must be > 0")
+        s = finite_float("decel_spread", self.decel_spread)
+        if not s >= 0.0:
             raise ValueError("decel_spread must be >= 0")
         probs = self.variant_probabilities
-        if probs is not None:
-            if len(probs) != self.num_variants:
+        if probs is None:
+            probs = tuple(1.0 / n for _ in range(n))
+        else:
+            if len(probs) != n:
                 raise ValueError("need one probability per variant")
             if any(not 0.0 <= p <= 1.0 for p in probs):
                 raise ValueError("probabilities must be in [0, 1]")
             if abs(sum(probs) - 1.0) > 1e-9:
                 raise ValueError("probabilities must sum to 1")
+        # symmetric offsets from -spread to +spread, a single variant -> 0
+        offsets = (0.0,) if n == 1 else tuple(-s + 2.0 * s * i / (n - 1) for i in range(n))
+        times = sample_times(self.horizon, SAMPLE_DT)
+        times.setflags(write=False)
+        object.__setattr__(self, "_times", times)
+        object.__setattr__(self, "_offsets", offsets)
+        object.__setattr__(self, "_probs", tuple(probs))
 
     def probabilities(self) -> tuple[float, ...]:
-        if self.variant_probabilities is not None:
-            return self.variant_probabilities
-        return tuple(1.0 / self.num_variants for _ in range(self.num_variants))
+        return self._probs
 
     def acceleration_offsets(self) -> tuple[float, ...]:
         """Symmetric offsets from -spread to +spread, single variant -> 0."""
-        n = self.num_variants
-        if n == 1:
-            return (0.0,)
-        s = self.decel_spread
-        return tuple(-s + 2.0 * s * i / (n - 1) for i in range(n))
+        return self._offsets
 
 
 def predict_trajectories(current: KinematicState, cfg: PredictorConfig) -> list[Trajectory]:
@@ -57,19 +71,8 @@ def predict_trajectories(current: KinematicState, cfg: PredictorConfig) -> list[
     Speeds are floored at zero, so braking variants of a stationary actor
     stay put.
     """
-    probs = cfg.probabilities()
-    out = []
-    for offset, prob in zip(cfg.acceleration_offsets(), probs):
-        start = KinematicState(
-            x=current.x,
-            y=current.y,
-            v=current.v,
-            a=current.a + offset,
-            heading=current.heading,
-        )
-        out.append(
-            straight_line_trajectory(
-                start, duration=cfg.horizon, sample_dt=SAMPLE_DT, probability=prob
-            )
-        )
-    return out
+    accels = [current.a + offset for offset in cfg._offsets]
+    block = straight_line_block(
+        current.x, current.y, current.v, current.heading, accels, cfg._times
+    )
+    return Trajectory.from_block(block, cfg._probs)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Callable
 
-from .types import MPH_TO_MPS
+from .types import MPH_TO_MPS, finite_float
 
 
 @dataclass(frozen=True)
@@ -26,11 +26,11 @@ class RoadSpec:
     curvature: float = 0.0   # 1/m, constant along the road; 0 = straight
 
     def __post_init__(self) -> None:
-        if self.lanes < 1:
+        if not self.lanes >= 1:
             raise ValueError("need at least one lane")
-        if self.lane_width <= 0.0:
-            raise ValueError("lane_width must be > 0")
-        if abs(self.curvature) > 0.02:
+        if not 0.0 < self.lane_width < math.inf:
+            raise ValueError("lane_width must be finite and > 0")
+        if not abs(self.curvature) <= 0.02:
             raise ValueError("curvature beyond +/-0.02 1/m is not supported")
 
     def lane_offset(self, lane: float) -> float:
@@ -65,16 +65,16 @@ class ActorEvent:
     rate: float | None = None
 
     def __post_init__(self) -> None:
-        if self.at < 0.0:
-            raise ValueError("event time must be >= 0")
+        if not 0.0 <= self.at < math.inf:
+            raise ValueError("event time must be finite and >= 0")
         if self.kind == "lane_change":
-            if self.to_lane is None or self.duration <= 0.0:
-                raise ValueError("lane_change needs to_lane and duration > 0")
+            if self.to_lane is None or not 0.0 < self.duration < math.inf:
+                raise ValueError("lane_change needs to_lane and a finite duration > 0")
         elif self.kind == "speed_change":
-            if self.target_speed is None or self.target_speed < 0.0:
-                raise ValueError("speed_change needs target_speed >= 0")
-            if self.rate is None or self.rate <= 0.0:
-                raise ValueError("speed_change needs rate > 0")
+            if self.target_speed is None or not 0.0 <= self.target_speed < math.inf:
+                raise ValueError("speed_change needs a finite target_speed >= 0")
+            if self.rate is None or not 0.0 < self.rate < math.inf:
+                raise ValueError("speed_change needs a finite rate > 0")
         else:
             raise ValueError(f"unknown event kind {self.kind!r}")
 
@@ -88,8 +88,10 @@ class ActorScript:
     events: tuple[ActorEvent, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.speed < 0.0:
-            raise ValueError("actor speed must be >= 0")
+        if not math.isfinite(self.gap):
+            raise ValueError("actor gap must be finite")
+        if not 0.0 <= self.speed < math.inf:
+            raise ValueError("actor speed must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -106,10 +108,12 @@ class ScenarioScript:
     def __post_init__(self) -> None:
         if not 0 <= self.ego_lane < self.road.lanes:
             raise ValueError("ego_lane outside the road")
-        if self.ego_speed < 0.0:
-            raise ValueError("ego_speed must be >= 0")
-        if self.duration <= 0.0:
-            raise ValueError("duration must be > 0")
+        if not 0.0 <= self.ego_speed < math.inf:
+            raise ValueError("ego_speed must be finite and >= 0")
+        if not 0.0 < self.duration < math.inf:
+            raise ValueError("duration must be finite and > 0")
+        if self.trigger_time is not None and not math.isfinite(self.trigger_time):
+            raise ValueError("trigger_time must be finite")
         ids = [a.actor_id for a in self.actors]
         if len(ids) != len(set(ids)):
             raise ValueError("duplicate actor ids")
@@ -144,27 +148,91 @@ def script_to_dict(script: ScenarioScript) -> dict:
     }
 
 
-def script_from_dict(obj: dict) -> ScenarioScript:
-    road = RoadSpec(**obj.get("road", {}))
-    actors = tuple(
-        ActorScript(
-            actor_id=a["actor_id"],
-            lane=int(a["lane"]),
-            gap=float(a["gap"]),
-            speed=float(a["speed"]),
-            events=tuple(ActorEvent(**e) for e in a.get("events", [])),
-        )
-        for a in obj.get("actors", [])
+def _object(
+    value: object, where: str, required: tuple[str, ...], optional: tuple[str, ...]
+) -> dict:
+    """``value`` if it is a JSON object with every required key and no unknown one."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(value).__name__}")
+    for key in required:
+        if key not in value:
+            raise ValueError(f"{where}: missing key {key!r}")
+    unknown = set(value) - set(required) - set(optional)
+    if unknown:
+        raise ValueError(f"{where}: unknown keys {sorted(unknown)}")
+    return value
+
+
+def _list(value: object, where: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{where} must be a JSON list, got {type(value).__name__}")
+    return value
+
+
+def _integer(value: object, where: str) -> int:
+    # the engine computes lane offsets in floats, which hold integers up to 2**53
+    if isinstance(value, bool) or not isinstance(value, int) or not abs(value) <= 2**53:
+        raise ValueError(f"{where} must be an integer of magnitude <= 2**53, got {value!r}")
+    return value
+
+
+def _optional(value: object, where: str) -> float | None:
+    return None if value is None else finite_float(where, value)
+
+
+def _event_from_dict(obj: object, where: str) -> ActorEvent:
+    e = _object(obj, where, ("at", "kind"), ("to_lane", "duration", "target_speed", "rate"))
+    if not isinstance(e["kind"], str):
+        raise ValueError(f"{where}.kind must be a string, got {e['kind']!r}")
+    to_lane = e.get("to_lane")
+    return ActorEvent(
+        at=finite_float(f"{where}.at", e["at"]),
+        kind=e["kind"],
+        to_lane=None if to_lane is None else _integer(to_lane, f"{where}.to_lane"),
+        duration=finite_float(f"{where}.duration", e.get("duration", 0.0)),
+        target_speed=_optional(e.get("target_speed"), f"{where}.target_speed"),
+        rate=_optional(e.get("rate"), f"{where}.rate"),
     )
+
+
+def _actor_from_dict(obj: object, where: str) -> ActorScript:
+    a = _object(obj, where, ("actor_id", "lane", "gap", "speed"), ("events",))
+    if not isinstance(a["actor_id"], str):
+        raise ValueError(f"{where}.actor_id must be a string, got {a['actor_id']!r}")
+    events = _list(a.get("events", []), f"{where}.events")
+    return ActorScript(
+        actor_id=a["actor_id"],
+        lane=_integer(a["lane"], f"{where}.lane"),
+        gap=finite_float(f"{where}.gap", a["gap"]),
+        speed=finite_float(f"{where}.speed", a["speed"]),
+        events=tuple(_event_from_dict(e, f"{where}.events[{i}]") for i, e in enumerate(events)),
+    )
+
+
+def script_from_dict(obj: object) -> ScenarioScript:
+    """A script from its JSON form; ValueError naming the field for any malformed one."""
+    obj = _object(
+        obj, "script", ("name", "ego_lane", "ego_speed", "duration"),
+        ("road", "actors", "trigger_time", "notes"),
+    )
+    road = _object(obj.get("road", {}), "road", (), ("lanes", "lane_width", "curvature"))
+    actors = _list(obj.get("actors", []), "actors")
+    notes = obj.get("notes", {})
+    if not isinstance(notes, dict):
+        raise ValueError(f"notes must be a JSON object, got {type(notes).__name__}")
     return ScenarioScript(
         name=str(obj["name"]),
-        road=road,
-        ego_lane=int(obj["ego_lane"]),
-        ego_speed=float(obj["ego_speed"]),
-        duration=float(obj["duration"]),
-        actors=actors,
-        trigger_time=obj.get("trigger_time"),
-        notes=obj.get("notes", {}),
+        road=RoadSpec(
+            lanes=_integer(road.get("lanes", 3), "road.lanes"),
+            lane_width=finite_float("road.lane_width", road.get("lane_width", 3.5)),
+            curvature=finite_float("road.curvature", road.get("curvature", 0.0)),
+        ),
+        ego_lane=_integer(obj["ego_lane"], "ego_lane"),
+        ego_speed=finite_float("ego_speed", obj["ego_speed"]),
+        duration=finite_float("duration", obj["duration"]),
+        actors=tuple(_actor_from_dict(a, f"actors[{i}]") for i, a in enumerate(actors)),
+        trigger_time=_optional(obj.get("trigger_time"), "trigger_time"),
+        notes=notes,
     )
 
 
@@ -177,12 +245,27 @@ def save_script(script: ScenarioScript, dest: str | Path | IO[str]) -> None:
 
 
 def load_script(source: str | Path | IO[str]) -> ScenarioScript:
-    if hasattr(source, "read"):
-        obj = json.load(source)
-    else:
-        obj = json.loads(Path(source).read_text())
-    if "family" in obj:
-        return generate_scenario(obj["family"], obj.get("params", {}))
+    """A script file: a family reference or a full script (see ``docs/formats.md``).
+
+    Malformed content raises ValueError naming the field; a file that cannot
+    be opened raises OSError.
+    """
+    try:
+        if hasattr(source, "read"):
+            obj = json.load(source)
+        else:
+            obj = json.loads(Path(source).read_text())
+    except RecursionError:
+        raise ValueError("script nests too deeply") from None
+    if isinstance(obj, dict) and "family" in obj:
+        _object(obj, "script", ("family",), ("params",))
+        family = obj["family"]
+        if not isinstance(family, str):
+            raise ValueError(f"family must be a string, got {family!r}")
+        params = obj.get("params", {})
+        if not isinstance(params, dict):
+            raise ValueError(f"params must be a JSON object, got {type(params).__name__}")
+        return generate_scenario(family, params)
     return script_from_dict(obj)
 
 
@@ -191,15 +274,19 @@ def load_script(source: str | Path | IO[str]) -> ScenarioScript:
 # --------------------------------------------------------------------------
 
 
+def _param(params: dict, key: str, default: float) -> float:
+    return finite_float(key, params.get(key, default))
+
+
 def _speed(params: dict, key: str, default_mph: float, lo=0.0, hi=90.0) -> float:
-    mph = float(params.get(key, default_mph))
+    mph = _param(params, key, default_mph)
     if not lo <= mph <= hi:
         raise ValueError(f"{key} must be in [{lo}, {hi}] mph, got {mph}")
     return mph * MPH_TO_MPS
 
 
 def _pos(params: dict, key: str, default: float, lo: float, hi: float) -> float:
-    v = float(params.get(key, default))
+    v = _param(params, key, default)
     if not lo <= v <= hi:
         raise ValueError(f"{key} must be in [{lo}, {hi}], got {v}")
     return v
@@ -221,7 +308,7 @@ def _cut_out(params: dict, name: str, default_mph: float) -> ScenarioScript:
         road=RoadSpec(),
         ego_lane=1,
         ego_speed=v,
-        duration=float(params.get("duration", 14.0)),
+        duration=_param(params, "duration", 14.0),
         trigger_time=t_cut,
         actors=(
             ActorScript(
@@ -248,13 +335,13 @@ def cut_in(params: dict) -> ScenarioScript:
     v = _speed(params, "ego_speed_mph", 70.0)
     gap = _pos(params, "cut_gap", 45.0, 20.0, 120.0)
     slow_factor = _pos(params, "slow_factor", 0.85, 0.3, 1.0)
-    t_cut = float(params.get("trigger_time", 2.0))
+    t_cut = _param(params, "trigger_time", 2.0)
     return ScenarioScript(
         name="cut_in",
         road=RoadSpec(),
         ego_lane=1,
         ego_speed=v,
-        duration=float(params.get("duration", 14.0)),
+        duration=_param(params, "duration", 14.0),
         trigger_time=t_cut,
         actors=(
             ActorScript(
@@ -275,13 +362,13 @@ def _challenging_cut_in(params: dict, name: str, default_mph: float,
     v = _speed(params, "ego_speed_mph", default_mph)
     gap = _pos(params, "cut_gap", 22.0, 8.0, 60.0)
     slow_factor = _pos(params, "slow_factor", 0.6, 0.3, 1.0)
-    t_cut = float(params.get("trigger_time", 1.5))
+    t_cut = _param(params, "trigger_time", 1.5)
     return ScenarioScript(
         name=name,
         road=RoadSpec(curvature=curvature),
         ego_lane=1,
         ego_speed=v,
-        duration=float(params.get("duration", 14.0)),
+        duration=_param(params, "duration", 14.0),
         trigger_time=t_cut,
         actors=(
             ActorScript(
@@ -311,13 +398,13 @@ def vehicle_following(params: dict) -> ScenarioScript:
     v = _speed(params, "ego_speed_mph", 70.0)
     gap = _pos(params, "follow_gap", 50.0, 20.0, 150.0)
     decel = _pos(params, "lead_decel", 6.0, 2.0, 9.0)
-    t_brake = float(params.get("trigger_time", 2.0))
+    t_brake = _param(params, "trigger_time", 2.0)
     return ScenarioScript(
         name="vehicle_following",
         road=RoadSpec(),
         ego_lane=1,
         ego_speed=v,
-        duration=float(params.get("duration", 16.0)),
+        duration=_param(params, "duration", 16.0),
         trigger_time=t_brake,
         actors=(
             ActorScript(
@@ -337,7 +424,7 @@ def front_right_activity_1(params: dict) -> ScenarioScript:
         road=RoadSpec(),
         ego_lane=2,
         ego_speed=v,
-        duration=float(params.get("duration", 12.0)),
+        duration=_param(params, "duration", 12.0),
         trigger_time=2.0,
         actors=(
             ActorScript(
@@ -360,7 +447,7 @@ def front_right_activity_2(params: dict) -> ScenarioScript:
         road=RoadSpec(),
         ego_lane=1,
         ego_speed=v,
-        duration=float(params.get("duration", 12.0)),
+        duration=_param(params, "duration", 12.0),
         trigger_time=2.0,
         actors=(
             ActorScript(
@@ -383,7 +470,7 @@ def front_right_activity_3(params: dict) -> ScenarioScript:
         road=RoadSpec(),
         ego_lane=1,
         ego_speed=v,
-        duration=float(params.get("duration", 12.0)),
+        duration=_param(params, "duration", 12.0),
         trigger_time=2.0,
         actors=(
             ActorScript(

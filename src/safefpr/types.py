@@ -27,6 +27,19 @@ def normalize_angle(theta: float) -> float:
     return theta
 
 
+def finite_float(name: str, value: object) -> float:
+    """``value`` as a float; ValueError naming ``name`` unless it is a finite real number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        as_float = float(value)
+    except OverflowError:
+        as_float = math.nan
+    if not math.isfinite(as_float):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    return as_float
+
+
 @dataclass(frozen=True)
 class KinematicState:
     """State of the ego or one actor at a single instant.
@@ -81,16 +94,39 @@ class _Samples(Sequence):
         return (tr.t.item(i), KinematicState(tr.x.item(i), tr.y.item(i), tr.v.item(i)))
 
 
+def _check_columns(cols: np.ndarray, probabilities: Iterable[float]) -> None:
+    """The trajectory rules, applied to the t, x, y and v columns ``cols[0:4]``.
+
+    ``cols`` is (4, samples) for one trajectory or (4, rows, samples) for a
+    block of them, with one probability per trajectory.
+    """
+    t, v = cols[0], cols[3]
+    if t.shape[-1] < 2:
+        raise ValueError("trajectory needs at least 2 samples")
+    if np.count_nonzero(t[..., 0]):
+        raise ValueError("trajectory must start at t = 0")
+    if np.count_nonzero(np.isfinite(cols)) != cols.size:
+        raise ValueError("trajectory times, positions and speeds must be finite")
+    if np.count_nonzero(t[..., 1:] <= t[..., :-1]):
+        raise ValueError("trajectory times must be strictly increasing")
+    if np.count_nonzero(v < 0.0):
+        raise ValueError("trajectory speeds must be >= 0")
+    for probability in probabilities:
+        if not 0.0 <= probability <= 1.0:
+            raise ValueError(f"probability must be in [0, 1], got {probability}")
+
+
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """One predicted future of an actor with an occurrence probability.
 
     The columns ``t``, ``x``, ``y`` and ``v`` hold one entry per sample:
     finite, strictly increasing times starting at t = 0, finite positions
-    and finite speeds >= 0. They are read-only float64 arrays, copied from
-    the sequences passed in. Queries between samples linearly interpolate
-    position and speed; queries past the last sample hold the final state
-    (a finite prediction horizon is extended conservatively).
+    and finite speeds >= 0. They are read-only float64 arrays: copies of the
+    sequences passed in, or views into the block given to ``from_block``.
+    Queries between samples linearly interpolate position and speed;
+    queries past the last sample hold the final state (a finite prediction
+    horizon is extended conservatively).
     """
 
     t: np.ndarray
@@ -108,25 +144,40 @@ class Trajectory:
         if cols.ndim != 2:
             raise ValueError("trajectory columns must be equal-length sequences")
         cols.setflags(write=False)
-        t, v = cols[0], cols[3]
-        n = cols.shape[1]
-        if n < 2:
-            raise ValueError("trajectory needs at least 2 samples")
-        if t[0] != 0.0:
-            raise ValueError("trajectory must start at t = 0")
-        # increasing from 0 up to a finite end time makes every time finite
-        if not (np.count_nonzero(t[1:] > t[:-1]) == n - 1 and math.isfinite(t[-1])):
-            raise ValueError("trajectory times must be finite and strictly increasing")
-        if np.count_nonzero(np.isfinite(cols[1:])) != 3 * n:
-            raise ValueError("trajectory positions and speeds must be finite")
-        if np.count_nonzero(v < 0.0):
-            raise ValueError("trajectory speeds must be >= 0")
-        if not 0.0 <= self.probability <= 1.0:
-            raise ValueError(f"probability must be in [0, 1], got {self.probability}")
-        object.__setattr__(self, "t", t)
+        _check_columns(cols, (self.probability,))
+        object.__setattr__(self, "t", cols[0])
         object.__setattr__(self, "x", cols[1])
         object.__setattr__(self, "y", cols[2])
-        object.__setattr__(self, "v", v)
+        object.__setattr__(self, "v", cols[3])
+
+    @classmethod
+    def from_block(cls, block: np.ndarray, probabilities: Sequence[float]) -> list["Trajectory"]:
+        """One trajectory per row of a (rows, 4, samples) block, validated once.
+
+        Row ``i`` holds the t, x, y and v columns of a trajectory with
+        probability ``probabilities[i]``, under the rules of the class
+        docstring. The block must be a read-only float64 array that no
+        caller can write through; each trajectory's columns are views into
+        it, not copies.
+        """
+        if not (
+            block.ndim == 3
+            and block.shape[1] == 4
+            and block.dtype == np.float64
+            and not block.flags.writeable
+        ):
+            raise ValueError("a trajectory block is a read-only float64 (rows, 4, samples) array")
+        if len(probabilities) != block.shape[0]:
+            raise ValueError("need one probability per trajectory")
+        _check_columns(block.transpose(1, 0, 2), probabilities)
+        out = []
+        for i, probability in enumerate(probabilities):
+            traj = object.__new__(cls)
+            vars(traj).update(
+                t=block[i, 0], x=block[i, 1], y=block[i, 2], v=block[i, 3], probability=probability
+            )
+            out.append(traj)
+        return out
 
     @classmethod
     def from_states(
@@ -241,16 +292,7 @@ class ModelParams:
             if not value <= _MAX_COUNT:
                 raise ValueError(f"{name} must be <= 2**53, got {value}")
         for name in _REAL_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-            try:
-                as_float = float(value)
-            except OverflowError:
-                as_float = math.nan
-            if not math.isfinite(as_float):
-                raise ValueError(f"{name} must be finite, got {value!r}")
-            object.__setattr__(self, name, as_float)
+            object.__setattr__(self, name, finite_float(name, getattr(self, name)))
         if not 0.0 < self.distance_margin <= 1.0:
             raise ValueError("distance_margin must be in (0, 1]")
         if not 0.0 < self.speed_margin <= 1.0:
@@ -348,6 +390,48 @@ class BrakingProfile:
         return self.reaction_distance + self.braking_distance
 
 
+def sample_times(duration: float, sample_dt: float) -> np.ndarray:
+    """Sample times 0, sample_dt, 2 sample_dt, ... up to and including ``duration``."""
+    if not (0.0 < duration < math.inf and 0.0 < sample_dt < math.inf):
+        raise ValueError("duration and sample_dt must be finite and > 0")
+    n = max(1, int(math.ceil(duration / sample_dt)))
+    return np.minimum(np.arange(n + 1.0) * sample_dt, duration)
+
+
+def straight_line_block(
+    x: float, y: float, v: float, heading: float, accels: Sequence[float], t: np.ndarray
+) -> np.ndarray:
+    """Constant-acceleration extrapolations from one start, one per acceleration.
+
+    The start is at (``x``, ``y``) with speed ``v`` along ``heading``;
+    ``accels`` holds one acceleration per row and ``t`` the sample times
+    shared by every row. Returns a read-only (rows, 4, samples) float64 block
+    of t, x, y and v columns (see ``Trajectory.from_block``). Speed is
+    floored at zero; once stopped the actor stays put.
+    """
+    rows, n = len(accels), t.shape[0]
+    m = rows * n
+    # column-major: each quantity of every row is one contiguous run, so the
+    # arithmetic below runs on flat arrays of equal shape
+    cols = np.empty((4, rows, n))
+    cols[0] = t
+    flat = cols.reshape(4 * m)
+    ts, xs, ys, vs = flat[:m], flat[m : 2 * m], flat[2 * m : 3 * m], flat[3 * m :]
+    a = np.array(accels).repeat(n)
+    dist = v * ts + 0.5 * a * ts * ts
+    np.add(v, a * ts, out=vs)
+    if min(accels) < 0.0:
+        # stop time of each braking row; NaN, which no sample time reaches, elsewhere
+        t_stop = np.array([v / -ai if ai < 0.0 else math.nan for ai in accels]).repeat(n)
+        stopped = ts >= t_stop
+        np.copyto(dist, 0.5 * v * t_stop, where=stopped)
+        vs[stopped] = 0.0
+    np.add(x, dist * math.cos(heading), out=xs)
+    np.add(y, dist * math.sin(heading), out=ys)
+    cols.setflags(write=False)
+    return cols.transpose(1, 0, 2)
+
+
 def straight_line_trajectory(
     start: KinematicState,
     duration: float,
@@ -358,23 +442,10 @@ def straight_line_trajectory(
 
     Speed is floored at zero; once stopped the actor stays put.
     """
-    if duration <= 0.0 or sample_dt <= 0.0:
-        raise ValueError("duration and sample_dt must be > 0")
-    n = max(1, int(math.ceil(duration / sample_dt)))
-    cos_h = math.cos(start.heading)
-    sin_h = math.sin(start.heading)
-    v0, a = start.v, start.a
-    t = np.minimum(np.arange(n + 1.0) * sample_dt, duration)
-    dist = v0 * t + 0.5 * a * t * t
-    v = v0 + a * t
-    if a < 0.0:
-        t_stop = v0 / -a
-        stopped = t >= t_stop
-        dist[stopped] = 0.5 * v0 * t_stop
-        v[stopped] = 0.0
-    x = start.x + dist * cos_h
-    y = start.y + dist * sin_h
-    return Trajectory(t=t, x=x, y=y, v=v, probability=probability)
+    block = straight_line_block(
+        start.x, start.y, start.v, start.heading, (start.a,), sample_times(duration, sample_dt)
+    )
+    return Trajectory.from_block(block, (probability,))[0]
 
 
 def constant_separation_trajectory(
@@ -390,4 +461,6 @@ def constant_separation_trajectory(
     """
     x = separation * math.cos(bearing)
     y = separation * math.sin(bearing)
-    return Trajectory(t=(0.0, duration), x=(x, x), y=(y, y), v=(actor_speed, actor_speed))
+    cols = np.array((0.0, duration, x, x, y, y, actor_speed, actor_speed))
+    cols.setflags(write=False)
+    return Trajectory.from_block(cols.reshape(1, 4, 2), (1.0,))[0]

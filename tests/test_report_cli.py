@@ -260,6 +260,8 @@ class TestCli:
             ["simulate", "--script", "{script}", "--collision-radius", "-1"],
             ["analyze", "--trace", "{scripted}", "--mrf", "--collision-radius", "nan"],
             ["analyze", "--trace", "{scripted}", "--mrf", "--collision-radius", "-1"],
+            ["simulate", "--script", "{list_script}"],
+            ["simulate", "--script", "{inf_speed_script}"],
         ],
     )
     def test_bad_input_exits_2(self, tmp_path, argv):
@@ -279,11 +281,15 @@ class TestCli:
         (tmp_path / "fractional_adjustments.json").write_text('{"max_time_adjustments": 2.5}')
         (tmp_path / "fractional_frames.json").write_text('{"confirmation_frames": 2.5}')
         (tmp_path / "nan_l0.json").write_text('{"l0": NaN}')
+        (tmp_path / "list_script.json").write_text("[1]")
+        script = json.loads((tmp_path / "script.json").read_text())
+        (tmp_path / "inf_speed_script.json").write_text(json.dumps({**script, "ego_speed": "inf"}))
         names = {n: str(tmp_path / f) for n, f in [
             ("scriptless", "scriptless.jsonl"), ("nan_trace", "nan_trace.jsonl"),
             ("binary", "binary"), ("script", "script.json"), ("scripted", "scripted.jsonl"),
             ("fractional_adjustments", "fractional_adjustments.json"),
             ("fractional_frames", "fractional_frames.json"), ("nan_l0", "nan_l0.json"),
+            ("list_script", "list_script.json"), ("inf_speed_script", "inf_speed_script.json"),
         ]}
         assert main([a.format(**names) for a in argv]) == 2
 

@@ -1,7 +1,10 @@
 import io
+import json
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from safefpr import (
     KinematicState,
@@ -57,6 +60,25 @@ class TestPredictor:
         with pytest.raises(ValueError):
             PredictorConfig(num_variants=2, variant_probabilities=(0.5, 0.6))
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"horizon": math.nan},
+            {"horizon": math.inf},
+            {"horizon": 0.0},
+            {"horizon": "6"},
+            {"decel_spread": math.nan},
+            {"decel_spread": math.inf},
+            {"decel_spread": -1.0},
+            {"num_variants": 2.5},
+            {"num_variants": True},
+            {"num_variants": 0},
+        ],
+    )
+    def test_invalid_config_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            PredictorConfig(**kwargs)
+
 
 class TestScripts:
     def test_all_families_build(self):
@@ -83,6 +105,58 @@ class TestScripts:
         p = tmp_path / "s.json"
         save_script(script, p)
         assert load_script(p) == script
+
+    @pytest.mark.parametrize(
+        "change,match",
+        [
+            (lambda d: d.pop("ego_speed"), "missing key 'ego_speed'"),
+            (lambda d: d.update(ego_speed="inf"), "ego_speed must be a number"),
+            (lambda d: d.update(ego_speed=math.inf), "ego_speed must be finite"),
+            (lambda d: d.update(duration=math.nan), "duration must be finite"),
+            (lambda d: d.update(ego_lane=1.5), "ego_lane must be an integer"),
+            (lambda d: d.update(trigger_time=math.inf), "trigger_time must be finite"),
+            (lambda d: d.update(notes=[]), "notes must be a JSON object"),
+            (lambda d: d.update(road=[]), "road must be a JSON object"),
+            (lambda d: d["road"].update(lane_width=math.nan), "road.lane_width must be finite"),
+            (lambda d: d["road"].update(curvature=-math.inf), "road.curvature must be finite"),
+            (lambda d: d["road"].update(lanes=10**20), "road.lanes must be an integer"),
+            (lambda d: d["road"].update(banking=0.1), "unknown keys"),
+            (lambda d: d.update(actors={}), "actors must be a JSON list"),
+            (lambda d: d["actors"][0].update(gap=math.nan), r"actors\[0\].gap must be finite"),
+            (lambda d: d["actors"][0].update(speed=-math.inf), r"actors\[0\].speed must be finite"),
+            (lambda d: d["actors"][0].pop("lane"), "missing key 'lane'"),
+            (lambda d: d["actors"][0].update(actor_id=7), "actor_id must be a string"),
+            (lambda d: d["actors"][0]["events"][0].update(at=math.inf),
+             r"events\[0\].at must be finite"),
+            (lambda d: d["actors"][0]["events"][1].update(rate=math.nan),
+             r"events\[1\].rate must be finite"),
+            (lambda d: d["actors"][0]["events"][1].update(target_speed="fast"),
+             "target_speed must be a number"),
+        ],
+    )
+    def test_malformed_script_names_the_field(self, change, match):
+        obj = script_to_dict(generate_scenario("cut_in"))
+        change(obj)
+        with pytest.raises(ValueError, match=match):
+            load_script(io.StringIO(json.dumps(obj)))
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [1],
+            "cut_in",
+            None,
+            {"family": ["cut_in"]},
+            {"family": "cut_in", "params": [1]},
+            {"family": "cut_in", "params": {"duration": "inf"}},
+            {"family": "cut_in", "params": {"trigger_time": math.nan}},
+            {"family": "cut_in", "params": {"ego_speed_mph": None}},
+            {"family": "cut_in", "extra": 1},
+        ],
+    )
+    def test_malformed_document_rejected(self, doc):
+        with pytest.raises(ValueError):
+            load_script(io.StringIO(json.dumps(doc)))
 
     def test_family_reference_file(self, tmp_path):
         p = tmp_path / "fam.json"
@@ -229,3 +303,71 @@ class TestEngine:
             run_scenario(script, ModelParams(), frame_rate=1.0, collision_radius=radius)
         with pytest.raises(ValueError, match="collision_radius"):
             scenario_mrf(script, ModelParams(), collision_radius=radius)
+
+
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4)
+)
+
+
+def mostly(plausible):
+    """Draws from ``plausible`` three times in four, so that many documents load."""
+    return st.integers(0, 3).flatmap(lambda i: SCALARS if i == 0 else plausible)
+
+
+VALUES = mostly(st.sampled_from([0, 0.5, 3.5, 20.0]))
+LANES = mostly(st.integers(0, 3))
+EVENTS = st.fixed_dictionaries(
+    {"at": VALUES, "kind": mostly(st.sampled_from(["lane_change", "speed_change"]))},
+    optional={"to_lane": LANES, "duration": VALUES, "target_speed": VALUES, "rate": VALUES},
+)
+ACTORS = st.fixed_dictionaries(
+    {"actor_id": mostly(st.text(max_size=2)), "lane": LANES, "gap": VALUES, "speed": VALUES},
+    optional={"events": mostly(st.lists(EVENTS, max_size=2))},
+)
+FULL_SCRIPTS = st.fixed_dictionaries(
+    {"name": SCALARS, "ego_lane": LANES, "ego_speed": VALUES, "duration": VALUES},
+    optional={
+        "road": mostly(st.fixed_dictionaries(
+            {}, optional={"lanes": LANES, "lane_width": VALUES, "curvature": VALUES}
+        )),
+        "actors": mostly(st.lists(ACTORS, max_size=2)),
+        "trigger_time": VALUES,
+        "notes": mostly(st.dictionaries(st.text(max_size=2), SCALARS, max_size=2)),
+    },
+)
+FAMILY_PARAMS = ["ego_speed_mph", "lead_gap", "cut_gap", "slow_factor", "trigger_time",
+                 "follow_gap", "lead_decel", "curvature", "duration"]
+FAMILY_REFERENCES = st.fixed_dictionaries(
+    {"family": mostly(st.sampled_from(list_families()))},
+    optional={"params": mostly(st.dictionaries(st.sampled_from(FAMILY_PARAMS), VALUES))},
+)
+DOCUMENTS = st.one_of(
+    st.text(),
+    st.lists(SCALARS, max_size=3).map(json.dumps),
+    st.dictionaries(st.text(max_size=8), SCALARS, max_size=4).map(json.dumps),
+    FULL_SCRIPTS.map(json.dumps),
+    FAMILY_REFERENCES.map(json.dumps),
+)
+
+
+def _script_numbers(script):
+    yield from (script.ego_speed, script.duration, script.road.lane_width, script.road.curvature)
+    if script.trigger_time is not None:
+        yield script.trigger_time
+    for actor in script.actors:
+        yield from (actor.gap, actor.speed)
+        for event in actor.events:
+            yield from (event.at, event.duration)
+            yield from (v for v in (event.target_speed, event.rate) if v is not None)
+
+
+@given(text=DOCUMENTS)
+@example(text="[1]")
+@settings(max_examples=300, deadline=None)
+def test_any_text_loads_or_raises_value_error(text):
+    try:
+        script = load_script(io.StringIO(text))
+    except ValueError:
+        return
+    assert all(math.isfinite(value) for value in _script_numbers(script))

@@ -1,9 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from safefpr import KinematicState, ModelParams, Trajectory
+from safefpr import KinematicState, ModelParams, PredictorConfig, Trajectory, predict_trajectories
+from safefpr.predictor import SAMPLE_DT
 from safefpr.types import (
     constant_separation_trajectory,
     normalize_angle,
@@ -232,3 +234,62 @@ def test_straight_line_columns_match_scalar_reference(start, duration, sample_dt
     traj = straight_line_trajectory(start, duration, sample_dt=sample_dt)
     want = scalar_straight_line(start, duration, sample_dt)
     assert [c.tolist() for c in traj.columns()] == [list(c) for c in want]
+
+
+# the starts of test_straight_line_columns_match_scalar_reference
+FAN_STARTS = [
+    KinematicState(3.0, -1.5, 12.3, a=2.45, heading=0.4),
+    KinematicState(-7.1, 2.2, 13.7, a=-4.9, heading=-2.9),
+    KinematicState(0.3, 0.0, 9.0, a=-3.0, heading=math.pi / 2),
+    KinematicState(5.0, 5.0, 0.0, a=-2.45, heading=1.0),
+    KinematicState(5.0, 5.0, 0.0, heading=-1.0),
+]
+FAN_CONFIGS = [
+    PredictorConfig(num_variants=1, decel_spread=0.0),
+    PredictorConfig(num_variants=5),
+    PredictorConfig(horizon=5.9, num_variants=4, variant_probabilities=(0.1, 0.2, 0.3, 0.4)),
+    PredictorConfig(horizon=30.0, num_variants=5, decel_spread=3.0),
+    PredictorConfig(horizon=1.0, num_variants=2, decel_spread=6.0),
+]
+
+
+@pytest.mark.parametrize("start", FAN_STARTS)
+@pytest.mark.parametrize("cfg", FAN_CONFIGS)
+def test_fan_columns_match_scalar_reference(start, cfg):
+    fan = predict_trajectories(start, cfg)
+    assert [traj.probability for traj in fan] == list(cfg.probabilities())
+    for traj, offset in zip(fan, cfg.acceleration_offsets(), strict=True):
+        variant = dataclasses.replace(start, a=start.a + offset)
+        want = scalar_straight_line(variant, cfg.horizon, SAMPLE_DT)
+        assert [c.tolist() for c in traj.columns()] == [list(c) for c in want]
+
+
+def test_fan_columns_read_only_and_unaliased():
+    fan = predict_trajectories(KinematicState(3.0, -1.5, 12.3, a=-1.0, heading=0.4),
+                               PredictorConfig())
+    for traj in fan:
+        for col in traj.columns():
+            with pytest.raises(ValueError, match="read-only"):
+                col[0] = 1.0
+    for i, a in enumerate(fan):
+        for b in fan[i + 1:]:
+            for col_a in a.columns():
+                for col_b in b.columns():
+                    assert not np.shares_memory(col_a, col_b)
+
+
+def test_fan_that_overflows_is_rejected():
+    with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore", invalid="ignore"):
+        predict_trajectories(KinematicState(0.0, 0.0, 1e308, a=1.0), PredictorConfig())
+
+
+def test_from_block_needs_a_read_only_block():
+    block = np.zeros((1, 4, 2))
+    block[0, 0, 1] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        Trajectory.from_block(block, (1.0,))
+    block.setflags(write=False)
+    (traj,) = Trajectory.from_block(block, (1.0,))
+    assert traj.t.tolist() == [0.0, 1.0]
+    with pytest.raises(ValueError, match="one probability"):
+        Trajectory.from_block(block, (0.5, 0.5))
