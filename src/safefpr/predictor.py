@@ -51,9 +51,7 @@ class PredictorConfig:
                 raise ValueError("probabilities must sum to 1")
         # symmetric offsets from -spread to +spread, a single variant -> 0
         offsets = (0.0,) if n == 1 else tuple(-s + 2.0 * s * i / (n - 1) for i in range(n))
-        times = sample_times(self.horizon, SAMPLE_DT)
-        times.setflags(write=False)
-        object.__setattr__(self, "_times", times)
+        object.__setattr__(self, "_times", sample_times(self.horizon, SAMPLE_DT))
         object.__setattr__(self, "_offsets", offsets)
         object.__setattr__(self, "_probs", tuple(probs))
 

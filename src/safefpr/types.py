@@ -6,6 +6,7 @@ in Hz; mph exists only at the CLI presentation layer.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from collections.abc import Iterable, Sequence
@@ -390,12 +391,18 @@ class BrakingProfile:
         return self.reaction_distance + self.braking_distance
 
 
+@functools.lru_cache(maxsize=64)
 def sample_times(duration: float, sample_dt: float) -> np.ndarray:
-    """Sample times 0, sample_dt, 2 sample_dt, ... up to and including ``duration``."""
+    """Read-only sample times 0, sample_dt, 2 sample_dt, ... up to and including ``duration``.
+
+    Trajectories of one horizon share the column, so it is computed once.
+    """
     if not (0.0 < duration < math.inf and 0.0 < sample_dt < math.inf):
         raise ValueError("duration and sample_dt must be finite and > 0")
     n = max(1, int(math.ceil(duration / sample_dt)))
-    return np.minimum(np.arange(n + 1.0) * sample_dt, duration)
+    t = np.minimum(np.arange(n + 1.0) * sample_dt, duration)
+    t.setflags(write=False)
+    return t
 
 
 def straight_line_block(

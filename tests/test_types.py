@@ -9,6 +9,7 @@ from safefpr.predictor import SAMPLE_DT
 from safefpr.types import (
     constant_separation_trajectory,
     normalize_angle,
+    sample_times,
     straight_line_trajectory,
 )
 
@@ -281,6 +282,13 @@ def test_fan_columns_read_only_and_unaliased():
 def test_fan_that_overflows_is_rejected():
     with pytest.raises(ValueError, match="finite"), np.errstate(over="ignore", invalid="ignore"):
         predict_trajectories(KinematicState(0.0, 0.0, 1e308, a=1.0), PredictorConfig())
+
+
+def test_sample_times_are_shared_read_only():
+    t = sample_times(5.9, 0.25)
+    assert t.tolist() == [0.25 * i for i in range(24)] + [5.9]
+    with pytest.raises(ValueError, match="read-only"):
+        t[0] = 1.0
 
 
 def test_from_block_needs_a_read_only_block():
