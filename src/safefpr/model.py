@@ -322,115 +322,172 @@ def _estimate(
     return LatencyEstimate(params.latency_grid[gi], float(probe), trajectory_index)
 
 
+class PathTable(NamedTuple):
+    """Several paths' (t, x, y, v) columns as one segment table (see ``path_table``)."""
+
+    seg: np.ndarray   # (8, columns): t, x, y, v, then the increments to the next column
+    keys: np.ndarray  # (columns,) complex search keys: path index + 1j * breakpoint
+    count: int        # number of paths
+
+
+def path_table(columns: Sequence[Sequence[np.ndarray]]) -> PathTable:
+    """The segment table the batched search reads actor paths from.
+
+    ``columns[i]`` holds path i's t, x, y and v columns: finite, strictly
+    increasing times, finite positions and speeds >= 0 (a ``Trajectory``'s
+    columns, or an actor's recorded ones). A path may hold a single sample.
+    """
+    # Column j of ``seg`` is the segment from sample j to the next one of
+    # the same path: (t, x, y, v) and the increments (dt, dx, dy, dv). A
+    # path's last column serves lookups at or past its end time: it holds
+    # the final state (zero increments; a unit dt keeps w finite).
+    counts = [c[0].shape[0] for c in columns]
+    last = np.cumsum(counts) - 1
+    seg = np.empty((8, last[-1] + 1))
+    for k, col in enumerate(zip(*columns)):
+        np.concatenate(col, out=seg[k])
+    np.subtract(seg[:4, 1:], seg[:4, :-1], out=seg[4:, :-1])
+    seg[4, last] = 1.0
+    seg[5:, last] = 0.0
+    # A lookup's segment is the number of its path's breakpoints below it:
+    # the later sample times, except that the end time is replaced by the
+    # float just under it (a lookup at the end time takes the final state),
+    # then +inf. Lookups search complex (path, breakpoint) keys, which order
+    # lexicographically, so one searchsorted over every path gives the
+    # column directly.
+    ts = seg[0]
+    keys = np.empty(ts.shape[0], dtype=np.complex128)
+    keys.real = np.repeat(np.arange(len(counts), dtype=np.float64), counts)
+    keys.imag[:-1] = ts[1:]
+    keys.imag[last - 1] = np.nextafter(ts[last], -np.inf)
+    keys.imag[last] = np.inf
+    return PathTable(seg, keys, len(counts))
+
+
 def _search_batch(
-    ego0: KinematicState,
-    trajs: Sequence[Trajectory],
+    egos: Sequence[KinematicState],
+    offsets: Sequence[float],
+    paths: PathTable,
     l0: float,
     params: ModelParams,
 ) -> tuple[list[int], list[float]]:
-    """``_search_impl`` over many trajectories from one ego state, in NumPy.
+    """``_search_impl`` for every (ego, path) pair, in NumPy.
 
-    Each lane is one (trajectory, grid candidate) pair and runs the scalar
-    search's probe iteration with the same float operations in the same
-    order, so grid indices and probe times match it exactly. Lanes leave the
-    batch when they meet the constraints, dead-end, stop moving or pass the
-    horizon, and a trajectory's lanes leave once a larger latency of it has
-    met. Returns per-trajectory grid indices (-1 where the whole grid fails)
-    and probe times, as Python ints and floats.
+    Ego i reads every path at ``offsets[i] + probe``: a predicted trajectory
+    with offset 0.0 as it is, a recorded path with offset t as its future
+    from time t on. Each lane is one (ego, path, grid candidate) triple and
+    runs the scalar search's probe iteration with the same float operations
+    in the same order, on its lookup time ``offset + probe`` in place of the
+    probe (``p + 0.0 == p``, so with offset 0.0 the grid indices and probe
+    times are the scalar search's to the bit). Lanes leave the batch when
+    they meet the constraints, dead-end, stop moving or pass the horizon,
+    and a pair's lanes leave once a larger latency of it has met. Returns
+    grid indices (-1 where the whole grid fails) and probe times per pair,
+    ego-major, as Python ints and floats.
     """
-    n = len(trajs)
-    v0, a0 = ego0.v, ego0.a
-    decel = braking_decel(a0, params)
-    horizon = params.horizon
     grid = params.grid_array()
-
-    # per candidate within the horizon: reaction time, hold-phase distance,
-    # speed when braking starts, time to stop from it, distance to stop
     if params.l0_policy == L0_CANDIDATE:
         t_react = grid
     else:
         excess = grid - float(l0)
         t_react = grid + float(params.confirmation_frames) * np.where(excess > 0.0, excess, 0.0)
-    cand = np.flatnonzero(t_react <= horizon)
+    cand = np.flatnonzero(t_react <= params.horizon)
     n_cand = cand.shape[0]
     tr = t_react[cand]
-    d1 = v0 * tr + 0.5 * a0 * tr * tr
-    vr = v0 + a0 * tr
-    if a0 < 0.0:  # stopped inside the hold phase
-        stopped = vr < 0.0
-        d1[stopped] = 0.5 * v0 * (v0 / -a0)
+
+    # Column e of ``ego`` is ego e's decel, half and twice that, offset +
+    # horizon (the last lookup time) and position. Column e * n_cand + c of
+    # ``table`` is ego e with candidate c: the lookup time at the reaction
+    # time (offset + reaction time), hold-phase distance, speed when
+    # braking starts, time to stop from it, distance to stop.
+    state = np.array(
+        [(e.v, e.a, braking_decel(e.a, params), off, e.x, e.y) for e, off in zip(egos, offsets)]
+    )
+    v0, a0, decel, off = state[:, 0:1], state[:, 1:2], state[:, 2:3], state[:, 3:4]
+    ego = np.vstack((decel.T, 0.5 * decel.T, 2.0 * decel.T, off.T + params.horizon, state[:, 4:].T))
+    n_ego = ego.shape[1]
+    table = np.empty((5, n_ego, n_cand))
+    np.add(off, tr, out=table[0])
+    d1 = table[1]
+    np.add(v0 * tr, 0.5 * a0 * tr * tr, out=d1)
+    vr = table[2]
+    np.add(v0, a0 * tr, out=vr)
+    stopped = vr < 0.0  # stopped inside the hold phase, under a0 < 0
+    if stopped.any():
+        e = stopped.nonzero()[0]
+        d1[stopped] = 0.5 * v0[e, 0] * (v0[e, 0] / -a0[e, 0])
         vr[stopped] = 0.0
-    t_stop = vr / decel
-    by_cand = np.stack([tr, d1, vr, t_stop, 0.5 * vr * t_stop])
+    np.divide(vr, decel, out=table[3])
+    np.multiply(0.5 * vr, table[3], out=table[4])
+    table = table.reshape(5, -1)
+    lone = n_ego == 1  # a lone ego's values stay scalars
+    if lone:
+        dec, half, twice, limit = ego[:4, 0].tolist()
+        ego_xy = ego[4:]
 
-    # Column j of ``seg`` is the segment from sample j to the next one of
-    # the same trajectory: (t, x, y, v) and the increments (dt, dx, dy, dv).
-    # A trajectory's last column serves probes at or past its end time: it
-    # holds the final state (zero increments; a unit dt keeps w finite).
-    counts = [t.t.shape[0] for t in trajs]
-    last = np.cumsum(counts) - 1
-    seg = np.empty((8, last[-1] + 1))
-    for k, col in enumerate(zip(*(t.columns() for t in trajs))):
-        np.concatenate(col, out=seg[k])
-    np.subtract(seg[:4, 1:], seg[:4, :-1], out=seg[4:, :-1])
-    seg[4, last] = 1.0
-    seg[5:, last] = 0.0
-    # A probe's segment is the number of its trajectory's breakpoints below
-    # it: the later sample times, except that the end time is replaced by
-    # the float just under it (a probe at the end time takes the final
-    # state), then +inf. Probes search complex (trajectory, breakpoint)
-    # keys, which order lexicographically, so one searchsorted over every
-    # trajectory gives the column directly.
-    ts = seg[0]
-    keys = np.empty(ts.shape[0], dtype=np.complex128)
-    keys.real = np.repeat(np.arange(n, dtype=np.float64), counts)
-    keys.imag[:-1] = ts[1:]
-    keys.imag[last - 1] = np.nextafter(ts[last], -np.inf)
-    keys.imag[last] = np.inf
-
-    # A lane is a (trajectory, probe) row of ``lanes``, which doubles as its
-    # complex search key, with its candidate in ``lane_cand``. Lanes run in
-    # (trajectory, candidate) order.
-    lane_cand = np.tile(np.arange(n_cand), n)
-    lanes = np.empty((lane_cand.shape[0], 2))
-    lanes[:, 0] = np.repeat(np.arange(n), n_cand)
-    lanes[:, 1] = tr.take(lane_cand)
-    best = np.full(n, n_cand)  # per trajectory: first candidate that met
-    best_probe = np.zeros(n)
-    ego_xy = np.array([[ego0.x], [ego0.y]])
-    half_decel = 0.5 * decel
+    # A pair is ego * paths.count + path. A lane is a (path, lookup time)
+    # row of ``lanes``, which doubles as its complex search key, with its
+    # pair in ``lane_pair`` and its ``table`` column in ``lane_col``. Lanes
+    # run in (pair, candidate) order.
+    n_pairs = n_ego * paths.count
+    lane_pair = np.arange(n_pairs).repeat(n_cand)
+    lane_col = np.broadcast_to(
+        np.arange(n_ego * n_cand).reshape(n_ego, 1, n_cand), (n_ego, paths.count, n_cand)
+    ).ravel()
+    lanes = np.empty((lane_col.shape[0], 2))
+    np.remainder(lane_pair, paths.count, out=lanes[:, 0], casting="unsafe")
+    table[0].take(lane_col, out=lanes[:, 1])
+    # per pair: the table column of the first candidate that met, and its
+    # lookup time; the column past the ego's last candidate (grid index -1)
+    # while none has
+    pair_ego = np.arange(n_pairs) // paths.count
+    best = (pair_ego + 1) * n_cand
+    best_at = np.zeros(n_pairs)
+    seg, keys = paths.seg, paths.keys
     for it in range(params.max_time_adjustments):
-        probe = lanes[:, 1]
-        c = by_cand.take(lane_cand, axis=1)
-        tau = probe - c[0]
-        braked = tau >= c[3]
-        d2 = c[2] * tau
-        d2 -= half_decel * tau * tau
-        np.copyto(d2, c[4], where=braked)
-        ve = c[2] - decel * tau
-        np.copyto(ve, 0.0, where=braked)
+        at = lanes[:, 1]
+        # the actor at the lookup time: its distance from the ego now, its speed
         col = keys.searchsorted(lanes.view(np.complex128).ravel())
         s = seg.take(col, axis=1)
-        w = probe - s[0]
+        w = at - s[0]
         w /= s[4]
         actor = s[5:8] * w
         actor += s[1:4]
-        dxy = actor[:2] - ego_xy
+        # temporaries go, or are reused, as soon as they are used, so a
+        # block's working set stays small
+        del col, s, w
+        if not lone:
+            e = ego.take(lane_col // n_cand, axis=1)
+            dec, half, twice, limit, ego_xy = e[0], e[1], e[2], e[3], e[4:]
+        dxy = actor[:2]
+        dxy -= ego_xy
         dxy *= dxy
         gap_d = np.sqrt(dxy[0] + dxy[1])
         gap_d *= params.distance_margin
+        v_actor = params.speed_margin * actor[2]
+        del actor, dxy
+        # the ego's hold-then-brake travel and speed at the probe
+        c = table.take(lane_col, axis=1)
+        tau = at - c[0]
+        braked = tau >= c[3]
+        d2 = c[2] * tau
+        d2 -= half * tau * tau
+        np.copyto(d2, c[4], where=braked)
+        ve = c[2] - dec * tau
+        np.copyto(ve, 0.0, where=braked)
         gap_d -= c[1]
         gap_d -= d2
-        gap_v = ve - params.speed_margin * actor[2]
+        gap_v = ve - v_actor
+        del c, tau, braked, d2, v_actor
         hit = ((gap_d >= -ACCEPT_SLACK) & (gap_v <= ACCEPT_SLACK)).nonzero()[0]
         any_met = hit.shape[0]
         if any_met:
-            rows = lanes[:, 0].take(hit).astype(np.intp)
-            lead = np.ones(rows.shape[0], dtype=bool)  # a row's first hit has its largest latency
-            lead[1:] = rows[1:] != rows[:-1]
-            hit, rows = hit[lead], rows[lead]
-            best[rows] = lane_cand.take(hit)
-            best_probe[rows] = probe.take(hit)
+            pairs = lane_pair.take(hit)
+            lead = np.ones(pairs.shape[0], dtype=bool)  # a pair's first hit has its largest latency
+            lead[1:] = pairs[1:] != pairs[:-1]
+            hit, pairs = hit[lead], pairs[lead]
+            best[pairs] = lane_col.take(hit)
+            best_at[pairs] = at.take(hit)
         if it == params.max_time_adjustments - 1:
             break
         # The scalar step, min over the distance branch (gap_d >= 0) and the
@@ -441,21 +498,47 @@ def _search_batch(
         # decided by its probe alone, so one whose probe does not move (a
         # dead end, or an advance under half an ulp) would repeat the same
         # failed check up to the cap: it fails now.
-        root = np.sqrt(np.maximum(ve * ve + 2.0 * decel * gap_d, 0.0))
+        root = np.sqrt(np.maximum(ve * ve + twice * gap_d, 0.0))
         root += ve
         advance = np.where(gap_d >= 0.0, np.minimum(root, gap_v), gap_v)
-        advance /= decel
-        advance += probe
-        keep = (advance > probe) & (advance <= horizon)
-        probe[:] = advance
+        advance /= dec
+        advance += at
+        keep = (advance > at) & (advance <= limit)
+        at[:] = advance
         if any_met:
-            keep &= lane_cand < best.take(lanes[:, 0].astype(np.intp))
+            keep &= lane_col < best.take(lane_pair)
         keep = keep.nonzero()[0]
+        # what is per lane above belongs to the lanes before they leave
+        del gap_d, gap_v, ve, root, advance
+        if not lone:
+            del e, dec, half, twice, limit, ego_xy
         if not keep.shape[0]:
             break
         lanes = lanes.take(keep, axis=0)
-        lane_cand = lane_cand.take(keep)
-    return np.append(cand, -1).take(best).tolist(), best_probe.tolist()
+        lane_col = lane_col.take(keep)
+        lane_pair = lane_pair.take(keep)
+    best -= pair_ego * n_cand
+    best_at -= off[:, 0].take(pair_ego)
+    return np.append(cand, -1).take(best).tolist(), best_at.tolist()
+
+
+def search_paths(
+    egos: Sequence[KinematicState],
+    offsets: Sequence[float],
+    paths: PathTable,
+    l0: float,
+    params: ModelParams,
+) -> list[LatencyEstimate]:
+    """``tolerable_latency`` of each ego against each path, read from the ego's offset on.
+
+    Ego i sees path j as the future from time ``offsets[i]`` on, so a
+    recorded path with offset t equals its recorded future re-based at t
+    (``trace.ground_truth_trajectory``), up to rounding of the lookup time.
+    Estimates run ego-major: entry i * paths.count + j. One batched search
+    serves every pair.
+    """
+    gis, probes = _search_batch(egos, offsets, paths, l0, params)
+    return [_estimate(gi, probe, params, 0) for gi, probe in zip(gis, probes)]
 
 
 def _rank_key(est: LatencyEstimate) -> float:
@@ -560,6 +643,28 @@ def estimate_compute_ops(
     )
 
 
+def scene_reports(
+    ego: KinematicState,
+    estimates: dict[str, Sequence[tuple[LatencyEstimate, float]]],
+    positions_now: dict[str, tuple[float, float]],
+    cameras: Iterable,
+    params: ModelParams,
+) -> tuple[dict[str, LatencyEstimate], dict[str, FprReport]]:
+    """The report half of a tick: per-actor latencies and per-camera required rates.
+
+    ``estimates`` maps each actor to its (estimate, probability) pairs, one
+    per trajectory, which ``aggregate_actor_latency`` collapses; camera
+    membership is ``fov_members`` on each actor's position now.
+    """
+    per_actor = {aid: aggregate_actor_latency(ests, params) for aid, ests in estimates.items()}
+    latencies = sorted(per_actor.items())
+    reports = {
+        cid: camera_fpr(latencies, members, params)
+        for cid, members in fov_members(ego, positions_now, cameras).items()
+    }
+    return per_actor, reports
+
+
 def evaluate_scene(
     ego: KinematicState,
     actor_trajectories: dict[str, Sequence[Trajectory]],
@@ -569,32 +674,28 @@ def evaluate_scene(
 ) -> tuple[dict[str, LatencyEstimate], dict[str, FprReport]]:
     """One full tick: per-actor latencies and per-camera required rates.
 
-    Trajectory probabilities weight the aggregation; camera membership is
-    evaluated on each actor's position now (the first sample of its first
-    trajectory). Every trajectory of every actor goes through one batched
-    search, which gives the same estimates as ``tolerable_latency`` on each
-    trajectory.
+    Every trajectory of every actor goes through one batched search from
+    this one ego (``_search_batch`` with offset 0.0), which gives the same
+    estimates as ``tolerable_latency`` on each trajectory. Trajectory
+    probabilities weight the aggregation; camera membership is evaluated on
+    each actor's position now (the first sample of its first trajectory).
+    ``scene_reports`` does both.
     """
     for aid, trajs in actor_trajectories.items():
         if not trajs:
             raise ValueError(f"actor {aid!r} has no trajectories")
-    flat = [traj for trajs in actor_trajectories.values() for traj in trajs]
-    gis, probes = _search_batch(ego, flat, l0, params) if flat else ([], [])
-    per_actor: dict[str, LatencyEstimate] = {}
+    flat = [traj.columns() for trajs in actor_trajectories.values() for traj in trajs]
+    gis, probes = (
+        _search_batch((ego,), (0.0,), path_table(flat), l0, params) if flat else ([], [])
+    )
+    estimates: dict[str, list[tuple[LatencyEstimate, float]]] = {}
     positions_now: dict[str, tuple[float, float]] = {}
     k = 0
     for aid, trajs in actor_trajectories.items():
-        ests = [
+        estimates[aid] = [
             (_estimate(gis[k + i], probes[k + i], params, i), traj.probability)
             for i, traj in enumerate(trajs)
         ]
         k += len(trajs)
-        per_actor[aid] = aggregate_actor_latency(ests, params)
         positions_now[aid] = (trajs[0].x.item(0), trajs[0].y.item(0))
-
-    latencies = sorted(per_actor.items())
-    reports = {
-        cid: camera_fpr(latencies, members, params)
-        for cid, members in fov_members(ego, positions_now, cameras).items()
-    }
-    return per_actor, reports
+    return scene_reports(ego, estimates, positions_now, cameras, params)

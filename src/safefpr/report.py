@@ -6,14 +6,15 @@ import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO, Iterator, Sequence
 
-from .model import evaluate_scene, tolerable_latency
+from .model import path_table, scene_reports, search_paths, tolerable_latency
 from .oracle import feasible_latency_scan
-from .trace import ScenarioTrace, ground_truth_trajectory
+from .trace import ScenarioTrace
 from .types import (
     KinematicState,
     L0_FIXED,
+    LatencyEstimate,
     ModelParams,
     constant_separation_trajectory,
 )
@@ -39,6 +40,44 @@ class AnalysisResult:
     summary: dict = field(default_factory=dict)
 
 
+# Lanes per batched search over a trace: about one online tick's worth, so
+# a block's working arrays stay small however long the trace is
+BLOCK_LANES = 3000
+
+
+def recorded_estimates(
+    trace: ScenarioTrace, params: ModelParams
+) -> Iterator[tuple[int, dict[str, LatencyEstimate]]]:
+    """Per tick, each actor's latency estimate against its recorded future.
+
+    The reference latency l0 is the one the trace was recorded at, under
+    the fixed l0 policy. Each actor's recorded columns go into one path
+    table (``ScenarioTrace.actor_columns``), and the ticks are searched in
+    blocks, every ego of a block reading the table from its own tick time
+    on (``search_paths``). A block holds at most ``BLOCK_LANES`` (tick,
+    actor, grid candidate) lanes, and at least one tick. The latencies
+    equal ``tolerable_latency`` on ``ground_truth_trajectory(trace, actor,
+    tick)``; probe times agree up to the rounding of the lookup time.
+    """
+    actor_ids = trace.actor_ids
+    ticks = trace.ticks
+    n = len(actor_ids)
+    if not n:
+        for k in range(len(ticks)):
+            yield k, {}
+        return
+    l0 = trace.operating_latency()
+    fixed = params.replace(l0_policy=L0_FIXED)
+    paths = path_table([trace.actor_columns(aid) for aid in actor_ids])
+    block = max(1, BLOCK_LANES // (n * len(params.latency_grid)))
+    for start in range(0, len(ticks), block):
+        part = ticks[start : start + block]
+        egos, offsets = [tick.ego for tick in part], [tick.t for tick in part]
+        ests = search_paths(egos, offsets, paths, l0, fixed)
+        for i in range(len(part)):
+            yield start + i, dict(zip(actor_ids, ests[i * n : (i + 1) * n]))
+
+
 def analyze_trace(
     trace: ScenarioTrace,
     params: ModelParams,
@@ -49,27 +88,34 @@ def analyze_trace(
 
     Post-run analysis uses the recorded future of each actor (a single
     known trajectory) and the latency the trace was recorded at as the
-    reference latency l0; each tick is one ``evaluate_scene`` call.
+    reference latency l0. The searches run in blocks of ticks
+    (``recorded_estimates``); each tick's camera rates then come from
+    ``scene_reports``, as in ``evaluate_scene``. The result equals running
+    each tick through ``evaluate_scene`` with every actor's
+    ``ground_truth_trajectory``.
     """
-    l0 = trace.operating_latency()
-    actor_ids = trace.actor_ids
-    fixed = params.replace(l0_policy=L0_FIXED)
     out = AnalysisResult()
     per_camera_max: dict[str, float] = {c.camera_id: 0.0 for c in trace.cameras}
     max_total = 0.0
     max_total_t = 0.0
     any_infeasible = False
 
-    for k, tick in enumerate(trace.ticks):
-        futures = {aid: [ground_truth_trajectory(trace, aid, k)] for aid in actor_ids}
-        per_actor, reports = evaluate_scene(tick.ego, futures, trace.cameras, l0, fixed)
-        for aid in actor_ids:
+    for k, per_actor in recorded_estimates(trace, params):
+        tick = trace.ticks[k]
+        _, reports = scene_reports(
+            tick.ego,
+            {aid: ((est, 1.0),) for aid, est in per_actor.items()},
+            {aid: (s.x, s.y) for aid, s in tick.actors.items()},
+            trace.cameras,
+            params,
+        )
+        for aid, est in per_actor.items():
             out.records.append(
                 {
                     "tick": k,
                     "t": tick.t,
                     "actor": aid,
-                    "latency": per_actor[aid].latency,
+                    "latency": est.latency,
                 }
             )
         total = 0.0

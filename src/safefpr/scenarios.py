@@ -10,6 +10,7 @@ measured from the road centerline, positive to the left.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -17,6 +18,20 @@ from pathlib import Path
 from typing import IO, Callable
 
 from .types import MPH_TO_MPS, finite_float
+
+# Bounds on script quantities: far beyond any road scene, and small enough
+# that no position or speed the engine integrates over a run can overflow.
+MAX_SPEED = 100.0        # m/s, ego, actor and event target speeds
+MAX_GAP = 10_000.0       # m, magnitude of an actor's initial gap
+MAX_LANE_WIDTH = 10.0    # m
+MAX_DURATION = 600.0     # s
+
+
+def _within(name: str, value: float, lo: float, hi: float, unit: str, open_lo=False) -> None:
+    """ValueError naming ``name`` unless ``value`` lies in [lo, hi] ((lo, hi] if ``open_lo``)."""
+    if not (lo < value <= hi if open_lo else lo <= value <= hi):
+        bracket = "(" if open_lo else "["
+        raise ValueError(f"{name} must be in {bracket}{lo:g}, {hi:g}] {unit}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -28,8 +43,7 @@ class RoadSpec:
     def __post_init__(self) -> None:
         if not self.lanes >= 1:
             raise ValueError("need at least one lane")
-        if not 0.0 < self.lane_width < math.inf:
-            raise ValueError("lane_width must be finite and > 0")
+        _within("lane_width", self.lane_width, 0.0, MAX_LANE_WIDTH, "m", open_lo=True)
         if not abs(self.curvature) <= 0.02:
             raise ValueError("curvature beyond +/-0.02 1/m is not supported")
 
@@ -71,8 +85,9 @@ class ActorEvent:
             if self.to_lane is None or not 0.0 < self.duration < math.inf:
                 raise ValueError("lane_change needs to_lane and a finite duration > 0")
         elif self.kind == "speed_change":
-            if self.target_speed is None or not 0.0 <= self.target_speed < math.inf:
-                raise ValueError("speed_change needs a finite target_speed >= 0")
+            if self.target_speed is None:
+                raise ValueError("speed_change needs a target_speed")
+            _within("target_speed", self.target_speed, 0.0, MAX_SPEED, "m/s")
             if self.rate is None or not 0.0 < self.rate < math.inf:
                 raise ValueError("speed_change needs a finite rate > 0")
         else:
@@ -88,10 +103,8 @@ class ActorScript:
     events: tuple[ActorEvent, ...] = ()
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.gap):
-            raise ValueError("actor gap must be finite")
-        if not 0.0 <= self.speed < math.inf:
-            raise ValueError("actor speed must be finite and >= 0")
+        _within("gap", self.gap, -MAX_GAP, MAX_GAP, "m")
+        _within("speed", self.speed, 0.0, MAX_SPEED, "m/s")
 
 
 @dataclass(frozen=True)
@@ -108,10 +121,8 @@ class ScenarioScript:
     def __post_init__(self) -> None:
         if not 0 <= self.ego_lane < self.road.lanes:
             raise ValueError("ego_lane outside the road")
-        if not 0.0 <= self.ego_speed < math.inf:
-            raise ValueError("ego_speed must be finite and >= 0")
-        if not 0.0 < self.duration < math.inf:
-            raise ValueError("duration must be finite and > 0")
+        _within("ego_speed", self.ego_speed, 0.0, MAX_SPEED, "m/s")
+        _within("duration", self.duration, 0.0, MAX_DURATION, "s", open_lo=True)
         if self.trigger_time is not None and not math.isfinite(self.trigger_time):
             raise ValueError("trigger_time must be finite")
         ids = [a.actor_id for a in self.actors]
@@ -180,12 +191,22 @@ def _optional(value: object, where: str) -> float | None:
     return None if value is None else finite_float(where, value)
 
 
+def _named(where: str, cls, **fields):
+    """``cls(**fields)``; a ValueError it raises names ``where`` first."""
+    try:
+        return cls(**fields)
+    except ValueError as e:
+        raise ValueError(f"{where}: {e}") from None
+
+
 def _event_from_dict(obj: object, where: str) -> ActorEvent:
     e = _object(obj, where, ("at", "kind"), ("to_lane", "duration", "target_speed", "rate"))
     if not isinstance(e["kind"], str):
         raise ValueError(f"{where}.kind must be a string, got {e['kind']!r}")
     to_lane = e.get("to_lane")
-    return ActorEvent(
+    return _named(
+        where,
+        ActorEvent,
         at=finite_float(f"{where}.at", e["at"]),
         kind=e["kind"],
         to_lane=None if to_lane is None else _integer(to_lane, f"{where}.to_lane"),
@@ -200,7 +221,9 @@ def _actor_from_dict(obj: object, where: str) -> ActorScript:
     if not isinstance(a["actor_id"], str):
         raise ValueError(f"{where}.actor_id must be a string, got {a['actor_id']!r}")
     events = _list(a.get("events", []), f"{where}.events")
-    return ActorScript(
+    return _named(
+        where,
+        ActorScript,
         actor_id=a["actor_id"],
         lane=_integer(a["lane"], f"{where}.lane"),
         gap=finite_float(f"{where}.gap", a["gap"]),
@@ -222,7 +245,9 @@ def script_from_dict(obj: object) -> ScenarioScript:
         raise ValueError(f"notes must be a JSON object, got {type(notes).__name__}")
     return ScenarioScript(
         name=str(obj["name"]),
-        road=RoadSpec(
+        road=_named(
+            "road",
+            RoadSpec,
             lanes=_integer(road.get("lanes", 3), "road.lanes"),
             lane_width=finite_float("road.lane_width", road.get("lane_width", 3.5)),
             curvature=finite_float("road.curvature", road.get("curvature", 0.0)),
@@ -274,6 +299,34 @@ def load_script(source: str | Path | IO[str]) -> ScenarioScript:
 # --------------------------------------------------------------------------
 
 
+class _ReadParams(dict):
+    """A family's parameters that remember which keys the builder read."""
+
+    def __init__(self, params: dict) -> None:
+        super().__init__(params)
+        self.read: set[str] = set()
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+def _family(builder: Callable[[dict], ScenarioScript]) -> Callable[[dict], ScenarioScript]:
+    """``builder`` that also rejects parameters it does not read, naming them."""
+
+    @functools.wraps(builder)
+    def build(params: dict) -> ScenarioScript:
+        read = _ReadParams(params)
+        script = builder(read)
+        unknown = sorted(set(params) - read.read)
+        if unknown:
+            known = ", ".join(sorted(read.read))
+            raise ValueError(f"{script.name}: unknown parameters {unknown}; known: {known}")
+        return script
+
+    return build
+
+
 def _param(params: dict, key: str, default: float) -> float:
     return finite_float(key, params.get(key, default))
 
@@ -322,14 +375,17 @@ def _cut_out(params: dict, name: str, default_mph: float) -> ScenarioScript:
     )
 
 
+@_family
 def cut_out(params: dict) -> ScenarioScript:
     return _cut_out(params, "cut_out", 20.0)
 
 
+@_family
 def cut_out_fast(params: dict) -> ScenarioScript:
     return _cut_out(params, "cut_out_fast", 40.0)
 
 
+@_family
 def cut_in(params: dict) -> ScenarioScript:
     """An actor merges in front of the ego at speed, then eases off mildly."""
     v = _speed(params, "ego_speed_mph", 70.0)
@@ -384,15 +440,18 @@ def _challenging_cut_in(params: dict, name: str, default_mph: float,
     )
 
 
+@_family
 def challenging_cut_in(params: dict) -> ScenarioScript:
     return _challenging_cut_in(params, "challenging_cut_in", 60.0, curvature=0.0)
 
 
+@_family
 def challenging_cut_in_curved(params: dict) -> ScenarioScript:
     curvature = _pos(params, "curvature", 1.0 / 400.0, 0.0005, 0.01)
     return _challenging_cut_in(params, "challenging_cut_in_curved", 40.0, curvature)
 
 
+@_family
 def vehicle_following(params: dict) -> ScenarioScript:
     """Highway following; the lead suddenly brakes to a standstill."""
     v = _speed(params, "ego_speed_mph", 70.0)
@@ -416,6 +475,7 @@ def vehicle_following(params: dict) -> ScenarioScript:
     )
 
 
+@_family
 def front_right_activity_1(params: dict) -> ScenarioScript:
     """Ego on the left lane; right-most traffic merges toward the middle."""
     v = _speed(params, "ego_speed_mph", 40.0)
@@ -439,6 +499,7 @@ def front_right_activity_1(params: dict) -> ScenarioScript:
     )
 
 
+@_family
 def front_right_activity_2(params: dict) -> ScenarioScript:
     """Front actor drifts right and paces the ego; another follows behind."""
     v = _speed(params, "ego_speed_mph", 40.0)
@@ -462,6 +523,7 @@ def front_right_activity_2(params: dict) -> ScenarioScript:
     )
 
 
+@_family
 def front_right_activity_3(params: dict) -> ScenarioScript:
     """Right-lane traffic cuts in well ahead of the ego at nearly its speed."""
     v = _speed(params, "ego_speed_mph", 60.0)

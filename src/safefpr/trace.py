@@ -39,7 +39,7 @@ class ScenarioTrace:
     ticks: tuple[TickRecord, ...]
     cameras: tuple[CameraConfig, ...]
     metadata: dict = field(default_factory=dict)
-    # per actor: recorded t, x, y and v, built on the first ground-truth query
+    # per actor: recorded t, x, y and v, built on the first ``actor_columns`` query
     _columns: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -48,7 +48,11 @@ class ScenarioTrace:
         ids: set[str] | None = None
         for i, tick in enumerate(self.ticks):
             expected = i * self.dt
-            if not abs(tick.t - expected) <= 1e-9 + 1e-12 * i:
+            # aligned to the grid and strictly after the previous tick
+            if not (
+                abs(tick.t - expected) <= 1e-9 + 1e-12 * i
+                and (i == 0 or tick.t > self.ticks[i - 1].t)
+            ):
                 raise TraceFormatError(
                     f"non-monotone or misaligned time at tick {i}: "
                     f"t={tick.t}, expected {expected}"
@@ -68,8 +72,14 @@ class ScenarioTrace:
     def duration(self) -> float:
         return self.ticks[-1].t if self.ticks else 0.0
 
-    def _actor_columns(self, actor_id: str) -> np.ndarray:
-        """The actor's recorded t, x, y and v over every tick, as the rows of one array."""
+    def actor_columns(self, actor_id: str) -> np.ndarray:
+        """The actor's recorded path: t, x, y and v over every tick, as the rows of one array.
+
+        The array is read-only and built once per actor. Its times are the
+        tick times, so they are finite and strictly increasing; positions
+        are finite and speeds >= 0, as ``KinematicState`` requires. Raises
+        KeyError for an actor the trace does not carry.
+        """
         cols = self._columns.get(actor_id)
         if cols is None:
             states = [tick.actors[actor_id] for tick in self.ticks]
@@ -81,6 +91,7 @@ class ScenarioTrace:
                     [s.v for s in states],
                 ]
             )
+            cols.setflags(write=False)
             self._columns[actor_id] = cols
         return cols
 
@@ -234,7 +245,7 @@ def ground_truth_trajectory(trace: ScenarioTrace, actor_id: str, from_tick: int)
         raise IndexError(f"from_tick {from_tick} outside trace of {len(trace.ticks)} ticks")
     if actor_id not in trace.ticks[from_tick].actors:
         raise KeyError(f"unknown actor {actor_id!r}")
-    t, x, y, v = trace._actor_columns(actor_id)
+    t, x, y, v = trace.actor_columns(actor_id)
     k = from_tick
     if k == len(t) - 1:
         return Trajectory(t=(0.0, trace.dt), x=(x[k], x[k]), y=(y[k], y[k]), v=(v[k], v[k]))

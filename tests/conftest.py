@@ -8,7 +8,10 @@ from safefpr import (
     ModelParams,
     PredictorConfig,
     Trajectory,
+    generate_scenario,
+    list_families,
     predict_trajectories,
+    run_scenario,
 )
 from safefpr.types import L0_CANDIDATE, L0_FIXED
 
@@ -21,6 +24,20 @@ def params():
 @pytest.fixture
 def fixed_params():
     return ModelParams(l0_policy=L0_FIXED)
+
+
+@pytest.fixture(scope="module")
+def family_traces():
+    """Every built-in family at its defaults, recorded by a fixed-rate run at 30 Hz and at 10 Hz.
+
+    Keyed by (family, rate); recorded once per test module that uses it.
+    """
+    params = ModelParams()
+    return {
+        (family, rate): run_scenario(generate_scenario(family), params, frame_rate=rate).trace
+        for family in list_families()
+        for rate in (30.0, 10.0)
+    }
 
 
 def static_actor_trajectory(distance: float, duration: float = 40.0) -> Trajectory:

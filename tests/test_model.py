@@ -24,6 +24,7 @@ from safefpr import (
     reaction_time,
     tolerable_latency,
 )
+from safefpr.model import path_table, search_paths
 from safefpr.types import (
     AGGREGATORS,
     INFEASIBLE,
@@ -291,6 +292,35 @@ class TestEvaluateSceneParity:
             for est, traj in searched
         )
         assert len({tuple(traj.columns()[0]) for _, traj in searched}) > 1
+
+
+class TestSeveralEgos:
+    """One ``search_paths`` call over several egos equals one call per ego.
+
+    Every lane does the same float operations whether its ego's values are
+    scalars (a lone ego) or per-lane arrays, so the results are equal to
+    the bit.
+    """
+
+    def test_seeded_egos_and_scenes(self):
+        rng = np.random.default_rng(6)
+        for seed in range(12):
+            params = ModelParams(
+                l0_policy=(L0_CANDIDATE, L0_FIXED)[seed % 2],
+                max_time_adjustments=int(rng.integers(1, 11)),
+                horizon=float(rng.uniform(1.05, 30.0)),
+            )
+            scene = TestEvaluateSceneParity._seeded_scene(rng, seed % 3)
+            paths = path_table([traj.columns() for fan in scene.values() for traj in fan])
+            egos = [random_case(rng)[0] for _ in range(int(rng.integers(2, 6)))]
+            # one ego brakes to a stop inside the hold phase
+            egos.append(KinematicState(0.0, 0.0, rng.uniform(2.0, 20.0), rng.uniform(-8.0, -3.0)))
+            l0 = float(rng.uniform(1.0 / 30.0, 1.0))
+            together = search_paths(egos, [0.0] * len(egos), paths, l0, params)
+            alone = [est for ego in egos for est in search_paths([ego], [0.0], paths, l0, params)]
+            assert together == alone
+            assert any(est.infeasible for est in alone)
+            assert any(not est.infeasible for est in alone)
 
 
 class TestConstantSeparationAnalytic:

@@ -1,12 +1,14 @@
 import dataclasses
 import io
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import safefpr.cli as cli
+import safefpr.report as report
 from safefpr import (
     DEFAULT_CAMERA_RIG,
     KinematicState,
@@ -15,6 +17,7 @@ from safefpr import (
     TickRecord,
     analyze_trace,
     camera_fpr,
+    evaluate_scene,
     ground_truth_trajectory,
     in_fov,
     fraction_of_provisioned,
@@ -28,7 +31,8 @@ from safefpr import (
     write_sweep_csv,
 )
 from safefpr.cli import main, parse_speed
-from safefpr.report import OVER_MAX, format_cell
+from safefpr.report import OVER_MAX, format_cell, recorded_estimates
+from safefpr.scenarios import script_to_dict
 from safefpr.types import L0_FIXED, MPH_TO_MPS, straight_line_trajectory
 
 PARAMS = ModelParams()
@@ -100,6 +104,128 @@ class TestAnalyze:
         trace = ScenarioTrace(dt=1 / 30.0, ticks=ticks, cameras=DEFAULT_CAMERA_RIG)
         with pytest.raises(ValueError, match="script"):
             analyze_trace(trace, PARAMS, mrf=True)
+
+
+def per_tick_reference(trace, params):
+    """``analyze_trace``'s records and per-tick estimates, one ``evaluate_scene`` call a tick.
+
+    Each actor's future is its ``ground_truth_trajectory`` from the tick on:
+    the per-tick path that the blocked search replaces.
+    """
+    l0 = trace.operating_latency()
+    fixed = params.replace(l0_policy=L0_FIXED)
+    records, estimates = [], []
+    for k, tick in enumerate(trace.ticks):
+        futures = {aid: [ground_truth_trajectory(trace, aid, k)] for aid in trace.actor_ids}
+        per_actor, reports = evaluate_scene(tick.ego, futures, trace.cameras, l0, fixed)
+        estimates.append(per_actor)
+        records += [{"tick": k, "t": tick.t, "actor": aid, "latency": per_actor[aid].latency}
+                    for aid in trace.actor_ids]
+        records += [
+            {"tick": k, "t": tick.t, "camera": cam.camera_id, "fpr": rep.fpr,
+             "latency": rep.latency, "binding_actor": rep.binding_actor,
+             "infeasible": rep.infeasible}
+            for cam in trace.cameras
+            for rep in [reports[cam.camera_id]]
+        ]
+    return records, estimates
+
+
+def assert_blocked_matches_reference(trace, params=PARAMS):
+    """Same records as the per-tick reference; probe times within 1e-9 s."""
+    records, estimates = per_tick_reference(trace, params)
+    assert analyze_trace(trace, params).records == records
+    blocked = dict(recorded_estimates(trace, params))
+    assert list(blocked) == list(range(len(trace.ticks)))
+    for k, expected in enumerate(estimates):
+        assert list(blocked[k]) == list(trace.actor_ids)
+        for aid, est in expected.items():
+            got = blocked[k][aid]
+            assert got.latency == est.latency, (k, aid)
+            if est.latency is not None:
+                assert abs(got.probe_time - est.probe_time) <= 1e-9, (k, aid)
+
+
+def synthetic_trace(n_ticks, dt=0.1, actors=("lead", "parked"), metadata=None):
+    """The ego at 20 m/s; a slower lead ahead, a parked car in the next lane, a braking car."""
+    motion = {
+        "lead": lambda t: KinematicState(35.0 + 14.0 * t, 0.0, 14.0),
+        "parked": lambda t: KinematicState(60.0, 3.5, 0.0),
+        "braking": lambda t: KinematicState(
+            25.0 + 18.0 * min(t, 3.0) - 3.0 * min(t, 3.0) ** 2, -3.5, max(0.0, 18.0 - 6.0 * t),
+            a=-6.0 if t < 3.0 else 0.0,
+        ),
+    }
+    ticks = tuple(
+        TickRecord(
+            t=i * dt,
+            ego=KinematicState(20.0 * i * dt, 0.0, 20.0),
+            actors={aid: motion[aid](i * dt) for aid in actors},
+        )
+        for i in range(n_ticks)
+    )
+    return ScenarioTrace(dt=dt, ticks=ticks, cameras=DEFAULT_CAMERA_RIG, metadata=metadata or {})
+
+
+class TestBlockedSearch:
+    """``analyze_trace`` searches blocks of ticks at once; each tick must come out as if alone."""
+
+    def test_every_family_at_30_and_10_hz(self, family_traces):
+        assert len(family_traces) == 18
+        for trace in family_traces.values():
+            assert_blocked_matches_reference(trace)
+
+    def test_one_tick_trace(self):
+        assert_blocked_matches_reference(synthetic_trace(1, actors=("lead", "parked", "braking")))
+
+    def test_no_actors(self):
+        assert_blocked_matches_reference(synthetic_trace(7, actors=()))
+
+    def test_ticks_not_a_multiple_of_the_block(self, monkeypatch):
+        # 3 actors x 30 candidates = 90 lanes a tick, so 4 ticks a block: 4 + 4 + 2
+        monkeypatch.setattr(report, "BLOCK_LANES", 4 * 90 + 89)
+        assert_blocked_matches_reference(synthetic_trace(10, actors=("lead", "parked", "braking")))
+
+    def test_block_smaller_than_one_tick(self, monkeypatch):
+        monkeypatch.setattr(report, "BLOCK_LANES", 1)
+        assert_blocked_matches_reference(synthetic_trace(5))
+
+    def test_parked_actor(self):
+        trace = synthetic_trace(40, actors=("parked",))
+        assert_blocked_matches_reference(trace)
+        records = analyze_trace(trace, PARAMS).records
+        assert {r["latency"] for r in records if "actor" in r} != {None}
+
+    def test_recorded_rate_differs_from_tick_interval(self):
+        # l0 = 1/7 s, while ticks are 0.05 s apart
+        trace = synthetic_trace(60, dt=0.05, metadata={"fpr0": 7.0})
+        assert trace.operating_latency() != trace.dt
+        assert_blocked_matches_reference(trace)
+
+    def test_peak_memory_stays_per_block(self):
+        # 601 ticks x 6 actors: one search over the whole trace would hold
+        # 108 180 lanes (tens of MB); blocks of about 3000 lanes stay under 1 MiB
+        actors = {f"a{j}": (20.0 * (j - 2), 3.5 * (j % 3 - 1), 15.0 + j) for j in range(6)}
+        ticks = tuple(
+            TickRecord(
+                t=k / 30.0,
+                ego=KinematicState(20.0 * k / 30.0, 0.0, 20.0),
+                actors={
+                    aid: KinematicState(x + v * k / 30.0, y, v) for aid, (x, y, v) in actors.items()
+                },
+            )
+            for k in range(601)
+        )
+        trace = ScenarioTrace(dt=1 / 30.0, ticks=ticks, cameras=DEFAULT_CAMERA_RIG)
+        analyze_trace(trace, PARAMS)  # first call caches the actors' columns
+        tracemalloc.start()
+        try:
+            result = analyze_trace(trace, PARAMS)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(result.records) == 601 * 11
+        assert peak - current <= 2**20
 
 
 class TestSweep:
@@ -292,6 +418,26 @@ class TestCli:
             ("list_script", "list_script.json"), ("inf_speed_script", "inf_speed_script.json"),
         ]}
         assert main([a.format(**names) for a in argv]) == 2
+
+    @pytest.mark.parametrize(
+        "doc,named",
+        [
+            ({"family": "cut_in", "params": {"ego_speed": 10}}, "ego_speed"),
+            ({"family": "cut_in", "params": {"duration": 1e308}}, "duration"),
+            ({"ego_speed": 1e308}, "ego_speed"),
+            ({"duration": 1e300}, "duration"),
+            ({"road": {"lanes": 3, "lane_width": 1e300, "curvature": 0.0}}, "lane_width"),
+        ],
+    )
+    def test_out_of_bounds_script_exits_2(self, tmp_path, capsys, doc, named):
+        # finite but huge numbers and misspelt family parameters fail at the
+        # boundary, before the engine runs
+        if "family" not in doc:
+            doc = {**script_to_dict(generate_scenario("cut_in")), **doc}
+        path = tmp_path / "script.json"
+        path.write_text(json.dumps(doc))
+        assert main(["simulate", "--script", str(path)]) == 2
+        assert named in capsys.readouterr().err
 
     def test_internal_value_error_is_not_input_error(self, tmp_path, monkeypatch):
         def broken(*args, **kwargs):

@@ -91,6 +91,18 @@ class TestScripts:
         with pytest.raises(ValueError, match="unknown scenario family"):
             generate_scenario("drag_race")
 
+    @pytest.mark.parametrize("family", list_families())
+    def test_family_rejects_unknown_parameter(self, family):
+        # the defaults build; a key the family does not read is named, not ignored
+        assert generate_scenario(family, {}) == generate_scenario(family)
+        match = r"unknown parameters \['ego_speed'\]; known: .*ego_speed_mph"
+        with pytest.raises(ValueError, match=match):
+            generate_scenario(family, {"ego_speed": 10})
+
+    def test_family_duration_is_bounded(self):
+        with pytest.raises(ValueError, match="duration must be in"):
+            generate_scenario("cut_in", {"duration": 1e308})
+
     def test_out_of_range_parameter(self):
         with pytest.raises(ValueError, match="ego_speed_mph"):
             generate_scenario("cut_out", {"ego_speed_mph": 500})
@@ -132,6 +144,13 @@ class TestScripts:
              r"events\[1\].rate must be finite"),
             (lambda d: d["actors"][0]["events"][1].update(target_speed="fast"),
              "target_speed must be a number"),
+            (lambda d: d.update(ego_speed=1e308), r"ego_speed must be in \[0, 100\] m/s"),
+            (lambda d: d.update(duration=1e308), r"duration must be in \(0, 600\] s"),
+            (lambda d: d["road"].update(lane_width=1e308), r"road: lane_width must be in"),
+            (lambda d: d["actors"][0].update(gap=-1e308), r"actors\[0\]: gap must be in"),
+            (lambda d: d["actors"][0].update(speed=1e308), r"actors\[0\]: speed must be in"),
+            (lambda d: d["actors"][0]["events"][1].update(target_speed=1e308),
+             r"actors\[0\]\.events\[1\]: target_speed must be in"),
         ],
     )
     def test_malformed_script_names_the_field(self, change, match):

@@ -75,6 +75,13 @@ class TestValidation:
         with pytest.raises(TraceFormatError, match="tick 2"):
             load_trace(io.StringIO(text))
 
+    def test_repeated_time_rejected_at_tiny_dt(self):
+        # within 1e-9 s of the grid, but not after the previous tick
+        state = KinematicState(0.0, 0.0, 1.0)
+        ticks = tuple(TickRecord(t=0.0, ego=state, actors={"a": state}) for _ in range(2))
+        with pytest.raises(TraceFormatError, match="tick 1"):
+            ScenarioTrace(dt=1e-10, ticks=ticks, cameras=DEFAULT_CAMERA_RIG)
+
     def test_negative_speed_rejected(self):
         header = '{"dt": 0.1, "cameras": [], "metadata": {}}'
         tick = '{"t": 0.0, "ego": {"x": 0, "y": 0, "v": -1, "a": 0, "heading": 0}, "actors": {}}'
@@ -164,6 +171,19 @@ class TestGroundTruth:
                 assert traj.y.tolist() == [s.y for s in states]
                 assert traj.v.tolist() == [s.v for s in states]
                 assert traj.probability == 1.0
+
+    def test_actor_columns_are_the_recording(self):
+        trace = build_trace()
+        cols = trace.actor_columns("lead")
+        assert cols.shape == (4, len(trace.ticks))
+        assert cols[0].tolist() == [tick.t for tick in trace.ticks]
+        assert cols[1].tolist() == [tick.actors["lead"].x for tick in trace.ticks]
+        assert cols[3].tolist() == [tick.actors["lead"].v for tick in trace.ticks]
+        assert trace.actor_columns("lead") is cols
+        with pytest.raises(ValueError, match="read-only"):
+            cols[1, 0] = -1.0
+        with pytest.raises(KeyError):
+            trace.actor_columns("ghost")
 
     def test_columns_cannot_be_written(self):
         trace = build_trace()
