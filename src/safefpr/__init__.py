@@ -10,7 +10,6 @@ with nine built-in scenario families, and a budgeted rate scheduler.
 from .geometry import (
     DEFAULT_CAMERA_RIG,
     CameraConfig,
-    bearing_to,
     in_fov,
     separation,
 )

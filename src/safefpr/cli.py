@@ -123,10 +123,11 @@ def cmd_simulate(args) -> int:
         script = load_script(args.script)
     except (OSError, ValueError) as e:
         raise InputError(f"script {args.script}: {e}") from None
-    if args.budget is not None and not args.budget > 0.0:
-        raise InputError("--budget must be > 0")
+    try:
+        budget = Budget(args.budget) if args.budget is not None else None
+    except ValueError as e:
+        raise InputError(f"--budget: {e}") from None
     _check_collision_radius(args.collision_radius)
-    budget = Budget(args.budget) if args.budget is not None else None
     result = run_scenario(
         script,
         params,

@@ -43,12 +43,8 @@ def separation(ego: KinematicState, actor: KinematicState) -> float:
     return math.hypot(actor.x - ego.x, actor.y - ego.y)
 
 
-def bearing_to(ego: KinematicState, actor: KinematicState) -> float:
-    """Bearing from ego to actor relative to the ego heading, in (-pi, pi]."""
-    return _bearing(ego, actor.x, actor.y)
-
-
 def _bearing(ego: KinematicState, x: float, y: float) -> float:
+    """Bearing from ego to (x, y) relative to the ego heading, in (-pi, pi]."""
     return normalize_angle(math.atan2(y - ego.y, x - ego.x) - ego.heading)
 
 
@@ -87,20 +83,3 @@ def fov_members(
         }
         for cam in cameras
     }
-
-
-def uncovered_bearings(cameras: tuple[CameraConfig, ...] | list[CameraConfig],
-                       resolution: float = 0.5 * DEG) -> list[float]:
-    """Bearings (rad) not covered by any camera, probed at ``resolution``.
-
-    Rig validation helper: an empty result means no blind wedge.
-    """
-    gaps = []
-    n = int(math.ceil(2.0 * math.pi / resolution))
-    probe_ego = KinematicState(0.0, 0.0, 0.0)
-    for i in range(n):
-        theta = normalize_angle(-math.pi + (i + 0.5) * 2.0 * math.pi / n)
-        probe = KinematicState(math.cos(theta), math.sin(theta), 0.0)
-        if not any(in_fov(probe_ego, probe, cam) for cam in cameras):
-            gaps.append(theta)
-    return gaps

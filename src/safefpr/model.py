@@ -118,14 +118,15 @@ class ConstraintCheck(NamedTuple):
 
 def _check(
     ego0: KinematicState,
-    traj: Trajectory,
+    actor: tuple[float, float, float],
     t_react: float,
     decel: float,
     probe_time: float,
     params: ModelParams,
 ) -> ConstraintCheck:
+    """Both constraints at probe_time, given the actor's (x, y, speed) then."""
     d1, d2, ve = _ego_motion(ego0.v, ego0.a, t_react, decel, probe_time)
-    ax, ay, av = traj.state_at(probe_time)
+    ax, ay, av = actor
     dx = ax - ego0.x
     dy = ay - ego0.y
     distance_gap = params.distance_margin * math.sqrt(dx * dx + dy * dy) - d1 - d2
@@ -157,7 +158,9 @@ def constraints_met(
     t_react = reaction_time(latency, l0_eff, params)
     if probe_time < t_react - 1e-12:
         raise ValueError(f"probe_time {probe_time} precedes reaction time {t_react}")
-    return _check(ego0, traj, t_react, braking_decel(ego0.a, params), probe_time, params)
+    return _check(
+        ego0, traj.state_at(probe_time), t_react, braking_decel(ego0.a, params), probe_time, params
+    )
 
 
 def probe_time_update(
@@ -188,94 +191,6 @@ def probe_time_update(
     return 0.0
 
 
-def _search_impl(
-    ego_x: float,
-    ego_y: float,
-    v0: float,
-    a0: float,
-    decel: float,
-    ts: np.ndarray,
-    xs: np.ndarray,
-    ys: np.ndarray,
-    vs: np.ndarray,
-    grid: np.ndarray,
-    l0: float,
-    k_frames: float,
-    candidate_policy: bool,
-    dist_margin: float,
-    speed_margin: float,
-    m_adjust: int,
-    horizon: float,
-) -> tuple[int, float]:
-    """Descending-grid search over one trajectory; (grid index, probe time).
-
-    Returns index -1 when the whole grid fails.
-    """
-    n = ts.shape[0]
-    t_last = ts[n - 1]
-    for gi in range(grid.shape[0]):
-        latency = grid[gi]
-        if candidate_policy:
-            t_react = latency
-        else:
-            excess = latency - l0
-            t_react = latency + k_frames * (excess if excess > 0.0 else 0.0)
-        if t_react > horizon:
-            continue
-        if a0 < 0.0 and v0 + a0 * t_react < 0.0:
-            d1 = 0.5 * v0 * (v0 / -a0)
-            vr = 0.0
-        else:
-            d1 = v0 * t_react + 0.5 * a0 * t_react * t_react
-            vr = v0 + a0 * t_react
-        t_stop = vr / decel
-        probe = t_react
-        seg = 0
-        for _ in range(m_adjust):
-            tau = probe - t_react
-            if tau >= t_stop:
-                d2 = 0.5 * vr * t_stop
-                ve = 0.0
-            else:
-                d2 = vr * tau - 0.5 * decel * tau * tau
-                ve = vr - decel * tau
-            if probe >= t_last:
-                ax = xs[n - 1]
-                ay = ys[n - 1]
-                av = vs[n - 1]
-            else:
-                while ts[seg + 1] < probe:
-                    seg += 1
-                w = (probe - ts[seg]) / (ts[seg + 1] - ts[seg])
-                ax = xs[seg] + w * (xs[seg + 1] - xs[seg])
-                ay = ys[seg] + w * (ys[seg + 1] - ys[seg])
-                av = vs[seg] + w * (vs[seg + 1] - vs[seg])
-            dx = ax - ego_x
-            dy = ay - ego_y
-            sep = math.sqrt(dx * dx + dy * dy)
-            gap_d = dist_margin * sep - d1 - d2
-            gap_v = ve - speed_margin * av
-            if gap_d >= -ACCEPT_SLACK and gap_v <= ACCEPT_SLACK:
-                return gi, probe
-            if gap_d >= 0.0:
-                dt_d = (ve + math.sqrt(ve * ve + 2.0 * decel * gap_d)) / decel
-                if gap_v >= 0.0:
-                    dt_v = gap_v / decel
-                    step = dt_d if dt_d < dt_v else dt_v
-                else:
-                    step = dt_d
-            elif gap_v >= 0.0:
-                step = gap_v / decel
-            else:
-                step = 0.0
-            # a probe that does not move would repeat the same failed check
-            advanced = probe + step
-            if not probe < advanced <= horizon:
-                break
-            probe = advanced
-    return -1, 0.0
-
-
 def tolerable_latency(
     ego0: KinematicState,
     traj: Trajectory,
@@ -289,29 +204,39 @@ def tolerable_latency(
     and is advanced at most ``max_time_adjustments`` times; the first
     candidate with a successful probe wins. Probes never exceed the
     configured horizon. Returns an infeasible estimate when the entire grid
-    fails.
+    fails. Each probe is ``_check`` and ``probe_time_update``, on the actor
+    state read by walking the trajectory's segments forward.
     """
-    ts, xs, ys, vs = traj.columns()
-    gi, probe = _search_impl(
-        ego0.x,
-        ego0.y,
-        ego0.v,
-        ego0.a,
-        braking_decel(ego0.a, params),
-        ts,
-        xs,
-        ys,
-        vs,
-        params.grid_array(),
-        float(l0),
-        float(params.confirmation_frames),
-        params.l0_policy == L0_CANDIDATE,
-        params.distance_margin,
-        params.speed_margin,
-        params.max_time_adjustments,
-        params.horizon,
-    )
-    return _estimate(gi, probe, params, trajectory_index)
+    decel = braking_decel(ego0.a, params)
+    ts, xs, ys, vs = (col.tolist() for col in traj.columns())
+    for gi, latency in enumerate(params.latency_grid):
+        t_react = reaction_time(latency, resolve_l0(latency, l0, params), params)
+        if t_react > params.horizon:
+            continue
+        probe = t_react
+        seg = 0
+        for _ in range(params.max_time_adjustments):
+            if probe >= ts[-1]:
+                actor = (xs[-1], ys[-1], vs[-1])
+            else:
+                while ts[seg + 1] < probe:
+                    seg += 1
+                w = (probe - ts[seg]) / (ts[seg + 1] - ts[seg])
+                actor = (
+                    xs[seg] + w * (xs[seg + 1] - xs[seg]),
+                    ys[seg] + w * (ys[seg + 1] - ys[seg]),
+                    vs[seg] + w * (vs[seg + 1] - vs[seg]),
+                )
+            chk = _check(ego0, actor, t_react, decel, probe, params)
+            if chk.met:
+                return _estimate(gi, probe, params, trajectory_index)
+            step = probe_time_update(chk.distance_gap, chk.speed_gap, chk.end_speed, decel)
+            # a probe that does not move would repeat the same failed check
+            advanced = probe + step
+            if not probe < advanced <= params.horizon:
+                break
+            probe = advanced
+    return _estimate(-1, 0.0, params, trajectory_index)
 
 
 def _estimate(
@@ -371,15 +296,16 @@ def _search_batch(
     l0: float,
     params: ModelParams,
 ) -> tuple[list[int], list[float]]:
-    """``_search_impl`` for every (ego, path) pair, in NumPy.
+    """``tolerable_latency`` for every (ego, path) pair, in NumPy.
 
     Ego i reads every path at ``offsets[i] + probe``: a predicted trajectory
     with offset 0.0 as it is, a recorded path with offset t as its future
     from time t on. Each lane is one (ego, path, grid candidate) triple and
-    runs the scalar search's probe iteration with the same float operations
-    in the same order, on its lookup time ``offset + probe`` in place of the
-    probe (``p + 0.0 == p``, so with offset 0.0 the grid indices and probe
-    times are the scalar search's to the bit). Lanes leave the batch when
+    runs the scalar search's probe iteration (``_ego_motion``, ``_check``
+    and ``probe_time_update``, vectorised) with the same float results, on
+    its lookup time ``offset + probe`` in place of the probe
+    (``p + 0.0 == p``, so with offset 0.0 the grid indices and probe times
+    are the scalar search's to the bit). Lanes leave the batch when
     they meet the constraints, dead-end, stop moving or pass the horizon,
     and a pair's lanes leave once a larger latency of it has met. Returns
     grid indices (-1 where the whole grid fails) and probe times per pair,
@@ -611,17 +537,15 @@ def camera_fpr(
     rank cameras.
     """
     lo, hi = params.fpr_bounds()
-    members = sorted(
-        ((aid, est) for aid, est in actor_latencies if aid in fov_members),
-        key=lambda p: p[0],
-    )
+    members = [(est.latency, aid) for aid, est in actor_latencies if aid in fov_members]
     if not members:
         return FprReport(fpr=lo, latency=params.latency_max, binding_actor=None, infeasible=False)
-    bad = [aid for aid, est in members if est.infeasible]
+    bad = [aid for latency, aid in members if latency is None]
     if bad:
-        return FprReport(fpr=hi, latency=params.latency_min, binding_actor=bad[0], infeasible=True)
-    binding_id, binding = min(members, key=lambda p: p[1].latency)
-    latency = min(params.latency_max, max(params.latency_min, binding.latency))
+        return FprReport(fpr=hi, latency=params.latency_min, binding_actor=min(bad), infeasible=True)
+    # ties on latency bind the smallest actor id
+    binding, binding_id = min(members)
+    latency = min(params.latency_max, max(params.latency_min, binding))
     return FprReport(fpr=1.0 / latency, latency=latency, binding_actor=binding_id, infeasible=False)
 
 

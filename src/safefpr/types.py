@@ -70,9 +70,6 @@ class KinematicState:
             raise ValueError(f"speed must be >= 0, got {self.v}")
         object.__setattr__(self, "heading", normalize_angle(self.heading))
 
-    def position(self) -> tuple[float, float]:
-        return (self.x, self.y)
-
 
 class _Samples(Sequence):
     """``(t, KinematicState)`` pairs read from a trajectory's columns.
@@ -220,9 +217,6 @@ class Trajectory:
             v0 + w * (vs.item(i) - v0),
         )
 
-    def end_time(self) -> float:
-        return self.t.item(-1)
-
 
 # How the reference latency l0 (the latency the system currently runs at) is
 # chosen when searching for a tolerable latency:
@@ -359,13 +353,6 @@ class LatencyEstimate:
     @property
     def infeasible(self) -> bool:
         return self.latency is None
-
-    def required_fpr(self, params: ModelParams) -> float:
-        """Required processing rate in Hz, clamped to the reportable range."""
-        lo, hi = params.fpr_bounds()
-        if self.latency is None:
-            return hi
-        return min(hi, max(lo, 1.0 / self.latency))
 
 
 INFEASIBLE = LatencyEstimate(latency=None)

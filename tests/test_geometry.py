@@ -8,11 +8,10 @@ from safefpr import (
     DEFAULT_CAMERA_RIG,
     CameraConfig,
     KinematicState,
-    bearing_to,
     in_fov,
     separation,
 )
-from safefpr.geometry import DEG, fov_members, uncovered_bearings
+from safefpr.geometry import DEG, _bearing, fov_members
 
 FRONT_120 = CameraConfig("front", 0.0, 120 * DEG)
 
@@ -111,7 +110,13 @@ def test_full_circle_camera_sees_everything(bearing, r):
 
 
 def test_default_rig_has_no_blind_wedge():
-    assert uncovered_bearings(DEFAULT_CAMERA_RIG) == []
+    # a ring of points around the ego, one every half degree
+    ring = {}
+    for i in range(720):
+        theta = -math.pi + (i + 0.5) * 2.0 * math.pi / 720
+        ring[f"p{i}"] = (math.cos(theta), math.sin(theta))
+    members = fov_members(KinematicState(0, 0, 0), ring, DEFAULT_CAMERA_RIG)
+    assert set().union(*members.values()) == set(ring)
 
 
 def test_rear_camera_wraparound():
@@ -138,8 +143,8 @@ def test_separation_symmetric_and_triangle(ax, ay, bx, by, cx, cy):
 
 def test_bearing_to_quadrants():
     ego = KinematicState(0, 0, 0)
-    assert bearing_to(ego, KinematicState(1, 1, 0)) == pytest.approx(math.pi / 4)
-    assert bearing_to(ego, KinematicState(-1, 0, 0)) == pytest.approx(math.pi)
+    assert _bearing(ego, 1.0, 1.0) == pytest.approx(math.pi / 4)
+    assert _bearing(ego, -1.0, 0.0) == pytest.approx(math.pi)
 
 
 def test_camera_validation():

@@ -200,8 +200,8 @@ class TestEvaluateSceneParity:
     """evaluate_scene's batched search against the scalar search.
 
     Each actor's estimate must equal ``tolerable_latency`` on each of its
-    trajectories followed by ``aggregate_actor_latency``: the same latency
-    and binding trajectory, and a probe time within 1e-9 s, as a plain float.
+    trajectories followed by ``aggregate_actor_latency``: the same latency,
+    binding trajectory and probe time, the last as a plain float.
     """
 
     @staticmethod
@@ -222,7 +222,7 @@ class TestEvaluateSceneParity:
                 assert got.probe_time is None, aid
             else:
                 assert type(got.probe_time) is float, aid
-                assert got.probe_time == pytest.approx(want.probe_time, abs=1e-9), aid
+                assert got.probe_time == want.probe_time, aid
         return searched
 
     @pytest.mark.parametrize("policy", [L0_CANDIDATE, L0_FIXED])
@@ -288,10 +288,23 @@ class TestEvaluateSceneParity:
         # the corpus reaches the cases the batched search treats apart
         assert any(est.infeasible for est, _ in searched)
         assert any(
-            est.probe_time is not None and est.probe_time > traj.end_time()
+            est.probe_time is not None and est.probe_time > traj.t[-1]
             for est, traj in searched
         )
         assert len({tuple(traj.columns()[0]) for _, traj in searched}) > 1
+
+    @pytest.mark.parametrize("policy", [L0_CANDIDATE, L0_FIXED])
+    def test_random_case_corpus(self, policy):
+        """conftest's ``random_case`` corpus, one actor per scene, under caps 1-10."""
+        rng = np.random.default_rng(20240817)
+        searched = []
+        for _ in range(60):
+            ego, traj, l0 = random_case(rng)
+            for cap in range(1, 11):
+                params = ModelParams(l0_policy=policy, max_time_adjustments=cap)
+                searched += self._assert_parity(ego, {"a": [traj]}, l0, params)
+        assert any(est.infeasible for est, _ in searched)
+        assert any(not est.infeasible for est, _ in searched)
 
 
 class TestSeveralEgos:

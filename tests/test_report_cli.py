@@ -375,6 +375,7 @@ class TestCli:
             ["sweep", "--sn", "30", "--ve0-max", "10", "--van-max", "10", "--params", "{binary}"],
             ["simulate", "--script", "{script}", "--budget", "0"],
             ["simulate", "--script", "{script}", "--budget", "nan"],
+            ["simulate", "--script", "{script}", "--budget", "inf"],
             ["sweep", "--sn", "30", "--ve0-max", "10", "--van-max", "10", "--steps", "2",
              "--params", "{fractional_adjustments}"],
             ["sweep", "--sn", "30", "--ve0-max", "10", "--van-max", "10", "--steps", "2",

@@ -39,7 +39,7 @@ class TestPredictor:
         cfg = PredictorConfig(num_variants=5, decel_spread=4.9)
         fan = predict_trajectories(KinematicState(7.0, -2.0, 0.0), cfg)
         for offset, traj in zip(cfg.acceleration_offsets(), fan):
-            x, y, v = traj.state_at(traj.end_time())
+            x, y, v = traj.state_at(traj.t[-1])
             if offset <= 0:
                 assert (x, y) == (7.0, -2.0)
 

@@ -83,6 +83,12 @@ class TestAllocate:
         with pytest.raises(ValueError):
             allocate({}, Budget(10.0), PARAMS)
 
+    @pytest.mark.parametrize("total", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
+    def test_budget_rejects_non_finite_and_non_positive(self, total):
+        # a NaN budget would allocate NaN rates, so no camera processes a frame
+        with pytest.raises(ValueError, match="total_fps"):
+            Budget(total)
+
     @given(
         reqs=st.lists(st.floats(0.0, 40.0), min_size=1, max_size=8),
         budget=st.floats(0.5, 200.0),
