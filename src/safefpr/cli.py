@@ -10,15 +10,17 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
 
 from .engine import run_scenario
-from .report import analyze_trace, sweep_grid, write_sweep_csv
+from .oracle import mrf_rates
+from .report import analyze_trace, camera_record, sweep_grid, write_sweep_csv
 from .scenarios import load_script, script_from_dict
 from .scheduler import Budget
 from .trace import TraceFormatError, load_trace
-from .types import MPH_TO_MPS, ModelParams
+from .types import MPH_TO_MPS, ModelParams, finite_float
 
 
 class InputError(Exception):
@@ -70,23 +72,22 @@ def load_params(path: str | None) -> tuple[ModelParams, float | None]:
         raise InputError(f"params file {path}: unknown keys {sorted(unknown)}")
     try:
         params = ModelParams(**obj)
+        l0 = None if l0 is None else finite_float("l0", l0)
     except (TypeError, ValueError) as e:
         raise InputError(f"params file {path}: {e}") from None
-    if l0 is None:
-        return params, None
-    try:
-        l0 = float(l0)
-    except (TypeError, ValueError, OverflowError):
-        l0 = math.nan
-    if not 0.0 < l0 < math.inf:
-        raise InputError(f"params file {path}: l0 must be a finite number > 0")
+    if l0 is not None and not l0 > 0.0:
+        raise InputError(f"params file {path}: l0 must be > 0, got {l0}")
     return params, l0
 
 
-def _open_out(path: str | None):
+@contextmanager
+def _output(path: str | None):
+    """The file ``--out`` names, or stdout for none or '-'."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w"), True
+        yield sys.stdout
+    else:
+        with open(path, "w") as fh:
+            yield fh
 
 
 def _emit_records(fh, records: list[dict], summary: dict) -> None:
@@ -107,13 +108,13 @@ def cmd_analyze(args) -> int:
         except (KeyError, ValueError) as e:
             raise InputError(f"--mrf needs the trace's scenario script: {e!r}") from None
         _check_collision_radius(args.collision_radius)
+        try:
+            mrf_rates(params)
+        except ValueError as e:
+            raise InputError(f"--mrf: {e}") from None
     result = analyze_trace(trace, params, mrf=args.mrf, collision_radius=args.collision_radius)
-    fh, close = _open_out(args.out)
-    try:
+    with _output(args.out) as fh:
         _emit_records(fh, result.records, result.summary)
-    finally:
-        if close:
-            fh.close()
     return 0
 
 
@@ -143,19 +144,9 @@ def cmd_simulate(args) -> int:
     for i, reports in enumerate(result.camera_log):
         t = result.allocations[i][0]
         for cid in sorted(reports):
-            rep = reports[cid]
-            records.append(
-                {
-                    "tick": i,
-                    "t": t,
-                    "camera": cid,
-                    "fpr": rep.fpr,
-                    "latency": rep.latency,
-                    "binding_actor": rep.binding_actor,
-                    "infeasible": rep.infeasible,
-                    "allocated_fps": result.allocations[i][1][cid],
-                }
-            )
+            rec = camera_record(i, t, cid, reports[cid])
+            rec["allocated_fps"] = result.allocations[i][1][cid]
+            records.append(rec)
         while pending is not None and pending[0] <= t:
             records.append({"t": pending[0], "alarm": pending[1].to_dict()})
             pending = next(alarm_iter, None)
@@ -171,12 +162,8 @@ def cmd_simulate(args) -> int:
         ),
         "brake_time": result.brake_time,
     }
-    fh, close = _open_out(args.out)
-    try:
+    with _output(args.out) as fh:
         _emit_records(fh, records, summary)
-    finally:
-        if close:
-            fh.close()
     return 1 if result.collision else 0
 
 
@@ -194,12 +181,8 @@ def cmd_sweep(args) -> int:
     ve0s = [ve0_lo + (ve0_hi - ve0_lo) * i / (n - 1) for i in range(n)]
     vans = [van_lo + (van_hi - van_lo) * i / (n - 1) for i in range(n)]
     grid = sweep_grid(args.sn, ve0s, vans, params, l0=l0)
-    fh, close = _open_out(args.out)
-    try:
+    with _output(args.out) as fh:
         write_sweep_csv(grid, ve0s, vans, params, fh)
-    finally:
-        if close:
-            fh.close()
     return 0
 
 

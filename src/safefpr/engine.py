@@ -27,7 +27,7 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from .geometry import DEFAULT_CAMERA_RIG, CameraConfig, in_fov
+from .geometry import DEFAULT_CAMERA_RIG, fov_members
 from .model import FprReport, braking_decel, evaluate_scene
 from .predictor import PredictorConfig, predict_trajectories
 from .scenarios import ActorScript, ScenarioScript, script_to_dict
@@ -39,6 +39,7 @@ ENGINE_DT = 1.0 / 30.0   # s per tick; aligns the tick grid with a 30 Hz camera
 STANDSTILL_GAP = 4.0     # m kept clear when stopped behind an obstacle
 CRUISE_HEADWAY = 0.6     # s of extra travel margin in the brake trigger
 LANE_CLAIM_FRACTION = 0.55  # how far into the ego lane an actor must reach
+PREDICTOR = PredictorConfig()  # actor futures in adaptive mode
 
 
 def _smoothstep(u: float) -> float:
@@ -49,9 +50,9 @@ def _smoothstep(u: float) -> float:
 class _Actor:
     """Road-frame actor state driven by scripted events."""
 
-    def __init__(self, script: ActorScript, ego_s0: float):
+    def __init__(self, script: ActorScript):
         self.actor_id = script.actor_id
-        self.s = ego_s0 + script.gap
+        self.s = script.gap  # the ego starts at s = 0
         self.v = script.speed
         self.a = 0.0
         self.lane = float(script.lane)
@@ -125,10 +126,6 @@ class RunResult:
     camera_log: list[dict[str, FprReport]] = field(default_factory=list)
     allocations: list[tuple[float, dict[str, float]]] = field(default_factory=list)
 
-    @property
-    def collided(self) -> bool:
-        return self.collision is not None
-
 
 def _world_state(road, s: float, lane: float, v: float, a: float) -> KinematicState:
     x, y, heading = road.to_world(s, road.lane_offset(lane))
@@ -159,18 +156,16 @@ def run_scenario(
     frame_rate: float | None = None,
     adaptive: bool = False,
     budget: Budget | None = None,
-    predictor: PredictorConfig | None = None,
-    cameras: tuple[CameraConfig, ...] = DEFAULT_CAMERA_RIG,
     collision_radius: float = 0.5,
     seed: int = 0,
-    dt: float = ENGINE_DT,
     record: bool = True,
 ) -> RunResult:
     """Execute a scenario script to completion or first ego collision.
 
     Exactly one of ``frame_rate`` (fixed-rate mode) and ``adaptive`` must be
     given. In adaptive mode rates start at the cap and then follow the
-    estimates (through the budget allocator when a budget is given).
+    estimates (through the budget allocator when a budget is given). The
+    run steps ``ENGINE_DT`` ticks over ``DEFAULT_CAMERA_RIG``.
     """
     if (frame_rate is None) == (not adaptive):
         raise ValueError("pass either frame_rate or adaptive=True")
@@ -182,9 +177,9 @@ def run_scenario(
 
     road = script.road
     ego = _Ego(script.ego_lane, script.ego_speed, braking_decel(0.0, params))
-    actors = [_Actor(a, ego_s0=0.0) for a in script.actors]
+    actors = [_Actor(a) for a in script.actors]
     fixed_params = params.replace(l0_policy=L0_FIXED)
-    predictor = predictor or PredictorConfig()
+    cameras = DEFAULT_CAMERA_RIG
 
     rng = random.Random(seed)
     rates = {c.camera_id: (frame_rate if frame_rate is not None else cap_fpr) for c in cameras}
@@ -200,11 +195,10 @@ def run_scenario(
     camera_log: list[dict[str, FprReport]] = []
     allocations: list[tuple[float, dict[str, float]]] = []
     collision: tuple[float, str] | None = None
-    brake_time: float | None = None
 
-    n_ticks = int(round(script.duration / dt))
+    n_ticks = int(round(script.duration / ENGINE_DT))
     for i in range(n_ticks + 1):
-        t = i * dt
+        t = i * ENGINE_DT
         ego_world = _world_state(road, ego.s, ego.lane, ego.v, ego.a)
         actor_world = {
             a.actor_id: _world_state(road, a.s, a.lane, a.v, a.a) for a in actors
@@ -226,7 +220,7 @@ def run_scenario(
             # back into itself and oscillates
             l0 = 1.0 / cap_fpr
             trajs = {
-                aid: predict_trajectories(st, predictor) for aid, st in actor_world.items()
+                aid: predict_trajectories(st, PREDICTOR) for aid, st in actor_world.items()
             }
             _, reports = evaluate_scene(ego_world, trajs, cameras, l0, fixed_params)
             required = {cid: rep.fpr for cid, rep in reports.items()}
@@ -240,35 +234,34 @@ def run_scenario(
                     alarms.append((t, allocation.alarm))
                 rates = dict(allocation.per_camera_fps)
             else:
-                rates = {cid: min(cap_fpr, max(floor_fpr, r)) for cid, r in required.items()}
+                rates = required  # camera_fpr keeps every rate within fpr_bounds()
             if record:
                 camera_log.append(reports)
                 allocations.append((t, dict(rates)))
 
-        # process camera frames that came due this tick
-        for cam in cameras:
-            cid = cam.camera_id
+        # process camera frames that came due this tick; what each camera
+        # sees, and which actors are dangerous, holds for the whole tick
+        due = [c.camera_id for c in cameras if next_frame[c.camera_id] <= t]
+        if due and ego.brake_at is None:
+            positions = {aid: (st.x, st.y) for aid, st in actor_world.items()}
+            members = fov_members(ego_world, positions, cameras)
+            danger = {a.actor_id: _dangerous(ego, a, road, params) for a in actors}
+        for cid in due:
             while next_frame[cid] <= t:
                 next_frame[cid] += 1.0 / rates[cid]
-                if ego.braking or ego.brake_at is not None:
+                if ego.brake_at is not None:
                     continue
-                for actor in actors:
-                    if not in_fov(ego_world, actor_world[actor.actor_id], cam):
-                        continue
-                    key = (cid, actor.actor_id)
-                    if _dangerous(ego, actor, road, params):
-                        confirm_count[key] = confirm_count.get(key, 0) + 1
-                        if confirm_count[key] >= need_frames:
-                            engage = t + 1.0 / rates[cid]  # processing latency
-                            if ego.brake_at is None or engage < ego.brake_at:
-                                ego.brake_at = engage
-                                brake_time = engage
-                    else:
-                        confirm_count[key] = 0
+                for aid in members[cid]:
+                    key = (cid, aid)
+                    count = confirm_count.get(key, 0) + 1 if danger[aid] else 0
+                    confirm_count[key] = count
+                    if count >= need_frames:
+                        ego.brake_at = t + 1.0 / rates[cid]  # processing latency
+                        break
 
-        ego.advance(t + dt, dt)
+        ego.advance(t + ENGINE_DT, ENGINE_DT)
         for actor in actors:
-            actor.advance(t + dt, dt)
+            actor.advance(t + ENGINE_DT, ENGINE_DT)
 
     trace = None
     if record:
@@ -282,14 +275,14 @@ def run_scenario(
         if frame_rate is not None:
             metadata["fpr0"] = frame_rate
         trace = ScenarioTrace(
-            dt=dt, ticks=tuple(ticks), cameras=tuple(cameras), metadata=metadata
+            dt=ENGINE_DT, ticks=tuple(ticks), cameras=cameras, metadata=metadata
         )
 
     return RunResult(
         script=script,
         trace=trace,
         collision=collision,
-        brake_time=brake_time,
+        brake_time=ego.brake_at,
         alarms=alarms,
         camera_log=camera_log,
         allocations=allocations,

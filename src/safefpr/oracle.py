@@ -226,33 +226,38 @@ def collision_check(
     return bool((sep < collision_radius).any())
 
 
-def scenario_mrf(
-    script,
-    params: ModelParams,
-    collision_radius: float = 2.0,
-    rate_grid: tuple[int, ...] = tuple(range(1, 31)),
-    seed: int = 0,
-):
+def mrf_rates(params: ModelParams) -> range:
+    """The integer frame rates within ``params.fpr_bounds()``, fastest first.
+
+    Raises ValueError naming the bounds when no integer rate lies in them.
+    """
+    floor, cap = params.fpr_bounds()
+    rates = range(math.floor(cap), math.ceil(floor) - 1, -1)
+    if not rates:
+        raise ValueError(f"no integer frame rate within [{floor:g}, {cap:g}] Hz")
+    return rates
+
+
+def scenario_mrf(script, params: ModelParams, collision_radius: float = 2.0) -> int | None:
     """Smallest fixed frame rate at and above which the closed loop is safe.
 
-    Runs the scenario once per rate on the grid (floored at 1 Hz). Returns
-    the smallest rate r such that no rate >= r collides, or None when even
-    the fastest rate collides. ``collision_radius`` must be finite and >= 0.
+    Runs the scenario (seed 0) at each of ``mrf_rates(params)``, fastest
+    first, and stops at the first rate that collides. Returns the slowest
+    rate that ran clean, or None when even the fastest rate collides.
+    ``collision_radius`` must be finite and >= 0.
     """
     from .engine import run_scenario  # engine imports the model, not the oracle
 
-    collided = []
-    for rate in rate_grid:
+    safe = None
+    for rate in mrf_rates(params):
         result = run_scenario(
             script,
             params,
             frame_rate=float(rate),
             collision_radius=collision_radius,
-            seed=seed,
             record=False,
         )
-        collided.append(result.collision is not None)
-    if collided[-1]:
-        return None
-    last_bad = max((i for i, bad in enumerate(collided) if bad), default=-1)
-    return rate_grid[last_bad + 1]
+        if result.collision is not None:
+            break
+        safe = rate
+    return safe

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterator, Sequence
 
-from .model import path_table, scene_reports, search_paths, tolerable_latency
+from .model import FprReport, path_table, scene_reports, search_paths, tolerable_latency
 from .oracle import feasible_latency_scan
 from .trace import ScenarioTrace
 from .types import (
@@ -38,6 +38,19 @@ def fraction_of_provisioned(max_total_fpr: float, num_cameras: int, params: Mode
 class AnalysisResult:
     records: list[dict] = field(default_factory=list)
     summary: dict = field(default_factory=dict)
+
+
+def camera_record(tick: int, t: float, camera: str, report: FprReport) -> dict:
+    """One camera's output record at one tick: its required rate and what binds it."""
+    return {
+        "tick": tick,
+        "t": t,
+        "camera": camera,
+        "fpr": report.fpr,
+        "latency": report.latency,
+        "binding_actor": report.binding_actor,
+        "infeasible": report.infeasible,
+    }
 
 
 # Lanes per batched search over a trace: about one online tick's worth, so
@@ -120,22 +133,12 @@ def analyze_trace(
             )
         total = 0.0
         for cam in trace.cameras:
-            rep = reports[cam.camera_id]
+            cid = cam.camera_id
+            rep = reports[cid]
             any_infeasible = any_infeasible or rep.infeasible
             total += rep.fpr
-            cid = cam.camera_id
             per_camera_max[cid] = max(per_camera_max[cid], rep.fpr)
-            out.records.append(
-                {
-                    "tick": k,
-                    "t": tick.t,
-                    "camera": cid,
-                    "fpr": rep.fpr,
-                    "latency": rep.latency,
-                    "binding_actor": rep.binding_actor,
-                    "infeasible": rep.infeasible,
-                }
-            )
+            out.records.append(camera_record(k, tick.t, cid, rep))
         if total > max_total:
             max_total = total
             max_total_t = tick.t

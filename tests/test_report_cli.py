@@ -316,6 +316,18 @@ class TestCli:
         assert 1 <= summary["mrf"] <= 30
         assert summary["mrf"] <= max(summary["max_fpr_per_camera"].values())
 
+    def test_analyze_mrf_respects_the_rate_floor(self, tmp_path):
+        # cut_in is safe even at 1 Hz; with latency_max 0.5 s the slowest rate is 2 Hz
+        result = run_scenario(generate_scenario("cut_in"), PARAMS, frame_rate=30.0)
+        trace_path, params_path = tmp_path / "t.jsonl", tmp_path / "p.json"
+        save_trace(result.trace, trace_path)
+        params_path.write_text('{"latency_max": 0.5}')
+        out = tmp_path / "report.jsonl"
+        argv = ["analyze", "--trace", str(trace_path), "--params", str(params_path), "--mrf"]
+        assert main(argv + ["--out", str(out)]) == 0
+        summary = json.loads(out.read_text().strip().splitlines()[-1])["summary"]
+        assert summary["mrf"] == 2
+
     def test_analyze_determinism(self, tmp_path):
         result = run_scenario(generate_scenario("cut_out"), PARAMS, frame_rate=10.0)
         trace_path = tmp_path / "t.jsonl"
@@ -389,6 +401,13 @@ class TestCli:
             ["analyze", "--trace", "{scripted}", "--mrf", "--collision-radius", "-1"],
             ["simulate", "--script", "{list_script}"],
             ["simulate", "--script", "{inf_speed_script}"],
+            ["analyze", "--trace", "{string_dt_trace}"],
+            ["analyze", "--trace", "{bool_speed_trace}"],
+            ["sweep", "--sn", "30", "--ve0-max", "10", "--van-max", "10", "--steps", "2",
+             "--params", "{string_l0}"],
+            ["sweep", "--sn", "30", "--ve0-max", "10", "--van-max", "10", "--steps", "2",
+             "--params", "{bool_l0}"],
+            ["analyze", "--trace", "{scripted}", "--mrf", "--params", "{no_integer_rate}"],
         ],
     )
     def test_bad_input_exits_2(self, tmp_path, argv):
@@ -408,6 +427,11 @@ class TestCli:
         (tmp_path / "fractional_adjustments.json").write_text('{"max_time_adjustments": 2.5}')
         (tmp_path / "fractional_frames.json").write_text('{"confirmation_frames": 2.5}')
         (tmp_path / "nan_l0.json").write_text('{"l0": NaN}')
+        (tmp_path / "string_l0.json").write_text('{"l0": "0.5"}')
+        (tmp_path / "bool_l0.json").write_text('{"l0": true}')
+        (tmp_path / "no_integer_rate.json").write_text('{"latency_min": 0.4, "latency_max": 0.45}')
+        (tmp_path / "string_dt_trace.jsonl").write_text(text.replace('"dt": 0.1', '"dt": "0.1"', 1))
+        (tmp_path / "bool_speed_trace.jsonl").write_text(text.replace('"v": 0.0', '"v": true', 1))
         (tmp_path / "list_script.json").write_text("[1]")
         script = json.loads((tmp_path / "script.json").read_text())
         (tmp_path / "inf_speed_script.json").write_text(json.dumps({**script, "ego_speed": "inf"}))
@@ -417,6 +441,10 @@ class TestCli:
             ("fractional_adjustments", "fractional_adjustments.json"),
             ("fractional_frames", "fractional_frames.json"), ("nan_l0", "nan_l0.json"),
             ("list_script", "list_script.json"), ("inf_speed_script", "inf_speed_script.json"),
+            ("string_l0", "string_l0.json"), ("bool_l0", "bool_l0.json"),
+            ("no_integer_rate", "no_integer_rate.json"),
+            ("string_dt_trace", "string_dt_trace.jsonl"),
+            ("bool_speed_trace", "bool_speed_trace.jsonl"),
         ]}
         assert main([a.format(**names) for a in argv]) == 2
 

@@ -207,6 +207,66 @@ class TestScripts:
         assert heading == pytest.approx(0.25)
 
 
+# (collision, brake_time) per (rate, seed) for each family at its defaults;
+# the brake trigger and frame schedule must reproduce them exactly
+PINNED_OUTCOMES = {
+    "cut_out": {
+        (1, 0): ((9.466666666666667, "obstacle"), None),
+        (1, 3): ((9.466666666666667, "obstacle"), None),
+        (7, 0): (None, 8.309523809523808),
+        (7, 3): (None, 8.209523809523809),
+        (30, 0): (None, 7.633333333333333),
+        (30, 3): (None, 7.633333333333333),
+    },
+    "cut_out_fast": {
+        (1, 0): ((6.133333333333333, "obstacle"), None),
+        (1, 3): ((6.133333333333333, "obstacle"), None),
+        (7, 0): (None, 4.142857142857143),
+        (7, 3): (None, 4.042857142857143),
+        (30, 0): (None, 3.5),
+        (30, 3): (None, 3.5),
+    },
+    "cut_in": {
+        (1, 0): (None, 8.0),
+        (1, 3): (None, 8.266666666666666),
+        (7, 0): (None, 3.742857142857143),
+        (7, 3): (None, 3.776190476190476),
+        (30, 0): (None, 3.1666666666666665),
+        (30, 3): (None, 3.1666666666666665),
+    },
+    "challenging_cut_in": {
+        (1, 0): ((4.833333333333333, "cutter"), None),
+        (1, 3): ((4.833333333333333, "cutter"), None),
+        (7, 0): (None, 3.0095238095238095),
+        (7, 3): (None, 2.9095238095238094),
+        (30, 0): (None, 2.3666666666666667),
+        (30, 3): (None, 2.3666666666666667),
+    },
+    "challenging_cut_in_curved": {
+        (1, 0): ((5.4, "cutter"), None),
+        (1, 3): ((5.4, "cutter"), None),
+        (7, 0): (None, 3.0095238095238095),
+        (7, 3): (None, 2.9095238095238094),
+        (30, 0): (None, 2.3666666666666667),
+        (30, 3): (None, 2.3666666666666667),
+    },
+    "vehicle_following": {
+        (1, 0): ((6.033333333333333, "lead"), None),
+        (1, 3): ((6.033333333333333, "lead"), None),
+        (7, 0): ((7.3999999999999995, "lead"), 3.4428571428571426),
+        (7, 3): ((7.566666666666666, "lead"), 3.342857142857143),
+        (30, 0): (None, 2.7666666666666666),
+        (30, 3): (None, 2.8),
+    },
+    **{
+        f"front_right_activity_{k}": {
+            (rate, seed): (None, None) for rate in (1, 7, 30) for seed in (0, 3)
+        }
+        for k in (1, 2, 3)
+    },
+}
+
+
 class TestEngine:
     def test_deterministic_traces(self):
         params = ModelParams()
@@ -322,6 +382,47 @@ class TestEngine:
             run_scenario(script, ModelParams(), frame_rate=1.0, collision_radius=radius)
         with pytest.raises(ValueError, match="collision_radius"):
             scenario_mrf(script, ModelParams(), collision_radius=radius)
+
+    @pytest.mark.parametrize("family", sorted(PINNED_OUTCOMES))
+    def test_pinned_outcomes(self, family):
+        script = generate_scenario(family)
+        got = {
+            (rate, seed): (result.collision, result.brake_time)
+            for rate in (1, 7, 30)
+            for seed in (0, 3)
+            for result in [
+                run_scenario(script, ModelParams(), frame_rate=float(rate), seed=seed, record=False)
+            ]
+        }
+        assert got == PINNED_OUTCOMES[family]
+
+
+class TestScenarioMrf:
+    def test_stops_at_the_first_collision(self, monkeypatch):
+        # cut_out_fast is safe from 6 Hz up: 30 down to 6 run clean, 5 collides
+        from safefpr import engine
+
+        rates = []
+        real = engine.run_scenario
+
+        def counting(script, params, **kwargs):
+            rates.append(kwargs["frame_rate"])
+            return real(script, params, **kwargs)
+
+        monkeypatch.setattr(engine, "run_scenario", counting)
+        assert scenario_mrf(generate_scenario("cut_out_fast"), ModelParams()) == 6
+        assert rates == [float(r) for r in range(30, 4, -1)]
+
+    def test_rate_floor_above_one_hz(self):
+        # latency_max 0.5 s puts the slowest rate at 2 Hz; 1 Hz is never run
+        params = ModelParams(latency_max=0.5)
+        script = generate_scenario("cut_in", {"ego_speed_mph": 0.0})
+        assert scenario_mrf(script, params, collision_radius=0.5) == 2
+
+    def test_rate_range_without_an_integer_raises(self):
+        params = ModelParams(latency_min=0.4, latency_max=0.45)
+        with pytest.raises(ValueError, match=r"\[2\.22222, 2\.5\] Hz"):
+            scenario_mrf(generate_scenario("cut_in"), params)
 
 
 SCALARS = st.one_of(

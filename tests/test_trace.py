@@ -221,7 +221,9 @@ class TestMalformedInput:
     def test_valid_text_loads(self):
         assert load_trace(io.StringIO(trace_text())).actor_ids == ("lead",)
 
-    @pytest.mark.parametrize("raw", ["NaN", "Infinity", "-Infinity", "1e999", '"fast"', "null"])
+    @pytest.mark.parametrize(
+        "raw", ["NaN", "Infinity", "-Infinity", "1e999", '"fast"', "null", '"0.1"', "true"]
+    )
     def test_bad_dt(self, raw):
         with pytest.raises(TraceFormatError, match="header: field 'dt'"):
             load_trace(io.StringIO(trace_text(header=f'{{"dt": {raw}}}')))
@@ -231,7 +233,7 @@ class TestMalformedInput:
         with pytest.raises(TraceFormatError, match="dt must be finite and > 0"):
             load_trace(io.StringIO(trace_text(header=f'{{"dt": {raw}}}')))
 
-    @pytest.mark.parametrize("raw", ["NaN", "Infinity", '"soon"', "[]"])
+    @pytest.mark.parametrize("raw", ["NaN", "Infinity", '"soon"', "[]", '"0.0"', "false"])
     def test_bad_tick_time(self, raw):
         tick = f'{{"t": {raw}, "ego": {json.dumps(STATE)}}}'
         with pytest.raises(TraceFormatError, match="tick 0: field 't'"):
@@ -239,7 +241,9 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("where,prefix", [("ego", "tick 0 ego"), ("lead", "tick 0 actor 'lead'")])
     @pytest.mark.parametrize("key", ["x", "y", "v", "a", "heading"])
-    @pytest.mark.parametrize("raw", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400, '"x"'])
+    @pytest.mark.parametrize(
+        "raw", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400, '"x"', '"1.0"', "true"]
+    )
     def test_bad_state_field(self, where, prefix, key, raw):
         text = trace_text(tick=with_state(where, key, raw))
         with pytest.raises(TraceFormatError, match=f"{prefix}: field '{key}'"):
@@ -272,6 +276,7 @@ class TestMalformedInput:
             ('{"dt": 0.1, "metadata": []}', "header: field 'metadata'"),
             ('{"dt": 0.1, "metadata": {"fpr0": NaN}}', "header metadata: field 'fpr0'"),
             ('{"dt": 0.1, "metadata": {"fpr0": 0}}', "field 'fpr0' must be > 0"),
+            ('{"dt": 0.1, "metadata": {"fpr0": "10"}}', "header metadata: field 'fpr0'"),
         ],
     )
     def test_bad_header(self, header, match):
