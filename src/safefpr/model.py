@@ -24,6 +24,7 @@ from .types import (
     LatencyEstimate,
     ModelParams,
     Trajectory,
+    path_state,
 )
 
 
@@ -196,7 +197,6 @@ def tolerable_latency(
     traj: Trajectory,
     l0: float,
     params: ModelParams,
-    trajectory_index: int = 0,
 ) -> LatencyEstimate:
     """Largest latency on the descending grid whose constraints can be met.
 
@@ -205,46 +205,32 @@ def tolerable_latency(
     candidate with a successful probe wins. Probes never exceed the
     configured horizon. Returns an infeasible estimate when the entire grid
     fails. Each probe is ``_check`` and ``probe_time_update``, on the actor
-    state read by walking the trajectory's segments forward.
+    state ``path_state`` reads from the trajectory's samples.
     """
     decel = braking_decel(ego0.a, params)
-    ts, xs, ys, vs = (col.tolist() for col in traj.columns())
+    cols = traj.columns().tolist()
     for gi, latency in enumerate(params.latency_grid):
         t_react = reaction_time(latency, resolve_l0(latency, l0, params), params)
         if t_react > params.horizon:
             continue
         probe = t_react
-        seg = 0
         for _ in range(params.max_time_adjustments):
-            if probe >= ts[-1]:
-                actor = (xs[-1], ys[-1], vs[-1])
-            else:
-                while ts[seg + 1] < probe:
-                    seg += 1
-                w = (probe - ts[seg]) / (ts[seg + 1] - ts[seg])
-                actor = (
-                    xs[seg] + w * (xs[seg + 1] - xs[seg]),
-                    ys[seg] + w * (ys[seg + 1] - ys[seg]),
-                    vs[seg] + w * (vs[seg + 1] - vs[seg]),
-                )
-            chk = _check(ego0, actor, t_react, decel, probe, params)
+            chk = _check(ego0, path_state(cols, probe), t_react, decel, probe, params)
             if chk.met:
-                return _estimate(gi, probe, params, trajectory_index)
+                return _estimate(gi, probe, params)
             step = probe_time_update(chk.distance_gap, chk.speed_gap, chk.end_speed, decel)
             # a probe that does not move would repeat the same failed check
             advanced = probe + step
             if not probe < advanced <= params.horizon:
                 break
             probe = advanced
-    return _estimate(-1, 0.0, params, trajectory_index)
+    return _estimate(-1, 0.0, params)
 
 
-def _estimate(
-    gi: int, probe: float, params: ModelParams, trajectory_index: int
-) -> LatencyEstimate:
+def _estimate(gi: int, probe: float, params: ModelParams) -> LatencyEstimate:
     if gi < 0:
-        return LatencyEstimate(latency=None, trajectory_index=trajectory_index)
-    return LatencyEstimate(params.latency_grid[gi], float(probe), trajectory_index)
+        return INFEASIBLE
+    return LatencyEstimate(params.latency_grid[gi], float(probe))
 
 
 class PathTable(NamedTuple):
@@ -255,22 +241,23 @@ class PathTable(NamedTuple):
     count: int        # number of paths
 
 
-def path_table(columns: Sequence[Sequence[np.ndarray]]) -> PathTable:
+def path_table(blocks: Sequence[np.ndarray]) -> PathTable:
     """The segment table the batched search reads actor paths from.
 
-    ``columns[i]`` holds path i's t, x, y and v columns: finite, strictly
-    increasing times, finite positions and speeds >= 0 (a ``Trajectory``'s
-    columns, or an actor's recorded ones). A path may hold a single sample.
+    ``blocks[i]`` is path i's (4, samples) array of t, x, y and v rows:
+    finite, strictly increasing times, finite positions and speeds >= 0
+    (``Trajectory.columns()``, or ``ScenarioTrace.actor_columns``). A path
+    may hold a single sample; there may be no paths at all.
     """
     # Column j of ``seg`` is the segment from sample j to the next one of
     # the same path: (t, x, y, v) and the increments (dt, dx, dy, dv). A
     # path's last column serves lookups at or past its end time: it holds
     # the final state (zero increments; a unit dt keeps w finite).
-    counts = [c[0].shape[0] for c in columns]
-    last = np.cumsum(counts) - 1
-    seg = np.empty((8, last[-1] + 1))
-    for k, col in enumerate(zip(*columns)):
-        np.concatenate(col, out=seg[k])
+    counts = [b.shape[1] for b in blocks]
+    last = np.cumsum(counts, dtype=np.intp) - 1
+    seg = np.empty((8, sum(counts)))
+    if blocks:
+        np.concatenate(blocks, axis=1, out=seg[:4])
     np.subtract(seg[:4, 1:], seg[:4, :-1], out=seg[4:, :-1])
     seg[4, last] = 1.0
     seg[5:, last] = 0.0
@@ -301,13 +288,13 @@ def _search_batch(
     Ego i reads every path at ``offsets[i] + probe``: a predicted trajectory
     with offset 0.0 as it is, a recorded path with offset t as its future
     from time t on. Each lane is one (ego, path, grid candidate) triple and
-    runs the scalar search's probe iteration (``_ego_motion``, ``_check``
-    and ``probe_time_update``, vectorised) with the same float results, on
-    its lookup time ``offset + probe`` in place of the probe
-    (``p + 0.0 == p``, so with offset 0.0 the grid indices and probe times
-    are the scalar search's to the bit). Lanes leave the batch when
-    they meet the constraints, dead-end, stop moving or pass the horizon,
-    and a pair's lanes leave once a larger latency of it has met. Returns
+    runs the scalar search's probe iteration (``path_state``,
+    ``_ego_motion``, ``_check`` and ``probe_time_update``, vectorised) with
+    the same float results, on its lookup time ``offset + probe`` in place
+    of the probe (``p + 0.0 == p``, so with offset 0.0 the grid indices and
+    probe times are the scalar search's to the bit). Lanes leave the batch
+    when they meet the constraints, dead-end, stop moving or pass the
+    horizon, and a pair's lanes leave once a larger latency of it has met. Returns
     grid indices (-1 where the whole grid fails) and probe times per pair,
     ego-major, as Python ints and floats.
     """
@@ -321,18 +308,17 @@ def _search_batch(
     n_cand = cand.shape[0]
     tr = t_react[cand]
 
-    # Column e of ``ego`` is ego e's decel, half and twice that, offset +
-    # horizon (the last lookup time) and position. Column e * n_cand + c of
-    # ``table`` is ego e with candidate c: the lookup time at the reaction
-    # time (offset + reaction time), hold-phase distance, speed when
-    # braking starts, time to stop from it, distance to stop.
+    # Column e * n_cand + c of ``table`` is ego e with candidate c: the
+    # lookup time at the reaction time (offset + reaction time), hold-phase
+    # distance, speed when braking starts, time to stop from it, distance to
+    # stop; then ego e's decel, half and twice that, offset + horizon (the
+    # last lookup time) and position.
     state = np.array(
         [(e.v, e.a, braking_decel(e.a, params), off, e.x, e.y) for e, off in zip(egos, offsets)]
     )
     v0, a0, decel, off = state[:, 0:1], state[:, 1:2], state[:, 2:3], state[:, 3:4]
-    ego = np.vstack((decel.T, 0.5 * decel.T, 2.0 * decel.T, off.T + params.horizon, state[:, 4:].T))
-    n_ego = ego.shape[1]
-    table = np.empty((5, n_ego, n_cand))
+    n_ego = state.shape[0]
+    table = np.empty((11, n_ego, n_cand))
     np.add(off, tr, out=table[0])
     d1 = table[1]
     np.add(v0 * tr, 0.5 * a0 * tr * tr, out=d1)
@@ -345,11 +331,9 @@ def _search_batch(
         vr[stopped] = 0.0
     np.divide(vr, decel, out=table[3])
     np.multiply(0.5 * vr, table[3], out=table[4])
-    table = table.reshape(5, -1)
-    lone = n_ego == 1  # a lone ego's values stay scalars
-    if lone:
-        dec, half, twice, limit = ego[:4, 0].tolist()
-        ego_xy = ego[4:]
+    per_ego = np.hstack((decel, 0.5 * decel, 2.0 * decel, off + params.horizon, state[:, 4:]))
+    table[5:] = per_ego.T[:, :, None]
+    table = table.reshape(11, -1)
 
     # A pair is ego * paths.count + path. A lane is a (path, lookup time)
     # row of ``lanes``, which doubles as its complex search key, with its
@@ -382,18 +366,16 @@ def _search_batch(
         # temporaries go, or are reused, as soon as they are used, so a
         # block's working set stays small
         del col, s, w
-        if not lone:
-            e = ego.take(lane_col // n_cand, axis=1)
-            dec, half, twice, limit, ego_xy = e[0], e[1], e[2], e[3], e[4:]
+        c = table.take(lane_col, axis=1)
+        dec, half, twice, limit = c[5], c[6], c[7], c[8]
         dxy = actor[:2]
-        dxy -= ego_xy
+        dxy -= c[9:11]
         dxy *= dxy
         gap_d = np.sqrt(dxy[0] + dxy[1])
         gap_d *= params.distance_margin
         v_actor = params.speed_margin * actor[2]
         del actor, dxy
         # the ego's hold-then-brake travel and speed at the probe
-        c = table.take(lane_col, axis=1)
         tau = at - c[0]
         braked = tau >= c[3]
         d2 = c[2] * tau
@@ -404,7 +386,7 @@ def _search_batch(
         gap_d -= c[1]
         gap_d -= d2
         gap_v = ve - v_actor
-        del c, tau, braked, d2, v_actor
+        del tau, braked, d2, v_actor
         hit = ((gap_d >= -ACCEPT_SLACK) & (gap_v <= ACCEPT_SLACK)).nonzero()[0]
         any_met = hit.shape[0]
         if any_met:
@@ -435,9 +417,7 @@ def _search_batch(
             keep &= lane_col < best.take(lane_pair)
         keep = keep.nonzero()[0]
         # what is per lane above belongs to the lanes before they leave
-        del gap_d, gap_v, ve, root, advance
-        if not lone:
-            del e, dec, half, twice, limit, ego_xy
+        del c, dec, half, twice, limit, gap_d, gap_v, ve, root, advance
         if not keep.shape[0]:
             break
         lanes = lanes.take(keep, axis=0)
@@ -464,7 +444,7 @@ def search_paths(
     serves every pair.
     """
     gis, probes = _search_batch(egos, offsets, paths, l0, params)
-    return [_estimate(gi, probe, params, 0) for gi, probe in zip(gis, probes)]
+    return [_estimate(gi, probe, params) for gi, probe in zip(gis, probes)]
 
 
 def _rank_key(est: LatencyEstimate) -> float:
@@ -482,37 +462,37 @@ def aggregate_actor_latency(
     probability-weighted ``mean``, and ``percentile`` which sorts latencies
     ascending and takes rank ceil((100 - n)/100 * count) from the bottom, so
     n = 100 selects the minimum. Infeasible entries rank as latency 0; if
-    the selected entry is infeasible the aggregate is infeasible.
+    the selected entry is infeasible the aggregate is infeasible. The
+    result's ``trajectory_index`` is the position in ``estimates`` of the
+    entry that binds it (for ``mean``, the lowest-ranked entry).
     """
     if not estimates:
         raise ValueError("no estimates to aggregate")
-    if len(estimates) == 1:
-        return estimates[0][0]
-
+    count = len(estimates)
     agg = params.aggregator
-    if agg == "mean":
+    if count == 1:
+        pos = 0
+    elif agg == "mean":
         total_w = sum(w for _, w in estimates)
         if total_w <= 0.0:
             raise ValueError("probabilities sum to 0")
         mean = sum(_rank_key(e) * w for e, w in estimates) / total_w
+        worst = min(range(count), key=lambda i: _rank_key(estimates[i][0]))
         if mean <= 0.0:
-            return INFEASIBLE
-        worst = min(estimates, key=lambda ew: _rank_key(ew[0]))
+            return LatencyEstimate(latency=None, trajectory_index=worst)
         latency = min(params.latency_max, max(params.latency_min, mean))
-        return LatencyEstimate(
-            latency=latency, probe_time=None, trajectory_index=worst[0].trajectory_index
-        )
-
-    ordered = sorted((e for e, _ in estimates), key=_rank_key)
-    if agg == "min":
-        chosen = ordered[0]
-    elif agg == "max":
-        chosen = ordered[-1]
-    else:  # percentile
-        count = len(ordered)
-        rank = max(1, math.ceil((100.0 - params.percentile) / 100.0 * count))
-        chosen = ordered[min(rank, count) - 1]
-    return chosen
+        return LatencyEstimate(latency=latency, probe_time=None, trajectory_index=worst)
+    else:
+        ordered = sorted(range(count), key=lambda i: _rank_key(estimates[i][0]))
+        if agg == "min":
+            pos = ordered[0]
+        elif agg == "max":
+            pos = ordered[-1]
+        else:  # percentile
+            rank = max(1, math.ceil((100.0 - params.percentile) / 100.0 * count))
+            pos = ordered[min(rank, count) - 1]
+    chosen = estimates[pos][0]
+    return LatencyEstimate(chosen.latency, chosen.probe_time, pos)
 
 
 @dataclass(frozen=True)
@@ -599,7 +579,7 @@ def evaluate_scene(
     """One full tick: per-actor latencies and per-camera required rates.
 
     Every trajectory of every actor goes through one batched search from
-    this one ego (``_search_batch`` with offset 0.0), which gives the same
+    this one ego (``search_paths`` with offset 0.0), which gives the same
     estimates as ``tolerable_latency`` on each trajectory. Trajectory
     probabilities weight the aggregation; camera membership is evaluated on
     each actor's position now (the first sample of its first trajectory).
@@ -608,18 +588,13 @@ def evaluate_scene(
     for aid, trajs in actor_trajectories.items():
         if not trajs:
             raise ValueError(f"actor {aid!r} has no trajectories")
-    flat = [traj.columns() for trajs in actor_trajectories.values() for traj in trajs]
-    gis, probes = (
-        _search_batch((ego,), (0.0,), path_table(flat), l0, params) if flat else ([], [])
-    )
-    estimates: dict[str, list[tuple[LatencyEstimate, float]]] = {}
-    positions_now: dict[str, tuple[float, float]] = {}
-    k = 0
-    for aid, trajs in actor_trajectories.items():
-        estimates[aid] = [
-            (_estimate(gis[k + i], probes[k + i], params, i), traj.probability)
-            for i, traj in enumerate(trajs)
-        ]
-        k += len(trajs)
-        positions_now[aid] = (trajs[0].x.item(0), trajs[0].y.item(0))
+    paths = path_table([traj.columns() for trajs in actor_trajectories.values() for traj in trajs])
+    found = iter(search_paths((ego,), (0.0,), paths, l0, params))
+    estimates = {
+        aid: [(next(found), traj.probability) for traj in trajs]
+        for aid, trajs in actor_trajectories.items()
+    }
+    positions_now = {
+        aid: (trajs[0].x.item(0), trajs[0].y.item(0)) for aid, trajs in actor_trajectories.items()
+    }
     return scene_reports(ego, estimates, positions_now, cameras, params)

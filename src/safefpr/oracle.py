@@ -134,20 +134,14 @@ def _scan_grid(
     return grid[(grid >= t_react) & (grid <= horizon)]
 
 
-def feasible_latency_scan(
+def _first_feasible_probe(
     ego0: KinematicState,
     traj: Trajectory,
     l0: float,
     latency: float,
     params: ModelParams,
-    return_witness: bool = False,
-) -> bool | tuple[bool, float | None]:
-    """Exhaustively test one latency over the probe-time grid.
-
-    True iff some probe time between the reaction time and the horizon
-    satisfies both safety constraints. ``latency`` may be 0 to probe the
-    zero-latency limit of a scenario.
-    """
+) -> float | None:
+    """The earliest scan-grid probe time at which both constraints hold, or None."""
     if latency < 0.0:
         raise ValueError("latency must be >= 0")
     l0_eff = resolve_l0(latency, l0, params)
@@ -160,7 +154,7 @@ def feasible_latency_scan(
 
     grid = _scan_grid(traj, t_react, vr, decel, params)
     if len(grid) == 0:
-        return (False, None) if return_witness else False
+        return None
 
     d, ve = _ego_at(grid, ego0.v, ego0.a, t_react, decel)
     ts, xs, ys, vs = traj.columns()
@@ -171,11 +165,24 @@ def feasible_latency_scan(
     ok = (params.distance_margin * sep - d >= -FLOAT_SLACK) & (
         ve <= params.speed_margin * av + FLOAT_SLACK
     )
-    if not return_witness:
-        return bool(ok.any())
-    if ok.any():
-        return True, float(grid[int(np.argmax(ok))])
-    return False, None
+    first = int(ok.argmax())  # the first True, or 0 when there is none
+    return float(grid[first]) if ok[first] else None
+
+
+def feasible_latency_scan(
+    ego0: KinematicState,
+    traj: Trajectory,
+    l0: float,
+    latency: float,
+    params: ModelParams,
+) -> bool:
+    """Exhaustively test one latency over the probe-time grid.
+
+    True iff some probe time between the reaction time and the horizon
+    satisfies both safety constraints. ``latency`` may be 0 to probe the
+    zero-latency limit of a scenario.
+    """
+    return _first_feasible_probe(ego0, traj, l0, latency, params) is not None
 
 
 def oracle_best_latency(
@@ -186,8 +193,8 @@ def oracle_best_latency(
 ) -> OracleVerdict:
     """Largest grid latency that passes the exhaustive scan."""
     for latency in params.latency_grid:
-        ok, witness = feasible_latency_scan(ego0, traj, l0, latency, params, return_witness=True)
-        if ok:
+        witness = _first_feasible_probe(ego0, traj, l0, latency, params)
+        if witness is not None:
             return OracleVerdict(feasible=True, best_latency=latency, probe_time=witness)
     return OracleVerdict(feasible=False, best_latency=None)
 

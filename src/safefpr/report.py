@@ -75,14 +75,10 @@ def recorded_estimates(
     actor_ids = trace.actor_ids
     ticks = trace.ticks
     n = len(actor_ids)
-    if not n:
-        for k in range(len(ticks)):
-            yield k, {}
-        return
     l0 = trace.operating_latency()
     fixed = params.replace(l0_policy=L0_FIXED)
     paths = path_table([trace.actor_columns(aid) for aid in actor_ids])
-    block = max(1, BLOCK_LANES // (n * len(params.latency_grid)))
+    block = max(1, BLOCK_LANES // (max(1, n) * len(params.latency_grid)))
     for start in range(0, len(ticks), block):
         part = ticks[start : start + block]
         egos, offsets = [tick.ego for tick in part], [tick.t for tick in part]

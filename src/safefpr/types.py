@@ -6,6 +6,7 @@ in Hz; mph exists only at the CLI presentation layer.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import numbers
@@ -71,6 +72,26 @@ class KinematicState:
         object.__setattr__(self, "heading", normalize_angle(self.heading))
 
 
+def path_state(cols: Sequence[Sequence[float]], t: float) -> tuple[float, float, float]:
+    """``(x, y, speed)`` at time t >= 0 on a path's t, x, y and v sample lists ``cols``.
+
+    This is how the batched search reads a path: the final state from the
+    last sample time on, and otherwise linear on the segment that ends at
+    or after t. At an interior sample time that is the end of the segment
+    leading to it, which may differ from the sample itself by an ulp.
+    """
+    ts, xs, ys, vs = cols
+    if t >= ts[-1]:
+        return (xs[-1], ys[-1], vs[-1])
+    i = bisect.bisect_left(ts, t, 1, len(ts) - 1)
+    w = (t - ts[i - 1]) / (ts[i] - ts[i - 1])
+    return (
+        xs[i - 1] + w * (xs[i] - xs[i - 1]),
+        ys[i - 1] + w * (ys[i] - ys[i - 1]),
+        vs[i - 1] + w * (vs[i] - vs[i - 1]),
+    )
+
+
 class _Samples(Sequence):
     """``(t, KinematicState)`` pairs read from a trajectory's columns.
 
@@ -120,11 +141,12 @@ class Trajectory:
 
     The columns ``t``, ``x``, ``y`` and ``v`` hold one entry per sample:
     finite, strictly increasing times starting at t = 0, finite positions
-    and finite speeds >= 0. They are read-only float64 arrays: copies of the
-    sequences passed in, or views into the block given to ``from_block``.
-    Queries between samples linearly interpolate position and speed;
-    queries past the last sample hold the final state (a finite prediction
-    horizon is extended conservatively).
+    and finite speeds >= 0. They are the rows of one read-only float64
+    (4, samples) block (``columns()``): a copy of the sequences passed in,
+    or a view into the block given to ``from_block``. Queries between
+    samples linearly interpolate position and speed; queries past the last
+    sample hold the final state (a finite prediction horizon is extended
+    conservatively).
     """
 
     t: np.ndarray
@@ -132,6 +154,7 @@ class Trajectory:
     y: np.ndarray
     v: np.ndarray
     probability: float = 1.0
+    _block: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         # one owned block: the caller keeps no handle through which to write
@@ -143,6 +166,7 @@ class Trajectory:
             raise ValueError("trajectory columns must be equal-length sequences")
         cols.setflags(write=False)
         _check_columns(cols, (self.probability,))
+        object.__setattr__(self, "_block", cols)
         object.__setattr__(self, "t", cols[0])
         object.__setattr__(self, "x", cols[1])
         object.__setattr__(self, "y", cols[2])
@@ -171,8 +195,9 @@ class Trajectory:
         out = []
         for i, probability in enumerate(probabilities):
             traj = object.__new__(cls)
+            rows = block[i]
             vars(traj).update(
-                t=block[i, 0], x=block[i, 1], y=block[i, 2], v=block[i, 3], probability=probability
+                t=rows[0], x=rows[1], y=rows[2], v=rows[3], probability=probability, _block=rows
             )
             out.append(traj)
         return out
@@ -196,26 +221,13 @@ class Trajectory:
         """The samples as ``(t, KinematicState)`` pairs, built from the columns."""
         return _Samples(self)
 
-    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """(times, xs, ys, speeds)."""
-        return self.t, self.x, self.y, self.v
+    def columns(self) -> np.ndarray:
+        """The read-only (4, samples) block whose rows are ``t``, ``x``, ``y`` and ``v``."""
+        return self._block
 
     def state_at(self, t: float) -> tuple[float, float, float]:
-        """Interpolated ``(x, y, speed)`` at time t >= 0."""
-        ts, xs, ys, vs = self.t, self.x, self.y, self.v
-        if t >= ts[-1]:
-            return (xs.item(-1), ys.item(-1), vs.item(-1))
-        if t <= 0.0:
-            return (xs.item(0), ys.item(0), vs.item(0))
-        i = int(ts.searchsorted(t, side="right"))
-        t0, t1 = ts.item(i - 1), ts.item(i)
-        w = (t - t0) / (t1 - t0)
-        x0, y0, v0 = xs.item(i - 1), ys.item(i - 1), vs.item(i - 1)
-        return (
-            x0 + w * (xs.item(i) - x0),
-            y0 + w * (ys.item(i) - y0),
-            v0 + w * (vs.item(i) - v0),
-        )
+        """Interpolated ``(x, y, speed)`` at time t >= 0 (see ``path_state``)."""
+        return path_state(self._block.tolist(), t)
 
 
 # How the reference latency l0 (the latency the system currently runs at) is
@@ -233,6 +245,8 @@ AGGREGATORS = ("min", "max", "mean", "percentile")
 
 
 MAX_GRID_SIZE = 10_000  # latency candidates; bounds the search's work and memory
+# horizon / fine_dt, the oracle's scan points per latency; about 72 B each
+MAX_SCAN_POINTS = 10**6
 # the search computes with the counts as floats, which hold every integer
 # up to 2**53 exactly
 _MAX_COUNT = 2**53
@@ -314,6 +328,11 @@ class ModelParams:
             raise ValueError("fine_dt must be > 0")
         if not self.horizon > self.latency_max:
             raise ValueError("horizon must exceed latency_max")
+        if not self.horizon / self.fine_dt <= MAX_SCAN_POINTS:
+            raise ValueError(
+                f"horizon / fine_dt may be at most {MAX_SCAN_POINTS} oracle scan points, "
+                f"got horizon={self.horizon!r}, fine_dt={self.fine_dt!r}"
+            )
         span = (self.latency_max - self.latency_min) / self.latency_step + 1e-9
         if not span < MAX_GRID_SIZE:
             raise ValueError(f"the latency grid may hold at most {MAX_GRID_SIZE} candidates")
@@ -343,7 +362,8 @@ class LatencyEstimate:
     ``latency`` is None when no latency on the search grid satisfies the
     safety constraints (an unavoidable collision under the model).
     ``probe_time`` is the future time at which the constraints were met and
-    ``trajectory_index`` identifies the trajectory that bound the estimate.
+    ``trajectory_index`` is the position of the trajectory that bound an
+    aggregated estimate (``aggregate_actor_latency``); a search sets 0.
     """
 
     latency: float | None

@@ -209,10 +209,7 @@ class TestEvaluateSceneParity:
         per_actor, _ = evaluate_scene(ego, actors, DEFAULT_CAMERA_RIG, l0, params)
         searched = []
         for aid, trajs in actors.items():
-            ests = [
-                (tolerable_latency(ego, traj, l0, params, trajectory_index=i), traj.probability)
-                for i, traj in enumerate(trajs)
-            ]
+            ests = [(tolerable_latency(ego, traj, l0, params), traj.probability) for traj in trajs]
             searched += [(est, traj) for (est, _), traj in zip(ests, trajs)]
             want = aggregate_actor_latency(ests, params)
             got = per_actor[aid]
@@ -310,9 +307,9 @@ class TestEvaluateSceneParity:
 class TestSeveralEgos:
     """One ``search_paths`` call over several egos equals one call per ego.
 
-    Every lane does the same float operations whether its ego's values are
-    scalars (a lone ego) or per-lane arrays, so the results are equal to
-    the bit.
+    Every lane reads its ego's values from its own column of the kernel's
+    table, whether the call has one ego or many, so the results are equal
+    to the bit.
     """
 
     def test_seeded_egos_and_scenes(self):
@@ -334,6 +331,21 @@ class TestSeveralEgos:
             assert together == alone
             assert any(est.infeasible for est in alone)
             assert any(not est.infeasible for est in alone)
+
+
+class TestNoPaths:
+    def test_search_over_an_empty_table(self):
+        paths = path_table([])
+        assert paths.count == 0
+        egos = [KinematicState(0.0, 0.0, 10.0), KinematicState(5.0, 0.0, 20.0)]
+        assert search_paths(egos, [0.0, 1.0], paths, 1 / 30, ModelParams()) == []
+
+    def test_scene_without_actors(self, params):
+        per_actor, reports = evaluate_scene(
+            KinematicState(0.0, 0.0, 10.0), {}, DEFAULT_CAMERA_RIG, 1 / 30, params
+        )
+        assert per_actor == {}
+        assert {rep.fpr for rep in reports.values()} == {params.fpr_bounds()[0]}
 
 
 class TestConstantSeparationAnalytic:
@@ -422,6 +434,23 @@ class TestAggregation:
     def test_empty_rejected(self, params):
         with pytest.raises(ValueError):
             aggregate_actor_latency([], params)
+
+    @pytest.mark.parametrize("agg,want", [("min", 2), ("max", 1), ("percentile", 3), ("mean", 2)])
+    def test_binding_entry_position(self, agg, want):
+        # rank 2 of 4 from the bottom under percentile 50; mean names its
+        # lowest-ranked entry
+        params = ModelParams(aggregator=agg, percentile=50.0)
+        ests = [(self._est(l), 0.25) for l in (0.6, 0.9, 0.3, 0.5)]
+        got = aggregate_actor_latency(ests, params)
+        assert got.trajectory_index == want
+        if agg != "mean":
+            bound = ests[want][0]
+            assert (got.latency, got.probe_time) == (bound.latency, bound.probe_time)
+
+    def test_infeasible_entry_position(self):
+        params = ModelParams(aggregator="min")
+        got = aggregate_actor_latency([(self._est(0.5), 0.5), (INFEASIBLE, 0.5)], params)
+        assert got.infeasible and got.trajectory_index == 1
 
 
 class TestCameraFpr:

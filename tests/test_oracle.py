@@ -7,6 +7,7 @@ from safefpr import (
     KinematicState,
     ModelParams,
     Trajectory,
+    braking_profile,
     collision_check,
     feasible_latency_scan,
     oracle_best_latency,
@@ -44,12 +45,36 @@ class TestScan:
         ego = KinematicState(0, 0, 17.88)
         assert feasible_latency_scan(ego, static_actor_trajectory(40.0), 0.5, 0.0, params)
 
+    def test_verdict_is_a_bool(self, params):
+        ego = KinematicState(0, 0, 11.18)
+        for latency in (0.0, 0.5, params.latency_max):
+            got = feasible_latency_scan(ego, static_actor_trajectory(30.0), 0.5, latency, params)
+            assert type(got) is bool
+
     def test_negative_latency_rejected(self, params):
         with pytest.raises(ValueError):
             feasible_latency_scan(KinematicState(0, 0, 1.0), static_actor_trajectory(30.0), 0.5, -0.1, params)
 
 
 class TestBestLatency:
+    def test_witness_meets_both_constraints(self):
+        rng = np.random.default_rng(27)
+        checked = 0
+        for i in range(60):
+            ego, traj, l0 = random_case(rng)
+            p = corpus_params(i)
+            verdict = oracle_best_latency(ego, traj, l0, p)
+            if not verdict.feasible:
+                continue
+            prof = braking_profile(ego, verdict.best_latency, l0, verdict.probe_time, p)
+            assert prof.reaction_time - 1e-12 <= verdict.probe_time <= p.horizon
+            ax, ay, av = traj.state_at(verdict.probe_time)
+            sep = math.hypot(ax - ego.x, ay - ego.y)
+            assert p.distance_margin * sep - prof.total_distance >= -1e-6
+            assert prof.end_speed <= p.speed_margin * av + 1e-6
+            checked += 1
+        assert checked > 20
+
     def test_receding_actor_best_is_max(self, params):
         verdict = oracle_best_latency(KinematicState(0, 0, 0.0), receding_trajectory(), 1.0, params)
         assert verdict.feasible

@@ -408,6 +408,8 @@ class TestCli:
             ["sweep", "--sn", "30", "--ve0-max", "10", "--van-max", "10", "--steps", "2",
              "--params", "{bool_l0}"],
             ["analyze", "--trace", "{scripted}", "--mrf", "--params", "{no_integer_rate}"],
+            ["sweep", "--sn", "30", "--ve0-max", "10", "--van-max", "10", "--steps", "2",
+             "--params", "{fine_scan}"],
         ],
     )
     def test_bad_input_exits_2(self, tmp_path, argv):
@@ -430,6 +432,7 @@ class TestCli:
         (tmp_path / "string_l0.json").write_text('{"l0": "0.5"}')
         (tmp_path / "bool_l0.json").write_text('{"l0": true}')
         (tmp_path / "no_integer_rate.json").write_text('{"latency_min": 0.4, "latency_max": 0.45}')
+        (tmp_path / "fine_scan.json").write_text('{"fine_dt": 1e-9}')
         (tmp_path / "string_dt_trace.jsonl").write_text(text.replace('"dt": 0.1', '"dt": "0.1"', 1))
         (tmp_path / "bool_speed_trace.jsonl").write_text(text.replace('"v": 0.0', '"v": true', 1))
         (tmp_path / "list_script.json").write_text("[1]")
@@ -442,7 +445,7 @@ class TestCli:
             ("fractional_frames", "fractional_frames.json"), ("nan_l0", "nan_l0.json"),
             ("list_script", "list_script.json"), ("inf_speed_script", "inf_speed_script.json"),
             ("string_l0", "string_l0.json"), ("bool_l0", "bool_l0.json"),
-            ("no_integer_rate", "no_integer_rate.json"),
+            ("no_integer_rate", "no_integer_rate.json"), ("fine_scan", "fine_scan.json"),
             ("string_dt_trace", "string_dt_trace.jsonl"),
             ("bool_speed_trace", "bool_speed_trace.jsonl"),
         ]}

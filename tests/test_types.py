@@ -109,6 +109,38 @@ class TestTrajectory:
         assert (x, y) == (5.0, 1.0)
         assert v == pytest.approx(2.0)
 
+    def test_sample_time_reads_the_segment_leading_to_it(self):
+        # the batched search's rule: at an interior sample time the path is
+        # the end of the segment before it, x0 + 1.0 * (x1 - x0), which here
+        # is an ulp off the sample itself
+        traj = Trajectory(
+            t=(0.0, 0.4, 0.8, 1.2), x=(-26.2, 4.42, -26.2, 4.42), y=(1.0, 2.0, 0.5, 0.0),
+            v=(3.0, 1.0, 2.0, 4.0),
+        )
+        t, x, y, v = (col.tolist() for col in traj.columns())
+        for k in (1, 2):
+            w = (t[k] - t[k - 1]) / (t[k] - t[k - 1])
+            assert traj.state_at(t[k]) == (
+                x[k - 1] + w * (x[k] - x[k - 1]),
+                y[k - 1] + w * (y[k] - y[k - 1]),
+                v[k - 1] + w * (v[k] - v[k - 1]),
+            )
+        assert traj.state_at(0.4)[0] != 4.42
+        assert traj.state_at(0.0) == (-26.2, 1.0, 3.0)
+        assert traj.state_at(1.2) == (4.42, 0.0, 4.0)
+
+    def test_columns_is_the_read_only_block(self):
+        start = KinematicState(1.0, 2.0, 3.0, 0.5)
+        for traj in (
+            Trajectory.from_states(((0.0, self.ST), (2.0, start))),
+            straight_line_trajectory(start, duration=2.0),
+        ):
+            block = traj.columns()
+            assert block.shape == (4, traj.t.shape[0])
+            assert not block.flags.writeable
+            for row, col in zip(block, (traj.t, traj.x, traj.y, traj.v)):
+                assert np.shares_memory(row, col) and row.tolist() == col.tolist()
+
 
 class TestModelParams:
     def test_default_grid(self):
@@ -159,11 +191,19 @@ class TestModelParams:
             {"horizon": 10**400},
             {"latency_step": 1e-9},
             {"latency_step": 5e-324},
+            {"fine_dt": 1e-9},
+            {"horizon": 1e9},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ModelParams(**kwargs)
+
+    def test_largest_scan_accepted(self):
+        p = ModelParams(horizon=100.0, fine_dt=1e-4)
+        assert p.horizon / p.fine_dt == 10**6
+        with pytest.raises(ValueError, match="horizon.*fine_dt"):
+            ModelParams(horizon=100.0, fine_dt=math.nextafter(1e-4, 0.0))
 
     def test_largest_grid_accepted(self):
         p = ModelParams(latency_min=1e-4, latency_step=1e-4)
