@@ -19,12 +19,19 @@ Two modes:
 
 Frame schedules are quantized to the tick grid: a frame due mid-tick is
 processed at the next tick boundary, adding at most one tick of delay.
+
+A run is split in two. The scripted actors and the cruising ego do not
+depend on the frame rate, so ``_World`` simulates them, and what the
+cruising ego perceives, once; ``_run`` replays a world with one frame
+schedule and steps its own ego only once the brakes engage. The MRF scan
+(``oracle.scenario_mrf``) runs every rate against one world.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .geometry import DEFAULT_CAMERA_RIG, fov_members
@@ -97,18 +104,17 @@ class _Actor:
 
 
 class _Ego:
-    def __init__(self, lane: int, speed: float, brake_decel: float):
-        self.s = 0.0
-        self.lane = float(lane)
+    """Road-frame ego: cruises at its speed, or brakes to a stop once ``braking``."""
+
+    def __init__(self, s: float, lane: float, speed: float, brake_decel: float, braking: bool):
+        self.s = s
+        self.lane = lane
         self.v = speed
         self.a = 0.0
         self.brake_decel = brake_decel
-        self.braking = False
-        self.brake_at: float | None = None  # scheduled engage time
+        self.braking = braking
 
-    def advance(self, t: float, dt: float) -> None:
-        if self.brake_at is not None and t >= self.brake_at:
-            self.braking = True
+    def advance(self, dt: float) -> None:
         v0 = self.v
         if self.braking and self.v > 0.0:
             self.v = max(0.0, self.v - self.brake_decel * dt)
@@ -132,21 +138,126 @@ def _world_state(road, s: float, lane: float, v: float, a: float) -> KinematicSt
     return KinematicState(x=x, y=y, v=v, a=a, heading=heading)
 
 
-def _dangerous(ego: _Ego, actor: _Actor, road, params: ModelParams) -> bool:
-    """Kinematic brake trigger for one same-lane-ahead actor."""
-    if actor.s <= ego.s:
+def _dangerous(ego: tuple, actor: tuple, road, params: ModelParams) -> bool:
+    """Kinematic brake trigger for one same-lane-ahead actor.
+
+    ``ego`` and ``actor`` are each (s, lane, v) on the road.
+    """
+    ego_s, ego_lane, ego_v = ego
+    s, lane, v = actor
+    if s <= ego_s:
         return False
-    lateral = abs(road.lane_offset(actor.lane) - road.lane_offset(ego.lane))
+    lateral = abs(road.lane_offset(lane) - road.lane_offset(ego_lane))
     if lateral > road.lane_width * LANE_CLAIM_FRACTION:
         return False
-    gap = actor.s - ego.s - STANDSTILL_GAP
+    gap = s - ego_s - STANDSTILL_GAP
     decel = braking_decel(0.0, params)
-    if ego.v > actor.v:
-        need = (ego.v * ego.v - actor.v * actor.v) / (2.0 * decel) / params.distance_margin
+    if ego_v > v:
+        need = (ego_v * ego_v - v * v) / (2.0 * decel) / params.distance_margin
     else:
         need = 0.0
-    need += ego.v * CRUISE_HEADWAY
+    need += ego_v * CRUISE_HEADWAY
     return gap < need
+
+
+@dataclass(slots=True)
+class _Tick:
+    """The scripted world at one tick, as the cruising ego meets it."""
+
+    ego_s: float                               # cruising ego's arc position
+    actors: dict[str, KinematicState]
+    actor_road: dict[str, tuple[float, float, float]]  # actor id -> (s, lane, v)
+    ego: KinematicState | None = None          # cruising ego, built when first read
+    # FOV members per camera id, and whether each actor is dangerous
+    perception: tuple[dict[str, set[str]], dict[str, bool]] | None = None
+
+
+class _World:
+    """The part of a run that no frame rate changes, simulated once per script.
+
+    Actors follow only their scripted events, and the ego cruises the same
+    path until a run engages its brakes, so every run of a script meets the
+    same world until then. A tick is simulated the first time a run reads
+    it, and its perception the first time a run processes a frame there.
+
+    With ``keep`` every simulated tick is kept for later runs to replay.
+    Without it only one run can read the world, and it holds no tick that
+    run has passed: a lone run that kept its ticks ran up to a quarter slower.
+    """
+
+    def __init__(self, script: ScenarioScript, params: ModelParams, *, keep: bool = True):
+        self.script = script
+        self.params = params
+        self.n_ticks = int(round(script.duration / ENGINE_DT))
+        self._ego = _Ego(
+            0.0, float(script.ego_lane), script.ego_speed, braking_decel(0.0, params),
+            braking=False,
+        )
+        self._actors = [_Actor(a) for a in script.actors]
+        self._keep = keep
+        self._kept: list[_Tick] = []
+        self._simulated = 0  # ticks simulated so far
+
+    def ticks(self) -> Iterator[_Tick]:
+        """Every tick in order, simulating each the first time a run reads it."""
+        kept = self._kept
+        for i in range(self.n_ticks + 1):
+            if i < len(kept):
+                yield kept[i]
+                continue
+            if i != self._simulated:
+                raise RuntimeError("a world that keeps no ticks is read by one run only")
+            if i:
+                t = (i - 1) * ENGINE_DT
+                self._ego.advance(ENGINE_DT)
+                for actor in self._actors:
+                    actor.advance(t + ENGINE_DT, ENGINE_DT)
+            self._simulated += 1
+            tick = self._snapshot()
+            if self._keep:
+                kept.append(tick)
+            yield tick
+
+    def _snapshot(self) -> _Tick:
+        road = self.script.road
+        return _Tick(
+            self._ego.s,
+            {a.actor_id: _world_state(road, a.s, a.lane, a.v, a.a) for a in self._actors},
+            {a.actor_id: (a.s, a.lane, a.v) for a in self._actors},
+        )
+
+    def cruising_ego(self, tick: _Tick) -> KinematicState:
+        """The cruising ego at ``tick`` in the world frame."""
+        if tick.ego is None:
+            ego = self._ego
+            tick.ego = _world_state(self.script.road, tick.ego_s, ego.lane, ego.v, ego.a)
+        return tick.ego
+
+    def braking_ego(self, tick: _Tick) -> _Ego:
+        """The cruising ego at ``tick``, with its brakes engaged."""
+        ego = self._ego
+        return _Ego(tick.ego_s, ego.lane, ego.v, ego.brake_decel, braking=True)
+
+    def perception(self, tick: _Tick) -> tuple[dict[str, set[str]], dict[str, bool]]:
+        """What the cruising ego perceives at ``tick``: the FOV members per
+        camera id, and whether each actor is dangerous. Judged once per tick
+        for every run."""
+        if tick.perception is None:
+            road, ego = self.script.road, (tick.ego_s, self._ego.lane, self._ego.v)
+            positions = {aid: (st.x, st.y) for aid, st in tick.actors.items()}
+            tick.perception = (
+                fov_members(self.cruising_ego(tick), positions, DEFAULT_CAMERA_RIG),
+                {
+                    aid: _dangerous(ego, state, road, self.params)
+                    for aid, state in tick.actor_road.items()
+                },
+            )
+        return tick.perception
+
+
+def _check_collision_radius(collision_radius: float) -> None:
+    if not 0.0 <= collision_radius < math.inf:
+        raise ValueError(f"collision_radius must be finite and >= 0, got {collision_radius}")
 
 
 def run_scenario(
@@ -169,17 +280,43 @@ def run_scenario(
     """
     if (frame_rate is None) == (not adaptive):
         raise ValueError("pass either frame_rate or adaptive=True")
-    if not 0.0 <= collision_radius < math.inf:
-        raise ValueError(f"collision_radius must be finite and >= 0, got {collision_radius}")
+    _check_collision_radius(collision_radius)
     floor_fpr, cap_fpr = params.fpr_bounds()
     if frame_rate is not None and not floor_fpr <= frame_rate <= cap_fpr:
         raise ValueError(f"frame_rate must be within [{floor_fpr}, {cap_fpr}]")
+    return _run(
+        _World(script, params, keep=False),
+        frame_rate=frame_rate,
+        adaptive=adaptive,
+        budget=budget,
+        collision_radius=collision_radius,
+        seed=seed,
+        record=record,
+    )
 
+
+def _run(
+    world: _World,
+    *,
+    frame_rate: float | None,
+    adaptive: bool,
+    budget: Budget | None,
+    collision_radius: float,
+    seed: int,
+    record: bool,
+) -> RunResult:
+    """One closed-loop run over ``world``, with arguments ``run_scenario`` checked.
+
+    The run owns everything a frame rate changes: the frame schedule, the
+    confirmations, when the brakes engage, the braking ego from then on,
+    the collision test and, in adaptive mode, estimation and allocation.
+    Until its brakes engage the ego is the world's cruising ego.
+    """
+    script, params = world.script, world.params
     road = script.road
-    ego = _Ego(script.ego_lane, script.ego_speed, braking_decel(0.0, params))
-    actors = [_Actor(a) for a in script.actors]
-    fixed_params = params.replace(l0_policy=L0_FIXED)
     cameras = DEFAULT_CAMERA_RIG
+    fixed_params = params.replace(l0_policy=L0_FIXED)
+    cap_fpr = params.fpr_bounds()[1]
 
     rng = random.Random(seed)
     rates = {c.camera_id: (frame_rate if frame_rate is not None else cap_fpr) for c in cameras}
@@ -187,6 +324,7 @@ def run_scenario(
         c.camera_id: rng.uniform(0.0, 1.0 / rates[c.camera_id]) if seed else 0.0
         for c in cameras
     }
+    camera_ids = tuple(next_frame)
     confirm_count: dict[tuple[str, str], int] = {}
     need_frames = max(1, params.confirmation_frames)
 
@@ -195,20 +333,29 @@ def run_scenario(
     camera_log: list[dict[str, FprReport]] = []
     allocations: list[tuple[float, dict[str, float]]] = []
     collision: tuple[float, str] | None = None
+    brake_at: float | None = None   # scheduled engage time
+    braking: _Ego | None = None     # the ego once its brakes have engaged
 
-    n_ticks = int(round(script.duration / ENGINE_DT))
-    for i in range(n_ticks + 1):
+    for i, tick in enumerate(world.ticks()):
         t = i * ENGINE_DT
-        ego_world = _world_state(road, ego.s, ego.lane, ego.v, ego.a)
-        actor_world = {
-            a.actor_id: _world_state(road, a.s, a.lane, a.v, a.a) for a in actors
-        }
+        actor_world = tick.actors
+        if braking is None:
+            ego_world = world.cruising_ego(tick)
+            ego_x, ego_y = ego_world.x, ego_world.y
+        else:
+            ego_x, ego_y, heading = road.to_world(braking.s, road.lane_offset(braking.lane))
+            # a fixed-rate run that records nothing reads only (x, y)
+            ego_world = (
+                KinematicState(x=ego_x, y=ego_y, v=braking.v, a=braking.a, heading=heading)
+                if record or adaptive
+                else None
+            )
 
         if record:
             ticks.append(TickRecord(t=t, ego=ego_world, actors=dict(actor_world)))
 
         for aid, st in actor_world.items():
-            if math.hypot(st.x - ego_world.x, st.y - ego_world.y) < collision_radius:
+            if math.hypot(st.x - ego_x, st.y - ego_y) < collision_radius:
                 collision = (t, aid)
                 break
         if collision:
@@ -240,28 +387,27 @@ def run_scenario(
                 allocations.append((t, dict(rates)))
 
         # process camera frames that came due this tick; what each camera
-        # sees, and which actors are dangerous, holds for the whole tick
-        due = [c.camera_id for c in cameras if next_frame[c.camera_id] <= t]
-        if due and ego.brake_at is None:
-            positions = {aid: (st.x, st.y) for aid, st in actor_world.items()}
-            members = fov_members(ego_world, positions, cameras)
-            danger = {a.actor_id: _dangerous(ego, a, road, params) for a in actors}
-        for cid in due:
-            while next_frame[cid] <= t:
-                next_frame[cid] += 1.0 / rates[cid]
-                if ego.brake_at is not None:
-                    continue
-                for aid in members[cid]:
-                    key = (cid, aid)
-                    count = confirm_count.get(key, 0) + 1 if danger[aid] else 0
-                    confirm_count[key] = count
-                    if count >= need_frames:
-                        ego.brake_at = t + 1.0 / rates[cid]  # processing latency
-                        break
+        # sees, and which actors are dangerous, holds for the whole tick.
+        # Once the brakes are scheduled no frame changes the run.
+        if brake_at is None:
+            due = [cid for cid in camera_ids if next_frame[cid] <= t]
+            if due:
+                members, danger = world.perception(tick)
+            for cid in due:
+                while brake_at is None and next_frame[cid] <= t:
+                    next_frame[cid] += 1.0 / rates[cid]
+                    for aid in members[cid]:
+                        key = (cid, aid)
+                        count = confirm_count.get(key, 0) + 1 if danger[aid] else 0
+                        confirm_count[key] = count
+                        if count >= need_frames:
+                            brake_at = t + 1.0 / rates[cid]  # processing latency
+                            break
 
-        ego.advance(t + ENGINE_DT, ENGINE_DT)
-        for actor in actors:
-            actor.advance(t + ENGINE_DT, ENGINE_DT)
+        if braking is None and brake_at is not None and t + ENGINE_DT >= brake_at:
+            braking = world.braking_ego(tick)
+        if braking is not None:
+            braking.advance(ENGINE_DT)
 
     trace = None
     if record:
@@ -282,7 +428,7 @@ def run_scenario(
         script=script,
         trace=trace,
         collision=collision,
-        brake_time=ego.brake_at,
+        brake_time=brake_at,
         alarms=alarms,
         camera_log=camera_log,
         allocations=allocations,

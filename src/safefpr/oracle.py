@@ -251,17 +251,24 @@ def scenario_mrf(script, params: ModelParams, collision_radius: float = 2.0) -> 
     Runs the scenario (seed 0) at each of ``mrf_rates(params)``, fastest
     first, and stops at the first rate that collides. Returns the slowest
     rate that ran clean, or None when even the fastest rate collides.
-    ``collision_radius`` must be finite and >= 0.
+    ``collision_radius`` must be finite and >= 0. The scripted world is
+    simulated once; each rate replays only its frame schedule and, once it
+    brakes, its braking ego against it.
     """
-    from .engine import run_scenario  # engine imports the model, not the oracle
+    from . import engine  # engine imports the model, not the oracle
 
+    rates = mrf_rates(params)
+    engine._check_collision_radius(collision_radius)
+    world = engine._World(script, params)
     safe = None
-    for rate in mrf_rates(params):
-        result = run_scenario(
-            script,
-            params,
+    for rate in rates:
+        result = engine._run(
+            world,
             frame_rate=float(rate),
+            adaptive=False,
+            budget=None,
             collision_radius=collision_radius,
+            seed=0,
             record=False,
         )
         if result.collision is not None:

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from safefpr import (
+    Budget,
     KinematicState,
     ModelParams,
     PredictorConfig,
@@ -21,6 +22,7 @@ from safefpr import (
     save_trace,
     scenario_mrf,
 )
+from safefpr import engine
 from safefpr.geometry import DEFAULT_CAMERA_RIG
 from safefpr.scenarios import RoadSpec, script_from_dict, script_to_dict
 
@@ -397,21 +399,127 @@ class TestEngine:
         assert got == PINNED_OUTCOMES[family]
 
 
+# scenario_mrf per family at its defaults. At 0.5 m (criterion 6's radius)
+# vehicle_following is safe from 16 Hz; at the default 2.0 m, which
+# bench/golden.json records, it needs 18 Hz.
+PINNED_MRF = {
+    radius: {
+        "cut_out": 6,
+        "cut_out_fast": 6,
+        "cut_in": 1,
+        "challenging_cut_in": 4,
+        "challenging_cut_in_curved": 3,
+        "vehicle_following": following,
+        "front_right_activity_1": 1,
+        "front_right_activity_2": 1,
+        "front_right_activity_3": 1,
+    }
+    for radius, following in ((0.5, 16), (2.0, 18))
+}
+
+
+class TestSharedWorld:
+    """Runs that replay one world match fresh runs: nothing a run does leaks
+    into the world that the next run reads."""
+
+    @pytest.mark.parametrize("radius", [0.5, 2.0])
+    @pytest.mark.parametrize("family", sorted(PINNED_OUTCOMES))
+    def test_replays_match_fresh_runs(self, family, radius):
+        script, params = generate_scenario(family), ModelParams()
+        world = engine._World(script, params)
+        for seed in (0, 3):
+            for rate in range(30, 0, -1):
+                replay = engine._run(
+                    world, frame_rate=float(rate), adaptive=False, budget=None,
+                    collision_radius=radius, seed=seed, record=False,
+                )
+                fresh = run_scenario(
+                    script, params, frame_rate=float(rate), seed=seed,
+                    collision_radius=radius, record=False,
+                )
+                assert (replay.collision, replay.brake_time) == (
+                    fresh.collision, fresh.brake_time
+                ), (rate, seed)
+
+    def test_recorded_adaptive_run_on_a_read_world(self):
+        # the simulate --budget 90 path, on a world that fixed-rate runs
+        # read to its end (30 Hz) and into a collision (1 Hz) first
+        script, params = generate_scenario("cut_out_fast"), ModelParams()
+        read = engine._World(script, params)
+        for rate in (30.0, 1.0):
+            engine._run(
+                read, frame_rate=rate, adaptive=False, budget=None,
+                collision_radius=0.5, seed=0, record=False,
+            )
+        kwargs = dict(
+            frame_rate=None, adaptive=True, budget=Budget(90.0),
+            collision_radius=0.5, seed=3, record=True,
+        )
+        replay = engine._run(read, **kwargs)
+        fresh = engine._run(engine._World(script, params), **kwargs)
+        assert replay.camera_log and replay.alarms
+        for name in ("collision", "brake_time", "alarms", "camera_log", "allocations"):
+            assert getattr(replay, name) == getattr(fresh, name), name
+        buf_replay, buf_fresh = io.StringIO(), io.StringIO()
+        save_trace(replay.trace, buf_replay)
+        save_trace(fresh.trace, buf_fresh)
+        assert buf_replay.getvalue() == buf_fresh.getvalue()
+
+    def test_single_run_world_is_read_once(self):
+        world = engine._World(generate_scenario("cut_in"), ModelParams(), keep=False)
+        kwargs = dict(
+            frame_rate=30.0, adaptive=False, budget=None,
+            collision_radius=0.5, seed=0, record=False,
+        )
+        engine._run(world, **kwargs)
+        with pytest.raises(RuntimeError, match="one run"):
+            engine._run(world, **kwargs)
+
+
 class TestScenarioMrf:
     def test_stops_at_the_first_collision(self, monkeypatch):
-        # cut_out_fast is safe from 6 Hz up: 30 down to 6 run clean, 5 collides
-        from safefpr import engine
+        # cut_out_fast is safe from 6 Hz up: 30 down to 6 run clean, 5 collides;
+        # every rate replays the one world the call builds
+        rates, worlds = [], []
+        real_run, real_world = engine._run, engine._World
 
-        rates = []
-        real = engine.run_scenario
-
-        def counting(script, params, **kwargs):
+        def counting_run(world, **kwargs):
             rates.append(kwargs["frame_rate"])
-            return real(script, params, **kwargs)
+            return real_run(world, **kwargs)
 
-        monkeypatch.setattr(engine, "run_scenario", counting)
+        def counting_world(*args, **kwargs):
+            worlds.append(real_world(*args, **kwargs))
+            return worlds[-1]
+
+        monkeypatch.setattr(engine, "_run", counting_run)
+        monkeypatch.setattr(engine, "_World", counting_world)
         assert scenario_mrf(generate_scenario("cut_out_fast"), ModelParams()) == 6
         assert rates == [float(r) for r in range(30, 4, -1)]
+        assert len(worlds) == 1
+
+    @pytest.mark.parametrize(
+        "params, radius, match",
+        [
+            (ModelParams(), math.nan, "collision_radius"),
+            (ModelParams(), -1.0, "collision_radius"),
+            (ModelParams(latency_min=0.4, latency_max=0.45), 2.0, "no integer frame rate"),
+        ],
+    )
+    def test_bad_arguments_raise_before_a_world_is_built(self, monkeypatch, params, radius, match):
+        def no_world(*args, **kwargs):
+            raise AssertionError("a world was built")
+
+        monkeypatch.setattr(engine, "_World", no_world)
+        with pytest.raises(ValueError, match=match):
+            scenario_mrf(generate_scenario("cut_in"), params, collision_radius=radius)
+
+    @pytest.mark.parametrize("radius", sorted(PINNED_MRF))
+    def test_pinned_mrf(self, radius):
+        got = {
+            family: scenario_mrf(generate_scenario(family), ModelParams(), collision_radius=radius)
+            for family in list_families()
+        }
+        assert got == PINNED_MRF[radius]
 
     def test_rate_floor_above_one_hz(self):
         # latency_max 0.5 s puts the slowest rate at 2 Hz; 1 Hz is never run
