@@ -205,8 +205,10 @@ def tolerable_latency(
     candidate with a successful probe wins. Probes never exceed the
     configured horizon. Returns an infeasible estimate when the entire grid
     fails. Each probe is ``_check`` and ``probe_time_update``, on the actor
-    state ``path_state`` reads from the trajectory's samples.
+    state ``path_state`` reads from the trajectory's samples. ``l0`` must be
+    finite, and > 0 under the fixed l0 policy (``ModelParams.check_l0``).
     """
+    params.check_l0(l0)
     decel = braking_decel(ego0.a, params)
     cols = traj.columns().tolist()
     for gi, latency in enumerate(params.latency_grid):
@@ -441,8 +443,9 @@ def search_paths(
     recorded path with offset t equals its recorded future re-based at t
     (``trace.ground_truth_trajectory``), up to rounding of the lookup time.
     Estimates run ego-major: entry i * paths.count + j. One batched search
-    serves every pair.
+    serves every pair. ``l0`` is checked as in ``tolerable_latency``.
     """
+    params.check_l0(l0)
     gis, probes = _search_batch(egos, offsets, paths, l0, params)
     return [_estimate(gi, probe, params) for gi, probe in zip(gis, probes)]
 

@@ -245,7 +245,8 @@ AGGREGATORS = ("min", "max", "mean", "percentile")
 
 
 MAX_GRID_SIZE = 10_000  # latency candidates; bounds the search's work and memory
-# horizon / fine_dt, the oracle's scan points per latency; about 72 B each
+# horizon / fine_dt, the oracle's grid points per scan; a full scan holds about
+# 48 B per point and a collision check about 72 B (tests/test_oracle.py caps both at 80 B)
 MAX_SCAN_POINTS = 10**6
 # the search computes with the counts as floats, which hold every integer
 # up to 2**53 exactly
@@ -344,6 +345,14 @@ class ModelParams:
     def grid_array(self):
         """The descending latency grid as a float64 array."""
         return self._grid_arr
+
+    def check_l0(self, l0: float) -> None:
+        """ValueError naming ``l0`` unless it is finite and, under the fixed policy, > 0.
+
+        The candidate policy never reads l0, so there any finite value passes.
+        """
+        if finite_float("l0", l0) <= 0.0 and self.l0_policy == L0_FIXED:
+            raise ValueError(f"l0 must be > 0 under the fixed l0 policy, got {l0!r}")
 
     def fpr_bounds(self) -> tuple[float, float]:
         """(min, max) reportable frame-processing rate in Hz."""

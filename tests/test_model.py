@@ -196,6 +196,41 @@ class TestTolerableLatency:
         assert chk.met
 
 
+class TestL0Rule:
+    """l0 must be finite, and > 0 under the fixed policy that reads it."""
+
+    BAD_FIXED = (math.nan, math.inf, -math.inf, 0.0, -0.2)
+    BAD_ANY = (math.nan, math.inf, -math.inf)
+
+    def searches(self, l0, params):
+        ego = KinematicState(0, 0, 11.18)
+        traj = static_actor_trajectory(30.0)
+        yield lambda: tolerable_latency(ego, traj, l0, params)
+        yield lambda: search_paths([ego], [0.0], path_table([traj.columns()]), l0, params)
+        yield lambda: evaluate_scene(ego, {"a": [traj]}, DEFAULT_CAMERA_RIG, l0, params)
+
+    @pytest.mark.parametrize("l0", BAD_FIXED)
+    def test_fixed_policy_rejects(self, fixed_params, l0):
+        for call in self.searches(l0, fixed_params):
+            with pytest.raises(ValueError, match="l0"):
+                call()
+
+    @pytest.mark.parametrize("l0", BAD_ANY)
+    def test_candidate_policy_rejects_non_finite(self, params, l0):
+        for call in self.searches(l0, params):
+            with pytest.raises(ValueError, match="l0"):
+                call()
+
+    def test_candidate_policy_ignores_the_sign(self, params):
+        # the candidate policy never reads l0
+        ego, traj = KinematicState(0, 0, 11.18), static_actor_trajectory(30.0)
+        want = tolerable_latency(ego, traj, 0.5, params)
+        for l0 in (0.0, -1.0):
+            for call in self.searches(l0, params):
+                call()
+            assert tolerable_latency(ego, traj, l0, params) == want
+
+
 class TestEvaluateSceneParity:
     """evaluate_scene's batched search against the scalar search.
 
