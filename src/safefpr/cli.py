@@ -15,12 +15,12 @@ from dataclasses import fields
 from pathlib import Path
 
 from .engine import run_scenario
-from .oracle import mrf_rates
+from .oracle import mrf_rates, scenario_mrf
 from .report import analyze_trace, camera_record, sweep_grid, write_sweep_csv
 from .scenarios import load_script, script_from_dict
 from .scheduler import Budget
 from .trace import TraceFormatError, load_trace
-from .types import MPH_TO_MPS, ModelParams, finite_float
+from .types import MPH_TO_MPS, ModelParams, finite_float, nonnegative_float
 
 
 class InputError(Exception):
@@ -36,17 +36,9 @@ def parse_speed(text: str) -> float:
     elif t.endswith(("mps", "m/s")):
         t = t[:-3]
     try:
-        v = float(t) * scale
-    except ValueError:
-        raise InputError(f"cannot parse speed {text!r}") from None
-    if not 0.0 <= v < math.inf:
-        raise InputError(f"speed must be finite and >= 0, got {text!r}")
-    return v
-
-
-def _check_collision_radius(radius: float) -> None:
-    if not 0.0 <= radius < math.inf:
-        raise InputError(f"--collision-radius must be finite and >= 0, got {radius}")
+        return nonnegative_float("speed", float(t) * scale)
+    except ValueError as e:
+        raise InputError(f"cannot parse speed {text!r}: {e}") from None
 
 
 def load_params(path: str | None) -> tuple[ModelParams, float | None]:
@@ -85,9 +77,13 @@ def _output(path: str | None):
     """The file ``--out`` names, or stdout for none or '-'."""
     if path is None or path == "-":
         yield sys.stdout
-    else:
-        with open(path, "w") as fh:
-            yield fh
+        return
+    try:
+        fh = open(path, "w")
+    except OSError as e:
+        raise InputError(f"--out {path}: cannot open ({e.strerror})") from None
+    with fh:
+        yield fh
 
 
 def _emit_records(fh, records: list[dict], summary: dict) -> None:
@@ -102,17 +98,21 @@ def cmd_analyze(args) -> int:
         trace = load_trace(args.trace)
     except TraceFormatError as e:
         raise InputError(str(e)) from None
+    script = None
     if args.mrf:
         try:
-            script_from_dict(trace.metadata["script"])
+            script = script_from_dict(trace.metadata["script"])
         except (KeyError, ValueError) as e:
             raise InputError(f"--mrf needs the trace's scenario script: {e!r}") from None
-        _check_collision_radius(args.collision_radius)
         try:
+            nonnegative_float("--collision-radius", args.collision_radius)
             mrf_rates(params)
         except ValueError as e:
             raise InputError(f"--mrf: {e}") from None
-    result = analyze_trace(trace, params, mrf=args.mrf, collision_radius=args.collision_radius)
+    result = analyze_trace(trace, params)
+    if script is not None:
+        mrf = scenario_mrf(script, params, collision_radius=args.collision_radius)
+        result.summary.update(mrf=mrf, mrf_infeasible_at_max=mrf is None)
     with _output(args.out) as fh:
         _emit_records(fh, result.records, result.summary)
     return 0
@@ -128,7 +128,10 @@ def cmd_simulate(args) -> int:
         budget = Budget(args.budget) if args.budget is not None else None
     except ValueError as e:
         raise InputError(f"--budget: {e}") from None
-    _check_collision_radius(args.collision_radius)
+    try:
+        nonnegative_float("--collision-radius", args.collision_radius)
+    except ValueError as e:
+        raise InputError(str(e)) from None
     result = run_scenario(
         script,
         params,

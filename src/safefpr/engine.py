@@ -40,7 +40,7 @@ from .predictor import PredictorConfig, predict_trajectories
 from .scenarios import ActorScript, ScenarioScript, script_to_dict
 from .scheduler import AlarmEvent, Budget, allocate, safety_check
 from .trace import ScenarioTrace, TickRecord
-from .types import KinematicState, L0_FIXED, ModelParams
+from .types import KinematicState, L0_FIXED, ModelParams, nonnegative_float
 
 ENGINE_DT = 1.0 / 30.0   # s per tick; aligns the tick grid with a 30 Hz camera
 STANDSTILL_GAP = 4.0     # m kept clear when stopped behind an obstacle
@@ -255,11 +255,6 @@ class _World:
         return tick.perception
 
 
-def _check_collision_radius(collision_radius: float) -> None:
-    if not 0.0 <= collision_radius < math.inf:
-        raise ValueError(f"collision_radius must be finite and >= 0, got {collision_radius}")
-
-
 def run_scenario(
     script: ScenarioScript,
     params: ModelParams,
@@ -275,12 +270,15 @@ def run_scenario(
 
     Exactly one of ``frame_rate`` (fixed-rate mode) and ``adaptive`` must be
     given. In adaptive mode rates start at the cap and then follow the
-    estimates (through the budget allocator when a budget is given). The
-    run steps ``ENGINE_DT`` ticks over ``DEFAULT_CAMERA_RIG``.
+    estimates (through the budget allocator when a budget is given); a
+    budget in fixed-rate mode is an error. The run steps ``ENGINE_DT`` ticks
+    over ``DEFAULT_CAMERA_RIG``.
     """
     if (frame_rate is None) == (not adaptive):
         raise ValueError("pass either frame_rate or adaptive=True")
-    _check_collision_radius(collision_radius)
+    if budget is not None and not adaptive:
+        raise ValueError("budget needs adaptive=True; a fixed frame_rate is never allocated")
+    nonnegative_float("collision_radius", collision_radius)
     floor_fpr, cap_fpr = params.fpr_bounds()
     if frame_rate is not None and not floor_fpr <= frame_rate <= cap_fpr:
         raise ValueError(f"frame_rate must be within [{floor_fpr}, {cap_fpr}]")

@@ -20,7 +20,7 @@ from itertools import accumulate
 import numpy as np
 
 from .model import braking_decel, reaction_time, resolve_l0
-from .types import KinematicState, ModelParams, Trajectory
+from .types import KinematicState, ModelParams, Trajectory, nonnegative_float
 
 # Sub-physical slack absorbing float disagreement between the scan's
 # integrated motion and the closed-form search. Strictly looser than the
@@ -41,11 +41,6 @@ class OracleVerdict:
     feasible: bool
     best_latency: float | None
     probe_time: float | None = None
-
-
-def _check_latency(latency: float) -> None:
-    if not 0.0 <= latency < math.inf:
-        raise ValueError(f"latency must be finite and >= 0, got {latency!r}")
 
 
 def _velocity_knots(
@@ -185,7 +180,11 @@ def _earliest_probe(
     latency: float,
     params: ModelParams,
 ) -> float | None:
-    """``_first_feasible_probe`` without the argument checks."""
+    """The earliest scan-grid probe time at which both constraints hold, or None.
+
+    The arguments are not checked: ``latency`` must be finite and >= 0 and
+    ``l0`` must pass ``ModelParams.check_l0``.
+    """
     l0_eff = resolve_l0(latency, l0, params)
     t_react = reaction_time(latency, l0_eff, params)
     decel = braking_decel(ego0.a, params)
@@ -210,23 +209,6 @@ def _earliest_probe(
     return None
 
 
-def _first_feasible_probe(
-    ego0: KinematicState,
-    traj: Trajectory,
-    l0: float,
-    latency: float,
-    params: ModelParams,
-) -> float | None:
-    """The earliest scan-grid probe time at which both constraints hold, or None.
-
-    ValueError unless ``latency`` is finite and >= 0 and ``l0`` passes
-    ``ModelParams.check_l0``.
-    """
-    _check_latency(latency)
-    params.check_l0(l0)
-    return _earliest_probe(ego0, traj, l0, latency, params)
-
-
 def feasible_latency_scan(
     ego0: KinematicState,
     traj: Trajectory,
@@ -238,9 +220,12 @@ def feasible_latency_scan(
 
     True iff some probe time between the reaction time and the horizon
     satisfies both safety constraints. ``latency`` may be 0 to probe the
-    zero-latency limit of a scenario; it must be finite and >= 0.
+    zero-latency limit of a scenario; it must be finite and >= 0, and ``l0``
+    must pass ``ModelParams.check_l0``.
     """
-    return _first_feasible_probe(ego0, traj, l0, latency, params) is not None
+    nonnegative_float("latency", latency)
+    params.check_l0(l0)
+    return _earliest_probe(ego0, traj, l0, latency, params) is not None
 
 
 def oracle_best_latency(
@@ -271,12 +256,12 @@ def collision_check(
     The ego travels along its heading ray; at every fine-grid instant the
     interpolated actor position is compared against the ego position. True
     means the separation dropped below ``collision_radius`` somewhere within
-    the horizon. ``latency`` must be finite and >= 0.
+    the horizon. ``latency`` and ``collision_radius`` must be finite and
+    >= 0.
     """
-    _check_latency(latency)
+    nonnegative_float("latency", latency)
     params.check_l0(l0)
-    if not 0.0 <= collision_radius < math.inf:
-        raise ValueError(f"collision_radius must be finite and >= 0, got {collision_radius}")
+    nonnegative_float("collision_radius", collision_radius)
     l0_eff = resolve_l0(latency, l0, params)
     t_react = reaction_time(latency, l0_eff, params)
     decel = braking_decel(ego0.a, params)
@@ -319,7 +304,7 @@ def scenario_mrf(script, params: ModelParams, collision_radius: float = 2.0) -> 
     from . import engine  # engine imports the model, not the oracle
 
     rates = mrf_rates(params)
-    engine._check_collision_radius(collision_radius)
+    nonnegative_float("collision_radius", collision_radius)
     world = engine._World(script, params)
     safe = None
     for rate in rates:

@@ -12,7 +12,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .types import KinematicState, Trajectory, finite_float, sample_times, straight_line_block
+from .types import (
+    KinematicState,
+    Trajectory,
+    finite_float,
+    nonnegative_float,
+    sample_times,
+    straight_line_block,
+)
 
 SAMPLE_DT = 0.25  # s between emitted trajectory samples
 
@@ -36,9 +43,7 @@ class PredictorConfig:
             raise ValueError("num_variants must be >= 1")
         if not finite_float("horizon", self.horizon) > 0.0:
             raise ValueError("horizon must be > 0")
-        s = finite_float("decel_spread", self.decel_spread)
-        if not s >= 0.0:
-            raise ValueError("decel_spread must be >= 0")
+        s = nonnegative_float("decel_spread", self.decel_spread)
         probs = self.variant_probabilities
         if probs is None:
             probs = tuple(1.0 / n for _ in range(n))

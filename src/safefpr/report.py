@@ -17,6 +17,7 @@ from .types import (
     LatencyEstimate,
     ModelParams,
     constant_separation_trajectory,
+    finite_float,
 )
 
 OVER_MAX = math.inf  # sweep cell needing more than the fastest grid rate
@@ -87,12 +88,7 @@ def recorded_estimates(
             yield start + i, dict(zip(actor_ids, ests[i * n : (i + 1) * n]))
 
 
-def analyze_trace(
-    trace: ScenarioTrace,
-    params: ModelParams,
-    mrf: bool = False,
-    collision_radius: float = 0.5,
-) -> AnalysisResult:
+def analyze_trace(trace: ScenarioTrace, params: ModelParams) -> AnalysisResult:
     """Per-tick per-camera required rates over a recorded trace.
 
     Post-run analysis uses the recorded future of each actor (a single
@@ -150,19 +146,6 @@ def analyze_trace(
         ),
         "any_infeasible": any_infeasible,
     }
-
-    if mrf:
-        from .oracle import scenario_mrf
-        from .scenarios import script_from_dict
-
-        script_obj = trace.metadata.get("script")
-        if not script_obj:
-            raise ValueError("trace metadata carries no scenario script; cannot compute MRF")
-        value = scenario_mrf(
-            script_from_dict(script_obj), params, collision_radius=collision_radius
-        )
-        out.summary["mrf"] = value
-        out.summary["mrf_infeasible_at_max"] = value is None
     return out
 
 
@@ -179,9 +162,10 @@ def required_fpr_cell(
     a constant speed. Returns the rate in Hz, OVER_MAX when only the
     zero-latency limit is safe (a faster-than-grid rate would be needed), or
     None when even instantaneous perception cannot avoid the collision.
+    ``separation`` must be finite and > 0.
     """
-    if separation <= 0.0:
-        raise ValueError("separation must be > 0")
+    if not finite_float("separation", separation) > 0.0:
+        raise ValueError(f"separation must be > 0, got {separation!r}")
     ego = KinematicState(x=0.0, y=0.0, v=ego_speed, a=0.0, heading=0.0)
     traj = constant_separation_trajectory(separation, actor_speed, duration=params.horizon)
     l0_eff = params.latency_min if l0 is None else l0

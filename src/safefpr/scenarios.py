@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Callable
 
-from .types import MPH_TO_MPS, finite_float
+from .types import MPH_TO_MPS, finite_float, nonnegative_float
 
 # Bounds on script quantities: far beyond any road scene, and small enough
 # that no position or speed the engine integrates over a run can overflow.
@@ -79,8 +79,7 @@ class ActorEvent:
     rate: float | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.at < math.inf:
-            raise ValueError("event time must be finite and >= 0")
+        nonnegative_float("at", self.at)
         if self.kind == "lane_change":
             if self.to_lane is None or not 0.0 < self.duration < math.inf:
                 raise ValueError("lane_change needs to_lane and a finite duration > 0")
@@ -333,15 +332,13 @@ def _param(params: dict, key: str, default: float) -> float:
 
 def _speed(params: dict, key: str, default_mph: float, lo=0.0, hi=90.0) -> float:
     mph = _param(params, key, default_mph)
-    if not lo <= mph <= hi:
-        raise ValueError(f"{key} must be in [{lo}, {hi}] mph, got {mph}")
+    _within(key, mph, lo, hi, "mph")
     return mph * MPH_TO_MPS
 
 
-def _pos(params: dict, key: str, default: float, lo: float, hi: float) -> float:
+def _pos(params: dict, key: str, default: float, lo: float, hi: float, unit: str) -> float:
     v = _param(params, key, default)
-    if not lo <= v <= hi:
-        raise ValueError(f"{key} must be in [{lo}, {hi}], got {v}")
+    _within(key, v, lo, hi, unit)
     return v
 
 
@@ -352,9 +349,9 @@ def _cut_out(params: dict, name: str, default_mph: float) -> ScenarioScript:
     option.
     """
     v = _speed(params, "ego_speed_mph", default_mph)
-    lead_gap = _pos(params, "lead_gap", 25.0 + 0.6 * v, 10.0, 80.0)
-    obstacle_gap = _pos(params, "obstacle_gap", lead_gap + 35.0 + 2.2 * v, 30.0, 300.0)
-    reveal_distance = _pos(params, "reveal_distance", 35.0, 10.0, 100.0)
+    lead_gap = _pos(params, "lead_gap", 25.0 + 0.6 * v, 10.0, 80.0, "m")
+    obstacle_gap = _pos(params, "obstacle_gap", lead_gap + 35.0 + 2.2 * v, 30.0, 300.0, "m")
+    reveal_distance = _pos(params, "reveal_distance", 35.0, 10.0, 100.0, "m")
     t_cut = max(0.5, (obstacle_gap - lead_gap - reveal_distance) / max(v, 0.1))
     return ScenarioScript(
         name=name,
@@ -389,8 +386,8 @@ def cut_out_fast(params: dict) -> ScenarioScript:
 def cut_in(params: dict) -> ScenarioScript:
     """An actor merges in front of the ego at speed, then eases off mildly."""
     v = _speed(params, "ego_speed_mph", 70.0)
-    gap = _pos(params, "cut_gap", 45.0, 20.0, 120.0)
-    slow_factor = _pos(params, "slow_factor", 0.85, 0.3, 1.0)
+    gap = _pos(params, "cut_gap", 45.0, 20.0, 120.0, "m")
+    slow_factor = _pos(params, "slow_factor", 0.85, 0.3, 1.0, "x ego speed")
     t_cut = _param(params, "trigger_time", 2.0)
     return ScenarioScript(
         name="cut_in",
@@ -416,8 +413,8 @@ def _challenging_cut_in(params: dict, name: str, default_mph: float,
                         curvature: float) -> ScenarioScript:
     """A much closer, harder-braking merge; the left lane is occupied."""
     v = _speed(params, "ego_speed_mph", default_mph)
-    gap = _pos(params, "cut_gap", 22.0, 8.0, 60.0)
-    slow_factor = _pos(params, "slow_factor", 0.6, 0.3, 1.0)
+    gap = _pos(params, "cut_gap", 22.0, 8.0, 60.0, "m")
+    slow_factor = _pos(params, "slow_factor", 0.6, 0.3, 1.0, "x ego speed")
     t_cut = _param(params, "trigger_time", 1.5)
     return ScenarioScript(
         name=name,
@@ -447,7 +444,7 @@ def challenging_cut_in(params: dict) -> ScenarioScript:
 
 @_family
 def challenging_cut_in_curved(params: dict) -> ScenarioScript:
-    curvature = _pos(params, "curvature", 1.0 / 400.0, 0.0005, 0.01)
+    curvature = _pos(params, "curvature", 1.0 / 400.0, 0.0005, 0.01, "1/m")
     return _challenging_cut_in(params, "challenging_cut_in_curved", 40.0, curvature)
 
 
@@ -455,8 +452,8 @@ def challenging_cut_in_curved(params: dict) -> ScenarioScript:
 def vehicle_following(params: dict) -> ScenarioScript:
     """Highway following; the lead suddenly brakes to a standstill."""
     v = _speed(params, "ego_speed_mph", 70.0)
-    gap = _pos(params, "follow_gap", 50.0, 20.0, 150.0)
-    decel = _pos(params, "lead_decel", 6.0, 2.0, 9.0)
+    gap = _pos(params, "follow_gap", 50.0, 20.0, 150.0, "m")
+    decel = _pos(params, "lead_decel", 6.0, 2.0, 9.0, "m/s^2")
     t_brake = _param(params, "trigger_time", 2.0)
     return ScenarioScript(
         name="vehicle_following",

@@ -42,6 +42,14 @@ def finite_float(name: str, value: object) -> float:
     return as_float
 
 
+def nonnegative_float(name: str, value: object) -> float:
+    """``finite_float`` that is also >= 0; ValueError naming ``name`` otherwise."""
+    as_float = finite_float(name, value)
+    if not as_float >= 0.0:
+        raise ValueError(f"{name} must be >= 0, got {value!r}")
+    return as_float
+
+
 @dataclass(frozen=True)
 class KinematicState:
     """State of the ego or one actor at a single instant.

@@ -65,7 +65,7 @@ def _digest_cases():
 def _witness_digest() -> str:
     h = hashlib.sha256()
     for ego, traj, l0, latency, p in _digest_cases():
-        h.update(repr(oracle._first_feasible_probe(ego, traj, l0, latency, p)).encode() + b"\n")
+        h.update(repr(oracle._earliest_probe(ego, traj, l0, latency, p)).encode() + b"\n")
     return h.hexdigest()
 
 
@@ -242,7 +242,7 @@ class TestParity:
     )
     def test_witness_at_grid_index(self, params, index):
         ego, traj, t_stop = _stop_case(index)
-        got = oracle._first_feasible_probe(ego, traj, 0.5, 0.0, params)
+        got = oracle._earliest_probe(ego, traj, 0.5, 0.0, params)
         assert got == t_stop
         grid = oracle._scan_grid(traj.t.tolist(), traj.v.tolist(), 0.0, ego.v, 4.9, params)
         assert grid[index] == got
@@ -250,18 +250,18 @@ class TestParity:
     def test_witness_at_the_reaction_time(self, params):
         ego, traj = KinematicState(0, 0, 0.0), static_actor_trajectory(10.0)
         for latency in (0.0, 0.5):
-            assert oracle._first_feasible_probe(ego, traj, 0.5, latency, params) == latency
+            assert oracle._earliest_probe(ego, traj, 0.5, latency, params) == latency
 
     def test_no_witness(self, params):
         ego, traj = KinematicState(0, 0, 17.88), static_actor_trajectory(30.0)
-        assert oracle._first_feasible_probe(ego, traj, 0.5, 0.5, params) is None
+        assert oracle._earliest_probe(ego, traj, 0.5, 0.5, params) is None
 
     def test_one_point_grid(self, params):
         # candidate policy: t_react == latency == horizon leaves the horizon alone
         traj = static_actor_trajectory(10.0)
         grid = oracle._scan_grid(traj.t.tolist(), traj.v.tolist(), params.horizon, 0.0, 4.9, params)
         assert grid.tolist() == [params.horizon]
-        got = oracle._first_feasible_probe(KinematicState(0, 0, 0.0), traj, 0.5, params.horizon, params)
+        got = oracle._earliest_probe(KinematicState(0, 0, 0.0), traj, 0.5, params.horizon, params)
         assert got == params.horizon
 
 
@@ -275,7 +275,7 @@ class TestScanMemory:
         traj = static_actor_trajectory(30.0)
         points = p.horizon / fine_dt
         for scan in (
-            lambda: oracle._first_feasible_probe(ego, traj, 0.5, 0.5, p),
+            lambda: oracle._earliest_probe(ego, traj, 0.5, 0.5, p),
             lambda: collision_check(ego, traj, 0.5, 0.5, p, 0.5),
         ):
             scan()

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import json
+import math
 import tracemalloc
 
 import pytest
@@ -98,12 +99,6 @@ class TestAnalyze:
         assert got == expected
         latencies = {e[2] for e in expected if len(e) == 3}
         assert len(latencies) > 3 and None not in latencies
-
-    def test_mrf_requires_script(self):
-        ticks = (TickRecord(t=0.0, ego=KinematicState(0, 0, 0.0), actors={}),)
-        trace = ScenarioTrace(dt=1 / 30.0, ticks=ticks, cameras=DEFAULT_CAMERA_RIG)
-        with pytest.raises(ValueError, match="script"):
-            analyze_trace(trace, PARAMS, mrf=True)
 
 
 def per_tick_reference(trace, params):
@@ -255,6 +250,11 @@ class TestSweep:
         assert lines[0] == "ve0_mps\\van_mps,0,1,2"
         assert lines[1] == "10,5,>30,INFEASIBLE"
 
+    @pytest.mark.parametrize("separation", [math.nan, math.inf, 0.0, -1.0])
+    def test_separation_must_be_finite_and_positive(self, separation):
+        with pytest.raises(ValueError, match="separation"):
+            sweep_grid(separation, [10.0], [0.0], PARAMS)
+
     def test_format_cell_rounding(self):
         assert format_cell(15.000000000000004, PARAMS) == "15"
         assert format_cell(7.5, PARAMS) == "7.5"
@@ -327,6 +327,16 @@ class TestCli:
         assert main(argv + ["--out", str(out)]) == 0
         summary = json.loads(out.read_text().strip().splitlines()[-1])["summary"]
         assert summary["mrf"] == 2
+
+    @pytest.mark.parametrize("radius,mrf", [("0.5", 16), ("2.0", 18)])
+    def test_analyze_mrf_reads_the_collision_radius(self, tmp_path, family_traces, radius, mrf):
+        # the vehicle_following values TestScenarioMrf::test_pinned_mrf pins
+        trace_path, out = tmp_path / "t.jsonl", tmp_path / "report.jsonl"
+        save_trace(family_traces[("vehicle_following", 30.0)], trace_path)
+        argv = ["analyze", "--trace", str(trace_path), "--mrf", "--collision-radius", radius]
+        assert main(argv + ["--out", str(out)]) == 0
+        summary = json.loads(out.read_text().strip().splitlines()[-1])["summary"]
+        assert (summary["mrf"], summary["mrf_infeasible_at_max"]) == (mrf, False)
 
     def test_analyze_determinism(self, tmp_path):
         result = run_scenario(generate_scenario("cut_out"), PARAMS, frame_rate=10.0)
@@ -410,6 +420,10 @@ class TestCli:
             ["analyze", "--trace", "{scripted}", "--mrf", "--params", "{no_integer_rate}"],
             ["sweep", "--sn", "30", "--ve0-max", "10", "--van-max", "10", "--steps", "2",
              "--params", "{fine_scan}"],
+            ["analyze", "--trace", "{scriptless}", "--out", "{directory}"],
+            ["simulate", "--script", "{script}", "--out", "{missing_parent}"],
+            ["sweep", "--sn", "30", "--ve0-max", "10", "--van-max", "10", "--steps", "2",
+             "--out", "{directory}"],
         ],
     )
     def test_bad_input_exits_2(self, tmp_path, argv):
@@ -448,6 +462,7 @@ class TestCli:
             ("no_integer_rate", "no_integer_rate.json"), ("fine_scan", "fine_scan.json"),
             ("string_dt_trace", "string_dt_trace.jsonl"),
             ("bool_speed_trace", "bool_speed_trace.jsonl"),
+            ("directory", ""), ("missing_parent", "none/log.jsonl"),
         ]}
         assert main([a.format(**names) for a in argv]) == 2
 
@@ -470,6 +485,12 @@ class TestCli:
         path.write_text(json.dumps(doc))
         assert main(["simulate", "--script", str(path)]) == 2
         assert named in capsys.readouterr().err
+
+    def test_unopenable_out_names_the_path(self, tmp_path, capsys):
+        out = str(tmp_path / "none" / "grid.csv")
+        assert main(["sweep", "--sn", "30", "--ve0-max", "10", "--van-max", "10",
+                     "--steps", "2", "--out", out]) == 2
+        assert out in capsys.readouterr().err
 
     def test_internal_value_error_is_not_input_error(self, tmp_path, monkeypatch):
         def broken(*args, **kwargs):

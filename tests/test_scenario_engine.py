@@ -368,6 +368,8 @@ class TestEngine:
             run_scenario(script, params)
         with pytest.raises(ValueError):
             run_scenario(script, params, frame_rate=10.0, adaptive=True)
+        with pytest.raises(ValueError, match="budget"):
+            run_scenario(script, params, frame_rate=5.0, budget=Budget(1.0))
 
     def test_collision_radius_sets_the_collision(self):
         # at 1 Hz the ego of cut_out_fast reaches the revealed obstacle

@@ -8,6 +8,7 @@ from safefpr import KinematicState, ModelParams, PredictorConfig, Trajectory, pr
 from safefpr.predictor import SAMPLE_DT
 from safefpr.types import (
     constant_separation_trajectory,
+    nonnegative_float,
     normalize_angle,
     sample_times,
     straight_line_trajectory,
@@ -240,6 +241,14 @@ class TestHelpers:
             x, y, v = traj.state_at(t)
             assert math.hypot(x, y) == pytest.approx(30.0)
             assert v == 12.0
+
+    def test_nonnegative_float(self):
+        assert nonnegative_float("radius", 0) == 0.0
+        assert type(nonnegative_float("radius", np.float32(2.5))) is float
+        for bad, why in [(-1.0, ">= 0"), (math.nan, "finite"), (math.inf, "finite"),
+                         (True, "number"), ("1", "number")]:
+            with pytest.raises(ValueError, match=f"radius must be.*{why}"):
+                nonnegative_float("radius", bad)
 
 
 def scalar_straight_line(start: KinematicState, duration: float, sample_dt: float):
