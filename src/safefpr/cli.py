@@ -109,11 +109,11 @@ def cmd_analyze(args) -> int:
             mrf_rates(params)
         except ValueError as e:
             raise InputError(f"--mrf: {e}") from None
-    result = analyze_trace(trace, params)
-    if script is not None:
-        mrf = scenario_mrf(script, params, collision_radius=args.collision_radius)
-        result.summary.update(mrf=mrf, mrf_infeasible_at_max=mrf is None)
     with _output(args.out) as fh:
+        result = analyze_trace(trace, params)
+        if script is not None:
+            mrf = scenario_mrf(script, params, collision_radius=args.collision_radius)
+            result.summary.update(mrf=mrf, mrf_infeasible_at_max=mrf is None)
         _emit_records(fh, result.records, result.summary)
     return 0
 
@@ -132,40 +132,40 @@ def cmd_simulate(args) -> int:
         nonnegative_float("--collision-radius", args.collision_radius)
     except ValueError as e:
         raise InputError(str(e)) from None
-    result = run_scenario(
-        script,
-        params,
-        adaptive=True,
-        budget=budget,
-        seed=args.seed,
-        collision_radius=args.collision_radius,
-    )
-
-    records: list[dict] = []
-    alarm_iter = iter(result.alarms)
-    pending = next(alarm_iter, None)
-    for i, reports in enumerate(result.camera_log):
-        t = result.allocations[i][0]
-        for cid in sorted(reports):
-            rec = camera_record(i, t, cid, reports[cid])
-            rec["allocated_fps"] = result.allocations[i][1][cid]
-            records.append(rec)
-        while pending is not None and pending[0] <= t:
-            records.append({"t": pending[0], "alarm": pending[1].to_dict()})
-            pending = next(alarm_iter, None)
-
-    summary = {
-        "scenario": script.name,
-        "ticks": len(result.camera_log),
-        "alarms": len(result.alarms),
-        "collision": (
-            {"t": result.collision[0], "actor": result.collision[1]}
-            if result.collision
-            else None
-        ),
-        "brake_time": result.brake_time,
-    }
     with _output(args.out) as fh:
+        result = run_scenario(
+            script,
+            params,
+            adaptive=True,
+            budget=budget,
+            seed=args.seed,
+            collision_radius=args.collision_radius,
+        )
+
+        records: list[dict] = []
+        alarm_iter = iter(result.alarms)
+        pending = next(alarm_iter, None)
+        for i, reports in enumerate(result.camera_log):
+            t = result.allocations[i][0]
+            for cid in sorted(reports):
+                rec = camera_record(i, t, cid, reports[cid])
+                rec["allocated_fps"] = result.allocations[i][1][cid]
+                records.append(rec)
+            while pending is not None and pending[0] <= t:
+                records.append({"t": pending[0], "alarm": pending[1].to_dict()})
+                pending = next(alarm_iter, None)
+
+        summary = {
+            "scenario": script.name,
+            "ticks": len(result.camera_log),
+            "alarms": len(result.alarms),
+            "collision": (
+                {"t": result.collision[0], "actor": result.collision[1]}
+                if result.collision
+                else None
+            ),
+            "brake_time": result.brake_time,
+        }
         _emit_records(fh, records, summary)
     return 1 if result.collision else 0
 
@@ -183,8 +183,8 @@ def cmd_sweep(args) -> int:
     n = args.steps
     ve0s = [ve0_lo + (ve0_hi - ve0_lo) * i / (n - 1) for i in range(n)]
     vans = [van_lo + (van_hi - van_lo) * i / (n - 1) for i in range(n)]
-    grid = sweep_grid(args.sn, ve0s, vans, params, l0=l0)
     with _output(args.out) as fh:
+        grid = sweep_grid(args.sn, ve0s, vans, params, l0=l0)
         write_sweep_csv(grid, ve0s, vans, params, fh)
     return 0
 

@@ -7,7 +7,6 @@ hard braking to mild speed-up, each with a configured probability.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,6 +15,7 @@ from .types import (
     KinematicState,
     Trajectory,
     finite_float,
+    integer,
     nonnegative_float,
     sample_times,
     straight_line_block,
@@ -36,9 +36,7 @@ class PredictorConfig:
     _probs: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        n = self.num_variants
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
-            raise ValueError(f"num_variants must be an integer, got {n!r}")
+        n = integer("num_variants", self.num_variants)
         if not n >= 1:
             raise ValueError("num_variants must be >= 1")
         if not finite_float("horizon", self.horizon) > 0.0:

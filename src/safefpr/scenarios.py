@@ -13,11 +13,12 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+import typing
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import IO, Callable
 
-from .types import MPH_TO_MPS, finite_float, nonnegative_float
+from .types import MPH_TO_MPS, finite_float, integer, nonnegative_float
 
 # Bounds on script quantities: far beyond any road scene, and small enough
 # that no position or speed the engine integrates over a run can overflow.
@@ -41,7 +42,7 @@ class RoadSpec:
     curvature: float = 0.0   # 1/m, constant along the road; 0 = straight
 
     def __post_init__(self) -> None:
-        if not self.lanes >= 1:
+        if not integer("lanes", self.lanes) >= 1:
             raise ValueError("need at least one lane")
         _within("lane_width", self.lane_width, 0.0, MAX_LANE_WIDTH, "m", open_lo=True)
         if not abs(self.curvature) <= 0.02:
@@ -80,6 +81,8 @@ class ActorEvent:
 
     def __post_init__(self) -> None:
         nonnegative_float("at", self.at)
+        if self.to_lane is not None:
+            integer("to_lane", self.to_lane)
         if self.kind == "lane_change":
             if self.to_lane is None or not 0.0 < self.duration < math.inf:
                 raise ValueError("lane_change needs to_lane and a finite duration > 0")
@@ -102,6 +105,7 @@ class ActorScript:
     events: tuple[ActorEvent, ...] = ()
 
     def __post_init__(self) -> None:
+        integer("lane", self.lane)
         _within("gap", self.gap, -MAX_GAP, MAX_GAP, "m")
         _within("speed", self.speed, 0.0, MAX_SPEED, "m/s")
 
@@ -109,155 +113,115 @@ class ActorScript:
 @dataclass(frozen=True)
 class ScenarioScript:
     name: str
-    road: RoadSpec
     ego_lane: int
     ego_speed: float  # m/s
     duration: float   # s
-    actors: tuple[ActorScript, ...]
+    road: RoadSpec = RoadSpec()
+    actors: tuple[ActorScript, ...] = ()
     trigger_time: float | None = None  # the family's key moment, if any
     notes: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not 0 <= self.ego_lane < self.road.lanes:
-            raise ValueError("ego_lane outside the road")
+        last, unit = self.road.lanes - 1, f"on a {self.road.lanes}-lane road"
+        _within("ego_lane", integer("ego_lane", self.ego_lane), 0, last, unit)
         _within("ego_speed", self.ego_speed, 0.0, MAX_SPEED, "m/s")
         _within("duration", self.duration, 0.0, MAX_DURATION, "s", open_lo=True)
         if self.trigger_time is not None and not math.isfinite(self.trigger_time):
             raise ValueError("trigger_time must be finite")
+        for a in self.actors:
+            _within(f"actor {a.actor_id!r}: lane", a.lane, 0, last, unit)
+            for i, e in enumerate(a.events):
+                if e.to_lane is not None:
+                    _within(f"actor {a.actor_id!r}: events[{i}].to_lane", e.to_lane, 0, last, unit)
         ids = [a.actor_id for a in self.actors]
         if len(ids) != len(set(ids)):
             raise ValueError("duplicate actor ids")
 
 
-def script_to_dict(script: ScenarioScript) -> dict:
-    return {
-        "name": script.name,
-        "road": {
-            "lanes": script.road.lanes,
-            "lane_width": script.road.lane_width,
-            "curvature": script.road.curvature,
-        },
-        "ego_lane": script.ego_lane,
-        "ego_speed": script.ego_speed,
-        "duration": script.duration,
-        "trigger_time": script.trigger_time,
-        "notes": script.notes,
-        "actors": [
-            {
-                "actor_id": a.actor_id,
-                "lane": a.lane,
-                "gap": a.gap,
-                "speed": a.speed,
-                "events": [
-                    {k: v for k, v in vars(e).items() if v is not None}
-                    for e in a.events
-                ],
-            }
-            for a in script.actors
-        ],
-    }
+# --------------------------------------------------------------------------
+# JSON form: the dataclass fields above are the one declaration of it
+# --------------------------------------------------------------------------
 
 
-def _object(
-    value: object, where: str, required: tuple[str, ...], optional: tuple[str, ...]
-) -> dict:
-    """``value`` if it is a JSON object with every required key and no unknown one."""
+@dataclass(frozen=True)
+class _FamilyReference:
+    family: str
+    params: dict = field(default_factory=dict)
+
+
+@functools.cache
+def _json_fields(cls: type) -> tuple[tuple[str, object, bool], ...]:
+    """(name, annotation, required) per field of ``cls``; required means it has no default."""
+    hints = typing.get_type_hints(cls)
+    return tuple(
+        (f.name, hints[f.name], f.default is MISSING and f.default_factory is MISSING)
+        for f in fields(cls)
+    )
+
+
+def _read(kind: object, value: object, where: str):
+    """``value`` read as the field annotation ``kind``; ValueError naming ``where`` if not one."""
+    args = typing.get_args(kind)
+    if type(None) in args:  # X | None
+        return None if value is None else _read(args[0], value, where)
+    if typing.get_origin(kind) is tuple:  # tuple[X, ...]
+        if not isinstance(value, list):
+            raise ValueError(f"{where} must be a JSON list, got {type(value).__name__}")
+        return tuple(_read(args[0], v, f"{where}[{i}]") for i, v in enumerate(value))
+    if kind is float:
+        return finite_float(where, value)
+    if kind is int:
+        return integer(where, value)
+    if kind is str:
+        if not isinstance(value, str):
+            raise ValueError(f"{where} must be a string, got {value!r}")
+        return value
     if not isinstance(value, dict):
-        raise ValueError(f"{where} must be a JSON object, got {type(value).__name__}")
-    for key in required:
-        if key not in value:
-            raise ValueError(f"{where}: missing key {key!r}")
-    unknown = set(value) - set(required) - set(optional)
+        raise ValueError(f"{where or 'script'} must be a JSON object, got {type(value).__name__}")
+    return value if kind is dict else _from_dict(kind, value, where)
+
+
+def _from_dict(cls: type, obj: dict, where: str):
+    """``cls`` built from the JSON object ``obj``, whose keys are its field names.
+
+    Errors name the dotted field (``actors[0].gap``); a ValueError that
+    ``cls`` raises is prefixed with ``where``, the object's own path.
+    """
+    spec, here = _json_fields(cls), where or "script"
+    for name, _, required in spec:
+        if required and name not in obj:
+            raise ValueError(f"{here}: missing key {name!r}")
+    unknown = set(obj) - {name for name, _, _ in spec}
     if unknown:
-        raise ValueError(f"{where}: unknown keys {sorted(unknown)}")
-    return value
-
-
-def _list(value: object, where: str) -> list:
-    if not isinstance(value, list):
-        raise ValueError(f"{where} must be a JSON list, got {type(value).__name__}")
-    return value
-
-
-def _integer(value: object, where: str) -> int:
-    # the engine computes lane offsets in floats, which hold integers up to 2**53
-    if isinstance(value, bool) or not isinstance(value, int) or not abs(value) <= 2**53:
-        raise ValueError(f"{where} must be an integer of magnitude <= 2**53, got {value!r}")
-    return value
-
-
-def _optional(value: object, where: str) -> float | None:
-    return None if value is None else finite_float(where, value)
-
-
-def _named(where: str, cls, **fields):
-    """``cls(**fields)``; a ValueError it raises names ``where`` first."""
+        raise ValueError(f"{here}: unknown keys {sorted(unknown)}")
+    prefix = f"{where}." if where else ""
+    kwargs = {name: _read(kind, obj[name], prefix + name) for name, kind, _ in spec if name in obj}
     try:
-        return cls(**fields)
+        return cls(**kwargs)
     except ValueError as e:
+        if not where:
+            raise
         raise ValueError(f"{where}: {e}") from None
 
 
-def _event_from_dict(obj: object, where: str) -> ActorEvent:
-    e = _object(obj, where, ("at", "kind"), ("to_lane", "duration", "target_speed", "rate"))
-    if not isinstance(e["kind"], str):
-        raise ValueError(f"{where}.kind must be a string, got {e['kind']!r}")
-    to_lane = e.get("to_lane")
-    return _named(
-        where,
-        ActorEvent,
-        at=finite_float(f"{where}.at", e["at"]),
-        kind=e["kind"],
-        to_lane=None if to_lane is None else _integer(to_lane, f"{where}.to_lane"),
-        duration=finite_float(f"{where}.duration", e.get("duration", 0.0)),
-        target_speed=_optional(e.get("target_speed"), f"{where}.target_speed"),
-        rate=_optional(e.get("rate"), f"{where}.rate"),
-    )
+def _to_json(value):
+    """JSON data of a script dataclass: objects keyed by field name, tuples as lists, no None."""
+    if is_dataclass(value):
+        return {
+            f.name: _to_json(v) for f in fields(value) if (v := getattr(value, f.name)) is not None
+        }
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    return value
 
 
-def _actor_from_dict(obj: object, where: str) -> ActorScript:
-    a = _object(obj, where, ("actor_id", "lane", "gap", "speed"), ("events",))
-    if not isinstance(a["actor_id"], str):
-        raise ValueError(f"{where}.actor_id must be a string, got {a['actor_id']!r}")
-    events = _list(a.get("events", []), f"{where}.events")
-    return _named(
-        where,
-        ActorScript,
-        actor_id=a["actor_id"],
-        lane=_integer(a["lane"], f"{where}.lane"),
-        gap=finite_float(f"{where}.gap", a["gap"]),
-        speed=finite_float(f"{where}.speed", a["speed"]),
-        events=tuple(_event_from_dict(e, f"{where}.events[{i}]") for i, e in enumerate(events)),
-    )
+def script_to_dict(script: ScenarioScript) -> dict:
+    return _to_json(script)
 
 
 def script_from_dict(obj: object) -> ScenarioScript:
     """A script from its JSON form; ValueError naming the field for any malformed one."""
-    obj = _object(
-        obj, "script", ("name", "ego_lane", "ego_speed", "duration"),
-        ("road", "actors", "trigger_time", "notes"),
-    )
-    road = _object(obj.get("road", {}), "road", (), ("lanes", "lane_width", "curvature"))
-    actors = _list(obj.get("actors", []), "actors")
-    notes = obj.get("notes", {})
-    if not isinstance(notes, dict):
-        raise ValueError(f"notes must be a JSON object, got {type(notes).__name__}")
-    return ScenarioScript(
-        name=str(obj["name"]),
-        road=_named(
-            "road",
-            RoadSpec,
-            lanes=_integer(road.get("lanes", 3), "road.lanes"),
-            lane_width=finite_float("road.lane_width", road.get("lane_width", 3.5)),
-            curvature=finite_float("road.curvature", road.get("curvature", 0.0)),
-        ),
-        ego_lane=_integer(obj["ego_lane"], "ego_lane"),
-        ego_speed=finite_float("ego_speed", obj["ego_speed"]),
-        duration=finite_float("duration", obj["duration"]),
-        actors=tuple(_actor_from_dict(a, f"actors[{i}]") for i, a in enumerate(actors)),
-        trigger_time=_optional(obj.get("trigger_time"), "trigger_time"),
-        notes=notes,
-    )
+    return _read(ScenarioScript, obj, "")
 
 
 def save_script(script: ScenarioScript, dest: str | Path | IO[str]) -> None:
@@ -282,14 +246,8 @@ def load_script(source: str | Path | IO[str]) -> ScenarioScript:
     except RecursionError:
         raise ValueError("script nests too deeply") from None
     if isinstance(obj, dict) and "family" in obj:
-        _object(obj, "script", ("family",), ("params",))
-        family = obj["family"]
-        if not isinstance(family, str):
-            raise ValueError(f"family must be a string, got {family!r}")
-        params = obj.get("params", {})
-        if not isinstance(params, dict):
-            raise ValueError(f"params must be a JSON object, got {type(params).__name__}")
-        return generate_scenario(family, params)
+        ref = _read(_FamilyReference, obj, "")
+        return generate_scenario(ref.family, ref.params)
     return script_from_dict(obj)
 
 

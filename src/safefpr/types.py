@@ -50,6 +50,17 @@ def nonnegative_float(name: str, value: object) -> float:
     return as_float
 
 
+def integer(name: str, value: object) -> int:
+    """``value`` as an int; ValueError naming ``name`` unless it is an integer, |value| <= 2**53.
+
+    Counts and lane indices are computed with as floats, which hold every
+    integer up to 2**53 exactly.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not abs(value) <= 2**53:
+        raise ValueError(f"{name} must be an integer of magnitude <= 2**53, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class KinematicState:
     """State of the ego or one actor at a single instant.
@@ -256,9 +267,6 @@ MAX_GRID_SIZE = 10_000  # latency candidates; bounds the search's work and memor
 # horizon / fine_dt, the oracle's grid points per scan; a full scan holds about
 # 48 B per point and a collision check about 72 B (tests/test_oracle.py caps both at 80 B)
 MAX_SCAN_POINTS = 10**6
-# the search computes with the counts as floats, which hold every integer
-# up to 2**53 exactly
-_MAX_COUNT = 2**53
 _COUNT_FIELDS = ("confirmation_frames", "max_time_adjustments")
 _REAL_FIELDS = (
     "distance_margin",
@@ -304,11 +312,7 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         for name in _COUNT_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            if not value <= _MAX_COUNT:
-                raise ValueError(f"{name} must be <= 2**53, got {value}")
+            object.__setattr__(self, name, integer(name, getattr(self, name)))
         for name in _REAL_FIELDS:
             object.__setattr__(self, name, finite_float(name, getattr(self, name)))
         if not 0.0 < self.distance_margin <= 1.0:

@@ -492,6 +492,30 @@ class TestCli:
                      "--steps", "2", "--out", out]) == 2
         assert out in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "--trace", "{trace}", "--mrf"],
+            ["simulate", "--script", "{script}"],
+            ["sweep", "--sn", "30", "--ve0-max", "10", "--van-max", "10", "--steps", "2"],
+        ],
+    )
+    def test_unopenable_out_fails_before_the_work(self, tmp_path, monkeypatch, argv):
+        save_script(generate_scenario("cut_out_fast"), tmp_path / "script.json")
+        save_trace(
+            run_scenario(generate_scenario("cut_out_fast"), PARAMS, frame_rate=1.0).trace,
+            tmp_path / "trace.jsonl",
+        )
+
+        def work(*args, **kwargs):
+            raise AssertionError("the command worked before it opened --out")
+
+        for name in ("run_scenario", "analyze_trace", "sweep_grid"):
+            monkeypatch.setattr(cli, name, work)
+        names = {"trace": str(tmp_path / "trace.jsonl"), "script": str(tmp_path / "script.json")}
+        out = str(tmp_path / "none" / "out")
+        assert main([a.format(**names) for a in argv] + ["--out", out]) == 2
+
     def test_internal_value_error_is_not_input_error(self, tmp_path, monkeypatch):
         def broken(*args, **kwargs):
             raise ValueError("internal fault")

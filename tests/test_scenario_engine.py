@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -24,7 +25,14 @@ from safefpr import (
 )
 from safefpr import engine
 from safefpr.geometry import DEFAULT_CAMERA_RIG
-from safefpr.scenarios import RoadSpec, script_from_dict, script_to_dict
+from safefpr.scenarios import (
+    ActorEvent,
+    ActorScript,
+    RoadSpec,
+    ScenarioScript,
+    script_from_dict,
+    script_to_dict,
+)
 
 
 class TestPredictor:
@@ -82,6 +90,20 @@ class TestPredictor:
             PredictorConfig(**kwargs)
 
 
+# sha256 of each family's script_to_dict JSON (sort_keys=True) at its defaults
+PINNED_SCRIPT_DIGESTS = {
+    "cut_out": "f48e162aa78ec0727714efd86df000f9f9a098dabb05e2ff6c5389129191a08b",
+    "cut_out_fast": "34945143e8ef9150c36e2c275c54820de267aaeeb0a0c751112cbc604cdce799",
+    "cut_in": "581bbeb4fb494eca3572f34c2d9ce18223cea2d0a239dcb74a4d8c5d0cb921a1",
+    "challenging_cut_in": "ca14af5769cb33863c7539cfe1d7cfcf6baa7f94f2e697f01cf3fb126ba853a3",
+    "challenging_cut_in_curved": "f01a9ca6451972376e5f6ede547403046472fe9438470833dd80edfb1586e42b",
+    "vehicle_following": "65875149ee459748254a12fa67be323055e5d225e207fbeadf831ce20d695c46",
+    "front_right_activity_1": "dee365443fedbec70fd0c6606ab4b95291437d43dd084ad9a78f2bf1c970bef5",
+    "front_right_activity_2": "507a45e9251fc20a7e4e727c1721c9d691936b878907401837281392c2107914",
+    "front_right_activity_3": "61ac6ce9b70ec43664801cfe6653b20d43831b50839ac45a62c926c9f3ff405c",
+}
+
+
 class TestScripts:
     def test_all_families_build(self):
         assert len(list_families()) == 9
@@ -109,16 +131,28 @@ class TestScripts:
         with pytest.raises(ValueError, match="ego_speed_mph"):
             generate_scenario("cut_out", {"ego_speed_mph": 500})
 
-    def test_script_roundtrip(self):
-        script = generate_scenario("vehicle_following")
+    @pytest.mark.parametrize("family", list_families())
+    def test_script_roundtrip(self, family):
+        script = generate_scenario(family)
         again = script_from_dict(script_to_dict(script))
         assert again == script
 
-    def test_script_file_roundtrip(self, tmp_path):
-        script = generate_scenario("challenging_cut_in")
+    @pytest.mark.parametrize("family", list_families())
+    def test_script_file_roundtrip(self, tmp_path, family):
+        script = generate_scenario(family)
         p = tmp_path / "s.json"
         save_script(script, p)
         assert load_script(p) == script
+
+    def test_script_json_is_pinned(self):
+        # the JSON form of every family, as traces and script files record it
+        digests = {
+            fam: hashlib.sha256(
+                json.dumps(script_to_dict(generate_scenario(fam)), sort_keys=True).encode()
+            ).hexdigest()
+            for fam in list_families()
+        }
+        assert digests == PINNED_SCRIPT_DIGESTS
 
     @pytest.mark.parametrize(
         "change,match",
@@ -153,6 +187,11 @@ class TestScripts:
             (lambda d: d["actors"][0].update(speed=1e308), r"actors\[0\]: speed must be in"),
             (lambda d: d["actors"][0]["events"][1].update(target_speed=1e308),
              r"actors\[0\]\.events\[1\]: target_speed must be in"),
+            (lambda d: d.update(name={"x": [1]}), "name must be a string"),
+            (lambda d: d["actors"][0].update(lane=99),
+             r"actor 'cutter': lane must be in \[0, 2\] on a 3-lane road, got 99"),
+            (lambda d: d["actors"][0]["events"][0].update(to_lane=-5),
+             r"actor 'cutter': events\[0\]\.to_lane must be in \[0, 2\]"),
         ],
     )
     def test_malformed_script_names_the_field(self, change, match):
@@ -160,6 +199,19 @@ class TestScripts:
         change(obj)
         with pytest.raises(ValueError, match=match):
             load_script(io.StringIO(json.dumps(obj)))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: RoadSpec(lanes=2.5),
+            lambda: ActorEvent(at=1.0, kind="lane_change", to_lane=1.5, duration=1.0),
+            lambda: ActorScript("a", lane=True, gap=0.0, speed=0.0),
+            lambda: ScenarioScript(name="s", ego_lane=1.0, ego_speed=1.0, duration=1.0),
+        ],
+    )
+    def test_lanes_must_be_integers(self, build):
+        with pytest.raises(ValueError, match="must be an integer"):
+            build()
 
     @pytest.mark.parametrize(
         "doc",

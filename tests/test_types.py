@@ -8,6 +8,7 @@ from safefpr import KinematicState, ModelParams, PredictorConfig, Trajectory, pr
 from safefpr.predictor import SAMPLE_DT
 from safefpr.types import (
     constant_separation_trajectory,
+    integer,
     nonnegative_float,
     normalize_angle,
     sample_times,
@@ -249,6 +250,13 @@ class TestHelpers:
                          (True, "number"), ("1", "number")]:
             with pytest.raises(ValueError, match=f"radius must be.*{why}"):
                 nonnegative_float("radius", bad)
+
+    def test_integer(self):
+        assert integer("lanes", -3) == -3
+        assert type(integer("lanes", np.int64(2**53))) is int
+        for bad in (2.5, 2.0, True, "3", None, 2**53 + 1, -(2**53) - 1):
+            with pytest.raises(ValueError, match="lanes must be an integer"):
+                integer("lanes", bad)
 
 
 def scalar_straight_line(start: KinematicState, duration: float, sample_dt: float):
