@@ -10,8 +10,10 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import fields
+from operator import itemgetter
 from pathlib import Path
 
 from .engine import run_scenario
@@ -86,9 +88,63 @@ def _output(path: str | None):
         yield fh
 
 
-def _emit_records(fh, records: list[dict], summary: dict) -> None:
+# Value types whose JSON text can be memoised by (type, value). Float zeros
+# are left out (-0.0 == 0.0, yet their texts differ), and NaN never equals
+# itself, so neither is stored.
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+def _json_lines(records: Iterable[dict]) -> Iterator[str]:
+    """Each record as ``json.dumps(record, sort_keys=True)`` and a newline.
+
+    Records with the same string keys share one line format, and each
+    repeated scalar value is encoded once, so the text is that of
+    ``json.dumps`` without an encoder per record. A record that holds a
+    dict or a list (simulate's alarms) is encoded whole by ``json.dumps``.
+    """
+    formats: dict[tuple, tuple | None] = {}
+    texts: dict[tuple, str] = {}
     for rec in records:
-        fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        keys = tuple(rec)
+        try:
+            layout = formats[keys]
+        except KeyError:
+            layout = formats[keys] = _line_format(keys)
+        line = None
+        if layout is not None:
+            getter, fmt = layout
+            found = []
+            try:
+                for value in getter(rec):
+                    key = (type(value), value)
+                    text = texts.get(key)
+                    if text is None:
+                        text = json.dumps(value)
+                        kind = type(value)
+                        if kind in _SCALARS and (kind is not float or value == value != 0.0):
+                            texts[key] = text
+                    found.append(text)
+            except TypeError:  # an unhashable value: a dict or a list
+                pass
+            else:
+                line = fmt % tuple(found)
+        yield line or json.dumps(rec, sort_keys=True) + "\n"
+
+
+def _line_format(keys: tuple) -> tuple | None:
+    """A getter of the values of a record with ``keys``, in sorted key order,
+    and its line with a %s per value; None unless there are two or more string keys."""
+    if len(keys) < 2 or not all(type(k) is str for k in keys):
+        return None
+    order = sorted(keys)
+    heads = (json.dumps(k).replace("%", "%%") + ": %s" for k in order)
+    return itemgetter(*order), "{" + ", ".join(heads) + "}\n"
+
+
+def _emit_records(fh, records: Iterable[dict], summary: dict) -> None:
+    """Write each record, then the summary, as one JSON line as soon as it is encoded."""
+    for line in _json_lines(records):
+        fh.write(line)
     fh.write(json.dumps({"summary": summary}, sort_keys=True) + "\n")
 
 

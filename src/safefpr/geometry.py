@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
-from .types import KinematicState, normalize_angle
+import numpy as np
+
+from .types import KinematicState, normalize_angle, normalize_angles
 
 DEG = math.pi / 180.0
+FULL_CIRCLE = 2.0 * math.pi - 1e-12  # a camera at least this wide sees every bearing
 
 
 @dataclass(frozen=True)
@@ -60,7 +63,7 @@ def in_fov(ego: KinematicState, actor: KinematicState, cam: CameraConfig) -> boo
 
 
 def _in_wedge(bearing: float, cam: CameraConfig) -> bool:
-    if cam.fov >= 2.0 * math.pi - 1e-12:
+    if cam.fov >= FULL_CIRCLE:
         return True
     return abs(normalize_angle(bearing - cam.azimuth)) <= cam.fov / 2.0
 
@@ -83,3 +86,34 @@ def fov_members(
         }
         for cam in cameras
     }
+
+
+def fov_mask(
+    egos: Sequence[KinematicState],
+    positions: Sequence[Sequence[tuple[float, float]]],
+    cameras: Sequence[CameraConfig],
+) -> np.ndarray:
+    """``in_fov`` over a block of ticks, as a (cameras, ticks, actors) bool array.
+
+    Tick i has ego ``egos[i]`` and actor j at ``positions[i][j]``. Each
+    bearing is ``_bearing``, computed in Python as for ``in_fov``
+    (``np.arctan2`` rounds some inputs differently from ``math.atan2``);
+    the wedge test then runs on arrays, where ``np.fmod`` is exact, so every
+    entry equals ``in_fov``.
+    """
+    nan = math.nan
+    # NaN marks an actor that coincides with the ego
+    bearing = np.array(
+        [
+            [_bearing(ego, x, y) if x != ego.x or y != ego.y else nan for x, y in row]
+            for ego, row in zip(egos, positions)
+        ],
+        dtype=float,
+    )
+    # per camera: azimuth, and half the FOV (inf for a full circle, whose
+    # wedge test passes for every bearing)
+    wedges = np.array(
+        [(c.azimuth, math.inf if c.fov >= FULL_CIRCLE else c.fov / 2.0) for c in cameras]
+    ).reshape(-1, 2, 1, 1)
+    # NaN compares False, so an actor on the ego is inside every wedge
+    return ~(np.abs(normalize_angles(bearing - wedges[:, 0])) > wedges[:, 1])

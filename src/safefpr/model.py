@@ -15,7 +15,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .geometry import fov_members
+from .geometry import fov_mask
 from .types import (
     INFEASIBLE,
     L0_CANDIDATE,
@@ -551,25 +551,53 @@ def estimate_compute_ops(
 
 
 def scene_reports(
-    ego: KinematicState,
-    estimates: dict[str, Sequence[tuple[LatencyEstimate, float]]],
-    positions_now: dict[str, tuple[float, float]],
+    egos: Sequence[KinematicState],
+    actor_ids: Sequence[str],
+    positions: Sequence[Sequence[tuple[float, float]]],
+    latencies: Sequence[Sequence[float | None]],
     cameras: Iterable,
     params: ModelParams,
-) -> tuple[dict[str, LatencyEstimate], dict[str, FprReport]]:
-    """The report half of a tick: per-actor latencies and per-camera required rates.
+) -> list[dict[str, FprReport]]:
+    """The report half of a block of ticks: each camera's required rate per tick.
 
-    ``estimates`` maps each actor to its (estimate, probability) pairs, one
-    per trajectory, which ``aggregate_actor_latency`` collapses; camera
-    membership is ``fov_members`` on each actor's position now.
+    ``actor_ids`` are sorted; at tick i, ego ``egos[i]`` sees actor
+    ``actor_ids[j]`` at ``positions[i][j]`` with aggregated latency
+    ``latencies[i][j]`` (None when infeasible). Membership is ``fov_mask``;
+    the rates follow ``camera_fpr``, which they equal, tick by tick: an
+    empty FOV gets the floor, an infeasible member the cap (bound to the
+    smallest such id), and otherwise the smallest latency binds (ties to the
+    smallest id). Reports are shared between the cameras and ticks that
+    need the same one.
     """
-    per_actor = {aid: aggregate_actor_latency(ests, params) for aid, ests in estimates.items()}
-    latencies = sorted(per_actor.items())
-    reports = {
-        cid: camera_fpr(latencies, members, params)
-        for cid, members in fov_members(ego, positions_now, cameras).items()
-    }
-    return per_actor, reports
+    cameras = tuple(cameras)
+    lo, hi = params.fpr_bounds()
+    floor = FprReport(fpr=lo, latency=params.latency_max, binding_actor=None, infeasible=False)
+    cids = [cam.camera_id for cam in cameras]
+    if not (egos and actor_ids and cameras):
+        return [dict.fromkeys(cids, floor) for _ in egos]
+    # an infeasible member ranks as latency -inf, a non-member as +inf;
+    # argmin takes the first of equal ranks: the smallest id
+    rank = np.array([[-math.inf if lat is None else lat for lat in row] for row in latencies])
+    member_rank = np.where(fov_mask(egos, positions, cameras), rank, math.inf)
+    binding, best = member_rank.argmin(axis=2), member_rank.min(axis=2)
+    made = {(0, math.inf): floor}  # an empty FOV: no member, argmin 0
+
+    def report(j: int, latency: float) -> FprReport:
+        key = (j, latency)
+        rep = made.get(key)
+        if rep is None:
+            if latency == -math.inf:
+                rep = FprReport(hi, params.latency_min, actor_ids[j], True)
+            else:
+                latency = min(params.latency_max, max(params.latency_min, latency))
+                rep = FprReport(1.0 / latency, latency, actor_ids[j], False)
+            made[key] = rep
+        return rep
+
+    return [
+        {cid: report(j, latency) for cid, j, latency in zip(cids, js, lats)}
+        for js, lats in zip(binding.T.tolist(), best.T.tolist())
+    ]
 
 
 def evaluate_scene(
@@ -584,20 +612,28 @@ def evaluate_scene(
     Every trajectory of every actor goes through one batched search from
     this one ego (``search_paths`` with offset 0.0), which gives the same
     estimates as ``tolerable_latency`` on each trajectory. Trajectory
-    probabilities weight the aggregation; camera membership is evaluated on
-    each actor's position now (the first sample of its first trajectory).
-    ``scene_reports`` does both.
+    probabilities weight the aggregation (``aggregate_actor_latency``);
+    camera membership is evaluated on each actor's position now (the first
+    sample of its first trajectory), and the rates come from
+    ``scene_reports`` on a one-tick block.
     """
     for aid, trajs in actor_trajectories.items():
         if not trajs:
             raise ValueError(f"actor {aid!r} has no trajectories")
     paths = path_table([traj.columns() for trajs in actor_trajectories.values() for traj in trajs])
     found = iter(search_paths((ego,), (0.0,), paths, l0, params))
-    estimates = {
-        aid: [(next(found), traj.probability) for traj in trajs]
+    per_actor = {
+        aid: aggregate_actor_latency([(next(found), traj.probability) for traj in trajs], params)
         for aid, trajs in actor_trajectories.items()
     }
-    positions_now = {
-        aid: (trajs[0].x.item(0), trajs[0].y.item(0)) for aid, trajs in actor_trajectories.items()
-    }
-    return scene_reports(ego, estimates, positions_now, cameras, params)
+    ids = sorted(actor_trajectories)
+    now = [actor_trajectories[aid][0] for aid in ids]
+    (reports,) = scene_reports(
+        (ego,),
+        ids,
+        [[(traj.x.item(0), traj.y.item(0)) for traj in now]],
+        [[per_actor[aid].latency for aid in ids]],
+        cameras,
+        params,
+    )
+    return per_actor, reports

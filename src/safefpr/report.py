@@ -10,7 +10,7 @@ from typing import IO, Iterator, Sequence
 
 from .model import FprReport, path_table, scene_reports, search_paths, tolerable_latency
 from .oracle import feasible_latency_scan
-from .trace import ScenarioTrace
+from .trace import ScenarioTrace, TickRecord
 from .types import (
     KinematicState,
     L0_FIXED,
@@ -59,31 +59,42 @@ def camera_record(tick: int, t: float, camera: str, report: FprReport) -> dict:
 BLOCK_LANES = 3000
 
 
+def _estimate_blocks(
+    trace: ScenarioTrace, params: ModelParams
+) -> Iterator[tuple[int, Sequence[TickRecord], list[LatencyEstimate]]]:
+    """Per block of ticks: its first tick index, its ticks and its estimates, tick-major.
+
+    The reference latency l0 is the one the trace was recorded at, under
+    the fixed l0 policy. Each actor's recorded columns go into one path
+    table (``ScenarioTrace.actor_columns``), and every ego of a block reads
+    the table from its own tick time on (``search_paths``). A block holds at
+    most ``BLOCK_LANES`` (tick, actor, grid candidate) lanes, and at least
+    one tick.
+    """
+    ticks = trace.ticks
+    n = len(trace.actor_ids)
+    l0 = trace.operating_latency()
+    fixed = params.replace(l0_policy=L0_FIXED)
+    paths = path_table([trace.actor_columns(aid) for aid in trace.actor_ids])
+    block = max(1, BLOCK_LANES // (max(1, n) * len(params.latency_grid)))
+    for start in range(0, len(ticks), block):
+        part = ticks[start : start + block]
+        egos, offsets = [tick.ego for tick in part], [tick.t for tick in part]
+        yield start, part, search_paths(egos, offsets, paths, l0, fixed)
+
+
 def recorded_estimates(
     trace: ScenarioTrace, params: ModelParams
 ) -> Iterator[tuple[int, dict[str, LatencyEstimate]]]:
     """Per tick, each actor's latency estimate against its recorded future.
 
-    The reference latency l0 is the one the trace was recorded at, under
-    the fixed l0 policy. Each actor's recorded columns go into one path
-    table (``ScenarioTrace.actor_columns``), and the ticks are searched in
-    blocks, every ego of a block reading the table from its own tick time
-    on (``search_paths``). A block holds at most ``BLOCK_LANES`` (tick,
-    actor, grid candidate) lanes, and at least one tick. The latencies
+    The ticks are searched in blocks (``_estimate_blocks``). The latencies
     equal ``tolerable_latency`` on ``ground_truth_trajectory(trace, actor,
     tick)``; probe times agree up to the rounding of the lookup time.
     """
     actor_ids = trace.actor_ids
-    ticks = trace.ticks
     n = len(actor_ids)
-    l0 = trace.operating_latency()
-    fixed = params.replace(l0_policy=L0_FIXED)
-    paths = path_table([trace.actor_columns(aid) for aid in actor_ids])
-    block = max(1, BLOCK_LANES // (max(1, n) * len(params.latency_grid)))
-    for start in range(0, len(ticks), block):
-        part = ticks[start : start + block]
-        egos, offsets = [tick.ego for tick in part], [tick.t for tick in part]
-        ests = search_paths(egos, offsets, paths, l0, fixed)
+    for start, part, ests in _estimate_blocks(trace, params):
         for i in range(len(part)):
             yield start + i, dict(zip(actor_ids, ests[i * n : (i + 1) * n]))
 
@@ -93,47 +104,43 @@ def analyze_trace(trace: ScenarioTrace, params: ModelParams) -> AnalysisResult:
 
     Post-run analysis uses the recorded future of each actor (a single
     known trajectory) and the latency the trace was recorded at as the
-    reference latency l0. The searches run in blocks of ticks
-    (``recorded_estimates``); each tick's camera rates then come from
-    ``scene_reports``, as in ``evaluate_scene``. The result equals running
-    each tick through ``evaluate_scene`` with every actor's
-    ``ground_truth_trajectory``.
+    reference latency l0. The trace is analysed block by block: one batched
+    search per block of ticks (``_estimate_blocks``), then one
+    ``scene_reports`` call for the block's camera rates. No array spans the
+    whole trace. The result equals running each tick through
+    ``evaluate_scene`` with every actor's ``ground_truth_trajectory``.
     """
     out = AnalysisResult()
-    per_camera_max: dict[str, float] = {c.camera_id: 0.0 for c in trace.cameras}
+    records = out.records
+    actor_ids = trace.actor_ids
+    n = len(actor_ids)
+    camera_ids = [c.camera_id for c in trace.cameras]
+    per_camera_max: dict[str, float] = dict.fromkeys(camera_ids, 0.0)
     max_total = 0.0
     max_total_t = 0.0
     any_infeasible = False
 
-    for k, per_actor in recorded_estimates(trace, params):
-        tick = trace.ticks[k]
-        _, reports = scene_reports(
-            tick.ego,
-            {aid: ((est, 1.0),) for aid, est in per_actor.items()},
-            {aid: (s.x, s.y) for aid, s in tick.actors.items()},
-            trace.cameras,
-            params,
-        )
-        for aid, est in per_actor.items():
-            out.records.append(
-                {
-                    "tick": k,
-                    "t": tick.t,
-                    "actor": aid,
-                    "latency": est.latency,
-                }
-            )
-        total = 0.0
-        for cam in trace.cameras:
-            cid = cam.camera_id
-            rep = reports[cid]
-            any_infeasible = any_infeasible or rep.infeasible
-            total += rep.fpr
-            per_camera_max[cid] = max(per_camera_max[cid], rep.fpr)
-            out.records.append(camera_record(k, tick.t, cid, rep))
-        if total > max_total:
-            max_total = total
-            max_total_t = tick.t
+    for start, part, ests in _estimate_blocks(trace, params):
+        latencies = [[est.latency for est in ests[i * n : (i + 1) * n]] for i in range(len(part))]
+        positions = [
+            [(s.x, s.y) for s in map(tick.actors.__getitem__, actor_ids)] for tick in part
+        ]
+        egos = [tick.ego for tick in part]
+        reports = scene_reports(egos, actor_ids, positions, latencies, trace.cameras, params)
+        for k, tick, lats, reps in zip(range(start, start + len(part)), part, latencies, reports):
+            t = tick.t
+            for aid, latency in zip(actor_ids, lats):
+                records.append({"tick": k, "t": t, "actor": aid, "latency": latency})
+            total = 0.0
+            for cid in camera_ids:
+                rep = reps[cid]
+                any_infeasible = any_infeasible or rep.infeasible
+                total += rep.fpr
+                per_camera_max[cid] = max(per_camera_max[cid], rep.fpr)
+                records.append(camera_record(k, t, cid, rep))
+            if total > max_total:
+                max_total = total
+                max_total_t = t
 
     out.summary = {
         "ticks": len(trace.ticks),

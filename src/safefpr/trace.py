@@ -45,6 +45,11 @@ class ScenarioTrace:
     def __post_init__(self) -> None:
         if not 0.0 < self.dt < math.inf:
             raise TraceFormatError(f"dt must be finite and > 0, got {self.dt}")
+        if "fpr0" in self.metadata:
+            # the rate the run was recorded at: a finite number > 0, not a string or a bool
+            fpr0 = _finite(self.metadata, "fpr0", "header metadata")
+            if not fpr0 > 0.0:
+                raise TraceFormatError(f"header metadata: field 'fpr0' must be > 0, got {fpr0}")
         ids: set[str] | None = None
         for i, tick in enumerate(self.ticks):
             expected = i * self.dt
@@ -96,9 +101,12 @@ class ScenarioTrace:
         return cols
 
     def operating_latency(self) -> float:
-        """Processing latency the trace was recorded at (defaults to dt)."""
+        """Processing latency the trace was recorded at: 1 / fpr0, or dt without one."""
         fpr0 = self.metadata.get("fpr0")
-        return 1.0 / float(fpr0) if fpr0 else self.dt
+        return self.dt if fpr0 is None else 1.0 / fpr0
+
+
+_STATE_FIELDS = ("x", "y", "v", "a", "heading")
 
 
 def _state_to_obj(s: KinematicState) -> dict:
@@ -122,6 +130,16 @@ def _finite(obj: dict, key: str, where: str, default: float | None = None) -> fl
 
 
 def _state_from_obj(obj, where: str) -> KinematicState:
+    if type(obj) is dict and len(obj) == 5:
+        # the saved form: exactly the five fields, finite floats (a finite
+        # sum means every term is), speed >= 0; anything else is checked below
+        x, y, v, a, heading = map(obj.get, _STATE_FIELDS)
+        if (
+            type(x) is type(y) is type(v) is type(a) is type(heading) is float
+            and math.isfinite(x + y + v + a + heading)
+            and v >= 0.0
+        ):
+            return KinematicState(x, y, v, a, heading)
     if not isinstance(obj, dict):
         raise TraceFormatError(f"{where}: expected an object")
     fields = [_finite(obj, key, where) for key in ("x", "y", "v")]
@@ -211,8 +229,6 @@ def load_trace(source: str | Path | IO[str]) -> ScenarioTrace:
     metadata = header.get("metadata", {})
     if not isinstance(metadata, dict):
         raise TraceFormatError("header: field 'metadata' must be an object")
-    if "fpr0" in metadata and not _finite(metadata, "fpr0", "header metadata") > 0.0:
-        raise TraceFormatError("header metadata: field 'fpr0' must be > 0")
 
     ticks = []
     for i, line in enumerate(lines[1:]):

@@ -29,6 +29,14 @@ def normalize_angle(theta: float) -> float:
     return theta
 
 
+def normalize_angles(theta: np.ndarray) -> np.ndarray:
+    """``normalize_angle`` of each entry; ``np.fmod`` is exact, so the results are equal."""
+    theta = np.fmod(theta, TWO_PI)
+    np.subtract(theta, TWO_PI, out=theta, where=theta > math.pi)
+    np.add(theta, TWO_PI, out=theta, where=theta <= -math.pi)
+    return theta
+
+
 def finite_float(name: str, value: object) -> float:
     """``value`` as a float; ValueError naming ``name`` unless it is a finite real number."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,7 +12,8 @@ from safefpr import (
     in_fov,
     separation,
 )
-from safefpr.geometry import DEG, _bearing, fov_members
+from safefpr.geometry import DEG, _bearing, fov_mask, fov_members
+from safefpr.types import normalize_angle, normalize_angles
 
 FRONT_120 = CameraConfig("front", 0.0, 120 * DEG)
 
@@ -152,3 +154,34 @@ def test_camera_validation():
         CameraConfig("bad", 0.0, 0.0)
     with pytest.raises(ValueError, match="azimuth"):
         CameraConfig("bad", math.nan, 1.0)
+
+
+def test_normalize_angles_equals_normalize_angle():
+    rng = np.random.default_rng(7)
+    edges = [0.0, -0.0, math.pi, -math.pi, 2 * math.pi, -2 * math.pi, 3 * math.pi, -3 * math.pi,
+             math.nextafter(math.pi, 4.0), math.nextafter(-math.pi, -4.0), 1e6, -1e6]
+    theta = np.concatenate([rng.uniform(-20.0, 20.0, 5000), edges])
+    got = normalize_angles(theta).tolist()
+    want = [normalize_angle(v) for v in theta.tolist()]
+    assert [(g, math.copysign(1.0, g)) for g in got] == [(w, math.copysign(1.0, w)) for w in want]
+
+
+def test_fov_mask_matches_in_fov():
+    # random egos and actors, some coinciding with their ego, against every
+    # camera of the rig plus a full-circle one and a slit on the +pi seam
+    rng = np.random.default_rng(11)
+    cams = (*DEFAULT_CAMERA_RIG, CameraConfig("omni", 0.4, 2 * math.pi),
+            CameraConfig("slit", math.pi, 0.02))
+    egos = [KinematicState(*rng.uniform(-5.0, 5.0, 2), 0.0, heading=rng.uniform(-7.0, 7.0))
+            for _ in range(30)]
+    positions = [
+        [(ego.x, ego.y) if k == 3 else tuple(rng.uniform(-40.0, 40.0, 2)) for k in range(8)]
+        for ego in egos
+    ]
+    mask = fov_mask(egos, positions, cams)
+    assert mask.shape == (len(cams), len(egos), 8)
+    for c, cam in enumerate(cams):
+        for i, ego in enumerate(egos):
+            for j, (x, y) in enumerate(positions[i]):
+                assert mask[c, i, j] == in_fov(ego, KinematicState(x, y, 0.0), cam), (c, i, j)
+    assert mask[:, :, 3].all() and mask[-2].all()

@@ -24,7 +24,8 @@ from safefpr import (
     reaction_time,
     tolerable_latency,
 )
-from safefpr.model import path_table, search_paths
+from safefpr.geometry import CameraConfig, in_fov
+from safefpr.model import path_table, scene_reports, search_paths
 from safefpr.types import (
     AGGREGATORS,
     INFEASIBLE,
@@ -522,6 +523,145 @@ class TestCameraFpr:
         rep = camera_fpr(lats, {"a", "b", "c"}, params)
         per_actor = [1.0 / l for _, l in [("a", 0.25), ("b", 0.125), ("c", 0.5)]]
         assert rep.fpr == pytest.approx(max(per_actor))
+
+
+def per_tick_reports(egos, actor_ids, positions, latencies, cameras, params):
+    """``scene_reports``'s reference: ``in_fov`` membership and ``camera_fpr``, one tick at a time."""
+    out = []
+    for ego, row, lats in zip(egos, positions, latencies):
+        ests = [(aid, LatencyEstimate(latency)) for aid, latency in zip(actor_ids, lats)]
+        states = {aid: KinematicState(x, y, 0.0) for aid, (x, y) in zip(actor_ids, row)}
+        out.append({
+            cam.camera_id: camera_fpr(
+                ests, {aid for aid, st in states.items() if in_fov(ego, st, cam)}, params
+            )
+            for cam in cameras
+        })
+    return out
+
+
+class TestSceneReports:
+    """``scene_reports`` over a block of ticks equals ``in_fov`` + ``camera_fpr`` per tick."""
+
+    EGO = KinematicState(1.0, -2.0, 10.0, heading=0.7)
+
+    def _assert_matches(self, egos, actor_ids, positions, latencies, cameras, params):
+        got = scene_reports(egos, actor_ids, positions, latencies, cameras, params)
+        want = per_tick_reports(egos, actor_ids, positions, latencies, cameras, params)
+        assert got == want
+        for reports in got:
+            assert list(reports) == [cam.camera_id for cam in cameras]
+            for rep in reports.values():
+                assert type(rep.fpr) is float and type(rep.latency) is float
+        return got
+
+    def test_actor_on_a_wedge_edge(self, params):
+        # the edges of a wedge are closed: both edge bearings are members,
+        # a bearing one float past either edge is not
+        ego = KinematicState(0.0, 0.0, 10.0)
+        edge = math.atan2(1.0, 1.0)
+        cams = (CameraConfig("edge", 0.0, 2.0 * edge), CameraConfig("side", edge, edge))
+        positions = [[(1.0, 1.0), (1.0, -1.0), (1.0, math.nextafter(1.0, 2.0)), (2.0, 0.0)]]
+        (reports,) = self._assert_matches(
+            [ego], ["a", "b", "c", "d"], positions, [[0.5, 0.25, 0.125, 1.0]], cams, params
+        )
+        assert reports["edge"].binding_actor == "b"
+        assert reports["side"].binding_actor == "c"
+        assert in_fov(ego, KinematicState(1.0, 1.0, 0.0), cams[0])
+
+    def test_actor_coinciding_with_the_ego(self, params):
+        positions = [[(self.EGO.x, self.EGO.y), (self.EGO.x + 50.0, self.EGO.y)]]
+        (reports,) = self._assert_matches(
+            [self.EGO], ["twin", "z"], positions, [[0.5, 0.1]], DEFAULT_CAMERA_RIG, params
+        )
+        # the twin is in every camera, so none is empty
+        assert all(rep.binding_actor in ("twin", "z") for rep in reports.values())
+        assert reports["rear"].binding_actor == reports["left"].binding_actor == "twin"
+
+    def test_full_circle_camera(self, params):
+        cams = (CameraConfig("omni", 0.3, 2.0 * math.pi), DEFAULT_CAMERA_RIG[0])
+        positions = [[(self.EGO.x - 30.0, self.EGO.y + 1.0)], [(self.EGO.x + 1.0, self.EGO.y)]]
+        got = self._assert_matches(
+            [self.EGO, self.EGO], ["a"], positions, [[0.25], [None]], cams, params
+        )
+        assert [reports["omni"].binding_actor for reports in got] == ["a", "a"]
+
+    def test_no_cameras_and_no_actors(self, params):
+        egos = [self.EGO, KinematicState(0.0, 0.0, 0.0)]
+        assert self._assert_matches(egos, ["a"], [[(5.0, 0.0)]] * 2, [[0.5]] * 2, (), params) == [
+            {}, {}
+        ]
+        got = self._assert_matches(egos, [], [[], []], [[], []], DEFAULT_CAMERA_RIG, params)
+        lo, _ = params.fpr_bounds()
+        assert all(rep.fpr == lo and rep.binding_actor is None for r in got for rep in r.values())
+        assert scene_reports([], ["a"], [], [], DEFAULT_CAMERA_RIG, params) == []
+
+    def test_tied_latencies_bind_the_smallest_id(self, params):
+        ego = KinematicState(0.0, 0.0, 10.0)
+        positions = [[(20.0, 1.0), (30.0, -1.0), (25.0, 0.0)]]
+        (reports,) = self._assert_matches(
+            [ego], ["a", "b", "c"], positions, [[0.5, 0.25, 0.25]], DEFAULT_CAMERA_RIG, params
+        )
+        assert reports["front_narrow"].binding_actor == "b"
+        assert reports["front_narrow"].fpr == 4.0
+
+    def test_two_infeasible_members(self, params):
+        ego = KinematicState(0.0, 0.0, 10.0)
+        positions = [[(20.0, 1.0), (30.0, -1.0), (25.0, 0.0)]]
+        (reports,) = self._assert_matches(
+            [ego], ["a", "b", "c"], positions, [[0.1, None, None]], DEFAULT_CAMERA_RIG, params
+        )
+        _, hi = params.fpr_bounds()
+        front = reports["front_narrow"]
+        assert (front.fpr, front.binding_actor, front.infeasible) == (hi, "b", True)
+
+    def test_clamped_latencies(self):
+        # an aggregated latency may lie off the grid, beyond latency_max
+        params = ModelParams(latency_max=0.5)
+        ego = KinematicState(0.0, 0.0, 10.0)
+        (reports,) = self._assert_matches(
+            [ego], ["a"], [[(20.0, 0.0)]], [[0.75]], DEFAULT_CAMERA_RIG, params
+        )
+        assert reports["front_narrow"].latency == 0.5
+
+    def test_seeded_blocks(self, params):
+        # every tick of a block as if alone, over random egos, positions
+        # (some coinciding with the ego) and latencies with ties and None
+        rng = np.random.default_rng(15)
+        grid = [0.05, 0.1, 0.25, 1.0, None]
+        cams = (*DEFAULT_CAMERA_RIG, CameraConfig("omni", 1.0, 2.0 * math.pi),
+                CameraConfig("slit", -2.5, 0.01))
+        for _ in range(40):
+            ticks, n = int(rng.integers(1, 9)), int(rng.integers(1, 6))
+            egos = [
+                KinematicState(*rng.uniform(-5.0, 5.0, 2), 10.0, heading=rng.uniform(-4.0, 4.0))
+                for _ in range(ticks)
+            ]
+            positions = [
+                [
+                    (ego.x, ego.y) if rng.random() < 0.1 else tuple(rng.uniform(-60.0, 60.0, 2))
+                    for _ in range(n)
+                ]
+                for ego in egos
+            ]
+            latencies = [[grid[i] for i in rng.integers(0, len(grid), n)] for _ in range(ticks)]
+            ids = [f"a{j}" for j in range(n)]
+            self._assert_matches(egos, ids, positions, latencies, cams, params)
+
+    def test_evaluate_scene_sorts_the_ids(self, params):
+        # ids inserted out of order, with tied latencies: the smallest id binds
+        ego = KinematicState(0.0, 0.0, 5.0)
+        actors = {
+            aid: [static_actor_trajectory(40.0)] for aid in ("zeta", "beta", "alpha", "mu")
+        }
+        per_actor, reports = evaluate_scene(ego, actors, DEFAULT_CAMERA_RIG, 1 / 30, params)
+        assert list(per_actor) == ["zeta", "beta", "alpha", "mu"]
+        ests = list(per_actor.items())
+        twin = KinematicState(40.0, 0.0, 0.0)
+        for cam in DEFAULT_CAMERA_RIG:
+            members = set(actors) if in_fov(ego, twin, cam) else set()
+            assert reports[cam.camera_id] == camera_fpr(ests, members, params)
+        assert reports["front_narrow"].binding_actor == "alpha"
 
 
 class TestComputeOps:

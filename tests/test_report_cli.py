@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -547,6 +548,97 @@ class TestCli:
         rows = out.read_text().strip().splitlines()
         # slow safe cells now bottom out at 1/0.5 = 2 Hz
         assert rows[1].split(",")[1] == "2"
+
+
+# sha256 of the JSONL that analyze writes for each family trace, and that
+# simulate writes for three families (default, --budget 90, --seed 3)
+PINNED_ANALYZE_DIGESTS = {
+    "challenging_cut_in@10": "0c3e5e7b5c21c98c41c41a80b9d3ac94a7011e08566931444385558fd96db8de",
+    "challenging_cut_in@30": "5a094b9881ae3b1d7e3b29f96cec276b7aa91ff5c46987dabe1f9304e1a72eb7",
+    "challenging_cut_in_curved@10": "6396f555afbf5797325e9c5d2bf6770490731740722d33ca269035e36e7ee735",
+    "challenging_cut_in_curved@30": "2b15063061255acc10307fa43ac32951a7817e2109f0f2066ba795bb3cf4d4a8",
+    "cut_in@10": "06cabe2382f7782319ab58860d2181a357318a1f55907fb5056415fdf125ba15",
+    "cut_in@30": "5277d10849e1448cbf78a9b5dd86fced8a73b7bbfc52e53a69b25a412869bc6c",
+    "cut_out@10": "fc1bac93c77ec6c974c4471fc546311cc6274397cbd3a465ccaa54c52574685a",
+    "cut_out@30": "3919cf4670cc237803827a6616a06868aa99cffe7094559eac3198e1f6c62fb3",
+    "cut_out_fast@10": "b3c99a2a455ae437ad8c47b365cf99d9362b1c11218e585275c8d7c49be716b1",
+    "cut_out_fast@30": "4b2eec0bee3ad1430bcbd60797bebea81a0b01fa07d1c1abf7ca1255ef332a3d",
+    "front_right_activity_1@10": "7d34bb4d9f8239b003e2099ef5760e1347574691f9b504c488e6b0530c75306a",
+    "front_right_activity_1@30": "3c2dcb84e404fd69db8ea04fd138846fabf865accc039fe47f74f84493ca43f6",
+    "front_right_activity_2@10": "3d76a17b22592b4acb04e1a517af2841975e26f9799dcc1ba45455d7a1f08d54",
+    "front_right_activity_2@30": "f8b2a6eb94a114efa2cac46a3a2b6fe1e2116a014a128dad8f2f4659361007d6",
+    "front_right_activity_3@10": "d8b4f480695ed0b6ebdf15c803c1d813428f0ef834a0aef551942b961208435a",
+    "front_right_activity_3@30": "9b9a70fad5b3492e8b00006c61f9ebc8505ebe2b36fd7ade2b454a57a58db763",
+    "vehicle_following@10": "3a56b915e6f3982777aae99b3768e2f52a562ec19a97561a30a2b12474a0b506",
+    "vehicle_following@30": "697a7176d214e3854b052492d09fefc5d39aba4be91e1356f2a9ddf602ffc959",
+}
+PINNED_SIMULATE_DIGESTS = {
+    "cut_in/budget90": "9546b8ed234e0ed69e2d57d5cbc3273cead914b423a772aec7c6ef0c094822a8",
+    "cut_in/default": "518c262b6a5b321ae5c775f472dd18cfd73ef4c5a934c875b6a6f45b3c0b3063",
+    "cut_in/seed3": "518c262b6a5b321ae5c775f472dd18cfd73ef4c5a934c875b6a6f45b3c0b3063",
+    "cut_out/budget90": "125c1798f25a3023cfc83db38079a2e0810a06617005d3aae82dc39289f77989",
+    "cut_out/default": "e6f31972d9579e7fb61a8c2edc89ef9500edda9d37ac286634b0c29ab5d0c3f4",
+    "cut_out/seed3": "e6f31972d9579e7fb61a8c2edc89ef9500edda9d37ac286634b0c29ab5d0c3f4",
+    "front_right_activity_2/budget90": "857bd6d3613d5c3ef8e149937287ea6047ee0d8758fd0ca2d1e58319ddec613a",
+    "front_right_activity_2/default": "2f61490fc7b362df09368f40f7d5c95700fc00ed83afc595affef0628232287e",
+    "front_right_activity_2/seed3": "2f61490fc7b362df09368f40f7d5c95700fc00ed83afc595affef0628232287e",
+}
+
+
+class TestOutputBytes:
+    """The bytes the CLI writes: one ``json.dumps(record, sort_keys=True)`` per line."""
+
+    def test_analyze_jsonl_is_pinned(self, tmp_path, family_traces):
+        digests = {}
+        for (family, rate), trace in family_traces.items():
+            trace_path, out = tmp_path / "t.jsonl", tmp_path / "report.jsonl"
+            save_trace(trace, trace_path)
+            assert main(["analyze", "--trace", str(trace_path), "--out", str(out)]) == 0
+            digests[f"{family}@{rate:g}"] = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digests == PINNED_ANALYZE_DIGESTS
+
+    def test_simulate_jsonl_is_pinned(self, tmp_path):
+        digests = {}
+        for family in ("cut_in", "cut_out", "front_right_activity_2"):
+            script = tmp_path / "s.json"
+            save_script(generate_scenario(family), script)
+            for name, extra in [("default", []), ("budget90", ["--budget", "90"]),
+                                ("seed3", ["--seed", "3"])]:
+                out = tmp_path / "log.jsonl"
+                main(["simulate", "--script", str(script), "--out", str(out), *extra])
+                digests[f"{family}/{name}"] = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digests == PINNED_SIMULATE_DIGESTS
+
+    def test_lines_equal_json_dumps(self):
+        records = [
+            {"tick": 0, "t": -0.0, "fpr": 0.0},
+            {"tick": 1, "t": 0.0, "fpr": -0.0},
+            {"tick": 2, "t": -0.0, "fpr": 0.0},
+            {"tick": 3, "t": math.nan, "fpr": math.nan},
+            {"tick": 4, "t": math.inf, "fpr": -math.inf},
+            {"tick": 5, "t": math.nan, "fpr": math.inf},
+            {"tick": 6, "value": 1},
+            {"tick": 7, "value": 1.0},
+            {"tick": 8, "value": True},
+            {"tick": 9, "value": 1},
+            {"tick": 10, "value": False},
+            {"tick": 11, "value": 0},
+            {"tick": 12, "actor": "caméra", "binding_actor": "前"},
+            {"tick": 13, "actor": 'say "hi"', "binding_actor": "back\\slash"},
+            {"tick": 14, "actor": None, "binding_actor": None},
+            {"t": 1.5, "alarm": {"reason": "starved", "camera": "rear", "fps": [2.0, 1.0]}},
+            {"tick": 15, "t": 1.5, "actor": "caméra"},
+            {"value": 1.0, "tick": 16},
+            {"only": "one key"},
+            {},
+            {"tick": 17, "values": (1.0, -0.0)},
+            {"tick": 18, "values": (1.0, 0.0)},
+            {"tick": 19, "100%": "%s", "%d": 5},
+        ]
+        buf = io.StringIO()
+        cli._emit_records(buf, records, {"ticks": 19})
+        want = [json.dumps(rec, sort_keys=True) for rec in records]
+        assert buf.getvalue().splitlines() == want + ['{"summary": {"ticks": 19}}']
 
 
 PARAM_VALUES = st.one_of(

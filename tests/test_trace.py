@@ -1,5 +1,6 @@
 import io
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from safefpr import (
     load_trace,
     save_trace,
 )
+from safefpr.trace import _state_from_obj
 
 
 def build_trace(n_ticks=10, actors=True, dt=0.1):
@@ -105,6 +107,30 @@ class TestValidation:
     def test_missing_file(self, tmp_path):
         with pytest.raises(TraceFormatError):
             load_trace(tmp_path / "nope.jsonl")
+
+    @pytest.mark.parametrize(
+        "fpr0,match",
+        [
+            (0, "field 'fpr0' must be > 0"),
+            (-5, "field 'fpr0' must be > 0"),
+            (math.nan, "field 'fpr0' must be finite"),
+            (math.inf, "field 'fpr0' must be finite"),
+            ("10", "field 'fpr0' must be a number"),
+            (True, "field 'fpr0' must be a number"),
+        ],
+    )
+    def test_bad_fpr0_rejected_by_the_constructor(self, fpr0, match):
+        # built in memory, not loaded: the same rule as in a trace header
+        trace = build_trace()
+        with pytest.raises(TraceFormatError, match=match):
+            ScenarioTrace(trace.dt, trace.ticks, trace.cameras, metadata={"fpr0": fpr0})
+
+    def test_fpr0_sets_the_operating_latency(self):
+        trace = build_trace()
+        for fpr0 in (7, 7.0):
+            rebuilt = ScenarioTrace(trace.dt, trace.ticks, trace.cameras, metadata={"fpr0": fpr0})
+            assert rebuilt.operating_latency() == 1.0 / 7.0
+        assert trace.operating_latency() == trace.dt
 
 
 class TestGroundTruth:
@@ -215,6 +241,39 @@ def with_state(where: str, key: str, raw: str) -> str:
     target = obj["ego"] if where == "ego" else obj["actors"]["lead"]
     target[key] = "@"
     return json.dumps(obj).replace('"@"', raw)
+
+
+class _Mapping(dict):
+    """A dict that is not exactly a dict, so states go down the checked path."""
+
+
+class TestStateFastPath:
+    """Saved states load on a fast path; every state must equal the checked path's."""
+
+    @pytest.mark.parametrize(
+        "obj",
+        [
+            dict(STATE),
+            {"x": 5, "y": 0.0, "v": 1.0, "a": 0.0, "heading": 0.0},
+            {"x": 0.0, "y": 0.0, "v": 3, "a": -1, "heading": 4},
+            {**STATE, "extra": 1.0},
+            {"x": 0.0, "y": 0.0, "v": 1.0, "heading": 0.5},
+            {"x": 0.0, "y": 0.0, "v": 1.0, "a": 0.5},
+            {"x": 0.0, "y": 0.0, "v": 1.0},
+            {"x": 1e308, "y": 1e308, "v": 1e308, "a": 0.0, "heading": 0.0},
+            {"x": 1.0, "y": -2.0, "v": -0.0, "a": 0.0, "heading": 0.0},
+            {"x": 1.0, "y": -2.0, "v": 0.0, "a": -0.0, "heading": 7.0},
+            {"x": 1.0, "y": 2.0, "v": 3.0, "a": 4.0, "heading": -math.pi},
+        ],
+    )
+    def test_state_equals_the_checked_path(self, obj):
+        want = _state_from_obj(_Mapping(obj), "tick 0 ego")
+        text = trace_text(tick=json.dumps({"t": 0.0, "ego": obj, "actors": {"lead": obj}}))
+        tick = load_trace(io.StringIO(text)).ticks[0]
+        for got in (tick.ego, tick.actors["lead"]):
+            assert got == want
+            assert repr(got) == repr(want)  # the same types, and the sign of a zero
+            assert all(type(value) is float for value in vars(got).values())
 
 
 class TestMalformedInput:
