@@ -21,10 +21,12 @@ Frame schedules are quantized to the tick grid: a frame due mid-tick is
 processed at the next tick boundary, adding at most one tick of delay.
 
 A run is split in two. The scripted actors and the cruising ego do not
-depend on the frame rate, so ``_World`` simulates them, and what the
-cruising ego perceives, once; ``_run`` replays a world with one frame
+depend on the frame rate, so ``_World`` simulates them, and which actors the
+cruising ego must brake for, once; ``_run`` replays a world with one frame
 schedule and steps its own ego only once the brakes engage. The MRF scan
-(``oracle.scenario_mrf``) runs every rate against one world.
+(``oracle.scenario_mrf``) runs every rate against one world. A frame can
+change only the count of an actor that is dangerous or already counting,
+so ``_run`` tests FOV membership (``in_fov``) for those actors alone.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import random
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 
-from .geometry import DEFAULT_CAMERA_RIG, fov_members
+from .geometry import DEFAULT_CAMERA_RIG, in_fov
 from .model import FprReport, braking_decel, evaluate_scene
 from .predictor import PredictorConfig, predict_trajectories
 from .scenarios import ActorScript, ScenarioScript, script_to_dict
@@ -138,13 +140,10 @@ def _world_state(road, s: float, lane: float, v: float, a: float) -> KinematicSt
     return KinematicState(x=x, y=y, v=v, a=a, heading=heading)
 
 
-def _dangerous(ego: tuple, actor: tuple, road, params: ModelParams) -> bool:
-    """Kinematic brake trigger for one same-lane-ahead actor.
-
-    ``ego`` and ``actor`` are each (s, lane, v) on the road.
-    """
-    ego_s, ego_lane, ego_v = ego
-    s, lane, v = actor
+def _dangerous(ego: _Ego, actor: _Actor, road, params: ModelParams) -> bool:
+    """Kinematic brake trigger for one same-lane-ahead actor, from road-frame states."""
+    ego_s, ego_lane, ego_v = ego.s, ego.lane, ego.v
+    s, lane, v = actor.s, actor.lane, actor.v
     if s <= ego_s:
         return False
     lateral = abs(road.lane_offset(lane) - road.lane_offset(ego_lane))
@@ -166,10 +165,8 @@ class _Tick:
 
     ego_s: float                               # cruising ego's arc position
     actors: dict[str, KinematicState]
-    actor_road: dict[str, tuple[float, float, float]]  # actor id -> (s, lane, v)
+    dangerous: frozenset[str]                  # ids of the actors ``_dangerous`` flags
     ego: KinematicState | None = None          # cruising ego, built when first read
-    # FOV members per camera id, and whether each actor is dangerous
-    perception: tuple[dict[str, set[str]], dict[str, bool]] | None = None
 
 
 class _World:
@@ -177,8 +174,8 @@ class _World:
 
     Actors follow only their scripted events, and the ego cruises the same
     path until a run engages its brakes, so every run of a script meets the
-    same world until then. A tick is simulated the first time a run reads
-    it, and its perception the first time a run processes a frame there.
+    same world until then. A tick is simulated, with its danger flags, the
+    first time a run reads it.
 
     With ``keep`` every simulated tick is kept for later runs to replay.
     Without it only one run can read the world, and it holds no tick that
@@ -219,11 +216,11 @@ class _World:
             yield tick
 
     def _snapshot(self) -> _Tick:
-        road = self.script.road
+        road, ego, params = self.script.road, self._ego, self.params
         return _Tick(
-            self._ego.s,
+            ego.s,
             {a.actor_id: _world_state(road, a.s, a.lane, a.v, a.a) for a in self._actors},
-            {a.actor_id: (a.s, a.lane, a.v) for a in self._actors},
+            frozenset(a.actor_id for a in self._actors if _dangerous(ego, a, road, params)),
         )
 
     def cruising_ego(self, tick: _Tick) -> KinematicState:
@@ -237,22 +234,6 @@ class _World:
         """The cruising ego at ``tick``, with its brakes engaged."""
         ego = self._ego
         return _Ego(tick.ego_s, ego.lane, ego.v, ego.brake_decel, braking=True)
-
-    def perception(self, tick: _Tick) -> tuple[dict[str, set[str]], dict[str, bool]]:
-        """What the cruising ego perceives at ``tick``: the FOV members per
-        camera id, and whether each actor is dangerous. Judged once per tick
-        for every run."""
-        if tick.perception is None:
-            road, ego = self.script.road, (tick.ego_s, self._ego.lane, self._ego.v)
-            positions = {aid: (st.x, st.y) for aid, st in tick.actors.items()}
-            tick.perception = (
-                fov_members(self.cruising_ego(tick), positions, DEFAULT_CAMERA_RIG),
-                {
-                    aid: _dangerous(ego, state, road, self.params)
-                    for aid, state in tick.actor_road.items()
-                },
-            )
-        return tick.perception
 
 
 def run_scenario(
@@ -322,8 +303,8 @@ def _run(
         c.camera_id: rng.uniform(0.0, 1.0 / rates[c.camera_id]) if seed else 0.0
         for c in cameras
     }
-    camera_ids = tuple(next_frame)
-    confirm_count: dict[tuple[str, str], int] = {}
+    # per camera id: actor id -> consecutive confirming frames, for counts > 0
+    confirm_count: dict[str, dict[str, int]] = {cid: {} for cid in next_frame}
     need_frames = max(1, params.confirmation_frames)
 
     ticks: list[TickRecord] = []
@@ -384,23 +365,29 @@ def _run(
                 camera_log.append(reports)
                 allocations.append((t, dict(rates)))
 
-        # process camera frames that came due this tick; what each camera
-        # sees, and which actors are dangerous, holds for the whole tick.
-        # Once the brakes are scheduled no frame changes the run.
-        if brake_at is None:
-            due = [cid for cid in camera_ids if next_frame[cid] <= t]
-            if due:
-                members, danger = world.perception(tick)
-            for cid in due:
-                while brake_at is None and next_frame[cid] <= t:
-                    next_frame[cid] += 1.0 / rates[cid]
-                    for aid in members[cid]:
-                        key = (cid, aid)
-                        count = confirm_count.get(key, 0) + 1 if danger[aid] else 0
-                        confirm_count[key] = count
-                        if count >= need_frames:
-                            brake_at = t + 1.0 / rates[cid]  # processing latency
-                            break
+        # process camera frames that came due this tick, in rig order: the
+        # first camera to confirm sets the processing latency. A frame adds
+        # one to the count of a dangerous actor in view and resets that of a
+        # harmless one, so only the actors that are dangerous or already
+        # counting need a FOV test, and which of them confirms does not
+        # matter. Until the brakes are scheduled the ego is the cruising one;
+        # after that no frame changes the run.
+        dangerous = tick.dangerous
+        for cam in cameras:
+            cid = cam.camera_id
+            counts = confirm_count[cid]
+            while brake_at is None and next_frame[cid] <= t:
+                next_frame[cid] += 1.0 / rates[cid]
+                for aid in dangerous | counts.keys():
+                    if not in_fov(ego_world, actor_world[aid], cam):
+                        continue
+                    if aid not in dangerous:
+                        del counts[aid]
+                        continue
+                    counts[aid] = counts.get(aid, 0) + 1
+                    if counts[aid] >= need_frames:
+                        brake_at = t + 1.0 / rates[cid]  # processing latency
+                        break
 
         if braking is None and brake_at is not None and t + ENGINE_DT >= brake_at:
             braking = world.braking_ego(tick)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,35 +57,10 @@ def in_fov(ego: KinematicState, actor: KinematicState, cam: CameraConfig) -> boo
     Membership is evaluated at the current instant; an actor coincident with
     the ego belongs to every camera.
     """
-    if actor.x == ego.x and actor.y == ego.y:
+    if (actor.x == ego.x and actor.y == ego.y) or cam.fov >= FULL_CIRCLE:
         return True
-    return _in_wedge(_bearing(ego, actor.x, actor.y), cam)
-
-
-def _in_wedge(bearing: float, cam: CameraConfig) -> bool:
-    if cam.fov >= FULL_CIRCLE:
-        return True
+    bearing = _bearing(ego, actor.x, actor.y)
     return abs(normalize_angle(bearing - cam.azimuth)) <= cam.fov / 2.0
-
-
-def fov_members(
-    ego: KinematicState,
-    positions: dict[str, tuple[float, float]],
-    cameras: Iterable[CameraConfig],
-) -> dict[str, set[str]]:
-    """Per camera id, the actors ``in_fov`` of that camera, given each actor's (x, y).
-
-    Each actor's bearing is computed once for all cameras.
-    """
-    bearings = {
-        aid: _bearing(ego, x, y) for aid, (x, y) in positions.items() if x != ego.x or y != ego.y
-    }
-    return {
-        cam.camera_id: {
-            aid for aid in positions if aid not in bearings or _in_wedge(bearings[aid], cam)
-        }
-        for cam in cameras
-    }
 
 
 def fov_mask(

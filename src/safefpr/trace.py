@@ -45,11 +45,7 @@ class ScenarioTrace:
     def __post_init__(self) -> None:
         if not 0.0 < self.dt < math.inf:
             raise TraceFormatError(f"dt must be finite and > 0, got {self.dt}")
-        if "fpr0" in self.metadata:
-            # the rate the run was recorded at: a finite number > 0, not a string or a bool
-            fpr0 = _finite(self.metadata, "fpr0", "header metadata")
-            if not fpr0 > 0.0:
-                raise TraceFormatError(f"header metadata: field 'fpr0' must be > 0, got {fpr0}")
+        _fpr0(self.metadata)
         ids: set[str] | None = None
         for i, tick in enumerate(self.ticks):
             expected = i * self.dt
@@ -101,9 +97,24 @@ class ScenarioTrace:
         return cols
 
     def operating_latency(self) -> float:
-        """Processing latency the trace was recorded at: 1 / fpr0, or dt without one."""
-        fpr0 = self.metadata.get("fpr0")
+        """Processing latency the trace was recorded at: 1 / fpr0, or dt without one.
+
+        ``fpr0`` is checked again here, as ``metadata`` may have changed
+        since construction.
+        """
+        fpr0 = _fpr0(self.metadata)
         return self.dt if fpr0 is None else 1.0 / fpr0
+
+
+def _fpr0(metadata: dict) -> float | None:
+    """The rate the run was recorded at, if ``metadata`` carries one: a
+    finite number > 0, not a string or a bool."""
+    if "fpr0" not in metadata:
+        return None
+    fpr0 = _finite(metadata, "fpr0", "header metadata")
+    if not fpr0 > 0.0:
+        raise TraceFormatError(f"header metadata: field 'fpr0' must be > 0, got {fpr0}")
+    return fpr0
 
 
 _STATE_FIELDS = ("x", "y", "v", "a", "heading")

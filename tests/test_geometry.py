@@ -12,7 +12,7 @@ from safefpr import (
     in_fov,
     separation,
 )
-from safefpr.geometry import DEG, _bearing, fov_mask, fov_members
+from safefpr.geometry import DEG, _bearing, fov_mask
 from safefpr.types import normalize_angle, normalize_angles
 
 FRONT_120 = CameraConfig("front", 0.0, 120 * DEG)
@@ -56,22 +56,6 @@ def test_heading_relative_membership():
     assert not in_fov(ego, KinematicState(0, -10, 0), FRONT_120)
 
 
-def test_fov_members_matches_in_fov():
-    ego = KinematicState(1.0, -2.0, 5.0, heading=0.7)
-    actors = {
-        f"a{i}": KinematicState(1.0 + 9.0 * math.cos(0.4 * i), -2.0 + 9.0 * math.sin(0.4 * i), 0.0)
-        for i in range(16)
-    }
-    actors["twin"] = KinematicState(1.0, -2.0, 3.0)
-    cams = (*DEFAULT_CAMERA_RIG, CameraConfig("all_round", 0.3, 2.0 * math.pi))
-    got = fov_members(ego, {aid: (st.x, st.y) for aid, st in actors.items()}, cams)
-    assert list(got) == [cam.camera_id for cam in cams]
-    for cam in cams:
-        assert got[cam.camera_id] == {aid for aid, st in actors.items() if in_fov(ego, st, cam)}
-    assert all("twin" in members for members in got.values())
-    assert got["all_round"] == set(actors)
-
-
 @given(
     cam_az=st.floats(-math.pi, math.pi),
     cam_fov=st.floats(0.1, 2 * math.pi),
@@ -113,12 +97,13 @@ def test_full_circle_camera_sees_everything(bearing, r):
 
 def test_default_rig_has_no_blind_wedge():
     # a ring of points around the ego, one every half degree
-    ring = {}
+    ring = []
     for i in range(720):
         theta = -math.pi + (i + 0.5) * 2.0 * math.pi / 720
-        ring[f"p{i}"] = (math.cos(theta), math.sin(theta))
-    members = fov_members(KinematicState(0, 0, 0), ring, DEFAULT_CAMERA_RIG)
-    assert set().union(*members.values()) == set(ring)
+        ring.append((math.cos(theta), math.sin(theta)))
+    mask = fov_mask([KinematicState(0, 0, 0)], [ring], DEFAULT_CAMERA_RIG)
+    assert mask.shape == (len(DEFAULT_CAMERA_RIG), 1, 720)
+    assert mask.any(axis=0).all()
 
 
 def test_rear_camera_wraparound():

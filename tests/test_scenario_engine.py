@@ -452,6 +452,28 @@ class TestEngine:
         }
         assert got == PINNED_OUTCOMES[family]
 
+    def test_a_harmless_frame_resets_the_confirmation(self):
+        # a lead in the ego lane brakes (dangerous on the 2 Hz frames 1.5 to
+        # 3.0 s), speeds away while still ahead in view, then brakes again
+        # from 6 s; only the second episode confirms 5 frames in a row
+        lead = ActorScript("lead", 1, 30.0, 20.0, (
+            ActorEvent(1.0, "speed_change", target_speed=14.0, rate=6.0),
+            ActorEvent(2.6, "speed_change", target_speed=30.0, rate=8.0),
+            ActorEvent(6.0, "speed_change", target_speed=5.0, rate=6.0),
+        ))
+        script = ScenarioScript("reset", 1, 20.0, 14.0, actors=(lead,))
+
+        def outcome(frames: int) -> tuple:
+            params = ModelParams(confirmation_frames=frames)
+            result = run_scenario(script, params, frame_rate=2.0, record=False)
+            return result.collision, result.brake_time
+
+        # four frames confirm within the first episode: its onset is by 1.5 s
+        assert outcome(4) == (None, 3.5)
+        collision, brake_time = outcome(5)
+        assert (collision, brake_time) == ((12.233333333333333, "lead"), 11.5)
+        assert brake_time > 1.5 + 5 / 2.0
+
 
 # scenario_mrf per family at its defaults. At 0.5 m (criterion 6's radius)
 # vehicle_following is safe from 16 Hz; at the default 2.0 m, which

@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from safefpr import (
     DEFAULT_CAMERA_RIG,
     KinematicState,
+    ModelParams,
     ScenarioTrace,
     TickRecord,
     TraceFormatError,
+    analyze_trace,
     ground_truth_trajectory,
     load_trace,
     save_trace,
@@ -124,6 +126,24 @@ class TestValidation:
         trace = build_trace()
         with pytest.raises(TraceFormatError, match=match):
             ScenarioTrace(trace.dt, trace.ticks, trace.cameras, metadata={"fpr0": fpr0})
+
+    @pytest.mark.parametrize(
+        "fpr0,match",
+        [
+            (0, "field 'fpr0' must be > 0"),
+            ("10", "field 'fpr0' must be a number"),
+            (-5.0, "field 'fpr0' must be > 0"),
+        ],
+    )
+    def test_bad_fpr0_set_after_construction(self, fpr0, match):
+        # metadata stays a mutable dict: the rate is checked again where it is read
+        built = build_trace()
+        trace = ScenarioTrace(built.dt, built.ticks, built.cameras, metadata={"fpr0": 10.0})
+        trace.metadata["fpr0"] = fpr0
+        with pytest.raises(TraceFormatError, match=match):
+            trace.operating_latency()
+        with pytest.raises(TraceFormatError, match=match):
+            analyze_trace(trace, ModelParams())
 
     def test_fpr0_sets_the_operating_latency(self):
         trace = build_trace()
