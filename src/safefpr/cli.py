@@ -22,7 +22,7 @@ from .report import analyze_trace, camera_record, sweep_grid, write_sweep_csv
 from .scenarios import load_script, script_from_dict
 from .scheduler import Budget
 from .trace import TraceFormatError, load_trace
-from .types import MPH_TO_MPS, ModelParams, finite_float, nonnegative_float
+from .types import L0_FIXED, MPH_TO_MPS, ModelParams, finite_float, nonnegative_float
 
 
 class InputError(Exception):
@@ -47,7 +47,7 @@ def load_params(path: str | None) -> tuple[ModelParams, float | None]:
     """Params file: JSON keyed by ModelParams field names; absent keys default.
 
     An extra key ``l0`` supplies the fixed reference latency, a finite
-    number > 0, for commands that need one.
+    number > 0; only ``sweep`` reads it, under the fixed policy.
     """
     if path is None:
         return ModelParams(), None
@@ -228,6 +228,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     params, l0 = load_params(args.params)
+    if l0 is not None and params.l0_policy != L0_FIXED:
+        raise InputError(
+            f"params file {args.params}: l0 is read only with \"l0_policy\": \"{L0_FIXED}\""
+        )
     if not 0.0 < args.sn < math.inf:
         raise InputError("--sn must be finite and > 0")
     if args.steps < 2:

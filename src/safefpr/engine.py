@@ -22,18 +22,19 @@ processed at the next tick boundary, adding at most one tick of delay.
 
 A run is split in two. The scripted actors and the cruising ego do not
 depend on the frame rate, so ``_World`` simulates them, and which actors the
-cruising ego must brake for, once; ``_run`` replays a world with one frame
-schedule and steps its own ego only once the brakes engage. The MRF scan
-(``oracle.scenario_mrf``) runs every rate against one world. A frame can
-change only the count of an actor that is dangerous or already counting,
-so ``_run`` tests FOV membership (``in_fov``) for those actors alone.
+cruising ego must brake for, once per script and over its whole duration,
+into a list of ticks. ``_run`` replays that list with one frame schedule,
+stops at a collision, and steps its own ego only once the brakes engage.
+A lone run builds its own world; the MRF scan (``oracle.scenario_mrf``)
+runs every rate against one. A frame can change only the count of an
+actor that is dangerous or already counting, so ``_run`` tests FOV
+membership (``in_fov``) for those actors alone.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .geometry import DEFAULT_CAMERA_RIG, in_fov
@@ -164,9 +165,9 @@ class _Tick:
     """The scripted world at one tick, as the cruising ego meets it."""
 
     ego_s: float                               # cruising ego's arc position
+    ego: KinematicState                        # cruising ego in the world frame
     actors: dict[str, KinematicState]
     dangerous: frozenset[str]                  # ids of the actors ``_dangerous`` flags
-    ego: KinematicState | None = None          # cruising ego, built when first read
 
 
 class _World:
@@ -174,61 +175,31 @@ class _World:
 
     Actors follow only their scripted events, and the ego cruises the same
     path until a run engages its brakes, so every run of a script meets the
-    same world until then. A tick is simulated, with its danger flags, the
-    first time a run reads it.
-
-    With ``keep`` every simulated tick is kept for later runs to replay.
-    Without it only one run can read the world, and it holds no tick that
-    run has passed: a lone run that kept its ticks ran up to a quarter slower.
+    same world until then. The constructor simulates every tick of the
+    script's duration into ``ticks``, which runs read and never change.
     """
 
-    def __init__(self, script: ScenarioScript, params: ModelParams, *, keep: bool = True):
+    def __init__(self, script: ScenarioScript, params: ModelParams):
         self.script = script
         self.params = params
-        self.n_ticks = int(round(script.duration / ENGINE_DT))
-        self._ego = _Ego(
+        road = script.road
+        self._ego = ego = _Ego(
             0.0, float(script.ego_lane), script.ego_speed, braking_decel(0.0, params),
             braking=False,
         )
-        self._actors = [_Actor(a) for a in script.actors]
-        self._keep = keep
-        self._kept: list[_Tick] = []
-        self._simulated = 0  # ticks simulated so far
-
-    def ticks(self) -> Iterator[_Tick]:
-        """Every tick in order, simulating each the first time a run reads it."""
-        kept = self._kept
-        for i in range(self.n_ticks + 1):
-            if i < len(kept):
-                yield kept[i]
-                continue
-            if i != self._simulated:
-                raise RuntimeError("a world that keeps no ticks is read by one run only")
+        actors = [_Actor(a) for a in script.actors]
+        self.ticks: list[_Tick] = []
+        for i in range(int(round(script.duration / ENGINE_DT)) + 1):
             if i:
-                t = (i - 1) * ENGINE_DT
-                self._ego.advance(ENGINE_DT)
-                for actor in self._actors:
-                    actor.advance(t + ENGINE_DT, ENGINE_DT)
-            self._simulated += 1
-            tick = self._snapshot()
-            if self._keep:
-                kept.append(tick)
-            yield tick
-
-    def _snapshot(self) -> _Tick:
-        road, ego, params = self.script.road, self._ego, self.params
-        return _Tick(
-            ego.s,
-            {a.actor_id: _world_state(road, a.s, a.lane, a.v, a.a) for a in self._actors},
-            frozenset(a.actor_id for a in self._actors if _dangerous(ego, a, road, params)),
-        )
-
-    def cruising_ego(self, tick: _Tick) -> KinematicState:
-        """The cruising ego at ``tick`` in the world frame."""
-        if tick.ego is None:
-            ego = self._ego
-            tick.ego = _world_state(self.script.road, tick.ego_s, ego.lane, ego.v, ego.a)
-        return tick.ego
+                ego.advance(ENGINE_DT)
+                for actor in actors:  # i * ENGINE_DT can round differently
+                    actor.advance((i - 1) * ENGINE_DT + ENGINE_DT, ENGINE_DT)
+            self.ticks.append(_Tick(
+                ego.s,
+                _world_state(road, ego.s, ego.lane, ego.v, ego.a),
+                {a.actor_id: _world_state(road, a.s, a.lane, a.v, a.a) for a in actors},
+                frozenset(a.actor_id for a in actors if _dangerous(ego, a, road, params)),
+            ))
 
     def braking_ego(self, tick: _Tick) -> _Ego:
         """The cruising ego at ``tick``, with its brakes engaged."""
@@ -264,7 +235,7 @@ def run_scenario(
     if frame_rate is not None and not floor_fpr <= frame_rate <= cap_fpr:
         raise ValueError(f"frame_rate must be within [{floor_fpr}, {cap_fpr}]")
     return _run(
-        _World(script, params, keep=False),
+        _World(script, params),
         frame_rate=frame_rate,
         adaptive=adaptive,
         budget=budget,
@@ -315,11 +286,11 @@ def _run(
     brake_at: float | None = None   # scheduled engage time
     braking: _Ego | None = None     # the ego once its brakes have engaged
 
-    for i, tick in enumerate(world.ticks()):
+    for i, tick in enumerate(world.ticks):
         t = i * ENGINE_DT
         actor_world = tick.actors
         if braking is None:
-            ego_world = world.cruising_ego(tick)
+            ego_world = tick.ego
             ego_x, ego_y = ego_world.x, ego_world.y
         else:
             ego_x, ego_y, heading = road.to_world(braking.s, road.lane_offset(braking.lane))

@@ -83,22 +83,6 @@ def _estimate_blocks(
         yield start, part, search_paths(egos, offsets, paths, l0, fixed)
 
 
-def recorded_estimates(
-    trace: ScenarioTrace, params: ModelParams
-) -> Iterator[tuple[int, dict[str, LatencyEstimate]]]:
-    """Per tick, each actor's latency estimate against its recorded future.
-
-    The ticks are searched in blocks (``_estimate_blocks``). The latencies
-    equal ``tolerable_latency`` on ``ground_truth_trajectory(trace, actor,
-    tick)``; probe times agree up to the rounding of the lookup time.
-    """
-    actor_ids = trace.actor_ids
-    n = len(actor_ids)
-    for start, part, ests in _estimate_blocks(trace, params):
-        for i in range(len(part)):
-            yield start + i, dict(zip(actor_ids, ests[i * n : (i + 1) * n]))
-
-
 def analyze_trace(trace: ScenarioTrace, params: ModelParams) -> AnalysisResult:
     """Per-tick per-camera required rates over a recorded trace.
 

@@ -108,12 +108,17 @@ class ScenarioTrace:
 
 def _fpr0(metadata: dict) -> float | None:
     """The rate the run was recorded at, if ``metadata`` carries one: a
-    finite number > 0, not a string or a bool."""
+    finite number > 0 whose reciprocal, the operating latency, is finite too;
+    not a string or a bool."""
     if "fpr0" not in metadata:
         return None
     fpr0 = _finite(metadata, "fpr0", "header metadata")
     if not fpr0 > 0.0:
         raise TraceFormatError(f"header metadata: field 'fpr0' must be > 0, got {fpr0}")
+    if not math.isfinite(1.0 / fpr0):
+        raise TraceFormatError(
+            f"header metadata: field 'fpr0' must have a finite 1/fpr0, got {fpr0}"
+        )
     return fpr0
 
 

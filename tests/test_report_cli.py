@@ -33,7 +33,8 @@ from safefpr import (
     write_sweep_csv,
 )
 from safefpr.cli import main, parse_speed
-from safefpr.report import OVER_MAX, format_cell, recorded_estimates
+from safefpr.model import path_table, search_paths
+from safefpr.report import OVER_MAX, format_cell
 from safefpr.scenarios import script_to_dict
 from safefpr.types import L0_FIXED, MPH_TO_MPS, straight_line_trajectory
 
@@ -131,12 +132,18 @@ def assert_blocked_matches_reference(trace, params=PARAMS):
     """Same records as the per-tick reference; probe times within 1e-9 s."""
     records, estimates = per_tick_reference(trace, params)
     assert analyze_trace(trace, params).records == records
-    blocked = dict(recorded_estimates(trace, params))
-    assert list(blocked) == list(range(len(trace.ticks)))
+    # the path table that analyze_trace searches, every tick reading it from its own time on
+    ids, ticks = trace.actor_ids, trace.ticks
+    paths = path_table([trace.actor_columns(aid) for aid in ids])
+    batched = search_paths(
+        [tick.ego for tick in ticks], [tick.t for tick in ticks], paths,
+        trace.operating_latency(), params.replace(l0_policy=L0_FIXED),
+    )
+    assert len(batched) == len(ticks) * len(ids)
     for k, expected in enumerate(estimates):
-        assert list(blocked[k]) == list(trace.actor_ids)
-        for aid, est in expected.items():
-            got = blocked[k][aid]
+        assert list(expected) == list(ids)
+        for j, (aid, est) in enumerate(expected.items()):
+            got = batched[k * len(ids) + j]
             assert got.latency == est.latency, (k, aid)
             if est.latency is not None:
                 assert abs(got.probe_time - est.probe_time) <= 1e-9, (k, aid)
@@ -414,6 +421,7 @@ class TestCli:
             ["simulate", "--script", "{inf_speed_script}"],
             ["analyze", "--trace", "{string_dt_trace}"],
             ["analyze", "--trace", "{bool_speed_trace}"],
+            ["analyze", "--trace", "{tiny_fpr0_trace}"],
             ["sweep", "--sn", "30", "--ve0-max", "10", "--van-max", "10", "--steps", "2",
              "--params", "{string_l0}"],
             ["sweep", "--sn", "30", "--ve0-max", "10", "--van-max", "10", "--steps", "2",
@@ -450,6 +458,9 @@ class TestCli:
         (tmp_path / "fine_scan.json").write_text('{"fine_dt": 1e-9}')
         (tmp_path / "string_dt_trace.jsonl").write_text(text.replace('"dt": 0.1', '"dt": "0.1"', 1))
         (tmp_path / "bool_speed_trace.jsonl").write_text(text.replace('"v": 0.0', '"v": true', 1))
+        (tmp_path / "tiny_fpr0_trace.jsonl").write_text(  # 1/fpr0 overflows to inf
+            text.replace('"metadata": {}', '"metadata": {"fpr0": 1e-310}', 1)
+        )
         (tmp_path / "list_script.json").write_text("[1]")
         script = json.loads((tmp_path / "script.json").read_text())
         (tmp_path / "inf_speed_script.json").write_text(json.dumps({**script, "ego_speed": "inf"}))
@@ -463,6 +474,7 @@ class TestCli:
             ("no_integer_rate", "no_integer_rate.json"), ("fine_scan", "fine_scan.json"),
             ("string_dt_trace", "string_dt_trace.jsonl"),
             ("bool_speed_trace", "bool_speed_trace.jsonl"),
+            ("tiny_fpr0_trace", "tiny_fpr0_trace.jsonl"),
             ("directory", ""), ("missing_parent", "none/log.jsonl"),
         ]}
         assert main([a.format(**names) for a in argv]) == 2
@@ -537,6 +549,21 @@ class TestCli:
         rc = main(["sweep", "--sn", "30", "--ve0-max", "10", "--van-max", "10",
                    "--steps", "3", "--params", str(bad)])
         assert rc == 2
+
+    def test_sweep_l0_needs_the_fixed_policy(self, tmp_path, capsys):
+        # the candidate policy never reads l0, so a file giving one is refused
+        argv = ["sweep", "--sn", "30", "--ve0-max", "30", "--van-max", "10", "--steps", "4"]
+        p = tmp_path / "p.json"
+        p.write_text('{"l0": 0.5}')
+        assert main(argv + ["--params", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert "l0" in err and "l0_policy" in err
+
+        p.write_text('{"l0": 0.5, "l0_policy": "fixed"}')
+        fixed, default = tmp_path / "fixed.csv", tmp_path / "default.csv"
+        assert main(argv + ["--params", str(p), "--out", str(fixed)]) == 0
+        assert main(argv + ["--out", str(default)]) == 0
+        assert fixed.read_text() != default.read_text()
 
     def test_params_file_applied(self, tmp_path):
         p = tmp_path / "p.json"

@@ -541,15 +541,28 @@ class TestSharedWorld:
         save_trace(fresh.trace, buf_fresh)
         assert buf_replay.getvalue() == buf_fresh.getvalue()
 
-    def test_single_run_world_is_read_once(self):
-        world = engine._World(generate_scenario("cut_in"), ModelParams(), keep=False)
-        kwargs = dict(
-            frame_rate=30.0, adaptive=False, budget=None,
-            collision_radius=0.5, seed=0, record=False,
+    @pytest.mark.parametrize("family", ["cut_out_fast", "cut_in"])
+    def test_runs_leave_the_world_unchanged(self, family):
+        # a 30 Hz run reads every tick, a 1 Hz run brakes late (and collides
+        # on cut_out_fast), and a recorded adaptive run shares the world's
+        # states with its trace; none of them may change a tick
+        script, params = generate_scenario(family), ModelParams()
+        world = engine._World(script, params)
+        before = [(t.ego_s, t.ego, dict(t.actors), t.dangerous) for t in world.ticks]
+        for rate in (30.0, 1.0):
+            engine._run(
+                world, frame_rate=rate, adaptive=False, budget=None,
+                collision_radius=0.5, seed=0, record=False,
+            )
+        recorded = engine._run(
+            world, frame_rate=None, adaptive=True, budget=Budget(90.0),
+            collision_radius=0.5, seed=3, record=True,
         )
-        engine._run(world, **kwargs)
-        with pytest.raises(RuntimeError, match="one run"):
-            engine._run(world, **kwargs)
+        recorded.trace.ticks[0].actors.clear()
+        assert isinstance(world.ticks, list)
+        assert len(world.ticks) == round(script.duration / engine.ENGINE_DT) + 1
+        after = [(t.ego_s, t.ego, t.actors, t.dangerous) for t in world.ticks]
+        assert after == before
 
 
 class TestScenarioMrf:

@@ -117,6 +117,7 @@ class TestValidation:
             (-5, "field 'fpr0' must be > 0"),
             (math.nan, "field 'fpr0' must be finite"),
             (math.inf, "field 'fpr0' must be finite"),
+            (1e-310, "field 'fpr0' must have a finite 1/fpr0"),
             ("10", "field 'fpr0' must be a number"),
             (True, "field 'fpr0' must be a number"),
         ],
@@ -133,6 +134,7 @@ class TestValidation:
             (0, "field 'fpr0' must be > 0"),
             ("10", "field 'fpr0' must be a number"),
             (-5.0, "field 'fpr0' must be > 0"),
+            (1e-310, "field 'fpr0' must have a finite 1/fpr0"),
         ],
     )
     def test_bad_fpr0_set_after_construction(self, fpr0, match):
@@ -356,6 +358,7 @@ class TestMalformedInput:
             ('{"dt": 0.1, "metadata": {"fpr0": NaN}}', "header metadata: field 'fpr0'"),
             ('{"dt": 0.1, "metadata": {"fpr0": 0}}', "field 'fpr0' must be > 0"),
             ('{"dt": 0.1, "metadata": {"fpr0": "10"}}', "header metadata: field 'fpr0'"),
+            ('{"dt": 0.1, "metadata": {"fpr0": 1e-310}}', "field 'fpr0' must have a finite 1/fpr0"),
         ],
     )
     def test_bad_header(self, header, match):
