@@ -11,7 +11,6 @@ from .geometry import (
     DEFAULT_CAMERA_RIG,
     CameraConfig,
     in_fov,
-    separation,
 )
 from .model import (
     ConstraintCheck,

@@ -43,11 +43,13 @@ def parse_speed(text: str) -> float:
         raise InputError(f"cannot parse speed {text!r}: {e}") from None
 
 
-def load_params(path: str | None) -> tuple[ModelParams, float | None]:
+def load_params(path: str | None, own_l0: str | None = None) -> tuple[ModelParams, float | None]:
     """Params file: JSON keyed by ModelParams field names; absent keys default.
 
     An extra key ``l0`` supplies the fixed reference latency, a finite
-    number > 0; only ``sweep`` reads it, under the fixed policy.
+    number > 0; only ``sweep`` reads it, under the fixed policy. A command
+    that always runs its own reference latency says which in ``own_l0``,
+    and a file that gives ``l0`` or ``l0_policy`` is refused with that text.
     """
     if path is None:
         return ModelParams(), None
@@ -59,6 +61,10 @@ def load_params(path: str | None) -> tuple[ModelParams, float | None]:
         raise InputError(f"params file {path}: cannot read ({e})") from None
     if not isinstance(obj, dict):
         raise InputError(f"params file {path}: expected a JSON object")
+    if own_l0 is not None:
+        for key in ("l0", "l0_policy"):
+            if key in obj:
+                raise InputError(f'params file {path}: "{key}" is not read; {own_l0}')
     l0 = obj.pop("l0", None)
     known = {f.name for f in fields(ModelParams) if f.init}
     unknown = set(obj) - known
@@ -149,7 +155,10 @@ def _emit_records(fh, records: Iterable[dict], summary: dict) -> None:
 
 
 def cmd_analyze(args) -> int:
-    params, _ = load_params(args.params)
+    params, _ = load_params(
+        args.params,
+        own_l0="analyze runs the fixed l0 policy at l0 = 1/fpr0 of the trace (dt without fpr0)",
+    )
     try:
         trace = load_trace(args.trace)
     except TraceFormatError as e:
@@ -175,7 +184,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    params, _ = load_params(args.params)
+    params, _ = load_params(
+        args.params, own_l0="simulate runs the fixed l0 policy at l0 = latency_min"
+    )
     try:
         script = load_script(args.script)
     except (OSError, ValueError) as e:

@@ -1,4 +1,4 @@
-"""World-frame geometry: separations, bearings and camera FOV membership."""
+"""World-frame geometry: bearings and camera FOV membership."""
 
 from __future__ import annotations
 
@@ -39,11 +39,6 @@ DEFAULT_CAMERA_RIG = (
     CameraConfig("right", -90.0 * DEG, 120.0 * DEG),
     CameraConfig("rear", math.pi, 120.0 * DEG),
 )
-
-
-def separation(ego: KinematicState, actor: KinematicState) -> float:
-    """Center-to-center distance between two states."""
-    return math.hypot(actor.x - ego.x, actor.y - ego.y)
 
 
 def _bearing(ego: KinematicState, x: float, y: float) -> float:

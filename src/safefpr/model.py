@@ -278,28 +278,32 @@ def path_table(blocks: Sequence[np.ndarray]) -> PathTable:
     return PathTable(seg, keys, len(counts))
 
 
-def _search_batch(
+def search_paths(
     egos: Sequence[KinematicState],
     offsets: Sequence[float],
     paths: PathTable,
     l0: float,
     params: ModelParams,
-) -> tuple[list[int], list[float]]:
-    """``tolerable_latency`` for every (ego, path) pair, in NumPy.
+) -> tuple[list[float | None], list[float | None]]:
+    """``tolerable_latency`` of each ego against each path, read from the ego's offset on.
 
-    Ego i reads every path at ``offsets[i] + probe``: a predicted trajectory
-    with offset 0.0 as it is, a recorded path with offset t as its future
-    from time t on. Each lane is one (ego, path, grid candidate) triple and
-    runs the scalar search's probe iteration (``path_state``,
-    ``_ego_motion``, ``_check`` and ``probe_time_update``, vectorised) with
-    the same float results, on its lookup time ``offset + probe`` in place
-    of the probe (``p + 0.0 == p``, so with offset 0.0 the grid indices and
-    probe times are the scalar search's to the bit). Lanes leave the batch
-    when they meet the constraints, dead-end, stop moving or pass the
-    horizon, and a pair's lanes leave once a larger latency of it has met. Returns
-    grid indices (-1 where the whole grid fails) and probe times per pair,
-    ego-major, as Python ints and floats.
+    Ego i sees path j as the future from time ``offsets[i]`` on, so a
+    recorded path with offset t equals its recorded future re-based at t
+    (``trace.ground_truth_trajectory``), up to rounding of the lookup time.
+    Returns the latencies and the probe times, ego-major (entry
+    i * paths.count + j), as Python lists, None where the whole grid fails.
+    ``l0`` is checked as in ``tolerable_latency``.
+
+    Each lane is one (ego, path, grid candidate) triple and runs the scalar
+    search's probe iteration (``path_state``, ``_ego_motion``, ``_check``
+    and ``probe_time_update``, vectorised) with the same float results, on
+    its lookup time ``offset + probe`` in place of the probe (``p + 0.0 ==
+    p``, so with offset 0.0 both lists are the scalar search's to the bit).
+    Lanes leave the batch when they meet the constraints, dead-end, stop
+    moving or pass the horizon, and a pair's lanes leave once a larger
+    latency of it has met.
     """
+    params.check_l0(l0)
     grid = params.grid_array()
     if params.l0_policy == L0_CANDIDATE:
         t_react = grid
@@ -427,27 +431,11 @@ def _search_batch(
         lane_pair = lane_pair.take(keep)
     best -= pair_ego * n_cand
     best_at -= off[:, 0].take(pair_ego)
-    return np.append(cand, -1).take(best).tolist(), best_at.tolist()
-
-
-def search_paths(
-    egos: Sequence[KinematicState],
-    offsets: Sequence[float],
-    paths: PathTable,
-    l0: float,
-    params: ModelParams,
-) -> list[LatencyEstimate]:
-    """``tolerable_latency`` of each ego against each path, read from the ego's offset on.
-
-    Ego i sees path j as the future from time ``offsets[i]`` on, so a
-    recorded path with offset t equals its recorded future re-based at t
-    (``trace.ground_truth_trajectory``), up to rounding of the lookup time.
-    Estimates run ego-major: entry i * paths.count + j. One batched search
-    serves every pair. ``l0`` is checked as in ``tolerable_latency``.
-    """
-    params.check_l0(l0)
-    gis, probes = _search_batch(egos, offsets, paths, l0, params)
-    return [_estimate(gi, probe, params) for gi, probe in zip(gis, probes)]
+    # per candidate its grid latency, and None for a pair that none met
+    latency = [params.latency_grid[c] for c in cand.tolist()] + [None]
+    best = best.tolist()
+    probes = [None if b == n_cand else p for b, p in zip(best, best_at.tolist())]
+    return [latency[b] for b in best], probes
 
 
 def _rank_key(est: LatencyEstimate) -> float:
@@ -610,8 +598,8 @@ def evaluate_scene(
     """One full tick: per-actor latencies and per-camera required rates.
 
     Every trajectory of every actor goes through one batched search from
-    this one ego (``search_paths`` with offset 0.0), which gives the same
-    estimates as ``tolerable_latency`` on each trajectory. Trajectory
+    this one ego (``search_paths`` with offset 0.0), whose latency and probe
+    time are each trajectory's ``tolerable_latency``. Trajectory
     probabilities weight the aggregation (``aggregate_actor_latency``);
     camera membership is evaluated on each actor's position now (the first
     sample of its first trajectory), and the rates come from
@@ -621,7 +609,7 @@ def evaluate_scene(
         if not trajs:
             raise ValueError(f"actor {aid!r} has no trajectories")
     paths = path_table([traj.columns() for trajs in actor_trajectories.values() for traj in trajs])
-    found = iter(search_paths((ego,), (0.0,), paths, l0, params))
+    found = map(LatencyEstimate, *search_paths((ego,), (0.0,), paths, l0, params))
     per_actor = {
         aid: aggregate_actor_latency([(next(found), traj.probability) for traj in trajs], params)
         for aid, trajs in actor_trajectories.items()

@@ -6,15 +6,16 @@ import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterator, Sequence
+from typing import IO, Sequence
+
+import numpy as np
 
 from .model import FprReport, path_table, scene_reports, search_paths, tolerable_latency
 from .oracle import feasible_latency_scan
-from .trace import ScenarioTrace, TickRecord
+from .trace import ScenarioTrace
 from .types import (
     KinematicState,
     L0_FIXED,
-    LatencyEstimate,
     ModelParams,
     constant_separation_trajectory,
     finite_float,
@@ -59,43 +60,23 @@ def camera_record(tick: int, t: float, camera: str, report: FprReport) -> dict:
 BLOCK_LANES = 3000
 
 
-def _estimate_blocks(
-    trace: ScenarioTrace, params: ModelParams
-) -> Iterator[tuple[int, Sequence[TickRecord], list[LatencyEstimate]]]:
-    """Per block of ticks: its first tick index, its ticks and its estimates, tick-major.
-
-    The reference latency l0 is the one the trace was recorded at, under
-    the fixed l0 policy. Each actor's recorded columns go into one path
-    table (``ScenarioTrace.actor_columns``), and every ego of a block reads
-    the table from its own tick time on (``search_paths``). A block holds at
-    most ``BLOCK_LANES`` (tick, actor, grid candidate) lanes, and at least
-    one tick.
-    """
-    ticks = trace.ticks
-    n = len(trace.actor_ids)
-    l0 = trace.operating_latency()
-    fixed = params.replace(l0_policy=L0_FIXED)
-    paths = path_table([trace.actor_columns(aid) for aid in trace.actor_ids])
-    block = max(1, BLOCK_LANES // (max(1, n) * len(params.latency_grid)))
-    for start in range(0, len(ticks), block):
-        part = ticks[start : start + block]
-        egos, offsets = [tick.ego for tick in part], [tick.t for tick in part]
-        yield start, part, search_paths(egos, offsets, paths, l0, fixed)
-
-
 def analyze_trace(trace: ScenarioTrace, params: ModelParams) -> AnalysisResult:
     """Per-tick per-camera required rates over a recorded trace.
 
     Post-run analysis uses the recorded future of each actor (a single
     known trajectory) and the latency the trace was recorded at as the
-    reference latency l0. The trace is analysed block by block: one batched
-    search per block of ticks (``_estimate_blocks``), then one
-    ``scene_reports`` call for the block's camera rates. No array spans the
-    whole trace. The result equals running each tick through
-    ``evaluate_scene`` with every actor's ``ground_truth_trajectory``.
+    reference latency l0, under the fixed l0 policy. Each actor's recorded
+    columns (``ScenarioTrace.actor_columns``) give its path and positions.
+    The trace is analysed in blocks of at most ``BLOCK_LANES`` (tick, actor,
+    grid candidate) lanes and at least one tick: one batched search per
+    block, every ego reading the paths from its own tick time on
+    (``search_paths``), then one ``scene_reports`` call for its camera
+    rates. The result equals running each tick through ``evaluate_scene``
+    with every actor's ``ground_truth_trajectory``.
     """
     out = AnalysisResult()
     records = out.records
+    ticks = trace.ticks
     actor_ids = trace.actor_ids
     n = len(actor_ids)
     camera_ids = [c.camera_id for c in trace.cameras]
@@ -104,12 +85,19 @@ def analyze_trace(trace: ScenarioTrace, params: ModelParams) -> AnalysisResult:
     max_total_t = 0.0
     any_infeasible = False
 
-    for start, part, ests in _estimate_blocks(trace, params):
-        latencies = [[est.latency for est in ests[i * n : (i + 1) * n]] for i in range(len(part))]
-        positions = [
-            [(s.x, s.y) for s in map(tick.actors.__getitem__, actor_ids)] for tick in part
-        ]
+    l0 = trace.operating_latency()
+    fixed = params.replace(l0_policy=L0_FIXED)
+    columns = [trace.actor_columns(aid) for aid in actor_ids]
+    paths = path_table(columns)
+    # (actor, x or y, tick); the reshape gives a trace without actors this shape too
+    xy = np.array([cols[1:3] for cols in columns]).reshape(n, 2, len(ticks))
+    block = max(1, BLOCK_LANES // (max(1, n) * len(params.latency_grid)))
+    for start in range(0, len(ticks), block):
+        part = ticks[start : start + block]
         egos = [tick.ego for tick in part]
+        found, _ = search_paths(egos, [tick.t for tick in part], paths, l0, fixed)
+        latencies = [found[i * n : (i + 1) * n] for i in range(len(part))]
+        positions = xy[:, :, start : start + block].transpose(2, 0, 1).tolist()
         reports = scene_reports(egos, actor_ids, positions, latencies, trace.cameras, params)
         for k, tick, lats, reps in zip(range(start, start + len(part)), part, latencies, reports):
             t = tick.t

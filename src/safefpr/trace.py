@@ -147,15 +147,15 @@ def _finite(obj: dict, key: str, where: str, default: float | None = None) -> fl
 
 def _state_from_obj(obj, where: str) -> KinematicState:
     if type(obj) is dict and len(obj) == 5:
-        # the saved form: exactly the five fields, finite floats (a finite
-        # sum means every term is), speed >= 0; anything else is checked below
+        # the saved form: exactly the five fields, as floats, which
+        # KinematicState checks; anything else, or a state it refuses, is
+        # checked below for the error message
         x, y, v, a, heading = map(obj.get, _STATE_FIELDS)
-        if (
-            type(x) is type(y) is type(v) is type(a) is type(heading) is float
-            and math.isfinite(x + y + v + a + heading)
-            and v >= 0.0
-        ):
-            return KinematicState(x, y, v, a, heading)
+        if type(x) is type(y) is type(v) is type(a) is type(heading) is float:
+            try:
+                return KinematicState(x, y, v, a, heading)
+            except ValueError:
+                pass
     if not isinstance(obj, dict):
         raise TraceFormatError(f"{where}: expected an object")
     fields = [_finite(obj, key, where) for key in ("x", "y", "v")]

@@ -10,20 +10,11 @@ from safefpr import (
     CameraConfig,
     KinematicState,
     in_fov,
-    separation,
 )
 from safefpr.geometry import DEG, _bearing, fov_mask
 from safefpr.types import normalize_angle, normalize_angles
 
 FRONT_120 = CameraConfig("front", 0.0, 120 * DEG)
-
-
-def test_separation_straight_ahead():
-    assert separation(KinematicState(0, 0, 0), KinematicState(30, 0, 0)) == 30.0
-
-
-def test_separation_3_4_5():
-    assert separation(KinematicState(0, 0, 0), KinematicState(3, 4, 0)) == pytest.approx(5.0)
 
 
 def test_in_fov_dead_ahead():
@@ -114,18 +105,6 @@ def test_rear_camera_wraparound():
     assert in_fov(ego, KinematicState(-10, 5, 0), rear)
     assert in_fov(ego, KinematicState(-10, -5, 0), rear)
     assert not in_fov(ego, KinematicState(10, 0, 0), rear)
-
-
-@given(
-    ax=st.floats(-100, 100), ay=st.floats(-100, 100),
-    bx=st.floats(-100, 100), by=st.floats(-100, 100),
-    cx=st.floats(-100, 100), cy=st.floats(-100, 100),
-)
-@settings(max_examples=200)
-def test_separation_symmetric_and_triangle(ax, ay, bx, by, cx, cy):
-    a, b, c = (KinematicState(ax, ay, 0), KinematicState(bx, by, 0), KinematicState(cx, cy, 0))
-    assert separation(a, b) == separation(b, a)
-    assert separation(a, c) <= separation(a, b) + separation(b, c) + 1e-9
 
 
 def test_bearing_to_quadrants():

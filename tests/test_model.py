@@ -363,10 +363,14 @@ class TestSeveralEgos:
             egos.append(KinematicState(0.0, 0.0, rng.uniform(2.0, 20.0), rng.uniform(-8.0, -3.0)))
             l0 = float(rng.uniform(1.0 / 30.0, 1.0))
             together = search_paths(egos, [0.0] * len(egos), paths, l0, params)
-            alone = [est for ego in egos for est in search_paths([ego], [0.0], paths, l0, params)]
+            each = [search_paths([ego], [0.0], paths, l0, params) for ego in egos]
+            alone = (
+                [latency for latencies, _ in each for latency in latencies],
+                [probe for _, probes in each for probe in probes],
+            )
             assert together == alone
-            assert any(est.infeasible for est in alone)
-            assert any(not est.infeasible for est in alone)
+            assert None in alone[0]
+            assert any(latency is not None for latency in alone[0])
 
 
 class TestNoPaths:
@@ -374,7 +378,7 @@ class TestNoPaths:
         paths = path_table([])
         assert paths.count == 0
         egos = [KinematicState(0.0, 0.0, 10.0), KinematicState(5.0, 0.0, 20.0)]
-        assert search_paths(egos, [0.0, 1.0], paths, 1 / 30, ModelParams()) == []
+        assert search_paths(egos, [0.0, 1.0], paths, 1 / 30, ModelParams()) == ([], [])
 
     def test_scene_without_actors(self, params):
         per_actor, reports = evaluate_scene(

@@ -135,18 +135,18 @@ def assert_blocked_matches_reference(trace, params=PARAMS):
     # the path table that analyze_trace searches, every tick reading it from its own time on
     ids, ticks = trace.actor_ids, trace.ticks
     paths = path_table([trace.actor_columns(aid) for aid in ids])
-    batched = search_paths(
+    latencies, probes = search_paths(
         [tick.ego for tick in ticks], [tick.t for tick in ticks], paths,
         trace.operating_latency(), params.replace(l0_policy=L0_FIXED),
     )
-    assert len(batched) == len(ticks) * len(ids)
+    assert len(latencies) == len(probes) == len(ticks) * len(ids)
     for k, expected in enumerate(estimates):
         assert list(expected) == list(ids)
         for j, (aid, est) in enumerate(expected.items()):
-            got = batched[k * len(ids) + j]
-            assert got.latency == est.latency, (k, aid)
+            pair = k * len(ids) + j
+            assert latencies[pair] == est.latency, (k, aid)
             if est.latency is not None:
-                assert abs(got.probe_time - est.probe_time) <= 1e-9, (k, aid)
+                assert abs(probes[pair] - est.probe_time) <= 1e-9, (k, aid)
 
 
 def synthetic_trace(n_ticks, dt=0.1, actors=("lead", "parked"), metadata=None):
@@ -564,6 +564,43 @@ class TestCli:
         assert main(argv + ["--params", str(p), "--out", str(fixed)]) == 0
         assert main(argv + ["--out", str(default)]) == 0
         assert fixed.read_text() != default.read_text()
+
+    @pytest.mark.parametrize(
+        "command,uses", [("analyze", "l0 = 1/fpr0 of the trace"), ("simulate", "l0 = latency_min")]
+    )
+    @pytest.mark.parametrize(
+        "text,key",
+        [('{"l0": 0.5}', "l0"), ('{"l0_policy": "candidate"}', "l0_policy"),
+         ('{"l0_policy": "fixed"}', "l0_policy")],
+    )
+    def test_analyze_and_simulate_refuse_the_l0_keys(
+        self, tmp_path, capsys, command, uses, text, key
+    ):
+        # both run their own fixed reference latency, so a file that sets one is refused
+        p, source = tmp_path / "p.json", tmp_path / "source"
+        p.write_text(text)
+        if command == "analyze":
+            save_trace(synthetic_trace(3), source)
+            argv = ["analyze", "--trace", str(source)]
+        else:
+            save_script(generate_scenario("cut_in"), source)
+            argv = ["simulate", "--script", str(source)]
+        assert main(argv + ["--params", str(p), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f'"{key}" is not read' in err and uses in err
+        assert not (tmp_path / "out").exists()
+
+    def test_analyze_header_only_trace(self, tmp_path):
+        trace_path, out = tmp_path / "t.jsonl", tmp_path / "report.jsonl"
+        save_trace(ScenarioTrace(dt=0.1, ticks=(), cameras=DEFAULT_CAMERA_RIG), trace_path)
+        assert main(["analyze", "--trace", str(trace_path), "--out", str(out)]) == 0
+        (line,) = out.read_text().splitlines()
+        summary = json.loads(line)["summary"]
+        assert summary["ticks"] == 0
+        assert summary["max_total_fpr"] == 0.0
+        assert summary["max_fpr_per_camera"] == dict.fromkeys(
+            (c.camera_id for c in DEFAULT_CAMERA_RIG), 0.0
+        )
 
     def test_params_file_applied(self, tmp_path):
         p = tmp_path / "p.json"
