@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
@@ -22,7 +21,7 @@ from .report import analyze_trace, camera_record, sweep_grid, write_sweep_csv
 from .scenarios import load_script, script_from_dict
 from .scheduler import Budget
 from .trace import TraceFormatError, load_trace
-from .types import L0_FIXED, MPH_TO_MPS, ModelParams, finite_float, nonnegative_float
+from .types import L0_FIXED, MPH_TO_MPS, ModelParams, within
 
 
 class InputError(Exception):
@@ -38,7 +37,7 @@ def parse_speed(text: str) -> float:
     elif t.endswith(("mps", "m/s")):
         t = t[:-3]
     try:
-        return nonnegative_float("speed", float(t) * scale)
+        return within("speed", float(t) * scale, 0.0)
     except ValueError as e:
         raise InputError(f"cannot parse speed {text!r}: {e}") from None
 
@@ -72,11 +71,9 @@ def load_params(path: str | None, own_l0: str | None = None) -> tuple[ModelParam
         raise InputError(f"params file {path}: unknown keys {sorted(unknown)}")
     try:
         params = ModelParams(**obj)
-        l0 = None if l0 is None else finite_float("l0", l0)
+        l0 = None if l0 is None else within("l0", l0, 0.0, open_lo=True)
     except (TypeError, ValueError) as e:
         raise InputError(f"params file {path}: {e}") from None
-    if l0 is not None and not l0 > 0.0:
-        raise InputError(f"params file {path}: l0 must be > 0, got {l0}")
     return params, l0
 
 
@@ -170,7 +167,7 @@ def cmd_analyze(args) -> int:
         except (KeyError, ValueError) as e:
             raise InputError(f"--mrf needs the trace's scenario script: {e!r}") from None
         try:
-            nonnegative_float("--collision-radius", args.collision_radius)
+            within("--collision-radius", args.collision_radius, 0.0)
             mrf_rates(params)
         except ValueError as e:
             raise InputError(f"--mrf: {e}") from None
@@ -196,7 +193,7 @@ def cmd_simulate(args) -> int:
     except ValueError as e:
         raise InputError(f"--budget: {e}") from None
     try:
-        nonnegative_float("--collision-radius", args.collision_radius)
+        within("--collision-radius", args.collision_radius, 0.0)
     except ValueError as e:
         raise InputError(str(e)) from None
     with _output(args.out) as fh:
@@ -243,10 +240,11 @@ def cmd_sweep(args) -> int:
         raise InputError(
             f"params file {args.params}: l0 is read only with \"l0_policy\": \"{L0_FIXED}\""
         )
-    if not 0.0 < args.sn < math.inf:
-        raise InputError("--sn must be finite and > 0")
-    if args.steps < 2:
-        raise InputError("--steps must be >= 2")
+    try:
+        within("--sn", args.sn, 0.0, open_lo=True)
+        within("--steps", args.steps, 2)
+    except ValueError as e:
+        raise InputError(str(e)) from None
     ve0_lo, ve0_hi = parse_speed(args.ve0_min), parse_speed(args.ve0_max)
     van_lo, van_hi = parse_speed(args.van_min), parse_speed(args.van_max)
     if ve0_hi < ve0_lo or van_hi < van_lo:

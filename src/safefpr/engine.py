@@ -43,7 +43,7 @@ from .predictor import PredictorConfig, predict_trajectories
 from .scenarios import ActorScript, ScenarioScript, script_to_dict
 from .scheduler import AlarmEvent, Budget, allocate, safety_check
 from .trace import ScenarioTrace, TickRecord
-from .types import KinematicState, L0_FIXED, ModelParams, nonnegative_float
+from .types import KinematicState, L0_FIXED, ModelParams, within
 
 ENGINE_DT = 1.0 / 30.0   # s per tick; aligns the tick grid with a 30 Hz camera
 STANDSTILL_GAP = 4.0     # m kept clear when stopped behind an obstacle
@@ -230,10 +230,9 @@ def run_scenario(
         raise ValueError("pass either frame_rate or adaptive=True")
     if budget is not None and not adaptive:
         raise ValueError("budget needs adaptive=True; a fixed frame_rate is never allocated")
-    nonnegative_float("collision_radius", collision_radius)
-    floor_fpr, cap_fpr = params.fpr_bounds()
-    if frame_rate is not None and not floor_fpr <= frame_rate <= cap_fpr:
-        raise ValueError(f"frame_rate must be within [{floor_fpr}, {cap_fpr}]")
+    within("collision_radius", collision_radius, 0.0)
+    if frame_rate is not None:
+        within("frame_rate", frame_rate, *params.fpr_bounds(), "Hz")
     return _run(
         _World(script, params),
         frame_rate=frame_rate,
@@ -265,7 +264,8 @@ def _run(
     script, params = world.script, world.params
     road = script.road
     cameras = DEFAULT_CAMERA_RIG
-    fixed_params = params.replace(l0_policy=L0_FIXED)
+    # only estimation reads the fixed-policy params; a fixed-rate run skips building them
+    fixed_params = params.replace(l0_policy=L0_FIXED) if adaptive else None
     cap_fpr = params.fpr_bounds()[1]
 
     rng = random.Random(seed)
@@ -331,7 +331,7 @@ def _run(
                     alarms.append((t, allocation.alarm))
                 rates = dict(allocation.per_camera_fps)
             else:
-                rates = required  # camera_fpr keeps every rate within fpr_bounds()
+                rates = required  # scene_reports keeps every rate within fpr_bounds()
             if record:
                 camera_log.append(reports)
                 allocations.append((t, dict(rates)))

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .types import KinematicState, normalize_angle, normalize_angles
+from .types import KinematicState, finite_float, normalize_angle, normalize_angles, within
 
 DEG = math.pi / 180.0
 FULL_CIRCLE = 2.0 * math.pi - 1e-12  # a camera at least this wide sees every bearing
@@ -23,11 +23,10 @@ class CameraConfig:
     fov: float      # rad, (0, 2*pi]
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.fov <= 2.0 * math.pi + 1e-12:
-            raise ValueError(f"fov must be in (0, 2*pi], got {self.fov}")
-        if not math.isfinite(self.azimuth):
-            raise ValueError(f"azimuth must be finite, got {self.azimuth}")
-        object.__setattr__(self, "azimuth", normalize_angle(self.azimuth))
+        if not isinstance(self.camera_id, str):
+            raise ValueError(f"camera_id must be a string, got {self.camera_id!r}")
+        within("fov", self.fov, 0.0, 2.0 * math.pi + 1e-12, "rad", open_lo=True)
+        object.__setattr__(self, "azimuth", normalize_angle(finite_float("azimuth", self.azimuth)))
 
 
 # Five-camera rig: narrow + wide front, two sides, rear. Wedges overlap, so

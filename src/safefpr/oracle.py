@@ -20,7 +20,7 @@ from itertools import accumulate
 import numpy as np
 
 from .model import braking_decel, reaction_time, resolve_l0
-from .types import KinematicState, ModelParams, Trajectory, nonnegative_float
+from .types import KinematicState, ModelParams, Trajectory, within
 
 # Sub-physical slack absorbing float disagreement between the scan's
 # integrated motion and the closed-form search. Strictly looser than the
@@ -223,7 +223,7 @@ def feasible_latency_scan(
     zero-latency limit of a scenario; it must be finite and >= 0, and ``l0``
     must pass ``ModelParams.check_l0``.
     """
-    nonnegative_float("latency", latency)
+    within("latency", latency, 0.0)
     params.check_l0(l0)
     return _earliest_probe(ego0, traj, l0, latency, params) is not None
 
@@ -259,9 +259,9 @@ def collision_check(
     the horizon. ``latency`` and ``collision_radius`` must be finite and
     >= 0.
     """
-    nonnegative_float("latency", latency)
+    within("latency", latency, 0.0)
     params.check_l0(l0)
-    nonnegative_float("collision_radius", collision_radius)
+    within("collision_radius", collision_radius, 0.0)
     l0_eff = resolve_l0(latency, l0, params)
     t_react = reaction_time(latency, l0_eff, params)
     decel = braking_decel(ego0.a, params)
@@ -304,7 +304,7 @@ def scenario_mrf(script, params: ModelParams, collision_radius: float = 2.0) -> 
     from . import engine  # engine imports the model, not the oracle
 
     rates = mrf_rates(params)
-    nonnegative_float("collision_radius", collision_radius)
+    within("collision_radius", collision_radius, 0.0)
     world = engine._World(script, params)
     safe = None
     for rate in rates:

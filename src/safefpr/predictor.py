@@ -14,11 +14,10 @@ import numpy as np
 from .types import (
     KinematicState,
     Trajectory,
-    finite_float,
     integer,
-    nonnegative_float,
     sample_times,
     straight_line_block,
+    within,
 )
 
 SAMPLE_DT = 0.25  # s between emitted trajectory samples
@@ -37,19 +36,17 @@ class PredictorConfig:
 
     def __post_init__(self) -> None:
         n = integer("num_variants", self.num_variants)
-        if not n >= 1:
-            raise ValueError("num_variants must be >= 1")
-        if not finite_float("horizon", self.horizon) > 0.0:
-            raise ValueError("horizon must be > 0")
-        s = nonnegative_float("decel_spread", self.decel_spread)
+        within("num_variants", n, 1)
+        within("horizon", self.horizon, 0.0, open_lo=True)
+        s = within("decel_spread", self.decel_spread, 0.0)
         probs = self.variant_probabilities
         if probs is None:
             probs = tuple(1.0 / n for _ in range(n))
         else:
             if len(probs) != n:
                 raise ValueError("need one probability per variant")
-            if any(not 0.0 <= p <= 1.0 for p in probs):
-                raise ValueError("probabilities must be in [0, 1]")
+            for i, p in enumerate(probs):
+                within(f"variant_probabilities[{i}]", p, 0.0, 1.0)
             if abs(sum(probs) - 1.0) > 1e-9:
                 raise ValueError("probabilities must sum to 1")
         # symmetric offsets from -spread to +spread, a single variant -> 0

@@ -18,7 +18,7 @@ from .types import (
     L0_FIXED,
     ModelParams,
     constant_separation_trajectory,
-    finite_float,
+    within,
 )
 
 OVER_MAX = math.inf  # sweep cell needing more than the fastest grid rate
@@ -143,8 +143,7 @@ def required_fpr_cell(
     None when even instantaneous perception cannot avoid the collision.
     ``separation`` must be finite and > 0.
     """
-    if not finite_float("separation", separation) > 0.0:
-        raise ValueError(f"separation must be > 0, got {separation!r}")
+    within("separation", separation, 0.0, open_lo=True)
     ego = KinematicState(x=0.0, y=0.0, v=ego_speed, a=0.0, heading=0.0)
     traj = constant_separation_trajectory(separation, actor_speed, duration=params.horizon)
     l0_eff = params.latency_min if l0 is None else l0

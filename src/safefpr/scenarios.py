@@ -11,6 +11,7 @@ measured from the road centerline, positive to the left.
 from __future__ import annotations
 
 import functools
+import inspect
 import json
 import math
 import typing
@@ -18,7 +19,7 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import IO, Callable
 
-from .types import MPH_TO_MPS, finite_float, integer, nonnegative_float
+from .types import MPH_TO_MPS, finite_float, integer, within
 
 # Bounds on script quantities: far beyond any road scene, and small enough
 # that no position or speed the engine integrates over a run can overflow.
@@ -28,13 +29,6 @@ MAX_LANE_WIDTH = 10.0    # m
 MAX_DURATION = 600.0     # s
 
 
-def _within(name: str, value: float, lo: float, hi: float, unit: str, open_lo=False) -> None:
-    """ValueError naming ``name`` unless ``value`` lies in [lo, hi] ((lo, hi] if ``open_lo``)."""
-    if not (lo < value <= hi if open_lo else lo <= value <= hi):
-        bracket = "(" if open_lo else "["
-        raise ValueError(f"{name} must be in {bracket}{lo:g}, {hi:g}] {unit}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class RoadSpec:
     lanes: int = 3
@@ -42,11 +36,9 @@ class RoadSpec:
     curvature: float = 0.0   # 1/m, constant along the road; 0 = straight
 
     def __post_init__(self) -> None:
-        if not integer("lanes", self.lanes) >= 1:
-            raise ValueError("need at least one lane")
-        _within("lane_width", self.lane_width, 0.0, MAX_LANE_WIDTH, "m", open_lo=True)
-        if not abs(self.curvature) <= 0.02:
-            raise ValueError("curvature beyond +/-0.02 1/m is not supported")
+        within("lanes", integer("lanes", self.lanes), 1)
+        within("lane_width", self.lane_width, 0.0, MAX_LANE_WIDTH, "m", open_lo=True)
+        within("curvature", self.curvature, -0.02, 0.02, "1/m")
 
     def lane_offset(self, lane: float) -> float:
         """Lateral offset of a (possibly fractional) lane index."""
@@ -80,18 +72,21 @@ class ActorEvent:
     rate: float | None = None
 
     def __post_init__(self) -> None:
-        nonnegative_float("at", self.at)
+        # each number has its rule whatever the kind, so every event built saves and loads
+        within("at", self.at, 0.0)
+        within("duration", self.duration, 0.0, open_lo=self.kind == "lane_change")
         if self.to_lane is not None:
             integer("to_lane", self.to_lane)
+        if self.target_speed is not None:
+            within("target_speed", self.target_speed, 0.0, MAX_SPEED, "m/s")
+        if self.rate is not None:
+            within("rate", self.rate, 0.0, open_lo=True)
         if self.kind == "lane_change":
-            if self.to_lane is None or not 0.0 < self.duration < math.inf:
-                raise ValueError("lane_change needs to_lane and a finite duration > 0")
+            if self.to_lane is None:
+                raise ValueError("lane_change needs a to_lane")
         elif self.kind == "speed_change":
-            if self.target_speed is None:
-                raise ValueError("speed_change needs a target_speed")
-            _within("target_speed", self.target_speed, 0.0, MAX_SPEED, "m/s")
-            if self.rate is None or not 0.0 < self.rate < math.inf:
-                raise ValueError("speed_change needs a finite rate > 0")
+            if self.target_speed is None or self.rate is None:
+                raise ValueError("speed_change needs a target_speed and a rate")
         else:
             raise ValueError(f"unknown event kind {self.kind!r}")
 
@@ -106,8 +101,8 @@ class ActorScript:
 
     def __post_init__(self) -> None:
         integer("lane", self.lane)
-        _within("gap", self.gap, -MAX_GAP, MAX_GAP, "m")
-        _within("speed", self.speed, 0.0, MAX_SPEED, "m/s")
+        within("gap", self.gap, -MAX_GAP, MAX_GAP, "m")
+        within("speed", self.speed, 0.0, MAX_SPEED, "m/s")
 
 
 @dataclass(frozen=True)
@@ -123,16 +118,16 @@ class ScenarioScript:
 
     def __post_init__(self) -> None:
         last, unit = self.road.lanes - 1, f"on a {self.road.lanes}-lane road"
-        _within("ego_lane", integer("ego_lane", self.ego_lane), 0, last, unit)
-        _within("ego_speed", self.ego_speed, 0.0, MAX_SPEED, "m/s")
-        _within("duration", self.duration, 0.0, MAX_DURATION, "s", open_lo=True)
-        if self.trigger_time is not None and not math.isfinite(self.trigger_time):
-            raise ValueError("trigger_time must be finite")
+        within("ego_lane", integer("ego_lane", self.ego_lane), 0, last, unit)
+        within("ego_speed", self.ego_speed, 0.0, MAX_SPEED, "m/s")
+        within("duration", self.duration, 0.0, MAX_DURATION, "s", open_lo=True)
+        if self.trigger_time is not None:
+            finite_float("trigger_time", self.trigger_time)
         for a in self.actors:
-            _within(f"actor {a.actor_id!r}: lane", a.lane, 0, last, unit)
+            within(f"actor {a.actor_id!r}: lane", a.lane, 0, last, unit)
             for i, e in enumerate(a.events):
                 if e.to_lane is not None:
-                    _within(f"actor {a.actor_id!r}: events[{i}].to_lane", e.to_lane, 0, last, unit)
+                    within(f"actor {a.actor_id!r}: events[{i}].to_lane", e.to_lane, 0, last, unit)
         ids = [a.actor_id for a in self.actors]
         if len(ids) != len(set(ids)):
             raise ValueError("duplicate actor ids")
@@ -256,67 +251,34 @@ def load_script(source: str | Path | IO[str]) -> ScenarioScript:
 # --------------------------------------------------------------------------
 
 
-class _ReadParams(dict):
-    """A family's parameters that remember which keys the builder read."""
-
-    def __init__(self, params: dict) -> None:
-        super().__init__(params)
-        self.read: set[str] = set()
-
-    def get(self, key, default=None):
-        self.read.add(key)
-        return super().get(key, default)
+def _speed(key: str, mph: object) -> float:
+    return within(key, mph, 0.0, 90.0, "mph") * MPH_TO_MPS
 
 
-def _family(builder: Callable[[dict], ScenarioScript]) -> Callable[[dict], ScenarioScript]:
-    """``builder`` that also rejects parameters it does not read, naming them."""
-
-    @functools.wraps(builder)
-    def build(params: dict) -> ScenarioScript:
-        read = _ReadParams(params)
-        script = builder(read)
-        unknown = sorted(set(params) - read.read)
-        if unknown:
-            known = ", ".join(sorted(read.read))
-            raise ValueError(f"{script.name}: unknown parameters {unknown}; known: {known}")
-        return script
-
-    return build
-
-
-def _param(params: dict, key: str, default: float) -> float:
-    return finite_float(key, params.get(key, default))
-
-
-def _speed(params: dict, key: str, default_mph: float, lo=0.0, hi=90.0) -> float:
-    mph = _param(params, key, default_mph)
-    _within(key, mph, lo, hi, "mph")
-    return mph * MPH_TO_MPS
-
-
-def _pos(params: dict, key: str, default: float, lo: float, hi: float, unit: str) -> float:
-    v = _param(params, key, default)
-    _within(key, v, lo, hi, unit)
-    return v
-
-
-def _cut_out(params: dict, name: str, default_mph: float) -> ScenarioScript:
+def _cut_out(
+    name: str, /, *, ego_speed_mph=20.0, lead_gap=None, obstacle_gap=None, reveal_distance=35.0,
+    duration=14.0,
+) -> ScenarioScript:
     """A lead cuts out of the ego lane; a static obstacle sits beyond it.
 
     Both adjacent lanes carry pacing traffic, so braking is the ego's only
-    option.
+    option. A gap left as None is derived from the ego speed.
     """
-    v = _speed(params, "ego_speed_mph", default_mph)
-    lead_gap = _pos(params, "lead_gap", 25.0 + 0.6 * v, 10.0, 80.0, "m")
-    obstacle_gap = _pos(params, "obstacle_gap", lead_gap + 35.0 + 2.2 * v, 30.0, 300.0, "m")
-    reveal_distance = _pos(params, "reveal_distance", 35.0, 10.0, 100.0, "m")
+    v = _speed("ego_speed_mph", ego_speed_mph)
+    if lead_gap is None:
+        lead_gap = 25.0 + 0.6 * v
+    lead_gap = within("lead_gap", lead_gap, 10.0, 80.0, "m")
+    if obstacle_gap is None:
+        obstacle_gap = lead_gap + 35.0 + 2.2 * v
+    obstacle_gap = within("obstacle_gap", obstacle_gap, 30.0, 300.0, "m")
+    reveal_distance = within("reveal_distance", reveal_distance, 10.0, 100.0, "m")
     t_cut = max(0.5, (obstacle_gap - lead_gap - reveal_distance) / max(v, 0.1))
     return ScenarioScript(
         name=name,
         road=RoadSpec(),
         ego_lane=1,
         ego_speed=v,
-        duration=_param(params, "duration", 14.0),
+        duration=finite_float("duration", duration),
         trigger_time=t_cut,
         actors=(
             ActorScript(
@@ -330,29 +292,24 @@ def _cut_out(params: dict, name: str, default_mph: float) -> ScenarioScript:
     )
 
 
-@_family
-def cut_out(params: dict) -> ScenarioScript:
-    return _cut_out(params, "cut_out", 20.0)
+cut_out = functools.partial(_cut_out, "cut_out")
+cut_out_fast = functools.partial(_cut_out, "cut_out_fast", ego_speed_mph=40.0)
 
 
-@_family
-def cut_out_fast(params: dict) -> ScenarioScript:
-    return _cut_out(params, "cut_out_fast", 40.0)
-
-
-@_family
-def cut_in(params: dict) -> ScenarioScript:
+def cut_in(
+    *, ego_speed_mph=70.0, cut_gap=45.0, slow_factor=0.85, trigger_time=2.0, duration=14.0
+) -> ScenarioScript:
     """An actor merges in front of the ego at speed, then eases off mildly."""
-    v = _speed(params, "ego_speed_mph", 70.0)
-    gap = _pos(params, "cut_gap", 45.0, 20.0, 120.0, "m")
-    slow_factor = _pos(params, "slow_factor", 0.85, 0.3, 1.0, "x ego speed")
-    t_cut = _param(params, "trigger_time", 2.0)
+    v = _speed("ego_speed_mph", ego_speed_mph)
+    gap = within("cut_gap", cut_gap, 20.0, 120.0, "m")
+    slow_factor = within("slow_factor", slow_factor, 0.3, 1.0, "x ego speed")
+    t_cut = finite_float("trigger_time", trigger_time)
     return ScenarioScript(
         name="cut_in",
         road=RoadSpec(),
         ego_lane=1,
         ego_speed=v,
-        duration=_param(params, "duration", 14.0),
+        duration=finite_float("duration", duration),
         trigger_time=t_cut,
         actors=(
             ActorScript(
@@ -367,19 +324,20 @@ def cut_in(params: dict) -> ScenarioScript:
     )
 
 
-def _challenging_cut_in(params: dict, name: str, default_mph: float,
-                        curvature: float) -> ScenarioScript:
+def _challenging_cut_in(
+    name: str, ego_speed_mph, cut_gap, slow_factor, trigger_time, duration, curvature: float
+) -> ScenarioScript:
     """A much closer, harder-braking merge; the left lane is occupied."""
-    v = _speed(params, "ego_speed_mph", default_mph)
-    gap = _pos(params, "cut_gap", 22.0, 8.0, 60.0, "m")
-    slow_factor = _pos(params, "slow_factor", 0.6, 0.3, 1.0, "x ego speed")
-    t_cut = _param(params, "trigger_time", 1.5)
+    v = _speed("ego_speed_mph", ego_speed_mph)
+    gap = within("cut_gap", cut_gap, 8.0, 60.0, "m")
+    slow_factor = within("slow_factor", slow_factor, 0.3, 1.0, "x ego speed")
+    t_cut = finite_float("trigger_time", trigger_time)
     return ScenarioScript(
         name=name,
         road=RoadSpec(curvature=curvature),
         ego_lane=1,
         ego_speed=v,
-        duration=_param(params, "duration", 14.0),
+        duration=finite_float("duration", duration),
         trigger_time=t_cut,
         actors=(
             ActorScript(
@@ -395,30 +353,39 @@ def _challenging_cut_in(params: dict, name: str, default_mph: float,
     )
 
 
-@_family
-def challenging_cut_in(params: dict) -> ScenarioScript:
-    return _challenging_cut_in(params, "challenging_cut_in", 60.0, curvature=0.0)
+def challenging_cut_in(
+    *, ego_speed_mph=60.0, cut_gap=22.0, slow_factor=0.6, trigger_time=1.5, duration=14.0
+) -> ScenarioScript:
+    return _challenging_cut_in(
+        "challenging_cut_in", ego_speed_mph, cut_gap, slow_factor, trigger_time, duration, 0.0
+    )
 
 
-@_family
-def challenging_cut_in_curved(params: dict) -> ScenarioScript:
-    curvature = _pos(params, "curvature", 1.0 / 400.0, 0.0005, 0.01, "1/m")
-    return _challenging_cut_in(params, "challenging_cut_in_curved", 40.0, curvature)
+def challenging_cut_in_curved(
+    *, ego_speed_mph=40.0, cut_gap=22.0, slow_factor=0.6, trigger_time=1.5, duration=14.0,
+    curvature=1.0 / 400.0,
+) -> ScenarioScript:
+    curvature = within("curvature", curvature, 0.0005, 0.01, "1/m")
+    return _challenging_cut_in(
+        "challenging_cut_in_curved", ego_speed_mph, cut_gap, slow_factor, trigger_time, duration,
+        curvature,
+    )
 
 
-@_family
-def vehicle_following(params: dict) -> ScenarioScript:
+def vehicle_following(
+    *, ego_speed_mph=70.0, follow_gap=50.0, lead_decel=6.0, trigger_time=2.0, duration=16.0
+) -> ScenarioScript:
     """Highway following; the lead suddenly brakes to a standstill."""
-    v = _speed(params, "ego_speed_mph", 70.0)
-    gap = _pos(params, "follow_gap", 50.0, 20.0, 150.0, "m")
-    decel = _pos(params, "lead_decel", 6.0, 2.0, 9.0, "m/s^2")
-    t_brake = _param(params, "trigger_time", 2.0)
+    v = _speed("ego_speed_mph", ego_speed_mph)
+    gap = within("follow_gap", follow_gap, 20.0, 150.0, "m")
+    decel = within("lead_decel", lead_decel, 2.0, 9.0, "m/s^2")
+    t_brake = finite_float("trigger_time", trigger_time)
     return ScenarioScript(
         name="vehicle_following",
         road=RoadSpec(),
         ego_lane=1,
         ego_speed=v,
-        duration=_param(params, "duration", 16.0),
+        duration=finite_float("duration", duration),
         trigger_time=t_brake,
         actors=(
             ActorScript(
@@ -430,16 +397,15 @@ def vehicle_following(params: dict) -> ScenarioScript:
     )
 
 
-@_family
-def front_right_activity_1(params: dict) -> ScenarioScript:
+def front_right_activity_1(*, ego_speed_mph=40.0, duration=12.0) -> ScenarioScript:
     """Ego on the left lane; right-most traffic merges toward the middle."""
-    v = _speed(params, "ego_speed_mph", 40.0)
+    v = _speed("ego_speed_mph", ego_speed_mph)
     return ScenarioScript(
         name="front_right_activity_1",
         road=RoadSpec(),
         ego_lane=2,
         ego_speed=v,
-        duration=_param(params, "duration", 12.0),
+        duration=finite_float("duration", duration),
         trigger_time=2.0,
         actors=(
             ActorScript(
@@ -454,16 +420,15 @@ def front_right_activity_1(params: dict) -> ScenarioScript:
     )
 
 
-@_family
-def front_right_activity_2(params: dict) -> ScenarioScript:
+def front_right_activity_2(*, ego_speed_mph=40.0, duration=12.0) -> ScenarioScript:
     """Front actor drifts right and paces the ego; another follows behind."""
-    v = _speed(params, "ego_speed_mph", 40.0)
+    v = _speed("ego_speed_mph", ego_speed_mph)
     return ScenarioScript(
         name="front_right_activity_2",
         road=RoadSpec(),
         ego_lane=1,
         ego_speed=v,
-        duration=_param(params, "duration", 12.0),
+        duration=finite_float("duration", duration),
         trigger_time=2.0,
         actors=(
             ActorScript(
@@ -478,16 +443,15 @@ def front_right_activity_2(params: dict) -> ScenarioScript:
     )
 
 
-@_family
-def front_right_activity_3(params: dict) -> ScenarioScript:
+def front_right_activity_3(*, ego_speed_mph=60.0, duration=12.0) -> ScenarioScript:
     """Right-lane traffic cuts in well ahead of the ego at nearly its speed."""
-    v = _speed(params, "ego_speed_mph", 60.0)
+    v = _speed("ego_speed_mph", ego_speed_mph)
     return ScenarioScript(
         name="front_right_activity_3",
         road=RoadSpec(),
         ego_lane=1,
         ego_speed=v,
-        duration=_param(params, "duration", 12.0),
+        duration=finite_float("duration", duration),
         trigger_time=2.0,
         actors=(
             ActorScript(
@@ -498,7 +462,7 @@ def front_right_activity_3(params: dict) -> ScenarioScript:
     )
 
 
-FAMILY_BUILDERS: dict[str, Callable[[dict], ScenarioScript]] = {
+FAMILY_BUILDERS: dict[str, Callable[..., ScenarioScript]] = {
     "cut_out": cut_out,
     "cut_out_fast": cut_out_fast,
     "cut_in": cut_in,
@@ -511,16 +475,25 @@ FAMILY_BUILDERS: dict[str, Callable[[dict], ScenarioScript]] = {
 }
 
 
+# each family's parameters: its builder's keyword arguments, sorted
+_PARAMS = {f: tuple(sorted(inspect.signature(b).parameters)) for f, b in FAMILY_BUILDERS.items()}
+
+
 def list_families() -> tuple[str, ...]:
     return tuple(FAMILY_BUILDERS)
 
 
 def generate_scenario(family: str, params: dict | None = None) -> ScenarioScript:
-    """Build one of the named scenario families from its parameter map."""
+    """Build a named family from its parameters: the keyword arguments of its builder."""
     try:
         builder = FAMILY_BUILDERS[family]
     except KeyError:
         raise ValueError(
             f"unknown scenario family {family!r}; known: {', '.join(FAMILY_BUILDERS)}"
         ) from None
-    return builder(dict(params or {}))
+    params = dict(params or {})
+    known = _PARAMS[family]
+    unknown = sorted(set(params).difference(known))
+    if unknown:
+        raise ValueError(f"{family}: unknown parameters {unknown}; known: {', '.join(known)}")
+    return builder(**params)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .types import LatencyEstimate, ModelParams, finite_float
+from .types import LatencyEstimate, ModelParams, within
 
 SEVERITY_DEFICIT = "deficit"
 SEVERITY_INFEASIBLE = "infeasible"
@@ -27,9 +27,8 @@ class Budget:
     total_fps: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "total_fps", finite_float("total_fps", self.total_fps))
-        if not self.total_fps > 0.0:
-            raise ValueError(f"total_fps must be > 0, got {self.total_fps}")
+        total = within("total_fps", self.total_fps, 0.0, open_lo=True)
+        object.__setattr__(self, "total_fps", total)
 
 
 @dataclass(frozen=True)

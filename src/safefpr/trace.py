@@ -232,7 +232,7 @@ def load_trace(source: str | Path | IO[str]) -> ScenarioTrace:
         try:
             cameras.append(
                 CameraConfig(
-                    camera_id=str(cam["camera_id"]),
+                    camera_id=cam["camera_id"],
                     azimuth=_finite(cam, "azimuth", where),
                     fov=_finite(cam, "fov", where),
                 )

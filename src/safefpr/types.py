@@ -50,11 +50,18 @@ def finite_float(name: str, value: object) -> float:
     return as_float
 
 
-def nonnegative_float(name: str, value: object) -> float:
-    """``finite_float`` that is also >= 0; ValueError naming ``name`` otherwise."""
+def within(name: str, value: object, lo: float, hi=math.inf, unit="", open_lo=False) -> float:
+    """``finite_float`` in [lo, hi], or (lo, hi] if ``open_lo``; ValueError naming ``name`` if not.
+
+    The message gives ``unit`` after a finite ``hi``; with no upper bound it
+    reads ``name must be >= lo`` (or ``> lo``).
+    """
     as_float = finite_float(name, value)
-    if not as_float >= 0.0:
-        raise ValueError(f"{name} must be >= 0, got {value!r}")
+    if not (lo < as_float <= hi if open_lo else lo <= as_float <= hi):
+        if hi == math.inf:
+            raise ValueError(f"{name} must be {'>' if open_lo else '>='} {lo:g}, got {value!r}")
+        bracket, unit = "(" if open_lo else "[", f" {unit}" if unit else ""
+        raise ValueError(f"{name} must be in {bracket}{lo:g}, {hi:g}]{unit}, got {value!r}")
     return as_float
 
 
@@ -276,18 +283,21 @@ MAX_GRID_SIZE = 10_000  # latency candidates; bounds the search's work and memor
 # 48 B per point and a collision check about 72 B (tests/test_oracle.py caps both at 80 B)
 MAX_SCAN_POINTS = 10**6
 _COUNT_FIELDS = ("confirmation_frames", "max_time_adjustments")
-_REAL_FIELDS = (
-    "distance_margin",
-    "speed_margin",
-    "min_brake_decel",
-    "brake_boost",
-    "latency_max",
-    "latency_min",
-    "latency_step",
-    "percentile",
-    "fine_dt",
-    "horizon",
-)
+# (lo, hi, open_lo) of each numeric field; rules that compare two fields are in __post_init__
+_BOUNDS = {
+    "distance_margin": (0.0, 1.0, True),
+    "speed_margin": (0.0, 1.0, True),
+    "min_brake_decel": (0.0, math.inf, True),
+    "brake_boost": (1.0, math.inf, False),
+    "confirmation_frames": (0, math.inf, False),
+    "max_time_adjustments": (1, math.inf, False),
+    "latency_max": (0.0, math.inf, True),
+    "latency_min": (0.0, math.inf, True),
+    "latency_step": (0.0, math.inf, True),
+    "percentile": (0.0, 100.0, True),
+    "fine_dt": (0.0, math.inf, True),
+    "horizon": (0.0, math.inf, True),
+}
 
 
 @dataclass(frozen=True)
@@ -319,34 +329,20 @@ class ModelParams:
     _grid_arr: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for name in _COUNT_FIELDS:
-            object.__setattr__(self, name, integer(name, getattr(self, name)))
-        for name in _REAL_FIELDS:
-            object.__setattr__(self, name, finite_float(name, getattr(self, name)))
-        if not 0.0 < self.distance_margin <= 1.0:
-            raise ValueError("distance_margin must be in (0, 1]")
-        if not 0.0 < self.speed_margin <= 1.0:
-            raise ValueError("speed_margin must be in (0, 1]")
-        if not self.min_brake_decel > 0.0:
-            raise ValueError("min_brake_decel must be > 0")
-        if not self.brake_boost >= 1.0:
-            raise ValueError("brake_boost must be >= 1")
-        if not self.confirmation_frames >= 0:
-            raise ValueError("confirmation_frames must be >= 0")
-        if not self.max_time_adjustments >= 1:
-            raise ValueError("max_time_adjustments must be >= 1")
-        if not 0.0 < self.latency_min <= self.latency_max:
-            raise ValueError("need 0 < latency_min <= latency_max")
-        if not self.latency_step > 0.0:
-            raise ValueError("latency_step must be > 0")
-        if not 0.0 < self.percentile <= 100.0:
-            raise ValueError("percentile must be in (0, 100]")
+        for name, (lo, hi, open_lo) in _BOUNDS.items():
+            value = getattr(self, name)
+            if name in _COUNT_FIELDS:
+                value = integer(name, value)
+            bounded = within(name, value, lo, hi, open_lo=open_lo)
+            object.__setattr__(self, name, value if name in _COUNT_FIELDS else bounded)
+        if not self.latency_min <= self.latency_max:
+            raise ValueError(
+                f"need latency_min <= latency_max, got {self.latency_min!r} > {self.latency_max!r}"
+            )
         if self.aggregator not in AGGREGATORS:
             raise ValueError(f"aggregator must be one of {AGGREGATORS}")
         if self.l0_policy not in (L0_CANDIDATE, L0_FIXED):
             raise ValueError(f"l0_policy must be '{L0_CANDIDATE}' or '{L0_FIXED}'")
-        if not self.fine_dt > 0.0:
-            raise ValueError("fine_dt must be > 0")
         if not self.horizon > self.latency_max:
             raise ValueError("horizon must exceed latency_max")
         if not self.horizon / self.fine_dt <= MAX_SCAN_POINTS:

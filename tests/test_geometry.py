@@ -120,6 +120,11 @@ def test_camera_validation():
         CameraConfig("bad", math.nan, 1.0)
 
 
+def test_camera_id_must_be_a_string():
+    with pytest.raises(ValueError, match="camera_id must be a string, got 5"):
+        CameraConfig(5, 0.0, 1.0)
+
+
 def test_normalize_angles_equals_normalize_angle():
     rng = np.random.default_rng(7)
     edges = [0.0, -0.0, math.pi, -math.pi, 2 * math.pi, -2 * math.pi, 3 * math.pi, -3 * math.pi,

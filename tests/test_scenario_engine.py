@@ -1,7 +1,11 @@
+import dataclasses
 import hashlib
+import inspect
 import io
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,8 +28,9 @@ from safefpr import (
     scenario_mrf,
 )
 from safefpr import engine
-from safefpr.geometry import DEFAULT_CAMERA_RIG
+from safefpr.geometry import DEFAULT_CAMERA_RIG, CameraConfig
 from safefpr.scenarios import (
+    FAMILY_BUILDERS,
     ActorEvent,
     ActorScript,
     RoadSpec,
@@ -319,6 +324,116 @@ PINNED_OUTCOMES = {
         for k in (1, 2, 3)
     },
 }
+
+
+LANE_CHANGE = {"at": 1.0, "kind": "lane_change", "to_lane": 1, "duration": 1.0}
+SPEED_CHANGE = {"at": 1.0, "kind": "speed_change", "target_speed": 1.0, "rate": 1.0}
+ACTOR = {"actor_id": "a", "lane": 0, "gap": 10.0, "speed": 1.0}
+SCRIPT = {"name": "s", "ego_lane": 0, "ego_speed": 1.0, "duration": 1.0}
+CAMERA = {"camera_id": "c", "azimuth": 0.0, "fov": 1.0}
+# (class, valid keyword arguments, a bounded numeric field) for every such field
+BOUNDED_FIELDS = [
+    *(
+        (ModelParams, {}, f.name)
+        for f in dataclasses.fields(ModelParams)
+        if f.init and f.type in ("float", "int")
+    ),
+    (PredictorConfig, {}, "num_variants"),
+    (PredictorConfig, {}, "horizon"),
+    (PredictorConfig, {}, "decel_spread"),
+    (PredictorConfig, {"num_variants": 1}, "variant_probabilities"),
+    (CameraConfig, CAMERA, "azimuth"),
+    (CameraConfig, CAMERA, "fov"),
+    (Budget, {}, "total_fps"),
+    (RoadSpec, {}, "lanes"),
+    (RoadSpec, {}, "lane_width"),
+    (RoadSpec, {}, "curvature"),
+    (ActorScript, ACTOR, "lane"),
+    (ActorScript, ACTOR, "gap"),
+    (ActorScript, ACTOR, "speed"),
+    (ActorEvent, LANE_CHANGE, "at"),
+    (ActorEvent, LANE_CHANGE, "to_lane"),
+    (ActorEvent, LANE_CHANGE, "duration"),
+    (ActorEvent, SPEED_CHANGE, "target_speed"),
+    (ActorEvent, SPEED_CHANGE, "rate"),
+    # fields the event's kind does not use
+    (ActorEvent, SPEED_CHANGE, "duration"),
+    (ActorEvent, LANE_CHANGE, "target_speed"),
+    (ActorEvent, LANE_CHANGE, "rate"),
+    (ScenarioScript, SCRIPT, "ego_lane"),
+    (ScenarioScript, SCRIPT, "ego_speed"),
+    (ScenarioScript, SCRIPT, "duration"),
+    (ScenarioScript, SCRIPT, "trigger_time"),
+]
+SCRIPT_CLASSES = (RoadSpec, ActorScript, ActorEvent, ScenarioScript)
+
+
+def field_params(classes=None) -> list:
+    return [
+        pytest.param(cls, kwargs, name, id=f"{cls.__name__}.{name}")
+        for cls, kwargs, name in BOUNDED_FIELDS
+        if classes is None or cls in classes
+    ]
+
+
+def in_script(obj) -> ScenarioScript:
+    """A whole script that holds ``obj``, a road, actor, event or script."""
+    if isinstance(obj, ActorEvent):
+        obj = ActorScript(**ACTOR, events=(obj,))
+    if isinstance(obj, ActorScript):
+        return ScenarioScript(**SCRIPT, actors=(obj,))
+    if isinstance(obj, RoadSpec):
+        return ScenarioScript(**SCRIPT, road=obj)
+    return obj
+
+
+class TestConstructorsMatchReader:
+    @pytest.mark.parametrize("bad", [True, "1"])
+    @pytest.mark.parametrize("cls,kwargs,name", field_params())
+    def test_constructor_names_a_non_number(self, cls, kwargs, name, bad):
+        value = (bad,) if name == "variant_probabilities" else bad
+        with pytest.raises(ValueError, match=name):
+            cls(**{**kwargs, name: value})
+
+    @pytest.mark.parametrize("value", [True, 1, 2.5])
+    @pytest.mark.parametrize("cls,kwargs,name", field_params(SCRIPT_CLASSES))
+    def test_direct_script_is_refused_or_round_trips(self, cls, kwargs, name, value):
+        # what a constructor accepts, save_script writes and load_script reads back equal
+        try:
+            script = in_script(cls(**{**kwargs, name: value}))
+        except ValueError:
+            return
+        buf = io.StringIO()
+        save_script(script, buf)
+        assert load_script(io.StringIO(buf.getvalue())) == script
+
+
+def documented_family_parameters() -> dict[str, set[str]]:
+    """Each family's parameter names, read from the family table of docs/formats.md.
+
+    A row "as `f`, ..." takes family f's parameters and adds its own; a row
+    for `name_1/2/3` stands for name_1, name_2 and name_3.
+    """
+    text = (Path(__file__).parents[1] / "docs" / "formats.md").read_text()
+    table = text.split("| family | parameter: default (range) |", 1)[1].split("\n\n", 1)[0]
+    documented: dict[str, set[str]] = {}
+    for family, cell in re.findall(r"^\| `([\w/]+)` \| (.*) \|$", table, re.M):
+        names = set(re.findall(r"`(\w+)`:", cell))
+        base = re.match(r"as `(\w+)`", cell)
+        if base:
+            names |= documented[base.group(1)]
+        head, *tails = family.split("/")
+        for name in [head] + [head[: len(head) - len(t)] + t for t in tails]:
+            documented[name] = names
+    return documented
+
+
+def test_docs_family_table_matches_builders():
+    builders = {
+        family: set(inspect.signature(builder).parameters)
+        for family, builder in FAMILY_BUILDERS.items()
+    }
+    assert documented_family_parameters() == builders
 
 
 class TestEngine:

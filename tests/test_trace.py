@@ -359,6 +359,10 @@ class TestMalformedInput:
             ('{"dt": 0.1, "metadata": {"fpr0": 0}}', "field 'fpr0' must be > 0"),
             ('{"dt": 0.1, "metadata": {"fpr0": "10"}}', "header metadata: field 'fpr0'"),
             ('{"dt": 0.1, "metadata": {"fpr0": 1e-310}}', "field 'fpr0' must have a finite 1/fpr0"),
+            ('{"dt": 0.1, "cameras": [{"camera_id": null, "azimuth": 0, "fov": 1}]}',
+             "header camera 0: camera_id must be a string, got None"),
+            ('{"dt": 0.1, "cameras": [{"camera_id": 7, "azimuth": 0, "fov": 1}]}',
+             "header camera 0: camera_id must be a string, got 7"),
         ],
     )
     def test_bad_header(self, header, match):

@@ -9,10 +9,10 @@ from safefpr.predictor import SAMPLE_DT
 from safefpr.types import (
     constant_separation_trajectory,
     integer,
-    nonnegative_float,
     normalize_angle,
     sample_times,
     straight_line_trajectory,
+    within,
 )
 
 
@@ -244,12 +244,12 @@ class TestHelpers:
             assert v == 12.0
 
     def test_nonnegative_float(self):
-        assert nonnegative_float("radius", 0) == 0.0
-        assert type(nonnegative_float("radius", np.float32(2.5))) is float
+        assert within("radius", 0, 0.0) == 0.0
+        assert type(within("radius", np.float32(2.5), 0.0)) is float
         for bad, why in [(-1.0, ">= 0"), (math.nan, "finite"), (math.inf, "finite"),
                          (True, "number"), ("1", "number")]:
             with pytest.raises(ValueError, match=f"radius must be.*{why}"):
-                nonnegative_float("radius", bad)
+                within("radius", bad, 0.0)
 
     def test_integer(self):
         assert integer("lanes", -3) == -3
