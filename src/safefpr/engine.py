@@ -232,7 +232,7 @@ def run_scenario(
         raise ValueError("budget needs adaptive=True; a fixed frame_rate is never allocated")
     within("collision_radius", collision_radius, 0.0)
     if frame_rate is not None:
-        within("frame_rate", frame_rate, *params.fpr_bounds(), "Hz")
+        frame_rate = within("frame_rate", frame_rate, *params.fpr_bounds(), "Hz")
     return _run(
         _World(script, params),
         frame_rate=frame_rate,

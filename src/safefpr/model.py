@@ -304,6 +304,8 @@ def search_paths(
     latency of it has met.
     """
     params.check_l0(l0)
+    if not egos:
+        return [], []
     grid = params.grid_array()
     if params.l0_policy == L0_CANDIDATE:
         t_react = grid

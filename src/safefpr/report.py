@@ -66,12 +66,22 @@ def analyze_trace(trace: ScenarioTrace, params: ModelParams) -> AnalysisResult:
     Post-run analysis uses the recorded future of each actor (a single
     known trajectory) and the latency the trace was recorded at as the
     reference latency l0, under the fixed l0 policy. Each actor's recorded
-    columns (``ScenarioTrace.actor_columns``) give its path and positions.
-    The trace is analysed in blocks of at most ``BLOCK_LANES`` (tick, actor,
-    grid candidate) lanes and at least one tick: one batched search per
-    block, every ego reading the paths from its own tick time on
-    (``search_paths``), then one ``scene_reports`` call for its camera
-    rates. The result equals running each tick through ``evaluate_scene``
+    columns (``ScenarioTrace.actor_columns``) give its path and positions,
+    and every ego reads the paths from its own tick time on
+    (``search_paths``). The search runs in two passes, each in blocks of
+    at most ``BLOCK_LANES`` (tick, actor, grid candidate) lanes and at
+    least one tick:
+
+    1. every (tick, actor) pair against the grid head ``latency_max``
+       alone, which settles each pair whose answer is the head;
+    2. one actor at a time, the full grid for the ticks that pass 1 left
+       unsettled.
+
+    A lane's floats depend only on its own ego, path and candidate, and
+    the head is grid candidate 0, so each pair gets the first candidate of
+    the full grid that meets, as a single search would give it. The
+    camera rates then come from one ``scene_reports`` call per block of
+    ticks. The result equals running each tick through ``evaluate_scene``
     with every actor's ``ground_truth_trajectory``.
     """
     out = AnalysisResult()
@@ -87,18 +97,41 @@ def analyze_trace(trace: ScenarioTrace, params: ModelParams) -> AnalysisResult:
 
     l0 = trace.operating_latency()
     fixed = params.replace(l0_policy=L0_FIXED)
+    head = fixed.replace(latency_min=fixed.latency_max)
     columns = [trace.actor_columns(aid) for aid in actor_ids]
+    egos = [tick.ego for tick in ticks]
+    offsets = [tick.t for tick in ticks]
+    # entry k * n + j: actor j's latency at tick k
+    found: list[float | None] = []
     paths = path_table(columns)
+    # the grid head alone, for every pair
+    block = max(1, BLOCK_LANES // max(1, n))
+    for start in range(0, len(ticks), block):
+        part = slice(start, start + block)
+        found += search_paths(egos[part], offsets[part], paths, l0, head)[0]
+    # the full grid, one actor at a time, for the pairs the head left open
+    block = max(1, BLOCK_LANES // len(fixed.latency_grid))
+    for j, cols in enumerate(columns):
+        todo = [k for k in range(len(ticks)) if found[k * n + j] is None]
+        one = path_table([cols])
+        for start in range(0, len(todo), block):
+            part = todo[start : start + block]
+            lats, _ = search_paths(
+                [egos[k] for k in part], [offsets[k] for k in part], one, l0, fixed
+            )
+            for k, latency in zip(part, lats):
+                found[k * n + j] = latency
+
     # (actor, x or y, tick); the reshape gives a trace without actors this shape too
     xy = np.array([cols[1:3] for cols in columns]).reshape(n, 2, len(ticks))
     block = max(1, BLOCK_LANES // (max(1, n) * len(params.latency_grid)))
     for start in range(0, len(ticks), block):
         part = ticks[start : start + block]
-        egos = [tick.ego for tick in part]
-        found, _ = search_paths(egos, [tick.t for tick in part], paths, l0, fixed)
-        latencies = [found[i * n : (i + 1) * n] for i in range(len(part))]
+        latencies = [found[k * n : (k + 1) * n] for k in range(start, start + len(part))]
         positions = xy[:, :, start : start + block].transpose(2, 0, 1).tolist()
-        reports = scene_reports(egos, actor_ids, positions, latencies, trace.cameras, params)
+        reports = scene_reports(
+            egos[start : start + block], actor_ids, positions, latencies, trace.cameras, params
+        )
         for k, tick, lats, reps in zip(range(start, start + len(part)), part, latencies, reports):
             t = tick.t
             for aid, latency in zip(actor_ids, lats):

@@ -29,6 +29,13 @@ MAX_LANE_WIDTH = 10.0    # m
 MAX_DURATION = 600.0     # s
 
 
+def _set(script: object, **checked: float) -> None:
+    # a script keeps each number as the float it saves and loads as, so an
+    # int given for a float field saves the same bytes as its float
+    for name, value in checked.items():
+        object.__setattr__(script, name, value)
+
+
 @dataclass(frozen=True)
 class RoadSpec:
     lanes: int = 3
@@ -37,8 +44,13 @@ class RoadSpec:
 
     def __post_init__(self) -> None:
         within("lanes", integer("lanes", self.lanes), 1)
-        within("lane_width", self.lane_width, 0.0, MAX_LANE_WIDTH, "m", open_lo=True)
-        within("curvature", self.curvature, -0.02, 0.02, "1/m")
+        _set(
+            self,
+            lane_width=within(
+                "lane_width", self.lane_width, 0.0, MAX_LANE_WIDTH, "m", open_lo=True
+            ),
+            curvature=within("curvature", self.curvature, -0.02, 0.02, "1/m"),
+        )
 
     def lane_offset(self, lane: float) -> float:
         """Lateral offset of a (possibly fractional) lane index."""
@@ -73,14 +85,18 @@ class ActorEvent:
 
     def __post_init__(self) -> None:
         # each number has its rule whatever the kind, so every event built saves and loads
-        within("at", self.at, 0.0)
-        within("duration", self.duration, 0.0, open_lo=self.kind == "lane_change")
+        _set(
+            self,
+            at=within("at", self.at, 0.0),
+            duration=within("duration", self.duration, 0.0, open_lo=self.kind == "lane_change"),
+        )
         if self.to_lane is not None:
             integer("to_lane", self.to_lane)
         if self.target_speed is not None:
-            within("target_speed", self.target_speed, 0.0, MAX_SPEED, "m/s")
+            speed = within("target_speed", self.target_speed, 0.0, MAX_SPEED, "m/s")
+            _set(self, target_speed=speed)
         if self.rate is not None:
-            within("rate", self.rate, 0.0, open_lo=True)
+            _set(self, rate=within("rate", self.rate, 0.0, open_lo=True))
         if self.kind == "lane_change":
             if self.to_lane is None:
                 raise ValueError("lane_change needs a to_lane")
@@ -101,8 +117,11 @@ class ActorScript:
 
     def __post_init__(self) -> None:
         integer("lane", self.lane)
-        within("gap", self.gap, -MAX_GAP, MAX_GAP, "m")
-        within("speed", self.speed, 0.0, MAX_SPEED, "m/s")
+        _set(
+            self,
+            gap=within("gap", self.gap, -MAX_GAP, MAX_GAP, "m"),
+            speed=within("speed", self.speed, 0.0, MAX_SPEED, "m/s"),
+        )
 
 
 @dataclass(frozen=True)
@@ -119,10 +138,13 @@ class ScenarioScript:
     def __post_init__(self) -> None:
         last, unit = self.road.lanes - 1, f"on a {self.road.lanes}-lane road"
         within("ego_lane", integer("ego_lane", self.ego_lane), 0, last, unit)
-        within("ego_speed", self.ego_speed, 0.0, MAX_SPEED, "m/s")
-        within("duration", self.duration, 0.0, MAX_DURATION, "s", open_lo=True)
+        _set(
+            self,
+            ego_speed=within("ego_speed", self.ego_speed, 0.0, MAX_SPEED, "m/s"),
+            duration=within("duration", self.duration, 0.0, MAX_DURATION, "s", open_lo=True),
+        )
         if self.trigger_time is not None:
-            finite_float("trigger_time", self.trigger_time)
+            _set(self, trigger_time=finite_float("trigger_time", self.trigger_time))
         for a in self.actors:
             within(f"actor {a.actor_id!r}: lane", a.lane, 0, last, unit)
             for i, e in enumerate(a.events):

@@ -380,6 +380,11 @@ class TestNoPaths:
         egos = [KinematicState(0.0, 0.0, 10.0), KinematicState(5.0, 0.0, 20.0)]
         assert search_paths(egos, [0.0, 1.0], paths, 1 / 30, ModelParams()) == ([], [])
 
+    def test_search_without_egos(self):
+        paths = path_table([np.array([[0.0, 1.0], [30.0, 40.0], [0.0, 0.0], [10.0, 10.0]])])
+        assert search_paths([], [], paths, 1 / 30, ModelParams()) == ([], [])
+        assert search_paths([], [], path_table([]), 1 / 30, ModelParams()) == ([], [])
+
     def test_scene_without_actors(self, params):
         per_actor, reports = evaluate_scene(
             KinematicState(0.0, 0.0, 10.0), {}, DEFAULT_CAMERA_RIG, 1 / 30, params

@@ -33,7 +33,7 @@ from safefpr import (
     write_sweep_csv,
 )
 from safefpr.cli import main, parse_speed
-from safefpr.model import path_table, search_paths
+from safefpr.model import path_table, reaction_time, search_paths
 from safefpr.report import OVER_MAX, format_cell
 from safefpr.scenarios import script_to_dict
 from safefpr.types import L0_FIXED, MPH_TO_MPS, straight_line_trajectory
@@ -150,9 +150,14 @@ def assert_blocked_matches_reference(trace, params=PARAMS):
 
 
 def synthetic_trace(n_ticks, dt=0.1, actors=("lead", "parked"), metadata=None):
-    """The ego at 20 m/s; a slower lead ahead, a parked car in the next lane, a braking car."""
+    """The ego at 20 m/s; a slower lead ahead, a parked car in the next lane, a braking car.
+
+    Two faster cars well ahead, ``far`` and ``passing``, may be added too.
+    """
     motion = {
         "lead": lambda t: KinematicState(35.0 + 14.0 * t, 0.0, 14.0),
+        "far": lambda t: KinematicState(150.0 + 25.0 * t, 0.0, 25.0),
+        "passing": lambda t: KinematicState(100.0 + 26.0 * t, -3.5, 26.0),
         "parked": lambda t: KinematicState(60.0, 3.5, 0.0),
         "braking": lambda t: KinematicState(
             25.0 + 18.0 * min(t, 3.0) - 3.0 * min(t, 3.0) ** 2, -3.5, max(0.0, 18.0 - 6.0 * t),
@@ -204,6 +209,62 @@ class TestBlockedSearch:
         trace = synthetic_trace(60, dt=0.05, metadata={"fpr0": 7.0})
         assert trace.operating_latency() != trace.dt
         assert_blocked_matches_reference(trace)
+
+    @staticmethod
+    def head_settled(trace, params=PARAMS):
+        """Per (tick, actor) pair, whether the grid head ``latency_max`` alone meets."""
+        fixed = params.replace(l0_policy=L0_FIXED)
+        found, _ = search_paths(
+            [tick.ego for tick in trace.ticks], [tick.t for tick in trace.ticks],
+            path_table([trace.actor_columns(aid) for aid in trace.actor_ids]),
+            trace.operating_latency(), fixed.replace(latency_min=fixed.latency_max),
+        )
+        return [latency is not None for latency in found]
+
+    def test_head_past_the_horizon(self):
+        # latency_max's reaction time, 1 + 5 * (1 - 1/30) s, is past a 5 s
+        # horizon: the head pass searches nothing and the full grid does it all
+        params = ModelParams(horizon=5.0)
+        fixed = params.replace(l0_policy=L0_FIXED)
+        assert reaction_time(params.latency_max, 1 / 30, fixed) > params.horizon
+        trace = synthetic_trace(30, dt=1 / 30, actors=("lead", "parked", "braking", "far"))
+        assert not any(self.head_settled(trace, params))
+        assert_blocked_matches_reference(trace, params)
+        latencies = {r["latency"] for r in analyze_trace(trace, params).records if "actor" in r}
+        assert len(latencies - {None}) > 3
+
+    def test_head_settles_every_pair(self):
+        trace = synthetic_trace(40, actors=("far", "passing"))
+        assert all(self.head_settled(trace))
+        assert_blocked_matches_reference(trace)
+
+    def test_head_settles_no_pair(self):
+        trace = synthetic_trace(40, actors=("lead",))
+        assert not any(self.head_settled(trace))
+        assert_blocked_matches_reference(trace)
+        latencies = {r["latency"] for r in analyze_trace(trace, PARAMS).records if "actor" in r}
+        assert len(latencies - {None}) > 3
+
+    def test_head_settles_some_pairs(self):
+        trace = synthetic_trace(40, actors=("far", "lead", "passing", "braking"))
+        settled = self.head_settled(trace)
+        assert any(settled) and not all(settled)
+        assert_blocked_matches_reference(trace)
+
+    def test_kernel_lanes_on_cut_in(self, family_traces, monkeypatch):
+        # the full grid runs only for pairs the head leaves open: about a
+        # fifth of what one full-grid search over every pair hands the kernel
+        trace = family_traces[("cut_in", 30.0)]
+        lanes = []
+
+        def counting(egos, offsets, paths, l0, params):
+            lanes.append(len(egos) * paths.count * len(params.latency_grid))
+            return search_paths(egos, offsets, paths, l0, params)
+
+        monkeypatch.setattr(report, "search_paths", counting)
+        analyze_trace(trace, PARAMS)
+        full = len(trace.ticks) * len(trace.actor_ids) * len(PARAMS.latency_grid)
+        assert 0 < sum(lanes) < 0.3 * full
 
     def test_peak_memory_stays_per_block(self):
         # 601 ticks x 6 actors: one search over the whole trace would hold

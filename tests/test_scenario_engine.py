@@ -398,14 +398,26 @@ class TestConstructorsMatchReader:
     @pytest.mark.parametrize("value", [True, 1, 2.5])
     @pytest.mark.parametrize("cls,kwargs,name", field_params(SCRIPT_CLASSES))
     def test_direct_script_is_refused_or_round_trips(self, cls, kwargs, name, value):
-        # what a constructor accepts, save_script writes and load_script reads back equal
+        # what a constructor accepts, save_script writes and load_script reads
+        # back equal, and saves again to the same bytes
         try:
             script = in_script(cls(**{**kwargs, name: value}))
         except ValueError:
             return
-        buf = io.StringIO()
+        buf, again = io.StringIO(), io.StringIO()
         save_script(script, buf)
-        assert load_script(io.StringIO(buf.getvalue())) == script
+        loaded = load_script(io.StringIO(buf.getvalue()))
+        assert loaded == script
+        save_script(loaded, again)
+        assert again.getvalue() == buf.getvalue()
+
+    def test_integer_script_saves_byte_stably(self):
+        script = ScenarioScript(name="s", ego_lane=0, ego_speed=10, duration=14)
+        first, again = io.StringIO(), io.StringIO()
+        save_script(script, first)
+        save_script(load_script(io.StringIO(first.getvalue())), again)
+        assert again.getvalue() == first.getvalue()
+        assert '"duration": 14.0' in first.getvalue()
 
 
 def documented_family_parameters() -> dict[str, set[str]]:
@@ -462,6 +474,17 @@ class TestEngine:
         loaded = load_trace(io.StringIO(buf.getvalue()))
         assert len(loaded.ticks) == len(result.trace.ticks)
         assert loaded.metadata["fpr0"] == 30.0
+
+    def test_integer_frame_rate_records_as_float(self):
+        params = ModelParams()
+        script = generate_scenario("cut_in")
+        traces = []
+        for rate in (10, 10.0):
+            buf = io.StringIO()
+            save_trace(run_scenario(script, params, frame_rate=rate).trace, buf)
+            traces.append(buf.getvalue())
+        assert traces[0] == traces[1]
+        assert '"fpr0": 10.0' in traces[0]
 
     def test_zero_speed_ego_never_collides(self):
         params = ModelParams()
