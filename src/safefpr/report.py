@@ -66,8 +66,9 @@ def analyze_trace(trace: ScenarioTrace, params: ModelParams) -> AnalysisResult:
     Post-run analysis uses the recorded future of each actor (a single
     known trajectory) and the latency the trace was recorded at as the
     reference latency l0, under the fixed l0 policy. Each actor's recorded
-    columns (``ScenarioTrace.actor_columns``) give its path and positions,
-    and every ego reads the paths from its own tick time on
+    columns (``ScenarioTrace.actor_columns``) give its path and positions;
+    each tick's ego, the one state object built per tick (from
+    ``ScenarioTrace.ego_rows``), reads the paths from its tick time on
     (``search_paths``). The search runs in two passes, each in blocks of
     at most ``BLOCK_LANES`` (tick, actor, grid candidate) lanes and at
     least one tick:
@@ -86,7 +87,7 @@ def analyze_trace(trace: ScenarioTrace, params: ModelParams) -> AnalysisResult:
     """
     out = AnalysisResult()
     records = out.records
-    ticks = trace.ticks
+    times = trace.times.tolist()
     actor_ids = trace.actor_ids
     n = len(actor_ids)
     camera_ids = [c.camera_id for c in trace.cameras]
@@ -99,41 +100,39 @@ def analyze_trace(trace: ScenarioTrace, params: ModelParams) -> AnalysisResult:
     fixed = params.replace(l0_policy=L0_FIXED)
     head = fixed.replace(latency_min=fixed.latency_max)
     columns = [trace.actor_columns(aid) for aid in actor_ids]
-    egos = [tick.ego for tick in ticks]
-    offsets = [tick.t for tick in ticks]
+    egos = [KinematicState(*row) for row in trace.ego_rows.tolist()]
     # entry k * n + j: actor j's latency at tick k
     found: list[float | None] = []
     paths = path_table(columns)
     # the grid head alone, for every pair
     block = max(1, BLOCK_LANES // max(1, n))
-    for start in range(0, len(ticks), block):
+    for start in range(0, len(times), block):
         part = slice(start, start + block)
-        found += search_paths(egos[part], offsets[part], paths, l0, head)[0]
+        found += search_paths(egos[part], times[part], paths, l0, head)[0]
     # the full grid, one actor at a time, for the pairs the head left open
     block = max(1, BLOCK_LANES // len(fixed.latency_grid))
     for j, cols in enumerate(columns):
-        todo = [k for k in range(len(ticks)) if found[k * n + j] is None]
+        todo = [k for k in range(len(times)) if found[k * n + j] is None]
         one = path_table([cols])
         for start in range(0, len(todo), block):
             part = todo[start : start + block]
             lats, _ = search_paths(
-                [egos[k] for k in part], [offsets[k] for k in part], one, l0, fixed
+                [egos[k] for k in part], [times[k] for k in part], one, l0, fixed
             )
             for k, latency in zip(part, lats):
                 found[k * n + j] = latency
 
     # (actor, x or y, tick); the reshape gives a trace without actors this shape too
-    xy = np.array([cols[1:3] for cols in columns]).reshape(n, 2, len(ticks))
+    xy = np.array([cols[1:3] for cols in columns]).reshape(n, 2, len(times))
     block = max(1, BLOCK_LANES // (max(1, n) * len(params.latency_grid)))
-    for start in range(0, len(ticks), block):
-        part = ticks[start : start + block]
+    for start in range(0, len(times), block):
+        part = times[start : start + block]
         latencies = [found[k * n : (k + 1) * n] for k in range(start, start + len(part))]
         positions = xy[:, :, start : start + block].transpose(2, 0, 1).tolist()
         reports = scene_reports(
             egos[start : start + block], actor_ids, positions, latencies, trace.cameras, params
         )
-        for k, tick, lats, reps in zip(range(start, start + len(part)), part, latencies, reports):
-            t = tick.t
+        for k, t, lats, reps in zip(range(start, start + len(part)), part, latencies, reports):
             for aid, latency in zip(actor_ids, lats):
                 records.append({"tick": k, "t": t, "actor": aid, "latency": latency})
             total = 0.0
@@ -148,7 +147,7 @@ def analyze_trace(trace: ScenarioTrace, params: ModelParams) -> AnalysisResult:
                 max_total_t = t
 
     out.summary = {
-        "ticks": len(trace.ticks),
+        "ticks": len(times),
         "cameras": len(trace.cameras),
         "max_fpr_per_camera": per_camera_max,
         "max_total_fpr": max_total,

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO
@@ -17,7 +19,7 @@ from typing import IO
 import numpy as np
 
 from .geometry import CameraConfig
-from .types import KinematicState, Trajectory, finite_float
+from .types import KinematicState, Trajectory, finite_float, normalize_angles
 
 
 class TraceFormatError(ValueError):
@@ -33,68 +35,135 @@ class TickRecord:
     actors: dict[str, KinematicState] = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class ScenarioTrace:
-    dt: float
-    ticks: tuple[TickRecord, ...]
-    cameras: tuple[CameraConfig, ...]
-    metadata: dict = field(default_factory=dict)
-    # per actor: recorded t, x, y and v, built on the first ``actor_columns`` query
-    _columns: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    """A recorded run: tick interval, camera rig, metadata and every tick's states.
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.dt < math.inf:
-            raise TraceFormatError(f"dt must be finite and > 0, got {self.dt}")
-        _fpr0(self.metadata)
-        ids: set[str] | None = None
-        for i, tick in enumerate(self.ticks):
-            expected = i * self.dt
-            # aligned to the grid and strictly after the previous tick
-            if not (
-                abs(tick.t - expected) <= 1e-9 + 1e-12 * i
-                and (i == 0 or tick.t > self.ticks[i - 1].t)
-            ):
-                raise TraceFormatError(
-                    f"non-monotone or misaligned time at tick {i}: "
-                    f"t={tick.t}, expected {expected}"
-                )
-            tick_ids = set(tick.actors)
-            if ids is None:
-                ids = tick_ids
-            elif tick_ids != ids:
-                raise TraceFormatError(f"actor ids changed at tick {i}")
-        object.__setattr__(self, "ticks", tuple(self.ticks))
-        object.__setattr__(self, "cameras", tuple(self.cameras))
+    The states are stored as columns in one read-only (bodies, 6, ticks)
+    block: body 0 is the ego and body j + 1 the actor ``actor_ids[j]``
+    (sorted ids), and each body's rows are t, x, y, v, a and heading over
+    every tick. ``load_trace`` fills the block straight from the file. A
+    trace built from ``TickRecord``s, as the engine builds one, keeps its
+    records and builds the block on the first read of ``ego_rows`` or
+    ``actor_columns``.
+
+    ``times``, ``actor_ids``, ``duration()``, ``ego_rows``,
+    ``actor_columns`` and ``operating_latency()`` read the columns and build
+    no state objects. ``ticks`` gives the records; on a loaded trace it
+    builds them from the block on its first read and keeps them, and their
+    actor dicts iterate in sorted id order.
+    """
+
+    dt: float
+    cameras: tuple[CameraConfig, ...]
+    metadata: dict
+    actor_ids: tuple[str, ...]
+    # (ticks,) read-only tick times
+    times: np.ndarray = field(repr=False)
+    # "ticks": the records, "block": the state block, "columns": actor id -> view
+    _cache: dict = field(repr=False)
+
+    def __init__(
+        self,
+        dt: float,
+        ticks: Sequence[TickRecord],
+        cameras: Sequence[CameraConfig],
+        metadata: dict | None = None,
+    ) -> None:
+        ticks = tuple(ticks)
+        metadata = {} if metadata is None else metadata
+        _check_header(dt, metadata)
+        raw = [tick.t for tick in ticks]
+        times = np.array(raw)  # no dtype: a string or None time is a TypeError below
+        ids = set(ticks[0].actors) if ticks else set()
+        changed = next((i for i, tick in enumerate(ticks) if set(tick.actors) != ids), len(ticks))
+        i = _misaligned(times, dt)
+        if i < len(ticks) and i <= changed:
+            raise TraceFormatError(
+                f"non-monotone or misaligned time at tick {i}: t={raw[i]}, expected {i * dt}"
+            )
+        if changed < len(ticks):
+            raise TraceFormatError(f"actor ids changed at tick {changed}")
+        times = times.astype(np.float64)
+        times.setflags(write=False)
+        self._fill(dt, cameras, metadata, tuple(sorted(ids)), times, {"ticks": ticks})
+
+    @classmethod
+    def _from_block(cls, dt, cameras, metadata, actor_ids, block) -> "ScenarioTrace":
+        """A trace over a state block whose ticks meet the tick rules; checks the header."""
+        _check_header(dt, metadata)
+        trace = object.__new__(cls)
+        trace._fill(dt, cameras, metadata, tuple(actor_ids), block[0, 0], {"block": block})
+        return trace
+
+    def _fill(self, dt, cameras, metadata, actor_ids, times, cache) -> None:
+        vars(self).update(
+            dt=dt,
+            cameras=tuple(cameras),
+            metadata=metadata,
+            actor_ids=actor_ids,
+            times=times,
+            _cache=cache,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ScenarioTrace):
+            return NotImplemented
+        return (self.dt, self.ticks, self.cameras, self.metadata) == (
+            other.dt,
+            other.ticks,
+            other.cameras,
+            other.metadata,
+        )
 
     @property
-    def actor_ids(self) -> tuple[str, ...]:
-        return tuple(sorted(self.ticks[0].actors)) if self.ticks else ()
+    def ticks(self) -> tuple[TickRecord, ...]:
+        """One ``TickRecord`` per tick; a loaded trace builds them on the first read."""
+        ticks = self._cache.get("ticks")
+        if ticks is None:
+            block = self._block()
+            ticks = []
+            for t, bodies in zip(self.times.tolist(), block[:, 1:].transpose(2, 0, 1).tolist()):
+                states = [KinematicState(*fields) for fields in bodies]
+                ticks.append(TickRecord(t, states[0], dict(zip(self.actor_ids, states[1:]))))
+            ticks = self._cache["ticks"] = tuple(ticks)
+        return ticks
+
+    def _block(self) -> np.ndarray:
+        block = self._cache.get("block")
+        if block is None:
+            fields = [
+                (s.x, s.y, s.v, s.a, s.heading)
+                for tick in self._cache["ticks"]
+                for s in (tick.ego, *map(tick.actors.__getitem__, self.actor_ids))
+            ]
+            block = self._cache["block"] = _state_block(self.times, fields, len(self.actor_ids))
+        return block
+
+    @property
+    def ego_rows(self) -> np.ndarray:
+        """The ego's read-only (ticks, 5) rows: x, y, v, a and heading at each tick."""
+        return self._block()[0, 1:].T
 
     def duration(self) -> float:
-        return self.ticks[-1].t if self.ticks else 0.0
+        return self.times[-1].item() if self.times.shape[0] else 0.0
 
     def actor_columns(self, actor_id: str) -> np.ndarray:
         """The actor's recorded path: t, x, y and v over every tick, as the rows of one array.
 
-        The array is read-only and built once per actor. Its times are the
-        tick times, so they are finite and strictly increasing; positions
-        are finite and speeds >= 0, as ``KinematicState`` requires. Raises
-        KeyError for an actor the trace does not carry.
+        The array is a read-only view into the state block, the same object
+        on every call. Its times are the tick times, so they are finite and
+        strictly increasing; positions are finite and speeds >= 0, as
+        ``KinematicState`` requires. Raises KeyError for an actor the trace
+        does not carry.
         """
-        cols = self._columns.get(actor_id)
-        if cols is None:
-            states = [tick.actors[actor_id] for tick in self.ticks]
-            cols = np.array(
-                [
-                    [tick.t for tick in self.ticks],
-                    [s.x for s in states],
-                    [s.y for s in states],
-                    [s.v for s in states],
-                ]
-            )
-            cols.setflags(write=False)
-            self._columns[actor_id] = cols
-        return cols
+        columns = self._cache.get("columns")
+        if columns is None:
+            block = self._block()
+            columns = self._cache["columns"] = {
+                aid: block[j + 1, :4] for j, aid in enumerate(self.actor_ids)
+            }
+        return columns[actor_id]
 
     def operating_latency(self) -> float:
         """Processing latency the trace was recorded at: 1 / fpr0, or dt without one.
@@ -104,6 +173,39 @@ class ScenarioTrace:
         """
         fpr0 = _fpr0(self.metadata)
         return self.dt if fpr0 is None else 1.0 / fpr0
+
+
+def _check_header(dt: float, metadata: dict) -> None:
+    if not 0.0 < dt < math.inf:
+        raise TraceFormatError(f"dt must be finite and > 0, got {dt}")
+    _fpr0(metadata)
+
+
+def _misaligned(times: np.ndarray, dt: float) -> int:
+    """Index of the first tick time off the grid or not after the one before; len(times) if none.
+
+    Tick i must lie within 1e-9 + 1e-12 * i of i * dt and after tick i - 1.
+    """
+    i = np.arange(times.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and NaN times fail the test
+        ok = np.abs(times - i * dt) <= 1e-9 + 1e-12 * i
+    ok[1:] &= times[1:] > times[:-1]
+    return int(np.argmin(ok)) if not ok.all() else times.shape[0]
+
+
+def _state_block(times: np.ndarray, fields, actors: int) -> np.ndarray:
+    """The read-only (1 + actors, 6, ticks) state block of ``ScenarioTrace``.
+
+    ``fields`` holds x, y, v, a and heading of the ego and then each actor
+    at each tick, tick-major; headings are normalized here.
+    """
+    bodies = 1 + actors
+    block = np.empty((bodies, 6, times.shape[0]))
+    block[:, 0] = times
+    block[:, 1:] = np.reshape(fields, (times.shape[0], bodies, 5)).transpose(1, 2, 0)
+    block[:, 5] = normalize_angles(block[:, 5])
+    block.setflags(write=False)
+    return block
 
 
 def _fpr0(metadata: dict) -> float | None:
@@ -136,26 +238,13 @@ def _finite(obj: dict, key: str, where: str, default: float | None = None) -> fl
         if default is None:
             raise TraceFormatError(f"{where}: missing field {key!r}")
         return default
-    value = obj[key]
-    if type(value) is float and math.isfinite(value):
-        return value  # most fields: skips finite_float's abstract-class check (about 1 us)
     try:
-        return finite_float(f"field {key!r}", value)
+        return finite_float(f"field {key!r}", obj[key])
     except ValueError as e:
         raise TraceFormatError(f"{where}: {e}") from None
 
 
 def _state_from_obj(obj, where: str) -> KinematicState:
-    if type(obj) is dict and len(obj) == 5:
-        # the saved form: exactly the five fields, as floats, which
-        # KinematicState checks; anything else, or a state it refuses, is
-        # checked below for the error message
-        x, y, v, a, heading = map(obj.get, _STATE_FIELDS)
-        if type(x) is type(y) is type(v) is type(a) is type(heading) is float:
-            try:
-                return KinematicState(x, y, v, a, heading)
-            except ValueError:
-                pass
     if not isinstance(obj, dict):
         raise TraceFormatError(f"{where}: expected an object")
     fields = [_finite(obj, key, where) for key in ("x", "y", "v")]
@@ -164,6 +253,71 @@ def _state_from_obj(obj, where: str) -> KinematicState:
         return KinematicState(*fields)
     except ValueError as e:
         raise TraceFormatError(f"{where}: {e}") from None
+
+
+def _tick_from_line(line: str, where: str) -> TickRecord:
+    obj = _json(line, where)
+    if not isinstance(obj, dict):
+        raise TraceFormatError(f"{where}: expected an object")
+    t = _finite(obj, "t", where)
+    if "ego" not in obj:
+        raise TraceFormatError(f"{where}: missing field 'ego'")
+    ego = _state_from_obj(obj["ego"], f"{where} ego")
+    actors = obj.get("actors", {})
+    if not isinstance(actors, dict):
+        raise TraceFormatError(f"{where}: field 'actors' must be an object")
+    actors = {aid: _state_from_obj(s, f"{where} actor {aid!r}") for aid, s in actors.items()}
+    return TickRecord(t=t, ego=ego, actors=actors)
+
+
+_state_fields = operator.itemgetter(*_STATE_FIELDS)
+
+
+def _saved_columns(lines: list[str], dt: float) -> tuple[list[str], np.ndarray] | None:
+    """The sorted actor ids and the state block of tick lines in the saved form, or None.
+
+    In the saved form, as ``save_trace`` writes it, each line is a JSON
+    object with a ``t``, an ``ego`` state and an ``actors`` object of
+    states; each state has the five fields; every one of these numbers is
+    a float; and every tick has the same actor ids. Keys beyond these are
+    ignored, as on the checked path. The numbers are checked as arrays
+    against the tick rules: finite, speeds >= 0, times on the grid and
+    increasing. None when a line is not in the saved form or a rule fails:
+    the checked path then loads the lines or names the first fault.
+    """
+    flat: list = []
+    ids: list[str] | None = None
+    for i, line in enumerate(lines):
+        try:
+            obj = _json(line, f"tick {i}")
+        except TraceFormatError:
+            return None
+        if type(obj) is not dict:
+            return None
+        try:
+            actors = obj["actors"]
+            if ids is None:
+                ids = sorted(actors)
+            if len(actors) != len(ids):
+                return None
+            flat.append(obj["t"])
+            flat += _state_fields(obj["ego"])
+            for aid in ids:
+                flat += _state_fields(actors[aid])
+        except (KeyError, TypeError):
+            return None
+    if not set(map(type, flat)) <= {float}:
+        return None
+    ids = ids or []
+    rows = np.array(flat).reshape(len(lines), 1 + 5 * (1 + len(ids)))
+    # finite first: the arithmetic below warns on inf and NaN
+    if not np.isfinite(rows).all():
+        return None
+    fields = rows[:, 1:].reshape(len(lines), 1 + len(ids), 5)
+    times = rows[:, 0].copy()
+    if (fields[:, :, 2] < 0.0).any() or _misaligned(times, dt) < len(lines):
+        return None
+    return ids, _state_block(times, fields, len(ids))
 
 
 def save_trace(trace: ScenarioTrace, dest: str | Path | IO[str]) -> None:
@@ -246,25 +400,11 @@ def load_trace(source: str | Path | IO[str]) -> ScenarioTrace:
     if not isinstance(metadata, dict):
         raise TraceFormatError("header: field 'metadata' must be an object")
 
-    ticks = []
-    for i, line in enumerate(lines[1:]):
-        where = f"tick {i}"
-        obj = _json(line, where)
-        if not isinstance(obj, dict):
-            raise TraceFormatError(f"{where}: expected an object")
-        t = _finite(obj, "t", where)
-        if "ego" not in obj:
-            raise TraceFormatError(f"{where}: missing field 'ego'")
-        ego = _state_from_obj(obj["ego"], f"{where} ego")
-        actors = obj.get("actors", {})
-        if not isinstance(actors, dict):
-            raise TraceFormatError(f"{where}: field 'actors' must be an object")
-        actors = {
-            aid: _state_from_obj(s, f"{where} actor {aid!r}") for aid, s in actors.items()
-        }
-        ticks.append(TickRecord(t=t, ego=ego, actors=actors))
-
-    return ScenarioTrace(dt=dt, ticks=tuple(ticks), cameras=tuple(cameras), metadata=metadata)
+    saved = _saved_columns(lines[1:], dt)
+    if saved is None:
+        ticks = [_tick_from_line(line, f"tick {i}") for i, line in enumerate(lines[1:])]
+        return ScenarioTrace(dt=dt, ticks=ticks, cameras=cameras, metadata=metadata)
+    return ScenarioTrace._from_block(dt, cameras, metadata, *saved)
 
 
 def ground_truth_trajectory(trace: ScenarioTrace, actor_id: str, from_tick: int) -> Trajectory:
@@ -274,9 +414,10 @@ def ground_truth_trajectory(trace: ScenarioTrace, actor_id: str, from_tick: int)
     known, probability 1. A query at the final tick pads a constant-hold
     second sample so the result is still a valid trajectory.
     """
-    if not 0 <= from_tick < len(trace.ticks):
-        raise IndexError(f"from_tick {from_tick} outside trace of {len(trace.ticks)} ticks")
-    if actor_id not in trace.ticks[from_tick].actors:
+    ticks = trace.times.shape[0]
+    if not 0 <= from_tick < ticks:
+        raise IndexError(f"from_tick {from_tick} outside trace of {ticks} ticks")
+    if actor_id not in trace.actor_ids:
         raise KeyError(f"unknown actor {actor_id!r}")
     t, x, y, v = trace.actor_columns(actor_id)
     k = from_tick

@@ -416,6 +416,24 @@ class TestCli:
         assert main(["analyze", "--trace", str(trace_path), "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_analyze_builds_one_state_per_tick(self, tmp_path, family_traces, monkeypatch):
+        # a loaded trace is analyzed from its columns: one ego state per
+        # tick, no actor state and no TickRecord
+        recorded = family_traces[("cut_in", 30.0)]
+        trace_path, out = tmp_path / "t.jsonl", tmp_path / "report.jsonl"
+        save_trace(recorded, trace_path)
+        states, reads = [], []
+        post_init, ticks = KinematicState.__post_init__, ScenarioTrace.ticks
+        monkeypatch.setattr(
+            KinematicState, "__post_init__", lambda s: states.append(s) or post_init(s)
+        )
+        monkeypatch.setattr(
+            ScenarioTrace, "ticks", property(lambda tr: reads.append(tr) or ticks.fget(tr))
+        )
+        assert main(["analyze", "--trace", str(trace_path), "--out", str(out)]) == 0
+        assert 0 < len(states) <= len(recorded.times)
+        assert reads == []
+
     def test_simulate_command_no_collision(self, tmp_path):
         script_path = tmp_path / "s.json"
         save_script(generate_scenario("cut_in"), script_path)

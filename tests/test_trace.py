@@ -1,7 +1,9 @@
 import io
 import json
 import math
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,7 @@ from safefpr import (
     load_trace,
     save_trace,
 )
+import safefpr.trace as trace_module
 from safefpr.trace import _state_from_obj
 
 
@@ -105,6 +108,26 @@ class TestValidation:
         t1 = f'{{"t": 0.1, "ego": {state}, "actors": {{}}}}'
         with pytest.raises(TraceFormatError, match="actor ids"):
             load_trace(io.StringIO("\n".join([header, t0, t1])))
+
+    @given(
+        dt=st.sampled_from([0.1, 1.0 / 30.0, 1e-10, 1e308]) | st.floats(0.0, 10.0),
+        offsets=st.lists(
+            st.sampled_from([0.0, -0.0, 1e-9, -1e-9, 1.5e-9, -5e-9]) | st.floats(), max_size=12
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_time_rule_on_arrays_is_the_scalar_rule(self, dt, offsets):
+        # tick i within 1e-9 + 1e-12 i of i dt and after tick i - 1, tick by tick
+        times = [i * dt + off for i, off in enumerate(offsets)]
+        first = next(
+            (
+                i
+                for i, t in enumerate(times)
+                if not (abs(t - i * dt) <= 1e-9 + 1e-12 * i and (i == 0 or t > times[i - 1]))
+            ),
+            len(times),
+        )
+        assert trace_module._misaligned(np.array(times), dt) == first
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(TraceFormatError):
@@ -242,6 +265,22 @@ class TestGroundTruth:
                     col[-1] = -1.0
         again = ground_truth_trajectory(trace, "lead", 4)
         assert again.x.tolist() == [30.0 + 8.0 * tick.t for tick in trace.ticks[4:]]
+
+    def test_loaded_trace_reads_its_columns(self, monkeypatch):
+        built = build_trace()
+        loaded, _ = roundtrip(built)
+        monkeypatch.setattr(ScenarioTrace, "ticks", property(lambda tr: pytest.fail("read ticks")))
+        assert loaded.actor_ids == ("lead", "parked")
+        assert loaded.duration() == built.duration()
+        for aid in loaded.actor_ids:
+            assert loaded.actor_columns(aid).tolist() == built.actor_columns(aid).tolist()
+            for k in (0, 4, 9):
+                got = ground_truth_trajectory(loaded, aid, k).columns()
+                assert got.tolist() == ground_truth_trajectory(built, aid, k).columns().tolist()
+        with pytest.raises(KeyError, match="unknown actor 'ghost'"):
+            ground_truth_trajectory(loaded, "ghost", 0)
+        with pytest.raises(IndexError, match="from_tick 10 outside trace of 10 ticks"):
+            ground_truth_trajectory(loaded, "lead", 10)
 
 
 HEADER = {"dt": 0.1, "cameras": [{"camera_id": "front", "azimuth": 0.0, "fov": 1.0}]}
@@ -404,3 +443,119 @@ def test_any_text_loads_or_raises_format_error(lines):
         load_trace(io.StringIO("\n".join(lines)))
     except TraceFormatError:
         pass
+
+
+def _mappings(line, where, _json=trace_module._json):
+    _json(line, where)  # the same errors
+    return json.loads(line, object_hook=_Mapping)
+
+
+def load_text(text: str):
+    return load_trace(io.StringIO(text))
+
+
+def load_checked(text: str):
+    """``load_trace`` with every JSON object a ``_Mapping``, so no line is in the saved form."""
+    with mock.patch.object(trace_module, "_json", _mappings):
+        return load_text(text)
+
+
+def load_outcome(load, text: str):
+    try:
+        return load(text)
+    except TraceFormatError as e:
+        return f"TraceFormatError: {e}"
+
+
+def assert_loads_alike(text: str) -> None:
+    """The columnar load and the checked path give equal traces or the same error."""
+    fast, checked = load_outcome(load_text, text), load_outcome(load_checked, text)
+    if isinstance(fast, str) or isinstance(checked, str):
+        assert fast == checked
+        return
+    assert fast == checked
+    assert fast.actor_ids == checked.actor_ids
+    assert repr(fast.times.tolist()) == repr(checked.times.tolist())
+    assert repr(fast.ego_rows.tolist()) == repr(checked.ego_rows.tolist())
+    for a, b in zip(fast.ticks, checked.ticks):
+        # the same types and the sign of a zero; the actor order may differ
+        assert (repr(a.t), repr(a.ego)) == (repr(b.t), repr(b.ego))
+        assert {k: repr(s) for k, s in a.actors.items()} == {
+            k: repr(s) for k, s in b.actors.items()
+        }
+    for aid in fast.actor_ids:
+        assert repr(fast.actor_columns(aid).tolist()) == repr(checked.actor_columns(aid).tolist())
+
+
+@given(lines=st.lists(LINES, max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_any_text_loads_alike_on_both_paths(lines):
+    assert_loads_alike("\n".join(lines))
+
+
+FINITE = st.sampled_from([math.pi, -math.pi, 7.0, -7.0, 0.0, -0.0, 1e308]) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+SAVED_STATES = st.fixed_dictionaries(
+    {
+        "x": FINITE,
+        "y": FINITE,
+        "v": st.floats(0.0, 50.0) | st.sampled_from([-0.0, 1e308]),
+        "a": FINITE,
+        "heading": FINITE,
+    }
+)
+
+
+@st.composite
+def saved_traces(draw) -> str:
+    """Trace text in the saved form, with headings such as +-pi, 7.0 and
+    -0.0; in half of them one fault at one tick: a time off the grid, a
+    changed actor id set, a field that is not finite, a negative speed or
+    a number that is not a float."""
+    dt = draw(st.sampled_from([0.1, 1.0 / 30.0, 1e-10, 2.0]))
+    ids = draw(st.lists(st.sampled_from(["lead", "b", "a0", ""]), max_size=3, unique=True))
+    ticks = [
+        {
+            "t": i * dt,
+            "ego": draw(SAVED_STATES),
+            "actors": {aid: draw(SAVED_STATES) for aid in draw(st.permutations(ids))},
+        }
+        for i in range(draw(st.integers(0, 4)))
+    ]
+    if ticks and draw(st.booleans()):
+        tick = draw(st.sampled_from(ticks))
+        fault = draw(st.sampled_from(["t", "ids", "finite", "speed", "type"]))
+        state = draw(st.sampled_from([tick["ego"], *tick["actors"].values()]))
+        if fault == "t":
+            off_grid = st.sampled_from([tick["t"] + 1e-9, tick["t"] - 1.0, -0.0])
+            tick["t"] = draw(off_grid | st.floats())
+        elif fault == "ids":
+            extra = draw(st.sampled_from([[], [("new", dict(STATE))]]))
+            tick["actors"] = dict(list(tick["actors"].items())[1:] + extra)
+        elif fault == "finite":
+            state[draw(st.sampled_from(sorted(STATE)))] = draw(
+                st.sampled_from([math.nan, math.inf, -math.inf])
+            )
+        elif fault == "speed":
+            state["v"] = draw(st.sampled_from([-1.0, -5e-324]))
+        else:
+            state[draw(st.sampled_from(sorted(STATE)))] = draw(
+                st.sampled_from([1, 0, True, "1.0", None])
+            )
+    header = {"dt": dt, "cameras": HEADER["cameras"], "metadata": {}}
+    return "\n".join(json.dumps(obj) for obj in [header, *ticks])
+
+
+@given(text=saved_traces())
+@settings(max_examples=300, deadline=None)
+def test_saved_form_loads_alike_on_both_paths(text):
+    assert_loads_alike(text)
+
+
+def test_saved_form_takes_the_columnar_path():
+    # the saved form loads without a state object; the checked path builds records
+    text = trace_text(tick=json.dumps({"t": 0.0, "ego": STATE, "actors": {"lead": STATE}}))
+    assert "ticks" not in load_text(text)._cache
+    assert "ticks" in load_checked(text)._cache
+    assert_loads_alike(text)
