@@ -11,13 +11,13 @@ import json
 import sys
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
-from dataclasses import fields
-from operator import itemgetter
+from dataclasses import asdict, fields
 from pathlib import Path
 
-from .engine import run_scenario
+from .engine import RunResult, run_scenario
+from .model import FprReport
 from .oracle import mrf_rates, scenario_mrf
-from .report import analyze_trace, camera_record, sweep_grid, write_sweep_csv
+from .report import AnalysisResult, analyze_trace, sweep_grid, write_sweep_csv
 from .scenarios import load_script, script_from_dict
 from .scheduler import Budget
 from .trace import TraceFormatError, load_trace
@@ -91,64 +91,84 @@ def _output(path: str | None):
         yield fh
 
 
-# Value types whose JSON text can be memoised by (type, value). Float zeros
-# are left out (-0.0 == 0.0, yet their texts differ), and NaN never equals
-# itself, so neither is stored.
-_SCALARS = frozenset({str, int, float, bool, type(None)})
-
-
-def _json_lines(records: Iterable[dict]) -> Iterator[str]:
-    """Each record as ``json.dumps(record, sort_keys=True)`` and a newline.
-
-    Records with the same string keys share one line format, and each
-    repeated scalar value is encoded once, so the text is that of
-    ``json.dumps`` without an encoder per record. A record that holds a
-    dict or a list (simulate's alarms) is encoded whole by ``json.dumps``.
-    """
-    formats: dict[tuple, tuple | None] = {}
-    texts: dict[tuple, str] = {}
+def _emit_records(fh, records: Iterable[dict | str], summary: dict) -> None:
+    """Write each record, then the summary, as JSON lines: a dict as
+    ``json.dumps(record, sort_keys=True)``, a str as the lines it holds."""
     for rec in records:
-        keys = tuple(rec)
-        try:
-            layout = formats[keys]
-        except KeyError:
-            layout = formats[keys] = _line_format(keys)
-        line = None
-        if layout is not None:
-            getter, fmt = layout
-            found = []
-            try:
-                for value in getter(rec):
-                    key = (type(value), value)
-                    text = texts.get(key)
-                    if text is None:
-                        text = json.dumps(value)
-                        kind = type(value)
-                        if kind in _SCALARS and (kind is not float or value == value != 0.0):
-                            texts[key] = text
-                    found.append(text)
-            except TypeError:  # an unhashable value: a dict or a list
-                pass
-            else:
-                line = fmt % tuple(found)
-        yield line or json.dumps(rec, sort_keys=True) + "\n"
-
-
-def _line_format(keys: tuple) -> tuple | None:
-    """A getter of the values of a record with ``keys``, in sorted key order,
-    and its line with a %s per value; None unless there are two or more string keys."""
-    if len(keys) < 2 or not all(type(k) is str for k in keys):
-        return None
-    order = sorted(keys)
-    heads = (json.dumps(k).replace("%", "%%") + ": %s" for k in order)
-    return itemgetter(*order), "{" + ", ".join(heads) + "}\n"
-
-
-def _emit_records(fh, records: Iterable[dict], summary: dict) -> None:
-    """Write each record, then the summary, as one JSON line as soon as it is encoded."""
-    for line in _json_lines(records):
-        fh.write(line)
+        fh.write(rec if isinstance(rec, str) else json.dumps(rec, sort_keys=True) + "\n")
     fh.write(json.dumps({"summary": summary}, sort_keys=True) + "\n")
+
+
+# Ticks whose lines go out in one write
+TICKS_PER_WRITE = 64
+
+
+def _head(memo: dict, key: tuple, record: dict) -> str:
+    """``json.dumps(record, sort_keys=True)`` without its closing brace, kept in
+    ``memo`` under ``key``; the key gives each number's type (1, 1.0 and True
+    are equal). A float zero (-0.0 == 0.0) or NaN keeps it out of ``memo``."""
+    text = json.dumps(record, sort_keys=True)[:-1]
+    if all(not isinstance(v, float) or v == v != 0.0 for v in record.values()):
+        memo[key] = text
+    return text
+
+
+def _camera_head(memo: dict, cid: str, rep: FprReport, fps: float | None = None) -> str:
+    """A camera record's head; simulate's also gives the camera's ``allocated_fps``."""
+    key = (cid, type(rep.fpr), rep.fpr, type(rep.latency), rep.latency, rep.binding_actor,
+           type(rep.infeasible), rep.infeasible, type(fps), fps)
+    text = memo.get(key)
+    if text is None:
+        record = {"camera": cid, **asdict(rep)}
+        if fps is not None:
+            record["allocated_fps"] = fps
+        text = _head(memo, key, record)
+    return text
+
+
+def _analysis_heads(result: AnalysisResult) -> Iterator[list[str]]:
+    """Each tick's record heads: its actors in sorted id order, then its
+    cameras in the rig's order."""
+    memo: dict[tuple, str] = {}  # actor keys hold 3 items, camera keys 10
+    for lats, reps in zip(result.latencies, result.reports):
+        heads = []
+        for aid, lat in zip(result.actor_ids, lats):
+            key = (aid, type(lat), lat)
+            heads.append(memo.get(key) or _head(memo, key, {"actor": aid, "latency": lat}))
+        yield heads + [_camera_head(memo, cid, rep) for cid, rep in reps.items()]
+
+
+def _simulation_heads(result: RunResult) -> Iterator[list[str]]:
+    """Each tick's camera record heads, in sorted id order."""
+    memo: dict[tuple, str] = {}
+    for reports, (_, fps) in zip(result.camera_log, result.allocations):
+        yield [_camera_head(memo, cid, reports[cid], fps[cid]) for cid in sorted(reports)]
+
+
+def _tick_lines(
+    times: list[float], heads: Iterable[list[str]], alarms: Iterable = ()
+) -> Iterator[str | dict]:
+    """The lines of each tick's records from their heads, ``TICKS_PER_WRITE``
+    ticks a text; after a tick, the ``(t, alarm)`` pairs at or before its time.
+
+    The "t" and "tick" keys of a per-tick record sort after its other keys,
+    so each of its lines is a head and the tick's tail.
+    """
+    # the text of a number holds no ", "
+    texts = json.dumps(times)[1:-1].split(", ")
+    alarms = iter(alarms)
+    pending = next(alarms, None)
+    block: list[str] = []
+    for k, (t, t_text, line) in enumerate(zip(times, texts, heads)):
+        # each head followed by the tail; a tick without records gives ""
+        block.append(f', "t": {t_text}, "tick": {k}}}\n'.join(line + [""]))
+        if pending is not None and pending[0] <= t or len(block) == TICKS_PER_WRITE:
+            yield "".join(block)
+            block = []
+        while pending is not None and pending[0] <= t:
+            yield {"t": pending[0], "alarm": pending[1].to_dict()}
+            pending = next(alarms, None)
+    yield "".join(block)
 
 
 def cmd_analyze(args) -> int:
@@ -176,7 +196,7 @@ def cmd_analyze(args) -> int:
         if script is not None:
             mrf = scenario_mrf(script, params, collision_radius=args.collision_radius)
             result.summary.update(mrf=mrf, mrf_infeasible_at_max=mrf is None)
-        _emit_records(fh, result.records, result.summary)
+        _emit_records(fh, _tick_lines(result.times, _analysis_heads(result)), result.summary)
     return 0
 
 
@@ -206,19 +226,6 @@ def cmd_simulate(args) -> int:
             collision_radius=args.collision_radius,
         )
 
-        records: list[dict] = []
-        alarm_iter = iter(result.alarms)
-        pending = next(alarm_iter, None)
-        for i, reports in enumerate(result.camera_log):
-            t = result.allocations[i][0]
-            for cid in sorted(reports):
-                rec = camera_record(i, t, cid, reports[cid])
-                rec["allocated_fps"] = result.allocations[i][1][cid]
-                records.append(rec)
-            while pending is not None and pending[0] <= t:
-                records.append({"t": pending[0], "alarm": pending[1].to_dict()})
-                pending = next(alarm_iter, None)
-
         summary = {
             "scenario": script.name,
             "ticks": len(result.camera_log),
@@ -230,7 +237,8 @@ def cmd_simulate(args) -> int:
             ),
             "brake_time": result.brake_time,
         }
-        _emit_records(fh, records, summary)
+        times = [t for t, _ in result.allocations]
+        _emit_records(fh, _tick_lines(times, _simulation_heads(result), result.alarms), summary)
     return 1 if result.collision else 0
 
 

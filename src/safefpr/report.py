@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import IO, Sequence
 
@@ -36,23 +36,40 @@ def fraction_of_provisioned(max_total_fpr: float, num_cameras: int, params: Mode
     return round(max_total_fpr / (num_cameras * cap), 2)
 
 
-@dataclass
-class AnalysisResult:
-    records: list[dict] = field(default_factory=list)
-    summary: dict = field(default_factory=dict)
-
-
 def camera_record(tick: int, t: float, camera: str, report: FprReport) -> dict:
     """One camera's output record at one tick: its required rate and what binds it."""
-    return {
-        "tick": tick,
-        "t": t,
-        "camera": camera,
-        "fpr": report.fpr,
-        "latency": report.latency,
-        "binding_actor": report.binding_actor,
-        "infeasible": report.infeasible,
-    }
+    return {"tick": tick, "t": t, "camera": camera, **asdict(report)}
+
+
+@dataclass
+class AnalysisResult:
+    """``analyze_trace``'s answer, one row per tick.
+
+    Tick k is at ``times[k]``; ``latencies[k]`` holds each actor's latency
+    in ``actor_ids`` order (sorted ids, None where infeasible) and
+    ``reports[k]`` each camera's report in the rig's order, shared as
+    ``scene_reports`` shares them. ``summary`` is computed in the same pass.
+    """
+
+    times: list[float]
+    actor_ids: tuple[str, ...]
+    latencies: list[list[float | None]]
+    reports: list[dict[str, FprReport]]
+    summary: dict
+
+    @property
+    def records(self) -> list[dict]:
+        """The output records as dicts, built on each read: per tick its
+        actors, then its cameras. ``safefpr analyze`` writes the same lines
+        from the rows without building them."""
+        out: list[dict] = []
+        for k, (t, lats, reps) in enumerate(zip(self.times, self.latencies, self.reports)):
+            out += [
+                {"tick": k, "t": t, "actor": aid, "latency": latency}
+                for aid, latency in zip(self.actor_ids, lats)
+            ]
+            out += [camera_record(k, t, cid, rep) for cid, rep in reps.items()]
+        return out
 
 
 # Lanes per batched search over a trace: about one online tick's worth, so
@@ -82,16 +99,14 @@ def analyze_trace(trace: ScenarioTrace, params: ModelParams) -> AnalysisResult:
     the head is grid candidate 0, so each pair gets the first candidate of
     the full grid that meets, as a single search would give it. The
     camera rates then come from one ``scene_reports`` call per block of
-    ticks. The result equals running each tick through ``evaluate_scene``
-    with every actor's ``ground_truth_trajectory``.
+    ticks, and the summary from the same pass over them. The result keeps
+    these rows as they are; its records equal running each tick through
+    ``evaluate_scene`` with every actor's ``ground_truth_trajectory``.
     """
-    out = AnalysisResult()
-    records = out.records
     times = trace.times.tolist()
     actor_ids = trace.actor_ids
     n = len(actor_ids)
-    camera_ids = [c.camera_id for c in trace.cameras]
-    per_camera_max: dict[str, float] = dict.fromkeys(camera_ids, 0.0)
+    per_camera_max: dict[str, float] = {c.camera_id: 0.0 for c in trace.cameras}
     max_total = 0.0
     max_total_t = 0.0
     any_infeasible = False
@@ -109,44 +124,43 @@ def analyze_trace(trace: ScenarioTrace, params: ModelParams) -> AnalysisResult:
     for start in range(0, len(times), block):
         part = slice(start, start + block)
         found += search_paths(egos[part], times[part], paths, l0, head)[0]
-    # the full grid, one actor at a time, for the pairs the head left open
+    # the full grid, one actor at a time, for the pairs the head left open;
+    # rebinding ``paths`` frees the table of every actor before this pass
     block = max(1, BLOCK_LANES // len(fixed.latency_grid))
     for j, cols in enumerate(columns):
         todo = [k for k in range(len(times)) if found[k * n + j] is None]
-        one = path_table([cols])
+        paths = path_table([cols])
         for start in range(0, len(todo), block):
             part = todo[start : start + block]
             lats, _ = search_paths(
-                [egos[k] for k in part], [times[k] for k in part], one, l0, fixed
+                [egos[k] for k in part], [times[k] for k in part], paths, l0, fixed
             )
             for k, latency in zip(part, lats):
                 found[k * n + j] = latency
 
+    latencies = [found[k * n : (k + 1) * n] for k in range(len(times))]
+    reports: list[dict[str, FprReport]] = []
     # (actor, x or y, tick); the reshape gives a trace without actors this shape too
     xy = np.array([cols[1:3] for cols in columns]).reshape(n, 2, len(times))
     block = max(1, BLOCK_LANES // (max(1, n) * len(params.latency_grid)))
     for start in range(0, len(times), block):
-        part = times[start : start + block]
-        latencies = [found[k * n : (k + 1) * n] for k in range(start, start + len(part))]
-        positions = xy[:, :, start : start + block].transpose(2, 0, 1).tolist()
-        reports = scene_reports(
-            egos[start : start + block], actor_ids, positions, latencies, trace.cameras, params
+        part = slice(start, start + block)
+        positions = xy[:, :, part].transpose(2, 0, 1).tolist()
+        made = scene_reports(
+            egos[part], actor_ids, positions, latencies[part], trace.cameras, params
         )
-        for k, t, lats, reps in zip(range(start, start + len(part)), part, latencies, reports):
-            for aid, latency in zip(actor_ids, lats):
-                records.append({"tick": k, "t": t, "actor": aid, "latency": latency})
+        reports += made
+        for t, reps in zip(times[part], made):
             total = 0.0
-            for cid in camera_ids:
-                rep = reps[cid]
+            for cid, rep in reps.items():
                 any_infeasible = any_infeasible or rep.infeasible
                 total += rep.fpr
                 per_camera_max[cid] = max(per_camera_max[cid], rep.fpr)
-                records.append(camera_record(k, t, cid, rep))
             if total > max_total:
                 max_total = total
                 max_total_t = t
 
-    out.summary = {
+    summary = {
         "ticks": len(times),
         "cameras": len(trace.cameras),
         "max_fpr_per_camera": per_camera_max,
@@ -157,7 +171,7 @@ def analyze_trace(trace: ScenarioTrace, params: ModelParams) -> AnalysisResult:
         ),
         "any_infeasible": any_infeasible,
     }
-    return out
+    return AnalysisResult(times, actor_ids, latencies, reports, summary)
 
 
 def required_fpr_cell(

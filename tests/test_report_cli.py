@@ -6,15 +6,19 @@ import math
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import safefpr.cli as cli
 import safefpr.report as report
 from safefpr import (
     DEFAULT_CAMERA_RIG,
+    AlarmEvent,
+    Budget,
+    FprReport,
     KinematicState,
     ModelParams,
+    RunResult,
     ScenarioTrace,
     TickRecord,
     analyze_trace,
@@ -24,6 +28,7 @@ from safefpr import (
     in_fov,
     fraction_of_provisioned,
     generate_scenario,
+    load_trace,
     required_fpr_cell,
     run_scenario,
     save_script,
@@ -434,6 +439,19 @@ class TestCli:
         assert 0 < len(states) <= len(recorded.times)
         assert reads == []
 
+    def test_analyze_writes_without_record_dicts(self, tmp_path, family_traces, monkeypatch):
+        # the CLI writes its lines from the per-tick rows: it never builds the
+        # records view, nor one camera record dict
+        trace_path, out = tmp_path / "t.jsonl", tmp_path / "report.jsonl"
+        save_trace(family_traces[("cut_in", 30.0)], trace_path)
+        reads, records = [], report.AnalysisResult.records
+        monkeypatch.setattr(
+            report.AnalysisResult, "records", property(lambda r: reads.append(r) or records.fget(r))
+        )
+        monkeypatch.setattr(report, "camera_record", lambda *a: reads.append(a))
+        assert main(["analyze", "--trace", str(trace_path), "--out", str(out)]) == 0
+        assert reads == []
+
     def test_simulate_command_no_collision(self, tmp_path):
         script_path = tmp_path / "s.json"
         save_script(generate_scenario("cut_in"), script_path)
@@ -782,6 +800,123 @@ class TestOutputBytes:
         cli._emit_records(buf, records, {"ticks": 19})
         want = [json.dumps(rec, sort_keys=True) for rec in records]
         assert buf.getvalue().splitlines() == want + ['{"summary": {"ticks": 19}}']
+
+
+def simulate_records(result):
+    """A run's output records as dicts, camera by camera and alarm by alarm."""
+    records = []
+    alarm_iter = iter(result.alarms)
+    pending = next(alarm_iter, None)
+    for i, reports in enumerate(result.camera_log):
+        t = result.allocations[i][0]
+        for cid in sorted(reports):
+            rec = report.camera_record(i, t, cid, reports[cid])
+            rec["allocated_fps"] = result.allocations[i][1][cid]
+            records.append(rec)
+        while pending is not None and pending[0] <= t:
+            records.append({"t": pending[0], "alarm": pending[1].to_dict()})
+            pending = next(alarm_iter, None)
+    return records
+
+
+def json_text(records, summary=None):
+    lines = [json.dumps(rec, sort_keys=True) + "\n" for rec in records]
+    if summary is not None:
+        lines.append(json.dumps({"summary": summary}, sort_keys=True) + "\n")
+    return "".join(lines)
+
+
+# values that compare equal but print differently, and values json spells out
+NUMBERS = st.sampled_from([1, 1.0, True, 0, 0.0, -0.0, False, 0.1, 30, math.nan, -math.inf])
+IDS = st.text(alphabet='ab"\\%é前', min_size=1, max_size=3)
+REPORTS = st.builds(
+    FprReport,
+    fpr=NUMBERS,
+    latency=st.none() | NUMBERS,
+    binding_actor=st.none() | IDS,
+    infeasible=st.sampled_from([False, True, 0, 1]),
+)
+# (time, three actor latencies, three camera reports, three allocated rates)
+TICKS = st.tuples(
+    st.sampled_from([-0.0, 0.0, 1, 1.0, 1 / 30, 1e-7, 1e16]),
+    st.lists(st.none() | NUMBERS, min_size=3, max_size=3),
+    st.lists(REPORTS, min_size=3, max_size=3),
+    st.lists(NUMBERS, min_size=3, max_size=3),
+)
+ONE = FprReport(1, 1, "a", False)
+EQUAL_BUT_NOT_ALIKE = [
+    (-0.0, [1, None, 1.0], [ONE, FprReport(1.0, 1.0, "a", False), ONE], [1, 1.0, True]),
+    (0.0, [1.0, True, 1], [FprReport(True, 1, "a", 0), ONE, ONE], [1.0, True, 1]),
+    (0.1, [0.0, -0.0, 0], [FprReport(0.0, -0.0, None, 0), FprReport(-0.0, 0.0, None, False)] * 2,
+     [-0.0, 0.0, False]),
+]
+
+
+class TestTickLines:
+    """The per-tick lines the CLI writes from memoised heads and per-tick tails."""
+
+    @given(
+        actors=st.lists(IDS, max_size=3, unique=True).map(sorted),
+        cameras=st.lists(IDS, max_size=3, unique=True),
+        ticks=st.lists(TICKS, max_size=6),
+        repeat=st.integers(1, 30),
+    )
+    @example(actors=["前", 'a"'], cameras=["\\%", "b"], ticks=EQUAL_BUT_NOT_ALIKE, repeat=1)
+    @example(actors=["a"], cameras=["b"], ticks=EQUAL_BUT_NOT_ALIKE, repeat=30)
+    @settings(max_examples=200, deadline=None)
+    def test_encoder_equals_json_dumps(self, actors, cameras, ticks, repeat):
+        ticks = ticks * repeat
+        times = [t for t, *_ in ticks]
+        analysis = report.AnalysisResult(
+            times,
+            tuple(actors),
+            [lats[: len(actors)] for _, lats, _, _ in ticks],
+            [dict(zip(cameras, reps)) for _, _, reps, _ in ticks],
+            {},
+        )
+        lines = cli._tick_lines(times, cli._analysis_heads(analysis))
+        assert "".join(lines) == json_text(analysis.records)
+        alarms = [
+            (t, AlarmEvent(((cid, 2.0, 1.0),), "deficit"))
+            for k, (t, cid) in enumerate(zip(times, cameras * len(times)))
+            if k % 7 == 3
+        ]
+        run = RunResult(
+            script=None,
+            trace=None,
+            collision=None,
+            brake_time=None,
+            alarms=alarms,
+            camera_log=analysis.reports,
+            allocations=[(t, dict(zip(cameras, fps))) for t, _, _, fps in ticks],
+        )
+        lines = cli._tick_lines(times, cli._simulation_heads(run), alarms)
+        assert "".join(
+            json_text([rec]) if isinstance(rec, dict) else rec for rec in lines
+        ) == json_text(simulate_records(run))
+
+    def test_analyze_lines_equal_the_records_view(self, tmp_path, family_traces):
+        traces = list(family_traces.values()) + [
+            synthetic_trace(40, actors=()),
+            ScenarioTrace(dt=0.1, ticks=(), cameras=DEFAULT_CAMERA_RIG),
+        ]
+        trace_path, out = tmp_path / "t.jsonl", tmp_path / "report.jsonl"
+        for trace in traces:
+            save_trace(trace, trace_path)
+            assert main(["analyze", "--trace", str(trace_path), "--out", str(out)]) == 0
+            result = analyze_trace(load_trace(trace_path), PARAMS)
+            assert out.read_text() == json_text(result.records, result.summary)
+
+    def test_simulate_lines_equal_the_records(self, tmp_path):
+        script = generate_scenario("front_right_activity_2")
+        script_path, out = tmp_path / "s.json", tmp_path / "log.jsonl"
+        save_script(script, script_path)
+        argv = ["simulate", "--script", str(script_path), "--budget", "90", "--out", str(out)]
+        assert main(argv) == 0
+        result = run_scenario(script, PARAMS, adaptive=True, budget=Budget(90), seed=0)
+        assert result.alarms
+        lines = out.read_text().splitlines(keepends=True)
+        assert "".join(lines[:-1]) == json_text(simulate_records(result))
 
 
 PARAM_VALUES = st.one_of(
