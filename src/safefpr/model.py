@@ -238,9 +238,10 @@ def _estimate(gi: int, probe: float, params: ModelParams) -> LatencyEstimate:
 class PathTable(NamedTuple):
     """Several paths' (t, x, y, v) columns as one segment table (see ``path_table``)."""
 
-    seg: np.ndarray   # (8, columns): t, x, y, v, then the increments to the next column
-    keys: np.ndarray  # (columns,) complex search keys: path index + 1j * breakpoint
-    count: int        # number of paths
+    seg: np.ndarray    # (8, columns): t, x, y, v, then the increments to the next column
+    first: np.ndarray  # (count,) each path's first column of ``seg``
+    groups: tuple[tuple[np.ndarray, np.ndarray], ...]  # per time column: its paths, its breakpoints
+    count: int         # number of paths
 
 
 def path_table(blocks: Sequence[np.ndarray]) -> PathTable:
@@ -250,6 +251,12 @@ def path_table(blocks: Sequence[np.ndarray]) -> PathTable:
     finite, strictly increasing times, finite positions and speeds >= 0
     (``Trajectory.columns()``, or ``ScenarioTrace.actor_columns``). A path
     may hold a single sample; there may be no paths at all.
+
+    Paths whose sample times are equal form a group, in order of first
+    appearance, which holds its paths' indices (ascending) and one sorted
+    array of breakpoints that serves them all. A predictor's fans share
+    their sample times, and so do a trace's actors, so a tick's table and
+    a trace's table are each one group.
     """
     # Column j of ``seg`` is the segment from sample j to the next one of
     # the same path: (t, x, y, v) and the increments (dt, dx, dy, dv). A
@@ -263,19 +270,30 @@ def path_table(blocks: Sequence[np.ndarray]) -> PathTable:
     np.subtract(seg[:4, 1:], seg[:4, :-1], out=seg[4:, :-1])
     seg[4, last] = 1.0
     seg[5:, last] = 0.0
-    # A lookup's segment is the number of its path's breakpoints below it:
-    # the later sample times, except that the end time is replaced by the
-    # float just under it (a lookup at the end time takes the final state),
-    # then +inf. Lookups search complex (path, breakpoint) keys, which order
-    # lexicographically, so one searchsorted over every path gives the
-    # column directly.
-    ts = seg[0]
-    keys = np.empty(ts.shape[0], dtype=np.complex128)
-    keys.real = np.repeat(np.arange(len(counts), dtype=np.float64), counts)
-    keys.imag[:-1] = ts[1:]
-    keys.imag[last - 1] = np.nextafter(ts[last], -np.inf)
-    keys.imag[last] = np.inf
-    return PathTable(seg, keys, len(counts))
+    # Paths with equal sample times share a group. Most tables are one
+    # group, which one comparison with the first path's times finds.
+    if not blocks:
+        members = []
+    elif counts.count(counts[0]) == len(counts) and (
+        seg[0].reshape(len(counts), -1) == seg[0, : counts[0]]
+    ).all():
+        members = [np.arange(len(counts))]
+    else:
+        by_times: dict[bytes, list[int]] = {}
+        for j, b in enumerate(blocks):
+            by_times.setdefault(b[0].tobytes(), []).append(j)
+        members = [np.array(paths, dtype=np.intp) for paths in by_times.values()]
+    # A lookup's segment is its path's first column plus the number of the
+    # group's breakpoints below it: the later sample times, except that the
+    # end time is replaced by the float just under it (a lookup at the end
+    # time takes the final state). A one-sample path has none.
+    groups = []
+    for paths in members:
+        breaks = blocks[paths[0]][0, 1:].copy()
+        if breaks.shape[0]:
+            breaks[-1] = np.nextafter(breaks[-1], -np.inf)
+        groups.append((paths, breaks))
+    return PathTable(seg, last + 1 - np.array(counts, dtype=np.intp), tuple(groups), len(counts))
 
 
 def search_paths(
@@ -302,6 +320,12 @@ def search_paths(
     Lanes leave the batch when they meet the constraints, dead-end, stop
     moving or pass the horizon, and a pair's lanes leave once a larger
     latency of it has met.
+
+    The lanes run one ``paths.groups`` group at a time, so each lane finds
+    its segment with one real-valued ``searchsorted`` of its lookup time in
+    the group's breakpoints, plus its path's first column. A pair's lanes
+    are all in its path's group, so the order of the groups does not
+    change any result.
     """
     params.check_l0(l0)
     if not egos:
@@ -343,94 +367,96 @@ def search_paths(
     table[5:] = per_ego.T[:, :, None]
     table = table.reshape(11, -1)
 
-    # A pair is ego * paths.count + path. A lane is a (path, lookup time)
-    # row of ``lanes``, which doubles as its complex search key, with its
-    # pair in ``lane_pair`` and its ``table`` column in ``lane_col``. Lanes
-    # run in (pair, candidate) order.
+    # A pair is ego * paths.count + path. Per pair: the table column of the
+    # first candidate that met, and its lookup time; the column past the
+    # ego's last candidate (grid index -1) while none has.
     n_pairs = n_ego * paths.count
-    lane_pair = np.arange(n_pairs).repeat(n_cand)
-    lane_col = np.broadcast_to(
-        np.arange(n_ego * n_cand).reshape(n_ego, 1, n_cand), (n_ego, paths.count, n_cand)
-    ).ravel()
-    lanes = np.empty((lane_col.shape[0], 2))
-    np.remainder(lane_pair, paths.count, out=lanes[:, 0], casting="unsafe")
-    table[0].take(lane_col, out=lanes[:, 1])
-    # per pair: the table column of the first candidate that met, and its
-    # lookup time; the column past the ego's last candidate (grid index -1)
-    # while none has
     pair_ego = np.arange(n_pairs) // paths.count
     best = (pair_ego + 1) * n_cand
     best_at = np.zeros(n_pairs)
-    seg, keys = paths.seg, paths.keys
-    for it in range(params.max_time_adjustments):
-        at = lanes[:, 1]
-        # the actor at the lookup time: its distance from the ego now, its speed
-        col = keys.searchsorted(lanes.view(np.complex128).ravel())
-        s = seg.take(col, axis=1)
-        w = at - s[0]
-        w /= s[4]
-        actor = s[5:8] * w
-        actor += s[1:4]
-        # temporaries go, or are reused, as soon as they are used, so a
-        # block's working set stays small
-        del col, s, w
-        c = table.take(lane_col, axis=1)
-        dec, half, twice, limit = c[5], c[6], c[7], c[8]
-        dxy = actor[:2]
-        dxy -= c[9:11]
-        dxy *= dxy
-        gap_d = np.sqrt(dxy[0] + dxy[1])
-        gap_d *= params.distance_margin
-        v_actor = params.speed_margin * actor[2]
-        del actor, dxy
-        # the ego's hold-then-brake travel and speed at the probe
-        tau = at - c[0]
-        braked = tau >= c[3]
-        d2 = c[2] * tau
-        d2 -= half * tau * tau
-        np.copyto(d2, c[4], where=braked)
-        ve = c[2] - dec * tau
-        np.copyto(ve, 0.0, where=braked)
-        gap_d -= c[1]
-        gap_d -= d2
-        gap_v = ve - v_actor
-        del tau, braked, d2, v_actor
-        hit = ((gap_d >= -ACCEPT_SLACK) & (gap_v <= ACCEPT_SLACK)).nonzero()[0]
-        any_met = hit.shape[0]
-        if any_met:
-            pairs = lane_pair.take(hit)
-            lead = np.ones(pairs.shape[0], dtype=bool)  # a pair's first hit has its largest latency
-            lead[1:] = pairs[1:] != pairs[:-1]
-            hit, pairs = hit[lead], pairs[lead]
-            best[pairs] = lane_col.take(hit)
-            best_at[pairs] = at.take(hit)
-        if it == params.max_time_adjustments - 1:
-            break
-        # The scalar step, min over the distance branch (gap_d >= 0) and the
-        # speed branch (gap_v >= 0), divided by decel once (division by a
-        # positive constant is monotone, so the min is the same float). A
-        # lane that did not meet with gap_v < 0 has gap_d < 0 too: neither
-        # branch applies, and its advance comes out negative. A lane is
-        # decided by its probe alone, so one whose probe does not move (a
-        # dead end, or an advance under half an ulp) would repeat the same
-        # failed check up to the cap: it fails now.
-        root = np.sqrt(np.maximum(ve * ve + twice * gap_d, 0.0))
-        root += ve
-        advance = np.where(gap_d >= 0.0, np.minimum(root, gap_v), gap_v)
-        advance /= dec
-        advance += at
-        keep = (advance > at) & (advance <= limit)
-        at[:] = advance
-        if any_met:
-            keep &= lane_col < best.take(lane_pair)
-        keep = keep.nonzero()[0]
-        # what is per lane above belongs to the lanes before they leave
-        del c, dec, half, twice, limit, gap_d, gap_v, ve, root, advance
-        if not keep.shape[0]:
-            break
-        lanes = lanes.take(keep, axis=0)
-        lane_col = lane_col.take(keep)
-        lane_pair = lane_pair.take(keep)
+    seg = paths.seg
+    ego_col = np.arange(n_ego * n_cand).reshape(n_ego, 1, n_cand)
+    for members, breaks in paths.groups:
+        # A lane is one (ego, path, candidate) of the group, in (pair,
+        # candidate) order: its lookup time ``at``, its ``table`` column in
+        # ``lane_col``, its pair in ``lane_pair`` and its path's first
+        # segment column in ``lane_first``.
+        shape = (n_ego, members.shape[0], n_cand)
+        lane_col = np.broadcast_to(ego_col, shape).ravel()
+        lane_first = np.broadcast_to(paths.first.take(members)[:, None], shape).ravel()
+        lane_pair = (np.arange(0, n_pairs, paths.count)[:, None] + members).repeat(n_cand)
+        at = table[0].take(lane_col)
+        for it in range(params.max_time_adjustments):
+            # the actor at the lookup time: its distance from the ego now, its speed
+            col = breaks.searchsorted(at)
+            col += lane_first
+            s = seg.take(col, axis=1)
+            w = at - s[0]
+            w /= s[4]
+            actor = s[5:8] * w
+            actor += s[1:4]
+            # temporaries go, or are reused, as soon as they are used, so a
+            # block's working set stays small
+            del col, s, w
+            c = table.take(lane_col, axis=1)
+            dec, half, twice, limit = c[5], c[6], c[7], c[8]
+            dxy = actor[:2]
+            dxy -= c[9:11]
+            dxy *= dxy
+            gap_d = np.sqrt(dxy[0] + dxy[1])
+            gap_d *= params.distance_margin
+            v_actor = params.speed_margin * actor[2]
+            del actor, dxy
+            # the ego's hold-then-brake travel and speed at the probe
+            tau = at - c[0]
+            braked = tau >= c[3]
+            d2 = c[2] * tau
+            d2 -= half * tau * tau
+            np.copyto(d2, c[4], where=braked)
+            ve = c[2] - dec * tau
+            np.copyto(ve, 0.0, where=braked)
+            gap_d -= c[1]
+            gap_d -= d2
+            gap_v = ve - v_actor
+            del tau, braked, d2, v_actor
+            hit = ((gap_d >= -ACCEPT_SLACK) & (gap_v <= ACCEPT_SLACK)).nonzero()[0]
+            any_met = hit.shape[0]
+            if any_met:
+                # a pair's first hit has its largest latency
+                pairs = lane_pair.take(hit)
+                lead = np.ones(pairs.shape[0], dtype=bool)
+                lead[1:] = pairs[1:] != pairs[:-1]
+                hit, pairs = hit[lead], pairs[lead]
+                best[pairs] = lane_col.take(hit)
+                best_at[pairs] = at.take(hit)
+            if it == params.max_time_adjustments - 1:
+                break
+            # The scalar step, min over the distance branch (gap_d >= 0) and
+            # the speed branch (gap_v >= 0), divided by decel once (division
+            # by a positive constant is monotone, so the min is the same
+            # float). A lane that did not meet with gap_v < 0 has gap_d < 0
+            # too: neither branch applies, and its advance comes out
+            # negative. A lane is decided by its probe alone, so one whose
+            # probe does not move (a dead end, or an advance under half an
+            # ulp) would repeat the same failed check up to the cap: it
+            # fails now.
+            root = np.sqrt(np.maximum(ve * ve + twice * gap_d, 0.0))
+            root += ve
+            advance = np.where(gap_d >= 0.0, np.minimum(root, gap_v), gap_v)
+            advance /= dec
+            advance += at
+            keep = (advance > at) & (advance <= limit)
+            if any_met:
+                keep &= lane_col < best.take(lane_pair)
+            keep = keep.nonzero()[0]
+            at = advance.take(keep)
+            # what is per lane above belongs to the lanes before they leave
+            del c, dec, half, twice, limit, gap_d, gap_v, ve, root, advance
+            if not keep.shape[0]:
+                break
+            lane_first = lane_first.take(keep)
+            lane_col = lane_col.take(keep)
+            lane_pair = lane_pair.take(keep)
     best -= pair_ego * n_cand
     best_at -= off[:, 0].take(pair_ego)
     # per candidate its grid latency, and None for a pair that none met
@@ -438,11 +464,6 @@ def search_paths(
     best = best.tolist()
     probes = [None if b == n_cand else p for b, p in zip(best, best_at.tolist())]
     return [latency[b] for b in best], probes
-
-
-def _rank_key(est: LatencyEstimate) -> float:
-    # an infeasible estimate sorts as the most demanding one
-    return 0.0 if est.latency is None else est.latency
 
 
 def aggregate_actor_latency(
@@ -459,24 +480,41 @@ def aggregate_actor_latency(
     result's ``trajectory_index`` is the position in ``estimates`` of the
     entry that binds it (for ``mean``, the lowest-ranked entry).
     """
-    if not estimates:
+    return _aggregate(
+        [est.latency for est, _ in estimates],
+        [est.probe_time for est, _ in estimates],
+        [weight for _, weight in estimates],
+        params,
+    )
+
+
+def _aggregate(
+    latencies: Sequence[float | None],
+    probes: Sequence[float | None],
+    weights: Sequence[float],
+    params: ModelParams,
+) -> LatencyEstimate:
+    """``aggregate_actor_latency`` on the estimates' latencies, probe times and weights."""
+    count = len(latencies)
+    if not count:
         raise ValueError("no estimates to aggregate")
-    count = len(estimates)
     agg = params.aggregator
     if count == 1:
         pos = 0
-    elif agg == "mean":
-        total_w = sum(w for _, w in estimates)
-        if total_w <= 0.0:
-            raise ValueError("probabilities sum to 0")
-        mean = sum(_rank_key(e) * w for e, w in estimates) / total_w
-        worst = min(range(count), key=lambda i: _rank_key(estimates[i][0]))
-        if mean <= 0.0:
-            return LatencyEstimate(latency=None, trajectory_index=worst)
-        latency = min(params.latency_max, max(params.latency_min, mean))
-        return LatencyEstimate(latency=latency, probe_time=None, trajectory_index=worst)
     else:
-        ordered = sorted(range(count), key=lambda i: _rank_key(estimates[i][0]))
+        # an infeasible estimate ranks as the most demanding one
+        ranks = [0.0 if latency is None else latency for latency in latencies]
+        if agg == "mean":
+            total_w = sum(weights)
+            if total_w <= 0.0:
+                raise ValueError("probabilities sum to 0")
+            mean = sum(r * w for r, w in zip(ranks, weights)) / total_w
+            worst = min(range(count), key=ranks.__getitem__)
+            if mean <= 0.0:
+                return LatencyEstimate(latency=None, trajectory_index=worst)
+            latency = min(params.latency_max, max(params.latency_min, mean))
+            return LatencyEstimate(latency=latency, probe_time=None, trajectory_index=worst)
+        ordered = sorted(range(count), key=ranks.__getitem__)
         if agg == "min":
             pos = ordered[0]
         elif agg == "max":
@@ -484,8 +522,7 @@ def aggregate_actor_latency(
         else:  # percentile
             rank = max(1, math.ceil((100.0 - params.percentile) / 100.0 * count))
             pos = ordered[min(rank, count) - 1]
-    chosen = estimates[pos][0]
-    return LatencyEstimate(chosen.latency, chosen.probe_time, pos)
+    return LatencyEstimate(latencies[pos], probes[pos], pos)
 
 
 @dataclass(frozen=True)
@@ -601,8 +638,9 @@ def evaluate_scene(
 
     Every trajectory of every actor goes through one batched search from
     this one ego (``search_paths`` with offset 0.0), whose latency and probe
-    time are each trajectory's ``tolerable_latency``. Trajectory
-    probabilities weight the aggregation (``aggregate_actor_latency``);
+    time are each trajectory's ``tolerable_latency``. Each actor's slice of
+    the kernel's lists is aggregated as ``aggregate_actor_latency`` would
+    aggregate them, trajectory probabilities as the weights;
     camera membership is evaluated on each actor's position now (the first
     sample of its first trajectory), and the rates come from
     ``scene_reports`` on a one-tick block.
@@ -611,11 +649,17 @@ def evaluate_scene(
         if not trajs:
             raise ValueError(f"actor {aid!r} has no trajectories")
     paths = path_table([traj.columns() for trajs in actor_trajectories.values() for traj in trajs])
-    found = map(LatencyEstimate, *search_paths((ego,), (0.0,), paths, l0, params))
-    per_actor = {
-        aid: aggregate_actor_latency([(next(found), traj.probability) for traj in trajs], params)
-        for aid, trajs in actor_trajectories.items()
-    }
+    latencies, probes = search_paths((ego,), (0.0,), paths, l0, params)
+    per_actor = {}
+    stop = 0
+    for aid, trajs in actor_trajectories.items():
+        start, stop = stop, stop + len(trajs)
+        per_actor[aid] = _aggregate(
+            latencies[start:stop],
+            probes[start:stop],
+            [traj.probability for traj in trajs],
+            params,
+        )
     ids = sorted(actor_trajectories)
     now = [actor_trajectories[aid][0] for aid in ids]
     (reports,) = scene_reports(

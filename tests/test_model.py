@@ -19,9 +19,11 @@ from safefpr import (
     constraints_met,
     estimate_compute_ops,
     evaluate_scene,
+    generate_scenario,
     predict_trajectories,
     probe_time_update,
     reaction_time,
+    run_scenario,
     tolerable_latency,
 )
 from safefpr.geometry import CameraConfig, in_fov
@@ -31,6 +33,7 @@ from safefpr.types import (
     INFEASIBLE,
     L0_CANDIDATE,
     L0_FIXED,
+    constant_separation_trajectory,
     straight_line_trajectory,
 )
 
@@ -391,6 +394,81 @@ class TestNoPaths:
         )
         assert per_actor == {}
         assert {rep.fpr for rep in reports.values()} == {params.fpr_bounds()[0]}
+
+
+class TestPathGroups:
+    """``path_table`` groups paths by their sample times.
+
+    The callers' tables are each one group, so the kernel's lane loop runs
+    once per call; a table that mixes time columns runs it once per group
+    and gives each pair what a table of its path alone gives.
+    """
+
+    @staticmethod
+    def members(paths):
+        return [group.tolist() for group, _ in paths.groups]
+
+    def test_criterion_2_scene_is_one_group(self):
+        paths = path_table([traj.columns() for fan in perf_scene().values() for traj in fan])
+        assert self.members(paths) == [list(range(60))]
+
+    def test_trace_actors_are_one_group(self):
+        trace = run_scenario(generate_scenario("cut_out"), ModelParams(), frame_rate=30.0).trace
+        assert len(trace.actor_ids) > 1
+        paths = path_table([trace.actor_columns(aid) for aid in trace.actor_ids])
+        assert self.members(paths) == [list(range(len(trace.actor_ids)))]
+
+    def test_one_path_is_one_group(self):
+        paths = path_table([static_actor_trajectory(30.0).columns()])
+        assert self.members(paths) == [[0]]
+
+    @pytest.mark.parametrize("policy", [L0_CANDIDATE, L0_FIXED])
+    def test_mixed_time_columns(self, policy):
+        start = KinematicState(25.0, 3.5, 12.0, -1.0)
+        short = predict_trajectories(start, PredictorConfig(horizon=2.0, num_variants=3))
+        long = predict_trajectories(
+            KinematicState(-20.0, -3.5, 18.0, 0.5), PredictorConfig(horizon=6.0, num_variants=2)
+        )
+        pinned = constant_separation_trajectory(12.0, 4.0, duration=3.0)
+        single = np.array([[0.0], [40.0], [0.0], [8.0]])
+        blocks = [
+            short[0].columns(), pinned.columns(), long[0].columns(), single,
+            short[1].columns(), long[1].columns(), short[2].columns(),
+        ]
+        paths = path_table(blocks)
+        assert self.members(paths) == [[0, 4, 6], [1], [2, 5], [3]]
+        rng = np.random.default_rng(23)
+        egos = [random_case(rng)[0] for _ in range(4)]
+        egos.append(KinematicState(0.0, 0.0, 9.0, -6.0))  # stops inside the hold phase
+        offsets = [0.0, 0.5, 1.25, 0.0, 3.0]
+        params = ModelParams(l0_policy=policy, horizon=8.0)
+        together = search_paths(egos, offsets, paths, 0.1, params)
+        each = [search_paths(egos, offsets, path_table([b]), 0.1, params) for b in blocks]
+        # ego-major: entry i * count + j is ego i against path j
+        alone = tuple(
+            [out[k][i] for i in range(len(egos)) for out in each] for k in range(2)
+        )
+        assert together == alone
+        assert None in alone[0]
+        assert len(set(alone[0]) - {None}) > 2
+
+    def test_lookup_at_the_end_time(self, params):
+        # under the candidate policy latency_max's first probe is at 1.0 s,
+        # the path's end time: it reads the final sample, not the last
+        # segment's far end, and the advance from there decides the probe
+        block = np.array([
+            [0.0, 0.5, 1.0],
+            [5.585298757238198, 22.275004598018867, 39.00594447064108],
+            [-1.2872086272865293, 1.4893077544596727, -0.34326665957702973],
+            [4.18562085235571, 18.10005141636259, 0.3365456936042599],
+        ])
+        block.setflags(write=False)
+        (traj,) = Trajectory.from_block(block[None], (1.0,))
+        ego = KinematicState(0.0, 0.0, 12.587723164987768, 0.9961035292957501)
+        want = tolerable_latency(ego, traj, 1 / 30, params)
+        assert want.latency == params.latency_max == 1.0
+        got = search_paths([ego], [0.0], path_table([block]), 1 / 30, params)
+        assert got == ([want.latency], [want.probe_time])
 
 
 class TestConstantSeparationAnalytic:

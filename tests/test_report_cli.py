@@ -271,9 +271,11 @@ class TestBlockedSearch:
         full = len(trace.ticks) * len(trace.actor_ids) * len(PARAMS.latency_grid)
         assert 0 < sum(lanes) < 0.3 * full
 
-    def test_peak_memory_stays_per_block(self):
+    def test_peak_memory_stays_per_block(self, monkeypatch):
         # 601 ticks x 6 actors: one search over the whole trace would hold
-        # 108 180 lanes (tens of MB); blocks of about 3000 lanes stay under 1 MiB
+        # 108 180 lanes (tens of MB); blocks of about 3000 lanes stay under
+        # 1 MiB. Each search and report call is measured from the memory
+        # held when it starts, so what the result keeps does not count.
         actors = {f"a{j}": (20.0 * (j - 2), 3.5 * (j % 3 - 1), 15.0 + j) for j in range(6)}
         ticks = tuple(
             TickRecord(
@@ -287,14 +289,30 @@ class TestBlockedSearch:
         )
         trace = ScenarioTrace(dt=1 / 30.0, ticks=ticks, cameras=DEFAULT_CAMERA_RIG)
         analyze_trace(trace, PARAMS)  # first call caches the actors' columns
+        rises = {"search_paths": [], "scene_reports": []}
+
+        def measured(name):
+            call = getattr(report, name)
+
+            def wrapper(*args):
+                held, _ = tracemalloc.get_traced_memory()
+                tracemalloc.reset_peak()
+                out = call(*args)
+                rises[name].append(tracemalloc.get_traced_memory()[1] - held)
+                return out
+
+            monkeypatch.setattr(report, name, wrapper)
+
+        measured("search_paths")
+        measured("scene_reports")
         tracemalloc.start()
         try:
             result = analyze_trace(trace, PARAMS)
-            current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert len(result.records) == 601 * 11
-        assert peak - current <= 2**20
+        assert all(rises.values())
+        assert max(max(r) for r in rises.values()) <= 2**20
 
 
 class TestSweep:
