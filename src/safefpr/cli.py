@@ -177,6 +177,10 @@ def cmd_analyze(args) -> int:
         own_l0="analyze runs the fixed l0 policy at l0 = 1/fpr0 of the trace (dt without fpr0)",
     )
     try:
+        within("--collision-radius", args.collision_radius, 0.0)
+    except ValueError as e:
+        raise InputError(str(e)) from None
+    try:
         trace = load_trace(args.trace)
     except TraceFormatError as e:
         raise InputError(str(e)) from None
@@ -187,7 +191,6 @@ def cmd_analyze(args) -> int:
         except (KeyError, ValueError) as e:
             raise InputError(f"--mrf needs the trace's scenario script: {e!r}") from None
         try:
-            within("--collision-radius", args.collision_radius, 0.0)
             mrf_rates(params)
         except ValueError as e:
             raise InputError(f"--mrf: {e}") from None

@@ -58,27 +58,22 @@ def in_fov(ego: KinematicState, actor: KinematicState, cam: CameraConfig) -> boo
 
 
 def fov_mask(
-    egos: Sequence[KinematicState],
-    positions: Sequence[Sequence[tuple[float, float]]],
-    cameras: Sequence[CameraConfig],
+    egos: np.ndarray, positions: np.ndarray, cameras: Sequence[CameraConfig]
 ) -> np.ndarray:
     """``in_fov`` over a block of ticks, as a (cameras, ticks, actors) bool array.
 
-    Tick i has ego ``egos[i]`` and actor j at ``positions[i][j]``. Each
-    bearing is ``_bearing``, computed in Python as for ``in_fov``
-    (``np.arctan2`` rounds some inputs differently from ``math.atan2``);
-    the wedge test then runs on arrays, where ``np.fmod`` is exact, so every
-    entry equals ``in_fov``.
+    Row i of ``egos`` is tick i's ego: x, y, v, a and heading, in the order
+    and under the rules of ``KinematicState``'s fields. Actor j is at
+    ``positions[i, j]``, a (ticks, actors, 2) array. The arithmetic runs
+    on arrays, where ``np.fmod`` is exact, but each bearing is
+    ``math.atan2`` (``np.arctan2`` rounds some inputs differently), so
+    every entry equals ``in_fov``.
     """
-    nan = math.nan
+    offset = positions - egos[:, None, :2]
+    dx, dy = offset.reshape(-1, 2).T.tolist()
+    bearing = np.array(list(map(math.atan2, dy, dx))).reshape(offset.shape[:2]) - egos[:, 4:5]
     # NaN marks an actor that coincides with the ego
-    bearing = np.array(
-        [
-            [_bearing(ego, x, y) if x != ego.x or y != ego.y else nan for x, y in row]
-            for ego, row in zip(egos, positions)
-        ],
-        dtype=float,
-    )
+    bearing = normalize_angles(np.where(offset.any(axis=2), bearing, math.nan))
     # per camera: azimuth, and half the FOV (inf for a full circle, whose
     # wedge test passes for every bearing)
     wedges = np.array(

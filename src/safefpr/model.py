@@ -297,7 +297,7 @@ def path_table(blocks: Sequence[np.ndarray]) -> PathTable:
 
 
 def search_paths(
-    egos: Sequence[KinematicState],
+    egos: np.ndarray,
     offsets: Sequence[float],
     paths: PathTable,
     l0: float,
@@ -305,7 +305,8 @@ def search_paths(
 ) -> tuple[list[float | None], list[float | None]]:
     """``tolerable_latency`` of each ego against each path, read from the ego's offset on.
 
-    Ego i sees path j as the future from time ``offsets[i]`` on, so a
+    Ego i is row ``egos[i]``, as ``fov_mask`` takes ego rows, and sees
+    path j as the future from time ``offsets[i]`` on, so a
     recorded path with offset t equals its recorded future re-based at t
     (``trace.ground_truth_trajectory``), up to rounding of the lookup time.
     Returns the latencies and the probe times, ego-major (entry
@@ -328,7 +329,8 @@ def search_paths(
     change any result.
     """
     params.check_l0(l0)
-    if not egos:
+    n_ego = egos.shape[0]
+    if not n_ego:
         return [], []
     grid = params.grid_array()
     if params.l0_policy == L0_CANDIDATE:
@@ -345,11 +347,9 @@ def search_paths(
     # distance, speed when braking starts, time to stop from it, distance to
     # stop; then ego e's decel, half and twice that, offset + horizon (the
     # last lookup time) and position.
-    state = np.array(
-        [(e.v, e.a, braking_decel(e.a, params), off, e.x, e.y) for e, off in zip(egos, offsets)]
-    )
-    v0, a0, decel, off = state[:, 0:1], state[:, 1:2], state[:, 2:3], state[:, 3:4]
-    n_ego = state.shape[0]
+    v0, a0 = egos[:, 2:3], egos[:, 3:4]
+    decel = np.array([[braking_decel(a, params)] for a in egos[:, 3].tolist()])
+    off = np.array(offsets, dtype=float).reshape(n_ego, 1)
     table = np.empty((11, n_ego, n_cand))
     np.add(off, tr, out=table[0])
     d1 = table[1]
@@ -363,7 +363,7 @@ def search_paths(
         vr[stopped] = 0.0
     np.divide(vr, decel, out=table[3])
     np.multiply(0.5 * vr, table[3], out=table[4])
-    per_ego = np.hstack((decel, 0.5 * decel, 2.0 * decel, off + params.horizon, state[:, 4:]))
+    per_ego = np.hstack((decel, 0.5 * decel, 2.0 * decel, off + params.horizon, egos[:, :2]))
     table[5:] = per_ego.T[:, :, None]
     table = table.reshape(11, -1)
 
@@ -578,18 +578,19 @@ def estimate_compute_ops(
 
 
 def scene_reports(
-    egos: Sequence[KinematicState],
+    egos: np.ndarray,
     actor_ids: Sequence[str],
-    positions: Sequence[Sequence[tuple[float, float]]],
+    positions: np.ndarray,
     latencies: Sequence[Sequence[float | None]],
     cameras: Iterable,
     params: ModelParams,
 ) -> list[dict[str, FprReport]]:
     """The report half of a block of ticks: each camera's required rate per tick.
 
-    ``actor_ids`` are sorted; at tick i, ego ``egos[i]`` sees actor
-    ``actor_ids[j]`` at ``positions[i][j]`` with aggregated latency
-    ``latencies[i][j]`` (None when infeasible). Membership is ``fov_mask``;
+    ``actor_ids`` are sorted; at tick i, ego row ``egos[i]`` sees actor
+    ``actor_ids[j]`` at ``positions[i, j]`` (arrays as ``fov_mask`` takes
+    them) with aggregated latency ``latencies[i][j]`` (None when
+    infeasible). Membership is ``fov_mask``;
     the rates follow ``camera_fpr``, which they equal, tick by tick: an
     empty FOV gets the floor, an infeasible member the cap (bound to the
     smallest such id), and otherwise the smallest latency binds (ties to the
@@ -600,8 +601,8 @@ def scene_reports(
     lo, hi = params.fpr_bounds()
     floor = FprReport(fpr=lo, latency=params.latency_max, binding_actor=None, infeasible=False)
     cids = [cam.camera_id for cam in cameras]
-    if not (egos and actor_ids and cameras):
-        return [dict.fromkeys(cids, floor) for _ in egos]
+    if not (egos.shape[0] and actor_ids and cameras):
+        return [dict.fromkeys(cids, floor) for _ in range(egos.shape[0])]
     # an infeasible member ranks as latency -inf, a non-member as +inf;
     # argmin takes the first of equal ranks: the smallest id
     rank = np.array([[-math.inf if lat is None else lat for lat in row] for row in latencies])
@@ -637,7 +638,7 @@ def evaluate_scene(
     """One full tick: per-actor latencies and per-camera required rates.
 
     Every trajectory of every actor goes through one batched search from
-    this one ego (``search_paths`` with offset 0.0), whose latency and probe
+    this one ego's row (``search_paths`` at offset 0.0), whose latency and probe
     time are each trajectory's ``tolerable_latency``. Each actor's slice of
     the kernel's lists is aggregated as ``aggregate_actor_latency`` would
     aggregate them, trajectory probabilities as the weights;
@@ -649,7 +650,8 @@ def evaluate_scene(
         if not trajs:
             raise ValueError(f"actor {aid!r} has no trajectories")
     paths = path_table([traj.columns() for trajs in actor_trajectories.values() for traj in trajs])
-    latencies, probes = search_paths((ego,), (0.0,), paths, l0, params)
+    row = np.array([[ego.x, ego.y, ego.v, ego.a, ego.heading]])
+    latencies, probes = search_paths(row, (0.0,), paths, l0, params)
     per_actor = {}
     stop = 0
     for aid, trajs in actor_trajectories.items():
@@ -663,9 +665,9 @@ def evaluate_scene(
     ids = sorted(actor_trajectories)
     now = [actor_trajectories[aid][0] for aid in ids]
     (reports,) = scene_reports(
-        (ego,),
+        row,
         ids,
-        [[(traj.x.item(0), traj.y.item(0)) for traj in now]],
+        np.array([(traj.x.item(0), traj.y.item(0)) for traj in now]).reshape(1, len(ids), 2),
         [[per_actor[aid].latency for aid in ids]],
         cameras,
         params,

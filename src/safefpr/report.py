@@ -82,13 +82,13 @@ def analyze_trace(trace: ScenarioTrace, params: ModelParams) -> AnalysisResult:
 
     Post-run analysis uses the recorded future of each actor (a single
     known trajectory) and the latency the trace was recorded at as the
-    reference latency l0, under the fixed l0 policy. Each actor's recorded
-    columns (``ScenarioTrace.actor_columns``) give its path and positions;
-    each tick's ego, the one state object built per tick (from
-    ``ScenarioTrace.ego_rows``), reads the paths from its tick time on
-    (``search_paths``). The search runs in two passes, each in blocks of
-    at most ``BLOCK_LANES`` (tick, actor, grid candidate) lanes and at
-    least one tick:
+    reference latency l0, under the fixed l0 policy. It builds no state
+    object: the actors' recorded columns (``ScenarioTrace.actor_columns``)
+    give their paths and one position block, and the ego rows
+    (``ScenarioTrace.ego_rows``) read the paths, each from its tick time
+    on; slices of these arrays go to ``search_paths`` as they are. The
+    search runs in two passes, each in blocks of at most ``BLOCK_LANES``
+    (tick, actor, grid candidate) lanes and at least one tick:
 
     1. every (tick, actor) pair against the grid head ``latency_max``
        alone, which settles each pair whose answer is the head;
@@ -115,7 +115,7 @@ def analyze_trace(trace: ScenarioTrace, params: ModelParams) -> AnalysisResult:
     fixed = params.replace(l0_policy=L0_FIXED)
     head = fixed.replace(latency_min=fixed.latency_max)
     columns = [trace.actor_columns(aid) for aid in actor_ids]
-    egos = [KinematicState(*row) for row in trace.ego_rows.tolist()]
+    egos = trace.ego_rows
     # entry k * n + j: actor j's latency at tick k
     found: list[float | None] = []
     paths = path_table(columns)
@@ -123,7 +123,7 @@ def analyze_trace(trace: ScenarioTrace, params: ModelParams) -> AnalysisResult:
     block = max(1, BLOCK_LANES // max(1, n))
     for start in range(0, len(times), block):
         part = slice(start, start + block)
-        found += search_paths(egos[part], times[part], paths, l0, head)[0]
+        found += search_paths(egos[part], trace.times[part], paths, l0, head)[0]
     # the full grid, one actor at a time, for the pairs the head left open;
     # rebinding ``paths`` frees the table of every actor before this pass
     block = max(1, BLOCK_LANES // len(fixed.latency_grid))
@@ -132,22 +132,19 @@ def analyze_trace(trace: ScenarioTrace, params: ModelParams) -> AnalysisResult:
         paths = path_table([cols])
         for start in range(0, len(todo), block):
             part = todo[start : start + block]
-            lats, _ = search_paths(
-                [egos[k] for k in part], [times[k] for k in part], paths, l0, fixed
-            )
+            lats, _ = search_paths(egos[part], trace.times[part], paths, l0, fixed)
             for k, latency in zip(part, lats):
                 found[k * n + j] = latency
 
     latencies = [found[k * n : (k + 1) * n] for k in range(len(times))]
     reports: list[dict[str, FprReport]] = []
-    # (actor, x or y, tick); the reshape gives a trace without actors this shape too
-    xy = np.array([cols[1:3] for cols in columns]).reshape(n, 2, len(times))
+    # (tick, actor, x or y); the reshape gives a trace without actors this shape too
+    positions = np.array([c[1:3] for c in columns]).reshape(n, 2, len(times)).transpose(2, 0, 1)
     block = max(1, BLOCK_LANES // (max(1, n) * len(params.latency_grid)))
     for start in range(0, len(times), block):
         part = slice(start, start + block)
-        positions = xy[:, :, part].transpose(2, 0, 1).tolist()
         made = scene_reports(
-            egos[part], actor_ids, positions, latencies[part], trace.cameras, params
+            egos[part], actor_ids, positions[part], latencies[part], trace.cameras, params
         )
         reports += made
         for t, reps in zip(times[part], made):

@@ -142,7 +142,7 @@ class ScenarioTrace:
 
     @property
     def ego_rows(self) -> np.ndarray:
-        """The ego's read-only (ticks, 5) rows: x, y, v, a and heading at each tick."""
+        """The ego's read-only (ticks, 5) rows, one a tick, as ``fov_mask`` takes ego rows."""
         return self._block()[0, 1:].T
 
     def duration(self) -> float:

@@ -105,3 +105,9 @@ def perf_scene() -> dict[str, list[Trajectory]]:
         )
         for i, (x, y, v, a) in enumerate(specs)
     }
+
+
+def state_rows(states) -> np.ndarray:
+    """States as the (states, 5) ego rows ``search_paths``, ``scene_reports`` and
+    ``fov_mask`` take: x, y, v, a and heading, ``KinematicState``'s field order."""
+    return np.array([(s.x, s.y, s.v, s.a, s.heading) for s in states], dtype=float).reshape(-1, 5)

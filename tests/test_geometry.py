@@ -14,6 +14,8 @@ from safefpr import (
 from safefpr.geometry import DEG, _bearing, fov_mask
 from safefpr.types import normalize_angle, normalize_angles
 
+from conftest import state_rows
+
 FRONT_120 = CameraConfig("front", 0.0, 120 * DEG)
 
 
@@ -92,7 +94,7 @@ def test_default_rig_has_no_blind_wedge():
     for i in range(720):
         theta = -math.pi + (i + 0.5) * 2.0 * math.pi / 720
         ring.append((math.cos(theta), math.sin(theta)))
-    mask = fov_mask([KinematicState(0, 0, 0)], [ring], DEFAULT_CAMERA_RIG)
+    mask = fov_mask(state_rows([KinematicState(0, 0, 0)]), np.array([ring]), DEFAULT_CAMERA_RIG)
     assert mask.shape == (len(DEFAULT_CAMERA_RIG), 1, 720)
     assert mask.any(axis=0).all()
 
@@ -141,16 +143,50 @@ def test_fov_mask_matches_in_fov():
     rng = np.random.default_rng(11)
     cams = (*DEFAULT_CAMERA_RIG, CameraConfig("omni", 0.4, 2 * math.pi),
             CameraConfig("slit", math.pi, 0.02))
+
+    def matches(egos, positions, actors):
+        mask = fov_mask(
+            state_rows(egos), np.array(positions, dtype=float).reshape(len(egos), actors, 2), cams
+        )
+        assert mask.shape == (len(cams), len(egos), actors)
+        for c, cam in enumerate(cams):
+            for i, ego in enumerate(egos):
+                for j, (x, y) in enumerate(positions[i]):
+                    assert mask[c, i, j] == in_fov(ego, KinematicState(x, y, 0.0), cam), (c, i, j)
+        return mask
+
     egos = [KinematicState(*rng.uniform(-5.0, 5.0, 2), 0.0, heading=rng.uniform(-7.0, 7.0))
             for _ in range(30)]
     positions = [
         [(ego.x, ego.y) if k == 3 else tuple(rng.uniform(-40.0, 40.0, 2)) for k in range(8)]
         for ego in egos
     ]
-    mask = fov_mask(egos, positions, cams)
-    assert mask.shape == (len(cams), len(egos), 8)
-    for c, cam in enumerate(cams):
-        for i, ego in enumerate(egos):
-            for j, (x, y) in enumerate(positions[i]):
-                assert mask[c, i, j] == in_fov(ego, KinematicState(x, y, 0.0), cam), (c, i, j)
+    mask = matches(egos, positions, 8)
     assert mask[:, :, 3].all() and mask[-2].all()
+    # actors level with the ego on one axis only
+    level = [
+        [(ego.x, ego.y + d) for d in (3.0, -25.0, 1e-9, -1e-9)]
+        + [(ego.x + d, ego.y) for d in (3.0, -25.0, 1e-9, -1e-9)]
+        for ego in egos
+    ]
+    assert not matches(egos, level, 8).all(axis=0).any()
+    # signed zeros coincide with each other; actors on the +-pi seam of
+    # each heading, given in and outside (-pi, pi]
+    zeros = [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)]
+    headings = (0.0, math.pi, -math.pi, 3 * math.pi, 2 * math.pi, -7.0, 7.0)
+    seam_egos = [KinematicState(x, y, 0.0, heading=h) for x, y in zeros for h in headings]
+    seam = zeros + [(-10.0, 0.0), (-10.0, -0.0), (10.0, 0.0), (10.0, -0.0)]
+    mask = matches(seam_egos, [seam] * len(seam_egos), 8)
+    assert mask[:, :, :4].all()
+    # behind a heading-0 ego at bearing pi and -pi, ahead of a heading-pi one
+    assert mask[-1, 0, 4:6].all() and mask[-1, 1, 6:].all()
+    # actors on a wedge edge of front_narrow (the first two) and front_wide,
+    # inside by the bearing math.atan2 gives, outside by np.arctan2's
+    edge = [(-17.295480884469512, -14.869288351815825, -2.9550808178633767),
+            (-10.98425143537213, 20.8631027666786, 2.5790108107497742),
+            (8.145875820685198, -16.990751824320345, -2.170937285440203)]
+    edge_egos = [KinematicState(0.0, 0.0, 0.0, heading=h) for _, _, h in edge]
+    mask = matches(edge_egos, [[(x, y)] for x, y, _ in edge], 1)
+    assert mask[0, :2].all() and mask[1, 2].all()
+    # ticks without actors
+    assert not matches(egos, [[] for _ in egos], 0).size

@@ -37,7 +37,7 @@ from safefpr.types import (
     straight_line_trajectory,
 )
 
-from conftest import perf_scene, random_case, static_actor_trajectory
+from conftest import perf_scene, random_case, state_rows, static_actor_trajectory
 
 
 class TestBrakingDecel:
@@ -210,7 +210,7 @@ class TestL0Rule:
         ego = KinematicState(0, 0, 11.18)
         traj = static_actor_trajectory(30.0)
         yield lambda: tolerable_latency(ego, traj, l0, params)
-        yield lambda: search_paths([ego], [0.0], path_table([traj.columns()]), l0, params)
+        yield lambda: search_paths(state_rows([ego]), [0.0], path_table([traj.columns()]), l0, params)
         yield lambda: evaluate_scene(ego, {"a": [traj]}, DEFAULT_CAMERA_RIG, l0, params)
 
     @pytest.mark.parametrize("l0", BAD_FIXED)
@@ -365,8 +365,8 @@ class TestSeveralEgos:
             # one ego brakes to a stop inside the hold phase
             egos.append(KinematicState(0.0, 0.0, rng.uniform(2.0, 20.0), rng.uniform(-8.0, -3.0)))
             l0 = float(rng.uniform(1.0 / 30.0, 1.0))
-            together = search_paths(egos, [0.0] * len(egos), paths, l0, params)
-            each = [search_paths([ego], [0.0], paths, l0, params) for ego in egos]
+            together = search_paths(state_rows(egos), [0.0] * len(egos), paths, l0, params)
+            each = [search_paths(state_rows([ego]), [0.0], paths, l0, params) for ego in egos]
             alone = (
                 [latency for latencies, _ in each for latency in latencies],
                 [probe for _, probes in each for probe in probes],
@@ -381,12 +381,12 @@ class TestNoPaths:
         paths = path_table([])
         assert paths.count == 0
         egos = [KinematicState(0.0, 0.0, 10.0), KinematicState(5.0, 0.0, 20.0)]
-        assert search_paths(egos, [0.0, 1.0], paths, 1 / 30, ModelParams()) == ([], [])
+        assert search_paths(state_rows(egos), [0.0, 1.0], paths, 1 / 30, ModelParams()) == ([], [])
 
     def test_search_without_egos(self):
         paths = path_table([np.array([[0.0, 1.0], [30.0, 40.0], [0.0, 0.0], [10.0, 10.0]])])
-        assert search_paths([], [], paths, 1 / 30, ModelParams()) == ([], [])
-        assert search_paths([], [], path_table([]), 1 / 30, ModelParams()) == ([], [])
+        assert search_paths(state_rows([]), [], paths, 1 / 30, ModelParams()) == ([], [])
+        assert search_paths(state_rows([]), [], path_table([]), 1 / 30, ModelParams()) == ([], [])
 
     def test_scene_without_actors(self, params):
         per_actor, reports = evaluate_scene(
@@ -442,8 +442,9 @@ class TestPathGroups:
         egos.append(KinematicState(0.0, 0.0, 9.0, -6.0))  # stops inside the hold phase
         offsets = [0.0, 0.5, 1.25, 0.0, 3.0]
         params = ModelParams(l0_policy=policy, horizon=8.0)
-        together = search_paths(egos, offsets, paths, 0.1, params)
-        each = [search_paths(egos, offsets, path_table([b]), 0.1, params) for b in blocks]
+        rows = state_rows(egos)
+        together = search_paths(rows, offsets, paths, 0.1, params)
+        each = [search_paths(rows, offsets, path_table([b]), 0.1, params) for b in blocks]
         # ego-major: entry i * count + j is ego i against path j
         alone = tuple(
             [out[k][i] for i in range(len(egos)) for out in each] for k in range(2)
@@ -467,7 +468,7 @@ class TestPathGroups:
         ego = KinematicState(0.0, 0.0, 12.587723164987768, 0.9961035292957501)
         want = tolerable_latency(ego, traj, 1 / 30, params)
         assert want.latency == params.latency_max == 1.0
-        got = search_paths([ego], [0.0], path_table([block]), 1 / 30, params)
+        got = search_paths(state_rows([ego]), [0.0], path_table([block]), 1 / 30, params)
         assert got == ([want.latency], [want.probe_time])
 
 
@@ -633,7 +634,8 @@ class TestSceneReports:
     EGO = KinematicState(1.0, -2.0, 10.0, heading=0.7)
 
     def _assert_matches(self, egos, actor_ids, positions, latencies, cameras, params):
-        got = scene_reports(egos, actor_ids, positions, latencies, cameras, params)
+        block = np.array(positions, dtype=float).reshape(len(egos), len(actor_ids), 2)
+        got = scene_reports(state_rows(egos), actor_ids, block, latencies, cameras, params)
         want = per_tick_reports(egos, actor_ids, positions, latencies, cameras, params)
         assert got == want
         for reports in got:
@@ -681,7 +683,9 @@ class TestSceneReports:
         got = self._assert_matches(egos, [], [[], []], [[], []], DEFAULT_CAMERA_RIG, params)
         lo, _ = params.fpr_bounds()
         assert all(rep.fpr == lo and rep.binding_actor is None for r in got for rep in r.values())
-        assert scene_reports([], ["a"], [], [], DEFAULT_CAMERA_RIG, params) == []
+        assert scene_reports(
+            state_rows([]), ["a"], np.empty((0, 1, 2)), [], DEFAULT_CAMERA_RIG, params
+        ) == []
 
     def test_tied_latencies_bind_the_smallest_id(self, params):
         ego = KinematicState(0.0, 0.0, 10.0)

@@ -43,6 +43,8 @@ from safefpr.report import OVER_MAX, format_cell
 from safefpr.scenarios import script_to_dict
 from safefpr.types import L0_FIXED, MPH_TO_MPS, straight_line_trajectory
 
+from conftest import state_rows
+
 PARAMS = ModelParams()
 
 
@@ -141,7 +143,7 @@ def assert_blocked_matches_reference(trace, params=PARAMS):
     ids, ticks = trace.actor_ids, trace.ticks
     paths = path_table([trace.actor_columns(aid) for aid in ids])
     latencies, probes = search_paths(
-        [tick.ego for tick in ticks], [tick.t for tick in ticks], paths,
+        state_rows(tick.ego for tick in ticks), [tick.t for tick in ticks], paths,
         trace.operating_latency(), params.replace(l0_policy=L0_FIXED),
     )
     assert len(latencies) == len(probes) == len(ticks) * len(ids)
@@ -220,7 +222,7 @@ class TestBlockedSearch:
         """Per (tick, actor) pair, whether the grid head ``latency_max`` alone meets."""
         fixed = params.replace(l0_policy=L0_FIXED)
         found, _ = search_paths(
-            [tick.ego for tick in trace.ticks], [tick.t for tick in trace.ticks],
+            state_rows(tick.ego for tick in trace.ticks), [tick.t for tick in trace.ticks],
             path_table([trace.actor_columns(aid) for aid in trace.actor_ids]),
             trace.operating_latency(), fixed.replace(latency_min=fixed.latency_max),
         )
@@ -439,9 +441,10 @@ class TestCli:
         assert main(["analyze", "--trace", str(trace_path), "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_analyze_builds_one_state_per_tick(self, tmp_path, family_traces, monkeypatch):
-        # a loaded trace is analyzed from its columns: one ego state per
-        # tick, no actor state and no TickRecord
+    def test_analyze_builds_no_state_object(self, tmp_path, family_traces, monkeypatch):
+        # a loaded trace is analyzed from its arrays: no state object and no
+        # TickRecord; a trace on the checked load path, which builds both,
+        # shows that the hooks count
         recorded = family_traces[("cut_in", 30.0)]
         trace_path, out = tmp_path / "t.jsonl", tmp_path / "report.jsonl"
         save_trace(recorded, trace_path)
@@ -454,8 +457,10 @@ class TestCli:
             ScenarioTrace, "ticks", property(lambda tr: reads.append(tr) or ticks.fget(tr))
         )
         assert main(["analyze", "--trace", str(trace_path), "--out", str(out)]) == 0
-        assert 0 < len(states) <= len(recorded.times)
-        assert reads == []
+        assert states == [] and reads == []
+        # integer numbers are not the saved form, so the checked path loads them
+        checked = load_trace(io.StringIO('{"dt": 0.1}\n{"t": 0, "ego": {"x": 0, "y": 0, "v": 1}}\n'))
+        assert len(states) == 1 and len(checked.ticks) == 1 and reads == [checked]
 
     def test_analyze_writes_without_record_dicts(self, tmp_path, family_traces, monkeypatch):
         # the CLI writes its lines from the per-tick rows: it never builds the
@@ -532,6 +537,8 @@ class TestCli:
             ["simulate", "--script", "{script}", "--collision-radius", "-1"],
             ["analyze", "--trace", "{scripted}", "--mrf", "--collision-radius", "nan"],
             ["analyze", "--trace", "{scripted}", "--mrf", "--collision-radius", "-1"],
+            ["analyze", "--trace", "{scripted}", "--collision-radius", "nan"],
+            ["analyze", "--trace", "{scripted}", "--collision-radius", "-1"],
             ["simulate", "--script", "{list_script}"],
             ["simulate", "--script", "{inf_speed_script}"],
             ["analyze", "--trace", "{string_dt_trace}"],
