@@ -387,6 +387,23 @@ def in_script(obj) -> ScenarioScript:
     return obj
 
 
+# sha256 of the save_trace text of each family's recorded fixed-rate runs at
+# 1, 7 and 30 Hz with seeds 0 and 3, concatenated in that order, and of one
+# recorded adaptive run under a 90 fps budget (seed 3)
+PINNED_TRACE_DIGESTS = {
+    "challenging_cut_in": "11a7b9efacf1fa833e7585c51e70192981a227893655dbbd1b77e4586783bdf0",
+    "challenging_cut_in_curved": "8a95755e70cd71cec803fb0ed77368337736a76f4e222fd9a76872f35157942f",
+    "cut_in": "3970f37212de932092b76673d6896d652fe558de416acee2bb0191de0dea0b50",
+    "cut_out": "ee08354c407470451752aa1cf19a91497be7b8a6d073350f6738f601217e39ca",
+    "cut_out_fast": "b4656dc7f615e9a1478bac33b51d3106aada86f70e043b0cd8ae1d4c52f56a5a",
+    "cut_out_fast/budget90": "707dcb5b9921b65a447b46b325134118c68a93355d74eba57bb698faae1766f4",
+    "front_right_activity_1": "f68283679721d1500725cc534df9df1ae5d3812187850823de60a6aa2da0eb31",
+    "front_right_activity_2": "026ec1ca27412d546a0ca406c39c0e46edde1866326038772610a2ba6caac338",
+    "front_right_activity_3": "a776fa9c2243f27ff93aea4bfc46067c374a73e18d19630f93b4b4aa323ebc04",
+    "vehicle_following": "702e9d44dd762cd063cc2112ff1ef461ef312eb494cdcc66e5b0490e640dcb66",
+}
+
+
 class TestConstructorsMatchReader:
     @pytest.mark.parametrize("bad", [True, "1"])
     @pytest.mark.parametrize("cls,kwargs,name", field_params())
@@ -589,6 +606,21 @@ class TestEngine:
             ]
         }
         assert got == PINNED_OUTCOMES[family]
+
+    @pytest.mark.parametrize("family", sorted(PINNED_TRACE_DIGESTS))
+    def test_pinned_trace_bytes(self, family):
+        digest = hashlib.sha256()
+        if family.endswith("/budget90"):
+            script = generate_scenario(family.split("/")[0])
+            runs = [dict(adaptive=True, budget=Budget(90.0), seed=3)]
+        else:
+            script = generate_scenario(family)
+            runs = [dict(frame_rate=float(r), seed=s) for r in (1, 7, 30) for s in (0, 3)]
+        for kwargs in runs:
+            buf = io.StringIO()
+            save_trace(run_scenario(script, ModelParams(), record=True, **kwargs).trace, buf)
+            digest.update(buf.getvalue().encode())
+        assert digest.hexdigest() == PINNED_TRACE_DIGESTS[family]
 
     def test_a_harmless_frame_resets_the_confirmation(self):
         # a lead in the ego lane brakes (dangerous on the 2 Hz frames 1.5 to
