@@ -23,12 +23,16 @@ processed at the next tick boundary, adding at most one tick of delay.
 A run is split in two. The scripted actors and the cruising ego do not
 depend on the frame rate, so ``_World`` simulates them, and which actors the
 cruising ego must brake for, once per script and over its whole duration,
-into a list of ticks. ``_run`` replays that list with one frame schedule,
-stops at a collision, and steps its own ego only once the brakes engage.
-A lone run builds its own world; the MRF scan (``oracle.scenario_mrf``)
-runs every rate against one. A frame can change only the count of an
-actor that is dangerous or already counting, so ``_run`` tests FOV
-membership (``in_fov``) for those actors alone.
+into a list of ticks. A tick keeps its states as one row of floats, checked
+once by ``KinematicState``'s rules, and builds a ``KinematicState`` only
+when it is read. ``_run`` replays that list with one frame schedule, tests
+collisions on the rows, stops at a collision, and steps its own ego only
+once the brakes engage; a recording run hands its rows to the trace's
+state block. A lone run builds its own world; the MRF scan
+(``oracle.scenario_mrf``) runs every rate against one. A frame can change
+only the count of an actor that is dangerous or already counting, so
+``_run`` tests FOV membership (``in_fov``) for those actors alone, and only
+that test and adaptive estimation read states.
 """
 
 from __future__ import annotations
@@ -42,8 +46,8 @@ from .model import FprReport, braking_decel, evaluate_scene
 from .predictor import PredictorConfig, predict_trajectories
 from .scenarios import ActorScript, ScenarioScript, script_to_dict
 from .scheduler import AlarmEvent, Budget, allocate, safety_check
-from .trace import ScenarioTrace, TickRecord
-from .types import KinematicState, L0_FIXED, ModelParams, within
+from .trace import ScenarioTrace, _checked_state
+from .types import KinematicState, L0_FIXED, ModelParams, normalize_angle, within
 
 ENGINE_DT = 1.0 / 30.0   # s per tick; aligns the tick grid with a 30 Hz camera
 STANDSTILL_GAP = 4.0     # m kept clear when stopped behind an obstacle
@@ -136,9 +140,17 @@ class RunResult:
     allocations: list[tuple[float, dict[str, float]]] = field(default_factory=list)
 
 
-def _world_state(road, s: float, lane: float, v: float, a: float) -> KinematicState:
+def _state_row(road, s: float, lane: float, v: float, a: float) -> list[float]:
+    """x, y, v, a and heading of a road-frame state, by ``KinematicState``'s rules.
+
+    The heading is normalized; a state that breaks a rule raises the
+    ValueError ``KinematicState`` raises for it.
+    """
     x, y, heading = road.to_world(s, road.lane_offset(lane))
-    return KinematicState(x=x, y=y, v=v, a=a, heading=heading)
+    # the sum is finite when every field is; the state then checks what it is not
+    if not (math.isfinite(x + y + v + a + heading) and v >= 0.0):
+        KinematicState(x, y, v, a, heading)
+    return [x, y, v, a, normalize_angle(heading)]
 
 
 def _dangerous(ego: _Ego, actor: _Actor, road, params: ModelParams) -> bool:
@@ -160,14 +172,36 @@ def _dangerous(ego: _Ego, actor: _Actor, road, params: ModelParams) -> bool:
     return gap < need
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class _Tick:
-    """The scripted world at one tick, as the cruising ego meets it."""
+    """The scripted world at one tick, as the cruising ego meets it.
+
+    ``row`` holds x, y, v, a and heading of the cruising ego and then of
+    each actor in sorted id order, as ``_state_row`` gives them; ``starts``
+    maps each actor id, in script order, to where its state begins in
+    ``row``. The states are built on first read and kept.
+    """
 
     ego_s: float                               # cruising ego's arc position
-    ego: KinematicState                        # cruising ego in the world frame
-    actors: dict[str, KinematicState]
+    row: list[float]
+    starts: dict[str, int]
     dangerous: frozenset[str]                  # ids of the actors ``_dangerous`` flags
+    _states: dict[int, KinematicState] = field(default_factory=dict)
+
+    def state(self, start: int) -> KinematicState:
+        """The state that begins at ``start`` in ``row``."""
+        state = self._states.get(start)
+        if state is None:
+            state = self._states[start] = _checked_state(self.row[start:start + 5])
+        return state
+
+    @property
+    def ego(self) -> KinematicState:
+        return self.state(0)
+
+    @property
+    def actors(self) -> dict[str, KinematicState]:
+        return {aid: self.state(j) for aid, j in self.starts.items()}
 
 
 class _World:
@@ -177,6 +211,8 @@ class _World:
     path until a run engages its brakes, so every run of a script meets the
     same world until then. The constructor simulates every tick of the
     script's duration into ``ticks``, which runs read and never change.
+    ``actor_ids`` is the actors' sorted ids, the order of their states in
+    each tick's row.
     """
 
     def __init__(self, script: ScenarioScript, params: ModelParams):
@@ -188,16 +224,22 @@ class _World:
             braking=False,
         )
         actors = [_Actor(a) for a in script.actors]
+        ordered = sorted(actors, key=lambda a: a.actor_id)
+        self.actor_ids = tuple(a.actor_id for a in ordered)
+        starts = {a.actor_id: 5 * (1 + self.actor_ids.index(a.actor_id)) for a in actors}
         self.ticks: list[_Tick] = []
         for i in range(int(round(script.duration / ENGINE_DT)) + 1):
             if i:
                 ego.advance(ENGINE_DT)
                 for actor in actors:  # i * ENGINE_DT can round differently
                     actor.advance((i - 1) * ENGINE_DT + ENGINE_DT, ENGINE_DT)
+            row = _state_row(road, ego.s, ego.lane, ego.v, ego.a)
+            for a in ordered:
+                row += _state_row(road, a.s, a.lane, a.v, a.a)
             self.ticks.append(_Tick(
                 ego.s,
-                _world_state(road, ego.s, ego.lane, ego.v, ego.a),
-                {a.actor_id: _world_state(road, a.s, a.lane, a.v, a.a) for a in actors},
+                row,
+                starts,
                 frozenset(a.actor_id for a in actors if _dangerous(ego, a, road, params)),
             ))
 
@@ -278,7 +320,7 @@ def _run(
     confirm_count: dict[str, dict[str, int]] = {cid: {} for cid in next_frame}
     need_frames = max(1, params.confirmation_frames)
 
-    ticks: list[TickRecord] = []
+    rows: list[list[float]] = []   # per recorded tick: the ego's and the actors' rows
     alarms: list[tuple[float, AlarmEvent]] = []
     camera_log: list[dict[str, FprReport]] = []
     allocations: list[tuple[float, dict[str, float]]] = []
@@ -288,24 +330,21 @@ def _run(
 
     for i, tick in enumerate(world.ticks):
         t = i * ENGINE_DT
-        actor_world = tick.actors
+        row = tick.row
         if braking is None:
-            ego_world = tick.ego
-            ego_x, ego_y = ego_world.x, ego_world.y
-        else:
-            ego_x, ego_y, heading = road.to_world(braking.s, road.lane_offset(braking.lane))
-            # a fixed-rate run that records nothing reads only (x, y)
-            ego_world = (
-                KinematicState(x=ego_x, y=ego_y, v=braking.v, a=braking.a, heading=heading)
-                if record or adaptive
-                else None
-            )
+            ego_x, ego_y = row[0], row[1]
+        elif record or adaptive:
+            ego_row = _state_row(road, braking.s, braking.lane, braking.v, braking.a)
+            ego_x, ego_y = ego_row[0], ego_row[1]
+            row = ego_row + row[5:]
+        else:  # a fixed-rate run that records nothing reads only (x, y)
+            ego_x, ego_y, _ = road.to_world(braking.s, road.lane_offset(braking.lane))
 
         if record:
-            ticks.append(TickRecord(t=t, ego=ego_world, actors=dict(actor_world)))
+            rows.append(row)
 
-        for aid, st in actor_world.items():
-            if math.hypot(st.x - ego_x, st.y - ego_y) < collision_radius:
+        for aid, j in tick.starts.items():
+            if math.hypot(row[j] - ego_x, row[j + 1] - ego_y) < collision_radius:
                 collision = (t, aid)
                 break
         if collision:
@@ -317,8 +356,9 @@ def _run(
             # back into itself and oscillates
             l0 = 1.0 / cap_fpr
             trajs = {
-                aid: predict_trajectories(st, PREDICTOR) for aid, st in actor_world.items()
+                aid: predict_trajectories(st, PREDICTOR) for aid, st in tick.actors.items()
             }
+            ego_world = tick.ego if braking is None else _checked_state(row[:5])
             _, reports = evaluate_scene(ego_world, trajs, cameras, l0, fixed_params)
             required = {cid: rep.fpr for cid, rep in reports.items()}
             flagged = {cid for cid, rep in reports.items() if rep.infeasible}
@@ -350,7 +390,7 @@ def _run(
             while brake_at is None and next_frame[cid] <= t:
                 next_frame[cid] += 1.0 / rates[cid]
                 for aid in dangerous | counts.keys():
-                    if not in_fov(ego_world, actor_world[aid], cam):
+                    if not in_fov(tick.ego, tick.state(tick.starts[aid]), cam):
                         continue
                     if aid not in dangerous:
                         del counts[aid]
@@ -376,8 +416,9 @@ def _run(
         }
         if frame_rate is not None:
             metadata["fpr0"] = frame_rate
-        trace = ScenarioTrace(
-            dt=ENGINE_DT, ticks=tuple(ticks), cameras=cameras, metadata=metadata
+        times = [k * ENGINE_DT for k in range(len(rows))]
+        trace = ScenarioTrace._from_block(
+            ENGINE_DT, cameras, metadata, world.actor_ids, times, rows
         )
 
     return RunResult(

@@ -42,16 +42,15 @@ class ScenarioTrace:
     The states are stored as columns in one read-only (bodies, 6, ticks)
     block: body 0 is the ego and body j + 1 the actor ``actor_ids[j]``
     (sorted ids), and each body's rows are t, x, y, v, a and heading over
-    every tick. ``load_trace`` fills the block straight from the file. A
-    trace built from ``TickRecord``s, as the engine builds one, keeps its
-    records and builds the block on the first read of ``ego_rows`` or
-    ``actor_columns``.
+    every tick. ``load_trace`` fills the block straight from the file, and
+    the engine from its rows; a trace built from ``TickRecord``s builds it
+    from them and keeps the records.
 
     ``times``, ``actor_ids``, ``duration()``, ``ego_rows``,
-    ``actor_columns`` and ``operating_latency()`` read the columns and build
-    no state objects. ``ticks`` gives the records; on a loaded trace it
-    builds them from the block on its first read and keeps them, and their
-    actor dicts iterate in sorted id order.
+    ``actor_columns``, ``operating_latency()`` and ``save_trace`` read the
+    columns and build no state objects. ``ticks`` gives the records; on a
+    trace made from a block it builds them on its first read and keeps
+    them, and their actor dicts iterate in sorted id order.
     """
 
     dt: float
@@ -60,7 +59,8 @@ class ScenarioTrace:
     actor_ids: tuple[str, ...]
     # (ticks,) read-only tick times
     times: np.ndarray = field(repr=False)
-    # "ticks": the records, "block": the state block, "columns": actor id -> view
+    _block: np.ndarray = field(repr=False)
+    # "ticks": the records, "columns": actor id -> view
     _cache: dict = field(repr=False)
 
     def __init__(
@@ -84,26 +84,32 @@ class ScenarioTrace:
             )
         if changed < len(ticks):
             raise TraceFormatError(f"actor ids changed at tick {changed}")
-        times = times.astype(np.float64)
-        times.setflags(write=False)
-        self._fill(dt, cameras, metadata, tuple(sorted(ids)), times, {"ticks": ticks})
+        ids = sorted(ids)
+        fields = [
+            (s.x, s.y, s.v, s.a, s.heading)
+            for tick in ticks
+            for s in (tick.ego, *map(tick.actors.__getitem__, ids))
+        ]
+        self._fill(dt, cameras, metadata, ids, _state_block(times, fields, len(ids)), ticks)
 
     @classmethod
-    def _from_block(cls, dt, cameras, metadata, actor_ids, block) -> "ScenarioTrace":
-        """A trace over a state block whose ticks meet the tick rules; checks the header."""
+    def _from_block(cls, dt, cameras, metadata, actor_ids, times, fields) -> "ScenarioTrace":
+        """A trace over tick ``times`` and state ``fields`` (as ``_state_block`` takes
+        them) that meet the tick rules; checks the header."""
         _check_header(dt, metadata)
         trace = object.__new__(cls)
-        trace._fill(dt, cameras, metadata, tuple(actor_ids), block[0, 0], {"block": block})
+        trace._fill(dt, cameras, metadata, actor_ids, _state_block(times, fields, len(actor_ids)))
         return trace
 
-    def _fill(self, dt, cameras, metadata, actor_ids, times, cache) -> None:
+    def _fill(self, dt, cameras, metadata, actor_ids, block, ticks=None) -> None:
         vars(self).update(
             dt=dt,
             cameras=tuple(cameras),
             metadata=metadata,
-            actor_ids=actor_ids,
-            times=times,
-            _cache=cache,
+            actor_ids=tuple(actor_ids),
+            times=block[0, 0],
+            _block=block,
+            _cache={} if ticks is None else {"ticks": ticks},
         )
 
     def __eq__(self, other: object) -> bool:
@@ -118,32 +124,21 @@ class ScenarioTrace:
 
     @property
     def ticks(self) -> tuple[TickRecord, ...]:
-        """One ``TickRecord`` per tick; a loaded trace builds them on the first read."""
+        """One ``TickRecord`` per tick; a trace made from a block builds them on the first read."""
         ticks = self._cache.get("ticks")
         if ticks is None:
-            block = self._block()
             ticks = []
-            for t, bodies in zip(self.times.tolist(), block[:, 1:].transpose(2, 0, 1).tolist()):
-                states = [KinematicState(*fields) for fields in bodies]
+            bodies = self._block[:, 1:].transpose(2, 0, 1).tolist()
+            for t, fields in zip(self.times.tolist(), bodies):
+                states = list(map(_checked_state, fields))  # the block meets the state rules
                 ticks.append(TickRecord(t, states[0], dict(zip(self.actor_ids, states[1:]))))
             ticks = self._cache["ticks"] = tuple(ticks)
         return ticks
 
-    def _block(self) -> np.ndarray:
-        block = self._cache.get("block")
-        if block is None:
-            fields = [
-                (s.x, s.y, s.v, s.a, s.heading)
-                for tick in self._cache["ticks"]
-                for s in (tick.ego, *map(tick.actors.__getitem__, self.actor_ids))
-            ]
-            block = self._cache["block"] = _state_block(self.times, fields, len(self.actor_ids))
-        return block
-
     @property
     def ego_rows(self) -> np.ndarray:
         """The ego's read-only (ticks, 5) rows, one a tick, as ``fov_mask`` takes ego rows."""
-        return self._block()[0, 1:].T
+        return self._block[0, 1:].T
 
     def duration(self) -> float:
         return self.times[-1].item() if self.times.shape[0] else 0.0
@@ -159,9 +154,8 @@ class ScenarioTrace:
         """
         columns = self._cache.get("columns")
         if columns is None:
-            block = self._block()
             columns = self._cache["columns"] = {
-                aid: block[j + 1, :4] for j, aid in enumerate(self.actor_ids)
+                aid: self._block[j + 1, :4] for j, aid in enumerate(self.actor_ids)
             }
         return columns[actor_id]
 
@@ -193,16 +187,17 @@ def _misaligned(times: np.ndarray, dt: float) -> int:
     return int(np.argmin(ok)) if not ok.all() else times.shape[0]
 
 
-def _state_block(times: np.ndarray, fields, actors: int) -> np.ndarray:
+def _state_block(times, fields, actors: int) -> np.ndarray:
     """The read-only (1 + actors, 6, ticks) state block of ``ScenarioTrace``.
 
     ``fields`` holds x, y, v, a and heading of the ego and then each actor
-    at each tick, tick-major; headings are normalized here.
+    at each tick, tick-major, in any nesting that reshapes to (ticks,
+    bodies, 5); headings are normalized here.
     """
     bodies = 1 + actors
-    block = np.empty((bodies, 6, times.shape[0]))
+    block = np.empty((bodies, 6, len(times)))
     block[:, 0] = times
-    block[:, 1:] = np.reshape(fields, (times.shape[0], bodies, 5)).transpose(1, 2, 0)
+    block[:, 1:] = np.reshape(fields, (len(times), bodies, 5)).transpose(1, 2, 0)
     block[:, 5] = normalize_angles(block[:, 5])
     block.setflags(write=False)
     return block
@@ -227,8 +222,20 @@ def _fpr0(metadata: dict) -> float | None:
 _STATE_FIELDS = ("x", "y", "v", "a", "heading")
 
 
-def _state_to_obj(s: KinematicState) -> dict:
-    return {"x": s.x, "y": s.y, "v": s.v, "a": s.a, "heading": s.heading}
+def _checked_state(fields) -> KinematicState:
+    """The ``KinematicState`` of x, y, v, a and heading that already meet its rules,
+    as state block and engine rows do, without the constructor's checks."""
+    x, y, v, a, heading = fields
+    state = object.__new__(KinematicState)
+    # field by field, as the constructor sets them: a state whose __dict__
+    # was read as a dict keeps it, and reads its fields more slowly
+    put = object.__setattr__
+    put(state, "x", x)
+    put(state, "y", y)
+    put(state, "v", v)
+    put(state, "a", a)
+    put(state, "heading", heading)
+    return state
 
 
 def _finite(obj: dict, key: str, where: str, default: float | None = None) -> float:
@@ -273,8 +280,8 @@ def _tick_from_line(line: str, where: str) -> TickRecord:
 _state_fields = operator.itemgetter(*_STATE_FIELDS)
 
 
-def _saved_columns(lines: list[str], dt: float) -> tuple[list[str], np.ndarray] | None:
-    """The sorted actor ids and the state block of tick lines in the saved form, or None.
+def _saved_columns(lines: list[str], dt: float) -> tuple[list[str], np.ndarray, np.ndarray] | None:
+    """The sorted actor ids, tick times and state fields of tick lines in the saved form, or None.
 
     In the saved form, as ``save_trace`` writes it, each line is a JSON
     object with a ``t``, an ``ego`` state and an ``actors`` object of
@@ -317,11 +324,16 @@ def _saved_columns(lines: list[str], dt: float) -> tuple[list[str], np.ndarray] 
     times = rows[:, 0].copy()
     if (fields[:, :, 2] < 0.0).any() or _misaligned(times, dt) < len(lines):
         return None
-    return ids, _state_block(times, fields, len(ids))
+    return ids, times, fields
 
 
 def save_trace(trace: ScenarioTrace, dest: str | Path | IO[str]) -> None:
-    """Write the canonical line-delimited form."""
+    """Write the canonical line-delimited form.
+
+    Each tick line is the text ``json.dumps(..., sort_keys=True)`` gives the
+    tick's object, written from the state block: saving builds no records,
+    and every number is written as a float, with ``float.__repr__``.
+    """
     header = {
         "dt": trace.dt,
         "cameras": [
@@ -330,19 +342,20 @@ def save_trace(trace: ScenarioTrace, dest: str | Path | IO[str]) -> None:
         ],
         "metadata": trace.metadata,
     }
-    lines = [json.dumps(header, sort_keys=True)]
-    for tick in trace.ticks:
-        lines.append(
-            json.dumps(
-                {
-                    "t": tick.t,
-                    "ego": _state_to_obj(tick.ego),
-                    "actors": {aid: _state_to_obj(s) for aid, s in sorted(tick.actors.items())},
-                },
-                sort_keys=True,
-            )
-        )
-    text = "\n".join(lines) + "\n"
+    keys = sorted(_STATE_FIELDS)
+    state = "{" + ", ".join(f'"{key}": %r' for key in keys) + "}"
+    actors = ", ".join(json.dumps(aid).replace("%", "%%") + ": " + state for aid in trace.actor_ids)
+    line = '{"actors": {' + actors + '}, "ego": ' + state + ', "t": %r}'
+    # the numbers of each tick in the order the line takes them: each
+    # actor's and then the ego's, in key order, and last the time
+    block = trace._block
+    bodies, _, ticks = block.shape
+    rows = [1 + _STATE_FIELDS.index(key) for key in keys]
+    numbers = np.concatenate(
+        [block[[*range(1, bodies), 0]][:, rows].reshape(5 * bodies, ticks), block[0, :1]]
+    )
+    lines = [line % tuple(tick) for tick in numbers.T.tolist()]
+    text = "\n".join([json.dumps(header, sort_keys=True), *lines]) + "\n"
     if hasattr(dest, "write"):
         dest.write(text)
     else:

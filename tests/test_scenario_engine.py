@@ -28,6 +28,7 @@ from safefpr import (
     scenario_mrf,
 )
 from safefpr import engine
+from safefpr import trace as trace_module
 from safefpr.geometry import DEFAULT_CAMERA_RIG, CameraConfig
 from safefpr.scenarios import (
     FAMILY_BUILDERS,
@@ -38,6 +39,7 @@ from safefpr.scenarios import (
     script_from_dict,
     script_to_dict,
 )
+from safefpr.trace import TickRecord, _checked_state
 
 
 class TestPredictor:
@@ -733,6 +735,155 @@ class TestSharedWorld:
         assert len(world.ticks) == round(script.duration / engine.ENGINE_DT) + 1
         after = [(t.ego_s, t.ego, t.actors, t.dangerous) for t in world.ticks]
         assert after == before
+
+
+class TestStateRows:
+    """The world and a recorded trace keep their states as float rows: a run
+    builds a ``KinematicState`` only for a FOV test (or adaptive estimation),
+    and recording and saving build none."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """Every ``KinematicState`` and ``TickRecord`` made: by their constructors, or
+        from rows that already meet the state rules (``_checked_state``)."""
+        built = []
+
+        def counting(make):
+            def wrapper(*args, **kwargs):
+                result = make(*args, **kwargs)
+                built.append(args[0] if result is None else result)
+                return result
+            return wrapper
+
+        for cls in (KinematicState, TickRecord):
+            monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
+        for module in (engine, trace_module):
+            monkeypatch.setattr(module, "_checked_state", counting(_checked_state))
+        # positive control: every hook fires
+        state = KinematicState(0.0, 0.0, 1.0)
+        record = TickRecord(0.0, state)
+        row = [0.0, 0.0, 1.0, 0.0, 0.0]
+        rebuilt = [module._checked_state(row) for module in (engine, trace_module)]
+        assert [id(obj) for obj in built] == [id(state), id(record), *map(id, rebuilt)]
+        assert rebuilt == [state, state]
+        built.clear()
+        return built
+
+    @pytest.fixture
+    def fov_reads(self, monkeypatch):
+        """The (ego, actor) states of every FOV test the engine makes."""
+        reads = []
+
+        def recording_in_fov(ego, actor, cam):
+            reads.append((ego, actor))
+            return in_fov(ego, actor, cam)
+
+        monkeypatch.setattr(engine, "in_fov", recording_in_fov)
+        return reads
+
+    def test_recording_and_saving_build_no_state(self, built, fov_reads, tmp_path):
+        script, params = generate_scenario("cut_out"), ModelParams()
+        kwargs = dict(frame_rate=7.0, adaptive=False, budget=None, collision_radius=0.5, seed=3)
+        world = engine._World(script, params)
+        assert built == []
+        # a replay that records nothing builds exactly the states its FOV tests read
+        engine._run(world, record=False, **kwargs)
+        assert fov_reads and built
+        assert {id(obj) for obj in built} == {id(s) for pair in fov_reads for s in pair}
+        assert all(type(obj) is KinematicState for obj in built)
+        # the world keeps them, so a recorded replay and its save build nothing
+        built.clear()
+        recorded = engine._run(world, record=True, **kwargs)
+        path = tmp_path / "t.jsonl"
+        save_trace(recorded.trace, path)
+        assert built == []
+        # nor does saving a loaded trace
+        save_trace(load_trace(path), io.StringIO())
+        assert built == []
+        # a fresh recorded run builds only the states of its own FOV tests
+        fov_reads.clear()
+        fresh = run_scenario(script, params, frame_rate=7.0, seed=3)
+        assert {id(obj) for obj in built} == {id(s) for pair in fov_reads for s in pair}
+        assert fresh.trace.actor_ids == recorded.trace.actor_ids
+        # reading the records builds them, from the rows
+        built.clear()
+        ticks = recorded.trace.ticks
+        assert len(built) == len(ticks) * (2 + len(script.actors))
+
+    def test_recorded_trace_is_the_world_read_as_states(self):
+        script, params = generate_scenario("challenging_cut_in_curved"), ModelParams()
+        world = engine._World(script, params)
+        trace = run_scenario(script, params, frame_rate=30.0).trace
+        assert trace.actor_ids == tuple(sorted(a.actor_id for a in script.actors))
+        brake = next(i for i, tick in enumerate(trace.ticks) if tick.ego != world.ticks[i].ego)
+        assert brake > 0
+        for tick, cruising in zip(trace.ticks[:brake], world.ticks):
+            assert repr(tick.ego) == repr(cruising.ego)
+            assert {aid: repr(s) for aid, s in tick.actors.items()} == {
+                aid: repr(s) for aid, s in cruising.actors.items()
+            }
+        # the braking ego's states still follow KinematicState's rules
+        for tick in trace.ticks[brake:]:
+            assert tick.ego == KinematicState(**vars(tick.ego))
+
+
+class TestWorldBoundary:
+    """A state that breaks ``KinematicState``'s rules stops the world build at
+    its tick, with the ValueError ``KinematicState`` gives for it."""
+
+    @staticmethod
+    def expected_error(road, s, lane, v, a) -> str:
+        x, y, heading = road.to_world(s, road.lane_offset(lane))
+        with pytest.raises(ValueError) as want:
+            KinematicState(x=x, y=y, v=v, a=a, heading=heading)
+        return str(want.value)
+
+    def test_non_finite_ego_state(self, monkeypatch):
+        script = generate_scenario("challenging_cut_in_curved")
+        real, seen = engine._Ego.advance, []
+
+        def advance(ego, dt):
+            real(ego, dt)
+            seen.append(ego)
+            if len(seen) == 40:
+                ego.a = math.nan
+
+        monkeypatch.setattr(engine._Ego, "advance", advance)
+        with pytest.raises(ValueError) as got:
+            engine._World(script, ModelParams())
+        ego = seen[-1]
+        assert len(seen) == 40  # the build stopped at the tick of the bad state
+        assert str(got.value) == self.expected_error(script.road, ego.s, ego.lane, ego.v, ego.a)
+        assert "must be finite" in str(got.value) and "a=nan" in str(got.value)
+
+    def test_negative_actor_speed(self, monkeypatch):
+        script = generate_scenario("cut_in")
+        real, ticks = engine._Actor.advance, []
+
+        def advance(actor, t, dt):
+            real(actor, t, dt)
+            if actor.actor_id == script.actors[-1].actor_id:
+                ticks.append(t)
+                if len(ticks) == 25:
+                    actor.v = -1.5
+
+        monkeypatch.setattr(engine._Actor, "advance", advance)
+        with pytest.raises(ValueError, match=r"^speed must be >= 0, got -1\.5$"):
+            engine._World(script, ModelParams())
+        assert len(ticks) == 25
+
+    def test_non_finite_position_names_the_raw_heading(self, monkeypatch):
+        # the message shows the heading as given, before it is normalized
+        script = generate_scenario("cut_out")
+        monkeypatch.setattr(
+            type(script.road), "to_world", lambda road, s, offset: (s, math.inf, 7.0)
+        )
+        with pytest.raises(ValueError) as got:
+            engine._World(script, ModelParams())
+        assert str(got.value) == (
+            f"state fields must be finite, got KinematicState(x=0.0, y=inf, "
+            f"v={script.ego_speed!r}, a=0.0, heading=7.0)"
+        )
 
 
 class TestScenarioMrf:

@@ -559,3 +559,72 @@ def test_saved_form_takes_the_columnar_path():
     assert "ticks" not in load_text(text)._cache
     assert "ticks" in load_checked(text)._cache
     assert_loads_alike(text)
+
+
+def reference_text(trace: ScenarioTrace) -> str:
+    """The text ``save_trace`` writes: one ``json.dumps(..., sort_keys=True)`` per record."""
+
+    def state(s: KinematicState) -> dict:
+        return {"x": s.x, "y": s.y, "v": s.v, "a": s.a, "heading": s.heading}
+
+    cameras = [
+        {"camera_id": c.camera_id, "azimuth": c.azimuth, "fov": c.fov} for c in trace.cameras
+    ]
+    records = [{"dt": trace.dt, "cameras": cameras, "metadata": trace.metadata}] + [
+        {
+            "t": tick.t,
+            "ego": state(tick.ego),
+            "actors": {aid: state(s) for aid, s in tick.actors.items()},
+        }
+        for tick in trace.ticks
+    ]
+    return "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
+
+
+# signed zeros, subnormals, numbers whose repr has an exponent, and integers
+# (a record-built trace may hold them; the writer writes them as floats)
+SPECIAL = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e-05, 1.5e300, 0, 7]
+NUMBERS = st.sampled_from(SPECIAL) | st.floats(allow_nan=False, allow_infinity=False)
+SPEEDS = st.sampled_from([n for n in SPECIAL if n >= 0]) | st.floats(0.0, 1e308)
+RECORD_STATES = st.builds(
+    KinematicState, x=NUMBERS, y=NUMBERS, v=SPEEDS, a=NUMBERS, heading=NUMBERS
+)
+# quotes, backslashes, non-ASCII, control characters and format syntax
+ACTOR_IDS = st.sampled_from(
+    ['"', "\\", "é", "漢\U0001f600", "\x00", "\n\x1f", "%r", "{0}", ""]
+) | st.text(max_size=4)
+
+
+@st.composite
+def record_traces(draw) -> ScenarioTrace:
+    dt = draw(st.sampled_from([0.1, 1.0 / 30.0, 1e-05, 2]))
+    ids = draw(st.lists(ACTOR_IDS, max_size=3, unique=True))
+    ticks = [
+        TickRecord(i * dt, draw(RECORD_STATES), {aid: draw(RECORD_STATES) for aid in ids})
+        for i in range(draw(st.integers(0, 4)))
+    ]
+    return ScenarioTrace(dt, ticks, DEFAULT_CAMERA_RIG, {"name": draw(st.text(max_size=3))})
+
+
+@given(trace=record_traces())
+@settings(max_examples=300, deadline=None)
+def test_save_trace_writes_the_json_of_each_record(trace):
+    buf = io.StringIO()
+    save_trace(trace, buf)
+    text, want = buf.getvalue(), reference_text(trace)
+    states = [s for tick in trace.ticks for s in (tick.ego, *tick.actors.values())]
+    numbers = [trace.dt, *(tick.t for tick in trace.ticks)]
+    numbers += [value for s in states for value in vars(s).values()]
+    if all(type(value) is float for value in numbers):
+        assert text == want
+        loaded = load_trace(io.StringIO(text))
+        again = io.StringIO()
+        save_trace(loaded, again)  # from the loaded block, with no records built
+        assert "ticks" not in loaded._cache
+        assert again.getvalue() == want
+    else:
+        # integers are written as floats, which is how the reference text reloads them
+        got, ref = load_trace(io.StringIO(text)), load_trace(io.StringIO(want))
+        assert got == ref
+        assert repr(got.ticks) == repr(ref.ticks)
+        assert text.splitlines()[0] == want.splitlines()[0]
