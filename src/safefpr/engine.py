@@ -23,16 +23,14 @@ processed at the next tick boundary, adding at most one tick of delay.
 A run is split in two. The scripted actors and the cruising ego do not
 depend on the frame rate, so ``_World`` simulates them, and which actors the
 cruising ego must brake for, once per script and over its whole duration,
-into a list of ticks. A tick keeps its states as one row of floats, checked
-once by ``KinematicState``'s rules, and builds a ``KinematicState`` only
-when it is read. ``_run`` replays that list with one frame schedule, tests
-collisions on the rows, stops at a collision, and steps its own ego only
-once the brakes engage; a recording run hands its rows to the trace's
-state block. A lone run builds its own world; the MRF scan
+into a list of ticks, each holding its states as one row of floats.
+``_run`` replays that list with one frame schedule, stops at a collision,
+and steps its own ego only once the brakes engage; a recording run hands
+its rows to the trace. A lone run builds its own world; the MRF scan
 (``oracle.scenario_mrf``) runs every rate against one. A frame can change
 only the count of an actor that is dangerous or already counting, so
-``_run`` tests FOV membership (``in_fov``) for those actors alone, and only
-that test and adaptive estimation read states.
+``_run`` tests FOV membership (``in_fov``) for those actors alone; only
+that test and adaptive estimation build ``KinematicState``s.
 """
 
 from __future__ import annotations
@@ -46,8 +44,8 @@ from .model import FprReport, braking_decel, evaluate_scene
 from .predictor import PredictorConfig, predict_trajectories
 from .scenarios import ActorScript, ScenarioScript, script_to_dict
 from .scheduler import AlarmEvent, Budget, allocate, safety_check
-from .trace import ScenarioTrace, _checked_state
-from .types import KinematicState, L0_FIXED, ModelParams, normalize_angle, within
+from .trace import ScenarioTrace
+from .types import KinematicState, L0_FIXED, ModelParams, within
 
 ENGINE_DT = 1.0 / 30.0   # s per tick; aligns the tick grid with a 30 Hz camera
 STANDSTILL_GAP = 4.0     # m kept clear when stopped behind an obstacle
@@ -140,17 +138,14 @@ class RunResult:
     allocations: list[tuple[float, dict[str, float]]] = field(default_factory=list)
 
 
-def _state_row(road, s: float, lane: float, v: float, a: float) -> list[float]:
-    """x, y, v, a and heading of a road-frame state, by ``KinematicState``'s rules.
-
-    The heading is normalized; a state that breaks a rule raises the
-    ValueError ``KinematicState`` raises for it.
-    """
-    x, y, heading = road.to_world(s, road.lane_offset(lane))
-    # the sum is finite when every field is; the state then checks what it is not
-    if not (math.isfinite(x + y + v + a + heading) and v >= 0.0):
-        KinematicState(x, y, v, a, heading)
-    return [x, y, v, a, normalize_angle(heading)]
+def _state_row(road, body: _Ego | _Actor) -> list[float]:
+    """x, y, v, a and heading of a road-frame body; one that breaks
+    ``KinematicState``'s rules raises the ValueError the state raises."""
+    x, y, heading = road.to_world(body.s, road.lane_offset(body.lane))
+    row = [x, y, body.v, body.a, heading]
+    if not (math.isfinite(sum(row)) and body.v >= 0.0):  # rare: the state decides
+        KinematicState(*row)
+    return row
 
 
 def _dangerous(ego: _Ego, actor: _Actor, road, params: ModelParams) -> bool:
@@ -174,26 +169,20 @@ def _dangerous(ego: _Ego, actor: _Actor, road, params: ModelParams) -> bool:
 
 @dataclass(slots=True, eq=False)
 class _Tick:
-    """The scripted world at one tick, as the cruising ego meets it.
-
-    ``row`` holds x, y, v, a and heading of the cruising ego and then of
-    each actor in sorted id order, as ``_state_row`` gives them; ``starts``
-    maps each actor id, in script order, to where its state begins in
-    ``row``. The states are built on first read and kept.
-    """
+    """The scripted world at one tick, as the cruising ego meets it: the
+    ``_state_row`` of the cruising ego and then of each actor in sorted id
+    order, and states built from it on first read."""
 
     ego_s: float                               # cruising ego's arc position
     row: list[float]
-    starts: dict[str, int]
+    starts: dict[str, int]                     # actor id -> where its state begins in row
     dangerous: frozenset[str]                  # ids of the actors ``_dangerous`` flags
     _states: dict[int, KinematicState] = field(default_factory=dict)
 
     def state(self, start: int) -> KinematicState:
-        """The state that begins at ``start`` in ``row``."""
-        state = self._states.get(start)
-        if state is None:
-            state = self._states[start] = _checked_state(self.row[start:start + 5])
-        return state
+        if start not in self._states:
+            self._states[start] = KinematicState(*self.row[start:start + 5])
+        return self._states[start]
 
     @property
     def ego(self) -> KinematicState:
@@ -211,8 +200,6 @@ class _World:
     path until a run engages its brakes, so every run of a script meets the
     same world until then. The constructor simulates every tick of the
     script's duration into ``ticks``, which runs read and never change.
-    ``actor_ids`` is the actors' sorted ids, the order of their states in
-    each tick's row.
     """
 
     def __init__(self, script: ScenarioScript, params: ModelParams):
@@ -225,7 +212,7 @@ class _World:
         )
         actors = [_Actor(a) for a in script.actors]
         ordered = sorted(actors, key=lambda a: a.actor_id)
-        self.actor_ids = tuple(a.actor_id for a in ordered)
+        self.actor_ids = tuple(a.actor_id for a in ordered)  # their order in each row
         starts = {a.actor_id: 5 * (1 + self.actor_ids.index(a.actor_id)) for a in actors}
         self.ticks: list[_Tick] = []
         for i in range(int(round(script.duration / ENGINE_DT)) + 1):
@@ -233,12 +220,9 @@ class _World:
                 ego.advance(ENGINE_DT)
                 for actor in actors:  # i * ENGINE_DT can round differently
                     actor.advance((i - 1) * ENGINE_DT + ENGINE_DT, ENGINE_DT)
-            row = _state_row(road, ego.s, ego.lane, ego.v, ego.a)
-            for a in ordered:
-                row += _state_row(road, a.s, a.lane, a.v, a.a)
             self.ticks.append(_Tick(
                 ego.s,
-                row,
+                [f for body in (ego, *ordered) for f in _state_row(road, body)],
                 starts,
                 frozenset(a.actor_id for a in actors if _dangerous(ego, a, road, params)),
             ))
@@ -330,15 +314,8 @@ def _run(
 
     for i, tick in enumerate(world.ticks):
         t = i * ENGINE_DT
-        row = tick.row
-        if braking is None:
-            ego_x, ego_y = row[0], row[1]
-        elif record or adaptive:
-            ego_row = _state_row(road, braking.s, braking.lane, braking.v, braking.a)
-            ego_x, ego_y = ego_row[0], ego_row[1]
-            row = ego_row + row[5:]
-        else:  # a fixed-rate run that records nothing reads only (x, y)
-            ego_x, ego_y, _ = road.to_world(braking.s, road.lane_offset(braking.lane))
+        row = tick.row if braking is None else _state_row(road, braking) + tick.row[5:]
+        ego_x, ego_y = row[0], row[1]
 
         if record:
             rows.append(row)
@@ -358,7 +335,7 @@ def _run(
             trajs = {
                 aid: predict_trajectories(st, PREDICTOR) for aid, st in tick.actors.items()
             }
-            ego_world = tick.ego if braking is None else _checked_state(row[:5])
+            ego_world = tick.ego if braking is None else KinematicState(*row[:5])
             _, reports = evaluate_scene(ego_world, trajs, cameras, l0, fixed_params)
             required = {cid: rep.fpr for cid, rep in reports.items()}
             flagged = {cid for cid, rep in reports.items() if rep.infeasible}

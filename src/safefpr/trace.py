@@ -76,6 +76,8 @@ class ScenarioTrace:
         raw = [tick.t for tick in ticks]
         times = np.array(raw)  # no dtype: a string or None time is a TypeError below
         ids = set(ticks[0].actors) if ticks else set()
+        if not all(isinstance(aid, str) for aid in ids):
+            raise TraceFormatError(f"actor ids must be strings, got {sorted(map(repr, ids))}")
         changed = next((i for i, tick in enumerate(ticks) if set(tick.actors) != ids), len(ticks))
         i = _misaligned(times, dt)
         if i < len(ticks) and i <= changed:
@@ -85,17 +87,13 @@ class ScenarioTrace:
         if changed < len(ticks):
             raise TraceFormatError(f"actor ids changed at tick {changed}")
         ids = sorted(ids)
-        fields = [
-            (s.x, s.y, s.v, s.a, s.heading)
-            for tick in ticks
-            for s in (tick.ego, *map(tick.actors.__getitem__, ids))
-        ]
+        bodies = [(tick.ego, *map(tick.actors.__getitem__, ids)) for tick in ticks]
+        fields = [(s.x, s.y, s.v, s.a, s.heading) for states in bodies for s in states]
         self._fill(dt, cameras, metadata, ids, _state_block(times, fields, len(ids)), ticks)
 
     @classmethod
     def _from_block(cls, dt, cameras, metadata, actor_ids, times, fields) -> "ScenarioTrace":
-        """A trace over tick ``times`` and state ``fields`` (as ``_state_block`` takes
-        them) that meet the tick rules; checks the header."""
+        """A trace over ``_state_block`` inputs that meet the tick rules; checks the header."""
         _check_header(dt, metadata)
         trace = object.__new__(cls)
         trace._fill(dt, cameras, metadata, actor_ids, _state_block(times, fields, len(actor_ids)))
@@ -115,12 +113,9 @@ class ScenarioTrace:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ScenarioTrace):
             return NotImplemented
-        return (self.dt, self.ticks, self.cameras, self.metadata) == (
-            other.dt,
-            other.ticks,
-            other.cameras,
-            other.metadata,
-        )
+        return (self.dt, self.cameras, self.metadata, self.actor_ids) == (
+            other.dt, other.cameras, other.metadata, other.actor_ids
+        ) and np.array_equal(self._block, other._block)
 
     @property
     def ticks(self) -> tuple[TickRecord, ...]:
@@ -128,9 +123,9 @@ class ScenarioTrace:
         ticks = self._cache.get("ticks")
         if ticks is None:
             ticks = []
-            bodies = self._block[:, 1:].transpose(2, 0, 1).tolist()
-            for t, fields in zip(self.times.tolist(), bodies):
-                states = list(map(_checked_state, fields))  # the block meets the state rules
+            block = self._block[:, 1:].transpose(2, 0, 1).tolist()
+            for t, bodies in zip(self.times.tolist(), block):
+                states = [KinematicState(*fields) for fields in bodies]
                 ticks.append(TickRecord(t, states[0], dict(zip(self.actor_ids, states[1:]))))
             ticks = self._cache["ticks"] = tuple(ticks)
         return ticks
@@ -191,8 +186,7 @@ def _state_block(times, fields, actors: int) -> np.ndarray:
     """The read-only (1 + actors, 6, ticks) state block of ``ScenarioTrace``.
 
     ``fields`` holds x, y, v, a and heading of the ego and then each actor
-    at each tick, tick-major, in any nesting that reshapes to (ticks,
-    bodies, 5); headings are normalized here.
+    at each tick, tick-major, in any nesting; headings are normalized here.
     """
     bodies = 1 + actors
     block = np.empty((bodies, 6, len(times)))
@@ -220,22 +214,6 @@ def _fpr0(metadata: dict) -> float | None:
 
 
 _STATE_FIELDS = ("x", "y", "v", "a", "heading")
-
-
-def _checked_state(fields) -> KinematicState:
-    """The ``KinematicState`` of x, y, v, a and heading that already meet its rules,
-    as state block and engine rows do, without the constructor's checks."""
-    x, y, v, a, heading = fields
-    state = object.__new__(KinematicState)
-    # field by field, as the constructor sets them: a state whose __dict__
-    # was read as a dict keeps it, and reads its fields more slowly
-    put = object.__setattr__
-    put(state, "x", x)
-    put(state, "y", y)
-    put(state, "v", v)
-    put(state, "a", a)
-    put(state, "heading", heading)
-    return state
 
 
 def _finite(obj: dict, key: str, where: str, default: float | None = None) -> float:
@@ -328,12 +306,8 @@ def _saved_columns(lines: list[str], dt: float) -> tuple[list[str], np.ndarray, 
 
 
 def save_trace(trace: ScenarioTrace, dest: str | Path | IO[str]) -> None:
-    """Write the canonical line-delimited form.
-
-    Each tick line is the text ``json.dumps(..., sort_keys=True)`` gives the
-    tick's object, written from the state block: saving builds no records,
-    and every number is written as a float, with ``float.__repr__``.
-    """
+    """Write the canonical line-delimited form; tick lines are written from the state
+    block as ``json.dumps(..., sort_keys=True)`` writes them, every number a float."""
     header = {
         "dt": trace.dt,
         "cameras": [
@@ -342,19 +316,13 @@ def save_trace(trace: ScenarioTrace, dest: str | Path | IO[str]) -> None:
         ],
         "metadata": trace.metadata,
     }
-    keys = sorted(_STATE_FIELDS)
-    state = "{" + ", ".join(f'"{key}": %r' for key in keys) + "}"
+    state = '{"a": %r, "heading": %r, "v": %r, "x": %r, "y": %r}'
     actors = ", ".join(json.dumps(aid).replace("%", "%%") + ": " + state for aid in trace.actor_ids)
     line = '{"actors": {' + actors + '}, "ego": ' + state + ', "t": %r}'
-    # the numbers of each tick in the order the line takes them: each
-    # actor's and then the ego's, in key order, and last the time
-    block = trace._block
-    bodies, _, ticks = block.shape
-    rows = [1 + _STATE_FIELDS.index(key) for key in keys]
-    numbers = np.concatenate(
-        [block[[*range(1, bodies), 0]][:, rows].reshape(5 * bodies, ticks), block[0, :1]]
-    )
-    lines = [line % tuple(tick) for tick in numbers.T.tolist()]
+    # each tick's numbers in the line's order: every actor's, the ego's, then t
+    bodies, _, ticks = trace._block.shape
+    numbers = np.roll(trace._block, -1, 0)[:, [4, 5, 3, 1, 2]].reshape(5 * bodies, ticks)
+    lines = [line % (*tick, t) for tick, t in zip(numbers.T.tolist(), trace.times.tolist())]
     text = "\n".join([json.dumps(header, sort_keys=True), *lines]) + "\n"
     if hasattr(dest, "write"):
         dest.write(text)

@@ -28,7 +28,6 @@ from safefpr import (
     scenario_mrf,
 )
 from safefpr import engine
-from safefpr import trace as trace_module
 from safefpr.geometry import DEFAULT_CAMERA_RIG, CameraConfig
 from safefpr.scenarios import (
     FAMILY_BUILDERS,
@@ -39,7 +38,7 @@ from safefpr.scenarios import (
     script_from_dict,
     script_to_dict,
 )
-from safefpr.trace import TickRecord, _checked_state
+from safefpr.trace import TickRecord
 
 
 class TestPredictor:
@@ -744,28 +743,21 @@ class TestStateRows:
 
     @pytest.fixture
     def built(self, monkeypatch):
-        """Every ``KinematicState`` and ``TickRecord`` made: by their constructors, or
-        from rows that already meet the state rules (``_checked_state``)."""
+        """Every ``KinematicState`` and ``TickRecord`` made."""
         built = []
 
-        def counting(make):
-            def wrapper(*args, **kwargs):
-                result = make(*args, **kwargs)
-                built.append(args[0] if result is None else result)
-                return result
+        def counting(init):
+            def wrapper(self, *args, **kwargs):
+                init(self, *args, **kwargs)
+                built.append(self)
             return wrapper
 
         for cls in (KinematicState, TickRecord):
             monkeypatch.setattr(cls, "__init__", counting(cls.__init__))
-        for module in (engine, trace_module):
-            monkeypatch.setattr(module, "_checked_state", counting(_checked_state))
         # positive control: every hook fires
         state = KinematicState(0.0, 0.0, 1.0)
         record = TickRecord(0.0, state)
-        row = [0.0, 0.0, 1.0, 0.0, 0.0]
-        rebuilt = [module._checked_state(row) for module in (engine, trace_module)]
-        assert [id(obj) for obj in built] == [id(state), id(record), *map(id, rebuilt)]
-        assert rebuilt == [state, state]
+        assert [id(obj) for obj in built] == [id(state), id(record)]
         built.clear()
         return built
 

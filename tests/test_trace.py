@@ -109,6 +109,14 @@ class TestValidation:
         with pytest.raises(TraceFormatError, match="actor ids"):
             load_trace(io.StringIO("\n".join([header, t0, t1])))
 
+    @pytest.mark.parametrize("aid", [7, None, True, 1.5])
+    def test_non_string_actor_ids_rejected_by_the_constructor(self, aid):
+        # save_trace writes each id as a JSON string key; a file gives only strings
+        state = KinematicState(0.0, 0.0, 1.0)
+        ticks = [TickRecord(0.0, state, {aid: state, "lead": state}), TickRecord(0.1, state)]
+        with pytest.raises(TraceFormatError, match=r"^actor ids must be strings, got \["):
+            ScenarioTrace(0.1, ticks, DEFAULT_CAMERA_RIG)
+
     @given(
         dt=st.sampled_from([0.1, 1.0 / 30.0, 1e-10, 1e308]) | st.floats(0.0, 10.0),
         offsets=st.lists(
@@ -618,6 +626,7 @@ def test_save_trace_writes_the_json_of_each_record(trace):
     if all(type(value) is float for value in numbers):
         assert text == want
         loaded = load_trace(io.StringIO(text))
+        assert loaded == trace
         again = io.StringIO()
         save_trace(loaded, again)  # from the loaded block, with no records built
         assert "ticks" not in loaded._cache
@@ -628,3 +637,18 @@ def test_save_trace_writes_the_json_of_each_record(trace):
         assert got == ref
         assert repr(got.ticks) == repr(ref.ticks)
         assert text.splitlines()[0] == want.splitlines()[0]
+
+
+def test_traces_compare_by_their_states_without_building_records(tmp_path):
+    path = tmp_path / "t.jsonl"
+    save_trace(build_trace(), path)
+    a, b = load_trace(path), load_trace(path)
+    assert a == b and a == build_trace()
+    assert "ticks" not in a._cache and "ticks" not in b._cache
+    ticks = list(build_trace().ticks)
+    ticks[3] = TickRecord(ticks[3].t, KinematicState(1.0, 0.0, 10.0), ticks[3].actors)
+    assert ScenarioTrace(a.dt, ticks, a.cameras, a.metadata) != a
+    # the same states under other actor ids
+    ego, lead = ticks[0].ego, ticks[0].actors["lead"]
+    one, other = (ScenarioTrace(0.1, [TickRecord(0.0, ego, {aid: lead})], a.cameras) for aid in "ab")
+    assert one != other
