@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .types import KinematicState, finite_float, normalize_angle, normalize_angles, within
+from .types import KinematicState, finite_float, normalize_angle, normalize_angles, string, within
 
 DEG = math.pi / 180.0
 FULL_CIRCLE = 2.0 * math.pi - 1e-12  # a camera at least this wide sees every bearing
@@ -23,8 +23,7 @@ class CameraConfig:
     fov: float      # rad, (0, 2*pi]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.camera_id, str):
-            raise ValueError(f"camera_id must be a string, got {self.camera_id!r}")
+        string("camera_id", self.camera_id)
         within("fov", self.fov, 0.0, 2.0 * math.pi + 1e-12, "rad", open_lo=True)
         object.__setattr__(self, "azimuth", normalize_angle(finite_float("azimuth", self.azimuth)))
 

@@ -11,7 +11,6 @@ measured from the road centerline, positive to the left.
 from __future__ import annotations
 
 import functools
-import inspect
 import json
 import math
 import typing
@@ -19,7 +18,7 @@ from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import IO, Callable
 
-from .types import MPH_TO_MPS, finite_float, integer, within
+from .types import MPH_TO_MPS, finite_float, integer, string, within
 
 # Bounds on script quantities: far beyond any road scene, and small enough
 # that no position or speed the engine integrates over a run can overflow.
@@ -29,7 +28,14 @@ MAX_LANE_WIDTH = 10.0    # m
 MAX_DURATION = 600.0     # s
 
 
-def _set(script: object, **checked: float) -> None:
+def _tuple_of(name: str, value: object, kind: type) -> tuple:
+    """``value`` as a tuple; ValueError naming ``name`` unless it is a list or tuple of ``kind``."""
+    if not isinstance(value, (list, tuple)) or not all(isinstance(v, kind) for v in value):
+        raise ValueError(f"{name} must be a list or tuple of {kind.__name__}, got {value!r}")
+    return tuple(value)
+
+
+def _set(script: object, **checked: object) -> None:
     # a script keeps each number as the float it saves and loads as, so an
     # int given for a float field saves the same bytes as its float
     for name, value in checked.items():
@@ -116,11 +122,13 @@ class ActorScript:
     events: tuple[ActorEvent, ...] = ()
 
     def __post_init__(self) -> None:
+        string("actor_id", self.actor_id)
         integer("lane", self.lane)
         _set(
             self,
             gap=within("gap", self.gap, -MAX_GAP, MAX_GAP, "m"),
             speed=within("speed", self.speed, 0.0, MAX_SPEED, "m/s"),
+            events=_tuple_of("events", self.events, ActorEvent),
         )
 
 
@@ -136,15 +144,21 @@ class ScenarioScript:
     notes: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        string("name", self.name)
+        if not isinstance(self.road, RoadSpec):
+            raise ValueError(f"road must be a RoadSpec, got {self.road!r}")
         last, unit = self.road.lanes - 1, f"on a {self.road.lanes}-lane road"
         within("ego_lane", integer("ego_lane", self.ego_lane), 0, last, unit)
         _set(
             self,
             ego_speed=within("ego_speed", self.ego_speed, 0.0, MAX_SPEED, "m/s"),
             duration=within("duration", self.duration, 0.0, MAX_DURATION, "s", open_lo=True),
+            actors=_tuple_of("actors", self.actors, ActorScript),
         )
         if self.trigger_time is not None:
             _set(self, trigger_time=finite_float("trigger_time", self.trigger_time))
+        if not isinstance(self.notes, dict):
+            raise ValueError(f"notes must be a dict, got {type(self.notes).__name__}")
         for a in self.actors:
             within(f"actor {a.actor_id!r}: lane", a.lane, 0, last, unit)
             for i, e in enumerate(a.events):
@@ -190,9 +204,7 @@ def _read(kind: object, value: object, where: str):
     if kind is int:
         return integer(where, value)
     if kind is str:
-        if not isinstance(value, str):
-            raise ValueError(f"{where} must be a string, got {value!r}")
-        return value
+        return string(where, value)
     if not isinstance(value, dict):
         raise ValueError(f"{where or 'script'} must be a JSON object, got {type(value).__name__}")
     return value if kind is dict else _from_dict(kind, value, where)
@@ -273,35 +285,23 @@ def load_script(source: str | Path | IO[str]) -> ScenarioScript:
 # --------------------------------------------------------------------------
 
 
-def _speed(key: str, mph: object) -> float:
-    return within(key, mph, 0.0, 90.0, "mph") * MPH_TO_MPS
-
-
 def _cut_out(
-    name: str, /, *, ego_speed_mph=20.0, lead_gap=None, obstacle_gap=None, reveal_distance=35.0,
-    duration=14.0,
+    name, ego_speed_mph, lead_gap, obstacle_gap, reveal_distance, duration
 ) -> ScenarioScript:
     """A lead cuts out of the ego lane; a static obstacle sits beyond it.
 
     Both adjacent lanes carry pacing traffic, so braking is the ego's only
-    option. A gap left as None is derived from the ego speed.
+    option. A gap left as None is derived from the ego speed, and lies in
+    its range for every ego speed in range.
     """
-    v = _speed("ego_speed_mph", ego_speed_mph)
+    v = ego_speed_mph * MPH_TO_MPS
     if lead_gap is None:
         lead_gap = 25.0 + 0.6 * v
-    lead_gap = within("lead_gap", lead_gap, 10.0, 80.0, "m")
     if obstacle_gap is None:
         obstacle_gap = lead_gap + 35.0 + 2.2 * v
-    obstacle_gap = within("obstacle_gap", obstacle_gap, 30.0, 300.0, "m")
-    reveal_distance = within("reveal_distance", reveal_distance, 10.0, 100.0, "m")
     t_cut = max(0.5, (obstacle_gap - lead_gap - reveal_distance) / max(v, 0.1))
     return ScenarioScript(
-        name=name,
-        road=RoadSpec(),
-        ego_lane=1,
-        ego_speed=v,
-        duration=finite_float("duration", duration),
-        trigger_time=t_cut,
+        name=name, ego_lane=1, ego_speed=v, duration=duration, trigger_time=t_cut,
         actors=(
             ActorScript(
                 "lead", lane=1, gap=lead_gap, speed=v,
@@ -314,31 +314,17 @@ def _cut_out(
     )
 
 
-cut_out = functools.partial(_cut_out, "cut_out")
-cut_out_fast = functools.partial(_cut_out, "cut_out_fast", ego_speed_mph=40.0)
-
-
-def cut_in(
-    *, ego_speed_mph=70.0, cut_gap=45.0, slow_factor=0.85, trigger_time=2.0, duration=14.0
-) -> ScenarioScript:
+def _cut_in(name, ego_speed_mph, cut_gap, slow_factor, trigger_time, duration) -> ScenarioScript:
     """An actor merges in front of the ego at speed, then eases off mildly."""
-    v = _speed("ego_speed_mph", ego_speed_mph)
-    gap = within("cut_gap", cut_gap, 20.0, 120.0, "m")
-    slow_factor = within("slow_factor", slow_factor, 0.3, 1.0, "x ego speed")
-    t_cut = finite_float("trigger_time", trigger_time)
+    v = ego_speed_mph * MPH_TO_MPS
     return ScenarioScript(
-        name="cut_in",
-        road=RoadSpec(),
-        ego_lane=1,
-        ego_speed=v,
-        duration=finite_float("duration", duration),
-        trigger_time=t_cut,
+        name=name, ego_lane=1, ego_speed=v, duration=duration, trigger_time=trigger_time,
         actors=(
             ActorScript(
-                "cutter", lane=0, gap=gap, speed=v,
+                "cutter", lane=0, gap=cut_gap, speed=v,
                 events=(
-                    ActorEvent(at=t_cut, kind="lane_change", to_lane=1, duration=2.0),
-                    ActorEvent(at=t_cut, kind="speed_change",
+                    ActorEvent(at=trigger_time, kind="lane_change", to_lane=1, duration=2.0),
+                    ActorEvent(at=trigger_time, kind="speed_change",
                                target_speed=slow_factor * v, rate=3.0),
                 ),
             ),
@@ -347,26 +333,22 @@ def cut_in(
 
 
 def _challenging_cut_in(
-    name: str, ego_speed_mph, cut_gap, slow_factor, trigger_time, duration, curvature: float
+    name, ego_speed_mph, cut_gap, slow_factor, trigger_time, duration, **road
 ) -> ScenarioScript:
-    """A much closer, harder-braking merge; the left lane is occupied."""
-    v = _speed("ego_speed_mph", ego_speed_mph)
-    gap = within("cut_gap", cut_gap, 8.0, 60.0, "m")
-    slow_factor = within("slow_factor", slow_factor, 0.3, 1.0, "x ego speed")
-    t_cut = finite_float("trigger_time", trigger_time)
+    """A much closer, harder-braking merge; the left lane is occupied.
+
+    ``road`` holds the curved family's ``curvature``; without it the road is straight.
+    """
+    v = ego_speed_mph * MPH_TO_MPS
     return ScenarioScript(
-        name=name,
-        road=RoadSpec(curvature=curvature),
-        ego_lane=1,
-        ego_speed=v,
-        duration=finite_float("duration", duration),
-        trigger_time=t_cut,
+        name=name, road=RoadSpec(**road), ego_lane=1, ego_speed=v, duration=duration,
+        trigger_time=trigger_time,
         actors=(
             ActorScript(
-                "cutter", lane=0, gap=gap, speed=v,
+                "cutter", lane=0, gap=cut_gap, speed=v,
                 events=(
-                    ActorEvent(at=t_cut, kind="lane_change", to_lane=1, duration=1.5),
-                    ActorEvent(at=t_cut, kind="speed_change",
+                    ActorEvent(at=trigger_time, kind="lane_change", to_lane=1, duration=1.5),
+                    ActorEvent(at=trigger_time, kind="speed_change",
                                target_speed=slow_factor * v, rate=4.0),
                 ),
             ),
@@ -375,60 +357,28 @@ def _challenging_cut_in(
     )
 
 
-def challenging_cut_in(
-    *, ego_speed_mph=60.0, cut_gap=22.0, slow_factor=0.6, trigger_time=1.5, duration=14.0
-) -> ScenarioScript:
-    return _challenging_cut_in(
-        "challenging_cut_in", ego_speed_mph, cut_gap, slow_factor, trigger_time, duration, 0.0
-    )
-
-
-def challenging_cut_in_curved(
-    *, ego_speed_mph=40.0, cut_gap=22.0, slow_factor=0.6, trigger_time=1.5, duration=14.0,
-    curvature=1.0 / 400.0,
-) -> ScenarioScript:
-    curvature = within("curvature", curvature, 0.0005, 0.01, "1/m")
-    return _challenging_cut_in(
-        "challenging_cut_in_curved", ego_speed_mph, cut_gap, slow_factor, trigger_time, duration,
-        curvature,
-    )
-
-
-def vehicle_following(
-    *, ego_speed_mph=70.0, follow_gap=50.0, lead_decel=6.0, trigger_time=2.0, duration=16.0
+def _vehicle_following(
+    name, ego_speed_mph, follow_gap, lead_decel, trigger_time, duration
 ) -> ScenarioScript:
     """Highway following; the lead suddenly brakes to a standstill."""
-    v = _speed("ego_speed_mph", ego_speed_mph)
-    gap = within("follow_gap", follow_gap, 20.0, 150.0, "m")
-    decel = within("lead_decel", lead_decel, 2.0, 9.0, "m/s^2")
-    t_brake = finite_float("trigger_time", trigger_time)
+    v = ego_speed_mph * MPH_TO_MPS
     return ScenarioScript(
-        name="vehicle_following",
-        road=RoadSpec(),
-        ego_lane=1,
-        ego_speed=v,
-        duration=finite_float("duration", duration),
-        trigger_time=t_brake,
+        name=name, ego_lane=1, ego_speed=v, duration=duration, trigger_time=trigger_time,
         actors=(
             ActorScript(
-                "lead", lane=1, gap=gap, speed=v,
-                events=(ActorEvent(at=t_brake, kind="speed_change",
-                                   target_speed=0.0, rate=decel),),
+                "lead", lane=1, gap=follow_gap, speed=v,
+                events=(ActorEvent(at=trigger_time, kind="speed_change",
+                                   target_speed=0.0, rate=lead_decel),),
             ),
         ),
     )
 
 
-def front_right_activity_1(*, ego_speed_mph=40.0, duration=12.0) -> ScenarioScript:
+def _front_right_activity_1(name, ego_speed_mph, duration) -> ScenarioScript:
     """Ego on the left lane; right-most traffic merges toward the middle."""
-    v = _speed("ego_speed_mph", ego_speed_mph)
+    v = ego_speed_mph * MPH_TO_MPS
     return ScenarioScript(
-        name="front_right_activity_1",
-        road=RoadSpec(),
-        ego_lane=2,
-        ego_speed=v,
-        duration=finite_float("duration", duration),
-        trigger_time=2.0,
+        name=name, ego_lane=2, ego_speed=v, duration=duration, trigger_time=2.0,
         actors=(
             ActorScript(
                 "merger", lane=0, gap=25.0, speed=1.1 * v,
@@ -442,16 +392,11 @@ def front_right_activity_1(*, ego_speed_mph=40.0, duration=12.0) -> ScenarioScri
     )
 
 
-def front_right_activity_2(*, ego_speed_mph=40.0, duration=12.0) -> ScenarioScript:
+def _front_right_activity_2(name, ego_speed_mph, duration) -> ScenarioScript:
     """Front actor drifts right and paces the ego; another follows behind."""
-    v = _speed("ego_speed_mph", ego_speed_mph)
+    v = ego_speed_mph * MPH_TO_MPS
     return ScenarioScript(
-        name="front_right_activity_2",
-        road=RoadSpec(),
-        ego_lane=1,
-        ego_speed=v,
-        duration=finite_float("duration", duration),
-        trigger_time=2.0,
+        name=name, ego_lane=1, ego_speed=v, duration=duration, trigger_time=2.0,
         actors=(
             ActorScript(
                 "splitter", lane=1, gap=30.0, speed=v,
@@ -465,16 +410,11 @@ def front_right_activity_2(*, ego_speed_mph=40.0, duration=12.0) -> ScenarioScri
     )
 
 
-def front_right_activity_3(*, ego_speed_mph=60.0, duration=12.0) -> ScenarioScript:
+def _front_right_activity_3(name, ego_speed_mph, duration) -> ScenarioScript:
     """Right-lane traffic cuts in well ahead of the ego at nearly its speed."""
-    v = _speed("ego_speed_mph", ego_speed_mph)
+    v = ego_speed_mph * MPH_TO_MPS
     return ScenarioScript(
-        name="front_right_activity_3",
-        road=RoadSpec(),
-        ego_lane=1,
-        ego_speed=v,
-        duration=finite_float("duration", duration),
-        trigger_time=2.0,
+        name=name, ego_lane=1, ego_speed=v, duration=duration, trigger_time=2.0,
         actors=(
             ActorScript(
                 "merger", lane=0, gap=60.0, speed=0.95 * v,
@@ -484,38 +424,81 @@ def front_right_activity_3(*, ego_speed_mph=60.0, duration=12.0) -> ScenarioScri
     )
 
 
-FAMILY_BUILDERS: dict[str, Callable[..., ScenarioScript]] = {
-    "cut_out": cut_out,
-    "cut_out_fast": cut_out_fast,
-    "cut_in": cut_in,
-    "challenging_cut_in": challenging_cut_in,
-    "challenging_cut_in_curved": challenging_cut_in_curved,
-    "vehicle_following": vehicle_following,
-    "front_right_activity_1": front_right_activity_1,
-    "front_right_activity_2": front_right_activity_2,
-    "front_right_activity_3": front_right_activity_3,
+_MPH = (0.0, 90.0, "mph")
+# any finite number: the script's own bounds (duration, event times) apply after
+_SECONDS = (-math.inf, math.inf, "s")
+_CUT_OUT = {
+    "lead_gap": (None, 10.0, 80.0, "m"),
+    "obstacle_gap": (None, 30.0, 300.0, "m"),
+    "reveal_distance": (35.0, 10.0, 100.0, "m"),
+    "duration": (14.0, *_SECONDS),
+}
+_CHALLENGING_CUT_IN = {
+    "cut_gap": (22.0, 8.0, 60.0, "m"),
+    "slow_factor": (0.6, 0.3, 1.0, "x ego speed"),
+    "trigger_time": (1.5, *_SECONDS),
+    "duration": (14.0, *_SECONDS),
+}
+
+# Each family: its builder and its parameters in check order, each as
+# name -> (default, lo, hi, unit). A None default is derived by the builder.
+FAMILIES: dict[str, tuple[Callable[..., ScenarioScript], dict[str, tuple]]] = {
+    "cut_out": (_cut_out, {"ego_speed_mph": (20.0, *_MPH), **_CUT_OUT}),
+    "cut_out_fast": (_cut_out, {"ego_speed_mph": (40.0, *_MPH), **_CUT_OUT}),
+    "cut_in": (_cut_in, {
+        "ego_speed_mph": (70.0, *_MPH),
+        "cut_gap": (45.0, 20.0, 120.0, "m"),
+        "slow_factor": (0.85, 0.3, 1.0, "x ego speed"),
+        "trigger_time": (2.0, *_SECONDS),
+        "duration": (14.0, *_SECONDS),
+    }),
+    "challenging_cut_in": (
+        _challenging_cut_in, {"ego_speed_mph": (60.0, *_MPH), **_CHALLENGING_CUT_IN}
+    ),
+    "challenging_cut_in_curved": (_challenging_cut_in, {
+        "curvature": (1.0 / 400.0, 0.0005, 0.01, "1/m"),
+        "ego_speed_mph": (40.0, *_MPH),
+        **_CHALLENGING_CUT_IN,
+    }),
+    "vehicle_following": (_vehicle_following, {
+        "ego_speed_mph": (70.0, *_MPH),
+        "follow_gap": (50.0, 20.0, 150.0, "m"),
+        "lead_decel": (6.0, 2.0, 9.0, "m/s^2"),
+        "trigger_time": (2.0, *_SECONDS),
+        "duration": (16.0, *_SECONDS),
+    }),
+    "front_right_activity_1": (
+        _front_right_activity_1, {"ego_speed_mph": (40.0, *_MPH), "duration": (12.0, *_SECONDS)}
+    ),
+    "front_right_activity_2": (
+        _front_right_activity_2, {"ego_speed_mph": (40.0, *_MPH), "duration": (12.0, *_SECONDS)}
+    ),
+    "front_right_activity_3": (
+        _front_right_activity_3, {"ego_speed_mph": (60.0, *_MPH), "duration": (12.0, *_SECONDS)}
+    ),
 }
 
 
-# each family's parameters: its builder's keyword arguments, sorted
-_PARAMS = {f: tuple(sorted(inspect.signature(b).parameters)) for f, b in FAMILY_BUILDERS.items()}
-
-
 def list_families() -> tuple[str, ...]:
-    return tuple(FAMILY_BUILDERS)
+    return tuple(FAMILIES)
 
 
 def generate_scenario(family: str, params: dict | None = None) -> ScenarioScript:
-    """Build a named family from its parameters: the keyword arguments of its builder."""
+    """Build a named family from its parameters: the names ``FAMILIES`` lists for it."""
     try:
-        builder = FAMILY_BUILDERS[family]
+        builder, spec = FAMILIES[family]
     except KeyError:
         raise ValueError(
-            f"unknown scenario family {family!r}; known: {', '.join(FAMILY_BUILDERS)}"
+            f"unknown scenario family {family!r}; known: {', '.join(FAMILIES)}"
         ) from None
     params = dict(params or {})
-    known = _PARAMS[family]
-    unknown = sorted(set(params).difference(known))
+    unknown = sorted(set(params).difference(spec))
     if unknown:
-        raise ValueError(f"{family}: unknown parameters {unknown}; known: {', '.join(known)}")
-    return builder(**params)
+        known = ", ".join(sorted(spec))
+        raise ValueError(f"{family}: unknown parameters {unknown}; known: {known}")
+    checked = {}
+    for name, (default, lo, hi, unit) in spec.items():
+        value = params.get(name, default)
+        derived = value is None and default is None
+        checked[name] = None if derived else within(name, value, lo, hi, unit)
+    return builder(family, **checked)

@@ -19,7 +19,7 @@ from typing import IO
 import numpy as np
 
 from .geometry import CameraConfig
-from .types import KinematicState, Trajectory, finite_float, normalize_angles
+from .types import KinematicState, Trajectory, finite_float, integer, normalize_angles
 
 
 class TraceFormatError(ValueError):
@@ -396,6 +396,7 @@ def ground_truth_trajectory(trace: ScenarioTrace, actor_id: str, from_tick: int)
     second sample so the result is still a valid trajectory.
     """
     ticks = trace.times.shape[0]
+    from_tick = integer("from_tick", from_tick)
     if not 0 <= from_tick < ticks:
         raise IndexError(f"from_tick {from_tick} outside trace of {ticks} ticks")
     if actor_id not in trace.actor_ids:

@@ -76,6 +76,13 @@ def integer(name: str, value: object) -> int:
     return int(value)
 
 
+def string(name: str, value: object) -> str:
+    """``value`` itself; ValueError naming ``name`` unless it is a str."""
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a string, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class KinematicState:
     """State of the ego or one actor at a single instant.

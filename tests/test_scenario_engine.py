@@ -1,6 +1,5 @@
 import dataclasses
 import hashlib
-import inspect
 import io
 import json
 import math
@@ -30,7 +29,7 @@ from safefpr import (
 from safefpr import engine
 from safefpr.geometry import DEFAULT_CAMERA_RIG, CameraConfig
 from safefpr.scenarios import (
-    FAMILY_BUILDERS,
+    FAMILIES,
     ActorEvent,
     ActorScript,
     RoadSpec,
@@ -429,6 +428,34 @@ class TestConstructorsMatchReader:
         save_script(loaded, again)
         assert again.getvalue() == buf.getvalue()
 
+    @pytest.mark.parametrize(
+        "cls,kwargs,name,value",
+        [
+            pytest.param(cls, kwargs, name, value, id=f"{cls.__name__}.{name}={value!r}")
+            for cls, kwargs, name, values in [
+                (ScenarioScript, SCRIPT, "name", [None, 7, "t"]),
+                (ScenarioScript, SCRIPT, "road", [None, {}, RoadSpec(lanes=2)]),
+                (ScenarioScript, SCRIPT, "actors", [None, "ab", [1], [ActorScript(**ACTOR)]]),
+                (ScenarioScript, SCRIPT, "notes", [None, [1], {"k": "v"}]),
+                (ActorScript, ACTOR, "actor_id", [None, 7, "b"]),
+                (ActorScript, ACTOR, "events", [None, [1], [ActorEvent(**LANE_CHANGE)]]),
+            ]
+            for value in values
+        ],
+    )
+    def test_shape_field_is_refused_or_round_trips(self, cls, kwargs, name, value):
+        # the shape rules of the JSON reader, at the constructor: a refusal
+        # names the field, and what is accepted saves and loads back equal
+        try:
+            script = in_script(cls(**{**kwargs, name: value}))
+        except ValueError as e:
+            assert name in str(e)
+            return
+        hash(script.actors)
+        buf = io.StringIO()
+        save_script(script, buf)
+        assert load_script(io.StringIO(buf.getvalue())) == script
+
     def test_integer_script_saves_byte_stably(self):
         script = ScenarioScript(name="s", ego_lane=0, ego_speed=10, duration=14)
         first, again = io.StringIO(), io.StringIO()
@@ -438,32 +465,38 @@ class TestConstructorsMatchReader:
         assert '"duration": 14.0' in first.getvalue()
 
 
-def documented_family_parameters() -> dict[str, set[str]]:
-    """Each family's parameter names, read from the family table of docs/formats.md.
+def documented_family_parameters() -> dict[str, dict[str, tuple[float, float]]]:
+    """Each family's parameters and their (lo, hi), read from the family table of docs/formats.md.
 
-    A row "as `f`, ..." takes family f's parameters and adds its own; a row
-    for `name_1/2/3` stands for name_1, name_2 and name_3.
+    A parameter given without a range takes any finite number. A row "as
+    `f`, ..." takes family f's parameters and adds its own, keeping f's
+    range where it gives none; a row for `name_1/2/3` stands for name_1,
+    name_2 and name_3.
     """
     text = (Path(__file__).parents[1] / "docs" / "formats.md").read_text()
     table = text.split("| family | parameter: default (range) |", 1)[1].split("\n\n", 1)[0]
-    documented: dict[str, set[str]] = {}
+    documented: dict[str, dict[str, tuple[float, float]]] = {}
     for family, cell in re.findall(r"^\| `([\w/]+)` \| (.*) \|$", table, re.M):
-        names = set(re.findall(r"`(\w+)`:", cell))
         base = re.match(r"as `(\w+)`", cell)
-        if base:
-            names |= documented[base.group(1)]
+        ranges = dict(documented[base.group(1)]) if base else {}
+        for name, rest in re.findall(r"`(\w+)`: ([^;]*)", cell):
+            bounds = re.search(r"\(([-\d.]+)–([-\d.]+)", rest)
+            if bounds:
+                ranges[name] = (float(bounds.group(1)), float(bounds.group(2)))
+            elif name not in ranges:
+                ranges[name] = (-math.inf, math.inf)
         head, *tails = family.split("/")
         for name in [head] + [head[: len(head) - len(t)] + t for t in tails]:
-            documented[name] = names
+            documented[name] = ranges
     return documented
 
 
 def test_docs_family_table_matches_builders():
-    builders = {
-        family: set(inspect.signature(builder).parameters)
-        for family, builder in FAMILY_BUILDERS.items()
+    declared = {
+        family: {name: (lo, hi) for name, (_, lo, hi, _) in spec.items()}
+        for family, (_, spec) in FAMILIES.items()
     }
-    assert documented_family_parameters() == builders
+    assert documented_family_parameters() == declared
 
 
 class TestEngine:
@@ -966,8 +999,7 @@ FULL_SCRIPTS = st.fixed_dictionaries(
         "notes": mostly(st.dictionaries(st.text(max_size=2), SCALARS, max_size=2)),
     },
 )
-FAMILY_PARAMS = ["ego_speed_mph", "lead_gap", "cut_gap", "slow_factor", "trigger_time",
-                 "follow_gap", "lead_decel", "curvature", "duration"]
+FAMILY_PARAMS = sorted({name for _, spec in FAMILIES.values() for name in spec})
 FAMILY_REFERENCES = st.fixed_dictionaries(
     {"family": mostly(st.sampled_from(list_families()))},
     optional={"params": mostly(st.dictionaries(st.sampled_from(FAMILY_PARAMS), VALUES))},

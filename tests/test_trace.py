@@ -232,6 +232,11 @@ class TestGroundTruth:
         with pytest.raises(KeyError):
             ground_truth_trajectory(build_trace(), "ghost", 0)
 
+    @pytest.mark.parametrize("from_tick", [True, 1.5, 2.0, "1", None])
+    def test_from_tick_must_be_an_integer(self, from_tick):
+        with pytest.raises(ValueError, match="from_tick must be an integer"):
+            ground_truth_trajectory(build_trace(), "lead", from_tick)
+
     def test_columns_are_the_recorded_future(self):
         trace = build_trace(n_ticks=12, dt=1 / 30)
         last = len(trace.ticks) - 1
