@@ -771,6 +771,16 @@ PINNED_SIMULATE_DIGESTS = {
 }
 
 
+# sha256 of the CSV that sweep writes over 0-80 mph in 26 steps at a 30 m
+# and a 100 m budget: default params, and the fixed policy at l0 0.1 s
+PINNED_SWEEP_DIGESTS = {
+    "30/default": "e8f871a29d43fe7ee66ea0a1ad3bfa8a877c3181186f922722e803282bf181ee",
+    "30/fixed_l0": "d97ab716bbcbcf6c910fd9519cc9f4b23eb94f046852c669190f85c7ba0cd8a3",
+    "100/default": "ac489ab2ce6de9d8473cf4828faec95dde63da7c63bbbcbefc57c8eee979fda1",
+    "100/fixed_l0": "209a3f0fa31a332edd4f03ab47bc288064a457068e77cde58e6ce84b3dc843c1",
+}
+
+
 class TestOutputBytes:
     """The bytes the CLI writes: one ``json.dumps(record, sort_keys=True)`` per line."""
 
@@ -794,6 +804,18 @@ class TestOutputBytes:
                 main(["simulate", "--script", str(script), "--out", str(out), *extra])
                 digests[f"{family}/{name}"] = hashlib.sha256(out.read_bytes()).hexdigest()
         assert digests == PINNED_SIMULATE_DIGESTS
+
+    def test_sweep_csv_is_pinned(self, tmp_path):
+        fixed = tmp_path / "fixed.json"
+        fixed.write_text(json.dumps({"l0_policy": "fixed", "l0": 0.1}))
+        digests = {}
+        for sn in ("30", "100"):
+            for name, extra in [("default", []), ("fixed_l0", ["--params", str(fixed)])]:
+                out = tmp_path / "grid.csv"
+                argv = ["sweep", "--sn", sn, "--ve0-max", "80mph", "--van-max", "80mph"]
+                assert main([*argv, "--out", str(out), *extra]) == 0
+                digests[f"{sn}/{name}"] = hashlib.sha256(out.read_bytes()).hexdigest()
+        assert digests == PINNED_SWEEP_DIGESTS
 
     def test_lines_equal_json_dumps(self):
         records = [
