@@ -31,6 +31,13 @@ its rows to the trace. A lone run builds its own world; the MRF scan
 only the count of an actor that is dangerous or already counting, so
 ``_run`` tests FOV membership (``in_fov``) for those actors alone; only
 that test and adaptive estimation build ``KinematicState``s.
+
+Each tick of the world also holds the cruising ego's nearest distance to
+an actor. Until its brakes engage, a run tests the actors one by one, in
+the script's order, only on the ticks where that distance is below the
+collision radius; after that, on every tick. A braking tick builds the
+braking ego's row, until the ego stands still, when it keeps the last one;
+only a recording run joins that row to the actors' for its trace.
 """
 
 from __future__ import annotations
@@ -177,6 +184,7 @@ class _Tick:
     row: list[float]
     starts: dict[str, int]                     # actor id -> where its state begins in row
     dangerous: frozenset[str]                  # ids of the actors ``_dangerous`` flags
+    nearest: float                             # least cruising-ego-to-actor distance, inf if none
     _states: dict[int, KinematicState] = field(default_factory=dict)
 
     def state(self, start: int) -> KinematicState:
@@ -220,11 +228,15 @@ class _World:
                 ego.advance(ENGINE_DT)
                 for actor in actors:  # i * ENGINE_DT can round differently
                     actor.advance((i - 1) * ENGINE_DT + ENGINE_DT, ENGINE_DT)
+            row = [f for body in (ego, *ordered) for f in _state_row(road, body)]
+            x, y = row[0], row[1]  # ``_run``'s collision test, on the cruising ego
             self.ticks.append(_Tick(
                 ego.s,
-                [f for body in (ego, *ordered) for f in _state_row(road, body)],
+                row,
                 starts,
                 frozenset(a.actor_id for a in actors if _dangerous(ego, a, road, params)),
+                min((math.hypot(row[j] - x, row[j + 1] - y) for j in starts.values()),
+                    default=math.inf),
             ))
 
     def braking_ego(self, tick: _Tick) -> _Ego:
@@ -311,21 +323,34 @@ def _run(
     collision: tuple[float, str] | None = None
     brake_at: float | None = None   # scheduled engage time
     braking: _Ego | None = None     # the ego once its brakes have engaged
+    stopped: list[float] | None = None  # its row once it stands still, which it then keeps
 
     for i, tick in enumerate(world.ticks):
         t = i * ENGINE_DT
-        row = tick.row if braking is None else _state_row(road, braking) + tick.row[5:]
-        ego_x, ego_y = row[0], row[1]
-
-        if record:
-            rows.append(row)
-
-        for aid, j in tick.starts.items():
-            if math.hypot(row[j] - ego_x, row[j + 1] - ego_y) < collision_radius:
-                collision = (t, aid)
+        # The cruising ego is tested for a collision only on the ticks whose
+        # nearest actor is within the radius, a braking one on every tick.
+        # A braking ego that has stopped keeps its row.
+        if braking is None:
+            ego_row = tick.row
+            if record:
+                rows.append(ego_row)
+            near = tick.nearest < collision_radius
+        else:
+            ego_row = stopped or _state_row(road, braking)
+            if not (ego_row[2] or ego_row[3]):  # v and a are 0: no later tick moves it
+                stopped = ego_row
+            if record:
+                rows.append(ego_row + tick.row[5:])
+            near = True
+        if near:
+            tick_row = tick.row
+            ego_x, ego_y = ego_row[0], ego_row[1]
+            for aid, j in tick.starts.items():
+                if math.hypot(tick_row[j] - ego_x, tick_row[j + 1] - ego_y) < collision_radius:
+                    collision = (t, aid)
+                    break
+            if collision:
                 break
-        if collision:
-            break
 
         if adaptive:
             # reference latency for estimation stays at the provisioned
@@ -335,7 +360,7 @@ def _run(
             trajs = {
                 aid: predict_trajectories(st, PREDICTOR) for aid, st in tick.actors.items()
             }
-            ego_world = tick.ego if braking is None else KinematicState(*row[:5])
+            ego_world = tick.ego if braking is None else KinematicState(*ego_row)
             _, reports = evaluate_scene(ego_world, trajs, cameras, l0, fixed_params)
             required = {cid: rep.fpr for cid, rep in reports.items()}
             flagged = {cid for cid, rep in reports.items() if rep.infeasible}
@@ -361,11 +386,13 @@ def _run(
         # matter. Until the brakes are scheduled the ego is the cruising one;
         # after that no frame changes the run.
         dangerous = tick.dangerous
-        for cam in cameras:
+        for cam in cameras if brake_at is None else ():
             cid = cam.camera_id
             counts = confirm_count[cid]
             while brake_at is None and next_frame[cid] <= t:
                 next_frame[cid] += 1.0 / rates[cid]
+                if not (dangerous or counts):
+                    continue
                 for aid in dangerous | counts.keys():
                     if not in_fov(tick.ego, tick.state(tick.starts[aid]), cam):
                         continue

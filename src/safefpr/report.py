@@ -17,6 +17,7 @@ from .types import (
     KinematicState,
     L0_FIXED,
     ModelParams,
+    Trajectory,
     constant_separation_trajectory,
     within,
 )
@@ -171,6 +172,22 @@ def analyze_trace(trace: ScenarioTrace, params: ModelParams) -> AnalysisResult:
     return AnalysisResult(times, actor_ids, latencies, reports, summary)
 
 
+def _sweep_ego(speed: float) -> KinematicState:
+    return KinematicState(x=0.0, y=0.0, v=speed, a=0.0, heading=0.0)
+
+
+def _cell_rate(
+    latency: float | None, ego: KinematicState, traj: Trajectory, l0: float, params: ModelParams
+) -> float | None:
+    """A sweep cell's value from its searched latency (None when the search
+    found none): its rate, or OVER_MAX or None as the zero-latency scan decides."""
+    if latency is not None:
+        return 1.0 / latency
+    if feasible_latency_scan(ego, traj, l0, 0.0, params):
+        return OVER_MAX
+    return None
+
+
 def required_fpr_cell(
     ego_speed: float,
     actor_speed: float,
@@ -187,15 +204,11 @@ def required_fpr_cell(
     ``separation`` must be finite and > 0.
     """
     within("separation", separation, 0.0, open_lo=True)
-    ego = KinematicState(x=0.0, y=0.0, v=ego_speed, a=0.0, heading=0.0)
-    traj = constant_separation_trajectory(separation, actor_speed, duration=params.horizon)
+    ego = _sweep_ego(ego_speed)
+    traj = constant_separation_trajectory(separation, actor_speed, params.horizon)
     l0_eff = params.latency_min if l0 is None else l0
-    est = tolerable_latency(ego, traj, l0_eff, params)
-    if not est.infeasible:
-        return 1.0 / est.latency
-    if feasible_latency_scan(ego, traj, l0_eff, 0.0, params):
-        return OVER_MAX
-    return None
+    latency = tolerable_latency(ego, traj, l0_eff, params).latency
+    return _cell_rate(latency, ego, traj, l0_eff, params)
 
 
 def sweep_grid(
@@ -205,11 +218,43 @@ def sweep_grid(
     params: ModelParams,
     l0: float | None = None,
 ) -> list[list[float | None]]:
-    """Rows indexed by ego speed, columns by actor speed."""
-    return [
-        [required_fpr_cell(ve, va, separation, params, l0) for va in actor_speeds]
-        for ve in ego_speeds
+    """Rows indexed by ego speed, columns by actor speed: cell (i, j) is
+    ``required_fpr_cell(ego_speeds[i], actor_speeds[j], separation, params, l0)``.
+
+    Every ego searches every actor's path, so the searches are one
+    ``search_paths`` call per block of egos (at most ``BLOCK_LANES`` lanes
+    and at least one ego), at offset 0.0, where it gives the scalar search's
+    latencies to the bit. Only the cells it leaves infeasible run the
+    zero-latency scan. The arguments are checked as the cell-by-cell loop
+    checks them, so a bad one raises the error its first cell would raise.
+    """
+    if not (len(ego_speeds) and len(actor_speeds)):
+        return [[] for _ in ego_speeds]
+    # checked in the order of the first cell (separation, its ego, its
+    # path, l0), then the first row's other paths, then the other egos
+    within("separation", separation, 0.0, open_lo=True)
+    egos = [_sweep_ego(ego_speeds[0])]
+    trajs = [constant_separation_trajectory(separation, actor_speeds[0], params.horizon)]
+    l0_eff = params.latency_min if l0 is None else l0
+    params.check_l0(l0_eff)
+    trajs += [
+        constant_separation_trajectory(separation, va, params.horizon) for va in actor_speeds[1:]
     ]
+    egos += [_sweep_ego(ve) for ve in ego_speeds[1:]]
+    paths = path_table([traj.columns() for traj in trajs])
+    rows = np.array([[ego.x, ego.y, ego.v, ego.a, ego.heading] for ego in egos])
+    block = max(1, BLOCK_LANES // (len(trajs) * len(params.latency_grid)))
+    grid: list[list[float | None]] = []
+    for start in range(0, len(egos), block):
+        part = rows[start : start + block]
+        lats, _ = search_paths(part, (0.0,) * len(part), paths, l0_eff, params)
+        for i, ego in enumerate(egos[start : start + block]):
+            row = lats[i * len(trajs) : (i + 1) * len(trajs)]
+            grid.append([
+                _cell_rate(latency, ego, traj, l0_eff, params)
+                for latency, traj in zip(row, trajs)
+            ])
+    return grid
 
 
 def format_cell(value: float | None, params: ModelParams) -> str:

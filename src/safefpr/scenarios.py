@@ -35,6 +35,26 @@ def _tuple_of(name: str, value: object, kind: type) -> tuple:
     return tuple(value)
 
 
+def _json_data(where: str, value: object) -> None:
+    """ValueError naming ``where``, or the path below it, unless ``value`` is
+    JSON data that saves and loads back equal: a string, a finite number, a
+    bool, None, or a list or string-keyed dict of these."""
+    if value is None or isinstance(value, (str, bool)):
+        return
+    if isinstance(value, (int, float)):
+        finite_float(where, value)
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            _json_data(f"{where}[{i}]", v)
+    elif isinstance(value, dict):
+        for k, v in value.items():
+            if not isinstance(k, str):
+                raise ValueError(f"{where} keys must be strings, got {k!r}")
+            _json_data(f"{where}[{k!r}]", v)
+    else:
+        raise ValueError(f"{where} must be JSON data, got {type(value).__name__} {value!r}")
+
+
 def _set(script: object, **checked: object) -> None:
     # a script keeps each number as the float it saves and loads as, so an
     # int given for a float field saves the same bytes as its float
@@ -141,7 +161,7 @@ class ScenarioScript:
     road: RoadSpec = RoadSpec()
     actors: tuple[ActorScript, ...] = ()
     trigger_time: float | None = None  # the family's key moment, if any
-    notes: dict = field(default_factory=dict)
+    notes: dict = field(default_factory=dict, hash=False)  # JSON data, free-form
 
     def __post_init__(self) -> None:
         string("name", self.name)
@@ -159,6 +179,10 @@ class ScenarioScript:
             _set(self, trigger_time=finite_float("trigger_time", self.trigger_time))
         if not isinstance(self.notes, dict):
             raise ValueError(f"notes must be a dict, got {type(self.notes).__name__}")
+        try:
+            _json_data("notes", self.notes)
+        except RecursionError:
+            raise ValueError("notes nest too deeply") from None
         for a in self.actors:
             within(f"actor {a.actor_id!r}: lane", a.lane, 0, last, unit)
             for i, e in enumerate(a.events):

@@ -349,6 +349,68 @@ class TestSweep:
         with pytest.raises(ValueError, match="separation"):
             sweep_grid(separation, [10.0], [0.0], PARAMS)
 
+    @pytest.mark.parametrize(
+        "params,l0",
+        [
+            (PARAMS, None),
+            (ModelParams(l0_policy=L0_FIXED), None),
+            (ModelParams(l0_policy=L0_FIXED), 0.1),
+            (ModelParams(l0_policy=L0_FIXED, latency_max=0.5), 0.25),
+        ],
+    )
+    @pytest.mark.parametrize("separation", [30.0, 100.0])
+    def test_grid_is_the_cells(self, params, l0, separation):
+        # the batched search and the zero-latency scans give each cell's value
+        ego_speeds = [0.0, 14.3, 25.75, 29.6, 30.04, 31.47, 35.76]
+        actor_speeds = [0.0, 2.86, 5.72, 7.15, 11.44, 22.89, 35.76]
+        grid = sweep_grid(separation, ego_speeds, actor_speeds, params, l0)
+        want = [
+            [required_fpr_cell(ve, va, separation, params, l0) for va in actor_speeds]
+            for ve in ego_speeds
+        ]
+        assert grid == want
+        cells = [cell for row in grid for cell in row]
+        assert None in cells
+        assert OVER_MAX in cells or separation == 30.0
+
+    def test_blocks_of_one_ego_are_the_cells(self, monkeypatch):
+        monkeypatch.setattr(report, "BLOCK_LANES", 1)
+        speeds = [0.0, 20.0, 29.6, 35.76]
+        want = [[required_fpr_cell(ve, va, 100.0, PARAMS) for va in speeds] for ve in speeds]
+        assert sweep_grid(100.0, speeds, speeds, PARAMS) == want
+
+    @pytest.mark.parametrize(
+        "ego_speeds,actor_speeds,separation,l0",
+        [
+            ([math.nan, 1.0], [1.0, 2.0], 30.0, None),
+            ([1.0, -1.0], [1.0, 2.0], 30.0, None),
+            ([1.0, 2.0], [1.0, math.nan], 30.0, None),
+            ([1.0, 2.0], [-1.0, 2.0], 30.0, None),
+            ([1.0, math.nan], [1.0, -1.0], 30.0, None),
+            ([-1.0, 2.0], [math.nan, 2.0], 30.0, None),
+            ([1.0, -1.0], [-2.0, 2.0], math.nan, None),
+            ([1.0, -1.0], [1.0, -2.0], 30.0, -0.1),
+            ([1.0, 2.0], [-2.0, 1.0], 30.0, -0.1),
+            ([math.nan], [], math.nan, None),
+            ([], [math.nan], math.nan, None),
+        ],
+    )
+    def test_bad_speed_raises_as_the_cells_do(self, ego_speeds, actor_speeds, separation, l0):
+        # the first error the cell-by-cell loop meets, or its grid of empty rows
+        params = ModelParams(l0_policy=L0_FIXED)
+
+        def outcome(make):
+            try:
+                return make()
+            except ValueError as e:
+                return str(e)
+
+        want = outcome(lambda: [
+            [required_fpr_cell(ve, va, separation, params, l0) for va in actor_speeds]
+            for ve in ego_speeds
+        ])
+        assert outcome(lambda: sweep_grid(separation, ego_speeds, actor_speeds, params, l0)) == want
+
     def test_format_cell_rounding(self):
         assert format_cell(15.000000000000004, PARAMS) == "15"
         assert format_cell(7.5, PARAMS) == "7.5"

@@ -456,6 +456,38 @@ class TestConstructorsMatchReader:
         save_script(script, buf)
         assert load_script(io.StringIO(buf.getvalue())) == script
 
+    @pytest.mark.parametrize(
+        "notes,path",
+        [
+            ({"k": (1, 2)}, "notes['k']"),
+            ({1: 2}, "notes keys"),
+            ({"k": math.nan}, "notes['k']"),
+            ({"k": [0, {"j": -math.inf}]}, "notes['k'][1]['j']"),
+            ({"k": 10**400}, "notes['k']"),
+            ({"k": object()}, "notes['k']"),
+            ({"k": {"j": {2}}}, "notes['k']['j']"),
+            ({"k": {None: 1}}, "notes['k'] keys"),
+        ],
+    )
+    def test_notes_that_are_not_json_data_are_refused(self, notes, path):
+        with pytest.raises(ValueError, match=re.escape(path)):
+            ScenarioScript(**SCRIPT, notes=notes)
+
+    @pytest.mark.parametrize(
+        "notes",
+        [{}, {"k": [1, -0.0, 2.5, None, True, "x", {"j": []}]}, {"big": 10**300, "": {}}],
+    )
+    def test_json_notes_round_trip_and_do_not_hash(self, notes):
+        script = ScenarioScript(**SCRIPT, notes=notes)
+        buf = io.StringIO()
+        save_script(script, buf)
+        assert load_script(io.StringIO(buf.getvalue())) == script
+        assert hash(script) == hash(ScenarioScript(**SCRIPT))
+
+    def test_generated_scripts_hash(self):
+        assert hash(generate_scenario("cut_in")) == hash(generate_scenario("cut_in"))
+        assert len({generate_scenario(family) for family in list_families()}) == len(FAMILIES)
+
     def test_integer_script_saves_byte_stably(self):
         script = ScenarioScript(name="s", ego_lane=0, ego_speed=10, duration=14)
         first, again = io.StringIO(), io.StringIO()
@@ -767,6 +799,54 @@ class TestSharedWorld:
         assert len(world.ticks) == round(script.duration / engine.ENGINE_DT) + 1
         after = [(t.ego_s, t.ego, t.actors, t.dangerous) for t in world.ticks]
         assert after == before
+
+
+class TestTwoActorsInReach:
+    """The ego comes within the radius of two actors on one tick, before any
+    brake. A run names the first of them in the script's order (the first
+    in sorted id order when the script lists them sorted), at the tick a
+    per-actor test on every tick finds."""
+
+    @staticmethod
+    def script(ids, gap, speed):
+        # two actors with one state: every distance to them is equal
+        return ScenarioScript(
+            name="two_in_reach", ego_lane=1, ego_speed=10.0, duration=6.0,
+            actors=tuple(ActorScript(aid, lane=1, gap=gap, speed=speed) for aid in ids),
+        )
+
+    @pytest.mark.parametrize("record", [True, False])
+    @pytest.mark.parametrize("ids", [("a", "b"), ("b", "a")])
+    @pytest.mark.parametrize(
+        "gap,speed,mode,tick,brake_time",
+        [
+            # two actors from behind catch up with the cruising ego
+            (-10.1, 15.0, 1.0, 58, None),
+            (-10.1, 15.0, 30.0, 58, None),
+            (-10.1, 15.0, "adaptive", 58, None),
+            # two stopped actors ahead: at 1 Hz the cruising ego reaches
+            # them, at 5 Hz the braking one does
+            (30.0, 0.0, 1.0, 89, None),
+            (30.0, 0.0, 5.0, 109, 2.0),
+            (30.0, 0.0, 30.0, None, 1.0333333333333334),
+            (30.0, 0.0, "adaptive", None, 1.4666666666666666),
+        ],
+    )
+    def test_run_names_the_first_in_script_order(
+        self, ids, gap, speed, mode, tick, brake_time, record
+    ):
+        rate = dict(adaptive=True) if mode == "adaptive" else dict(frame_rate=mode)
+        result = run_scenario(self.script(ids, gap, speed), ModelParams(), record=record, **rate)
+        want = None if tick is None else (tick * engine.ENGINE_DT, ids[0])
+        assert (result.collision, result.brake_time) == (want, brake_time)
+
+    @pytest.mark.parametrize("ids", [("a", "b"), ("b", "a")])
+    def test_mrf(self, ids):
+        params = ModelParams()
+        assert scenario_mrf(self.script(ids, -10.1, 15.0), params) is None
+        ahead = self.script(ids, 30.0, 0.0)
+        assert scenario_mrf(ahead, params) == 7
+        assert scenario_mrf(ahead, params, collision_radius=0.5) == 6
 
 
 class TestStateRows:
