@@ -7,10 +7,16 @@ horizon, plus the stop time, the trajectory's sample times and the speed
 crossings) and integrates the ego motion from its piecewise-linear velocity
 profile, so agreement with the fast search is meaningful. The witness is the
 earliest grid point where both constraints hold. The first ``HEAD`` points
-are evaluated first and the rest only when none of them holds. On the rest
-the distance test runs at every point and the speed test only at the points
-where distance holds, so a latency that is rejected still had at least one
-constraint fail at every grid point.
+are evaluated first and the rest only when none of them holds, in blocks of
+``BLOCK`` points. A block is skipped when a bound from its first point proves
+that the distance test fails at every point of the block: the actor moves
+no faster than its fastest segment between samples and the ego's distance
+never falls, so no point of the block has more distance margin than the
+bound, which must fail the test by a tolerance far above rounding error.
+The other blocks' points are evaluated, the distance test at each and the
+speed test where distance holds. So every grid point of a rejected latency
+is evaluated or bounded, and the witness is the one that evaluating every
+point finds.
 """
 
 from __future__ import annotations
@@ -34,6 +40,10 @@ FLOAT_SLACK = 1e-8
 # lie near the reaction time (on the validation corpus over half at the first
 # point and about 83% within the first 256), so most feasible scans stop here.
 HEAD = 256
+
+# Tail points per block; a block is skipped whole when a bound from its first
+# point proves the distance test fails at every one of its points.
+BLOCK = 32
 
 
 @dataclass(frozen=True)
@@ -208,10 +218,32 @@ def _earliest_probe(
     )
     if ok.any():
         return float(head[ok.argmax()])
-    # The tail, in place: the distance test at every point, and the actor's
-    # speed read and tested only where distance holds, which in a rejected
-    # latency's scan is a few percent of the points. The floats are the
-    # head's expressions, point by point.
+    if len(tail) == 0:
+        return None
+    # The tail in blocks of BLOCK points, each bounded from its first point
+    # c. The actor moves at most w m/s and the ego's distance d never falls
+    # (its speed is >= 0), so up to the next block's first point (the last
+    # point, for the last block) no point's distance margin exceeds
+    # margin * (sep(c) + w * span) - d(c). A block whose bound fails the
+    # distance test by more than tol, far above the rounding of positions
+    # and distances of these magnitudes, cannot hold the witness and is
+    # skipped; a NaN or inf bound keeps its block.
+    firsts = tail[::BLOCK]
+    d, _ = _ego_at(firsts, knots)
+    reach = np.hypot(np.interp(firsts, ts, xs) - ego0.x, np.interp(firsts, ts, ys) - ego0.y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # from the positions: a reported speed need not be the actor's motion
+        w = (np.hypot(xs[1:] - xs[:-1], ys[1:] - ys[:-1]) / (ts[1:] - ts[:-1])).max(initial=0.0)
+        reach += w * (np.concatenate((firsts[1:], tail[-1:])) - firsts)
+        tol = 1e-6 * (1.0 + abs(ego0.x) + abs(ego0.y) + reach + d)
+        keep = ~(params.distance_margin * reach - d < -FLOAT_SLACK - tol)
+    if not keep.any():
+        return None
+    if not keep.all():
+        tail = tail[np.repeat(keep, BLOCK)[: len(tail)]]
+    # The kept points, in place: the distance test at every point, and the
+    # actor's speed read and tested only where distance holds. The floats
+    # are the head's expressions, point by point.
     d, ve = _ego_at(tail, knots)
     gap = np.interp(tail, ts, xs)
     gap -= ego0.x
@@ -287,7 +319,9 @@ def collision_check(
     t_react = reaction_time(latency, l0_eff, params)
     decel = braking_decel(ego0.a, params)
 
-    grid = _merge(np.arange(0.0, params.horizon, params.fine_dt), sorted({t_react, params.horizon}))
+    # a reaction past the horizon is not simulated, as in the scan's grid
+    extras = sorted({t for t in (t_react, params.horizon) if t <= params.horizon})
+    grid = _merge(np.arange(0.0, params.horizon, params.fine_dt), extras)
     knots = _velocity_knots(ego0.v, ego0.a, t_react, decel, float(grid[-1]) + 1.0)
     d, _ = _ego_at(grid, knots)
     ex = ego0.x + d * math.cos(ego0.heading)

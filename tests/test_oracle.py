@@ -19,7 +19,7 @@ from safefpr import (
     tolerable_latency,
 )
 from safefpr.model import braking_decel, reaction_time, resolve_l0
-from safefpr.types import L0_FIXED, constant_separation_trajectory
+from safefpr.types import L0_FIXED, constant_separation_trajectory, straight_line_trajectory
 
 from conftest import corpus_params, random_case, static_actor_trajectory
 
@@ -265,13 +265,162 @@ class TestParity:
         assert got == params.horizon
 
 
+def _exhaustive_scan(ego0, traj, l0, latency, p):
+    """(grid, the earliest probe) with every grid point evaluated, no point skipped.
+
+    The scan's reference: its head and its blocked tail must give this
+    witness to the bit, since both use these expressions point by point.
+    """
+    t_react, vr, decel = _scan_inputs(ego0, l0, latency, p)
+    ts, xs, ys, vs = traj.columns()
+    grid = oracle._scan_grid(ts.tolist(), vs.tolist(), t_react, vr, decel, p)
+    if len(grid) == 0:
+        return grid, None
+    knots = oracle._velocity_knots(ego0.v, ego0.a, t_react, decel, float(grid[-1]) + 1.0)
+    d, ve = oracle._ego_at(grid, knots)
+    sep = np.hypot(np.interp(grid, ts, xs) - ego0.x, np.interp(grid, ts, ys) - ego0.y)
+    ok = (p.distance_margin * sep - d >= -oracle.FLOAT_SLACK) & (
+        ve <= p.speed_margin * np.interp(grid, ts, vs) + oracle.FLOAT_SLACK
+    )
+    return grid, float(grid[ok.argmax()]) if ok.any() else None
+
+
+def _fast_actor(rng) -> Trajectory:
+    """An actor at up to 60 m/s that turns at every sample, 0.05 to 3 s apart, past the horizon.
+
+    It closes on and opens from the ego within one block, and its reported
+    speeds are drawn apart from its motion.
+    """
+    t, x, y = 0.0, rng.uniform(-120.0, 120.0), rng.uniform(-120.0, 120.0)
+    rows = [(t, x, y)]
+    while t < 32.0:
+        dt, speed, heading = rng.uniform(0.05, 3.0), rng.uniform(0.0, 60.0), rng.uniform(-math.pi, math.pi)
+        t += dt
+        x += speed * dt * math.cos(heading)
+        y += speed * dt * math.sin(heading)
+        rows.append((t, x, y))
+    ts, xs, ys = zip(*rows)
+    return Trajectory(t=ts, x=xs, y=ys, v=rng.uniform(0.0, 40.0, len(ts)))
+
+
+def _random_ego(rng) -> KinematicState:
+    return KinematicState(0.0, 0.0, rng.uniform(0.0, 35.0), rng.uniform(-6.0, 3.0), rng.uniform(-math.pi, math.pi))
+
+
+def _parity_cases():
+    """Seeded (ego, trajectory, l0, params) cases for the blocked-tail parity property."""
+    rng = np.random.default_rng(28)
+    policies = (
+        ModelParams(),
+        ModelParams(l0_policy=L0_FIXED),
+        ModelParams(fine_dt=0.003),
+        ModelParams(l0_policy=L0_FIXED, fine_dt=0.003),
+    )
+    for i in range(660):
+        p = policies[i % 2] if i % 13 else policies[2 + i // 13 % 2]
+        kind = i % 4
+        if kind == 0:
+            ego, traj, l0 = random_case(rng)
+        elif kind == 1:
+            ego, traj, l0 = _random_ego(rng), _fast_actor(rng), rng.uniform(1.0 / 30.0, 1.0)
+        elif kind == 2:
+            # w = 0: the actor reports a speed but holds its separation
+            sep, va, bearing = rng.uniform(3.0, 150.0), rng.uniform(0.0, 35.0), rng.uniform(-math.pi, math.pi)
+            ego, traj, l0 = _random_ego(rng), constant_separation_trajectory(sep, va, 40.0, bearing), 0.1
+        else:
+            # the validation corpus's constant-velocity actor
+            r, bearing = rng.uniform(5.0, 150.0), rng.uniform(-math.pi, math.pi)
+            start = KinematicState(
+                r * math.cos(bearing), r * math.sin(bearing), rng.uniform(0.0, 35.0), 0.0, rng.uniform(-math.pi, math.pi)
+            )
+            ego, traj, l0 = _random_ego(rng), straight_line_trajectory(start, 30.0, 30.0), 1.0 / 30.0
+        yield ego, traj, l0, p, (0.0, *p.latency_grid)
+    # An actor opening at 2 m/s from an ego that stops from 20 m/s, placed so
+    # that distance first holds between grid points k + 1 and k from the
+    # horizon: witnesses across the last blocks, at every tail length's
+    # residue, and at the horizon alone in a one-point last block. Half the
+    # actors first jump 1 m in 5e-324 s, so w is inf and each bound inf or NaN.
+    ego = KinematicState(0.0, 0.0, 20.0)
+    for p in policies:
+        for latency in p.latency_grid:
+            t_react, vr, decel = _scan_inputs(ego, 0.1, latency, p)
+            stop = vr * t_react + vr * vr / (2.0 * decel)
+            for k in (0, 1, 5, 31, 32, 40):
+                start = stop / p.distance_margin - 2.0 * (p.horizon - (k + 0.5) * p.fine_dt)
+                yield ego, straight_line_trajectory(KinematicState(start, 0.0, 2.0), 40.0, 40.0), 0.1, p, (latency,)
+                jump = Trajectory(t=[0.0, 5e-324, 40.0], x=[start, start, start + 80.0], y=[1.0, 0.0, 0.0], v=[0.0] * 3)
+                yield ego, jump, 0.1, p, (latency,)
+
+
+class TestBlockedTail:
+    """The tail's skipped blocks never hold the witness: every scan equals the exhaustive one."""
+
+    def test_witness_is_the_exhaustive_scans(self):
+        hits = dict.fromkeys(("none", "first", "last", "one_point_last", "stop", "sample"), 0)
+        scans = 0
+        for ego, traj, l0, p, latencies in _parity_cases():
+            ts = traj.t.tolist()
+            for latency in latencies:
+                grid, want = _exhaustive_scan(ego, traj, l0, latency, p)
+                assert oracle._earliest_probe(ego, traj, l0, latency, p) == want
+                scans += 1
+                # where the witness lies among the tail's blocks
+                tail = grid[oracle.HEAD :]
+                if want is None:
+                    hits["none"] += len(tail) > 0
+                    continue
+                at = int(tail.searchsorted(want))
+                if at == len(tail) or tail[at] != want:
+                    continue  # a head witness
+                block = at - at % oracle.BLOCK
+                hits["first"] += block == 0
+                hits["last"] += block + oracle.BLOCK >= len(tail)
+                hits["one_point_last"] += block == len(tail) - 1
+                # a kink of the ego's or the actor's motion inside the block, before the witness
+                inside = tail[block + 1 : at + 1]
+                t_react, vr, decel = _scan_inputs(ego, l0, latency, p)
+                hits["stop"] += t_react + vr / decel in inside
+                hits["sample"] += any(t in inside for t in ts)
+        assert scans >= 20_000
+        assert all(n > 0 for n in hits.values()), hits
+
+    def test_inf_or_nan_bound_keeps_its_block(self, params):
+        """A segment of 5e-324 s makes w inf: each block's bound is inf, and
+        inf * 0 makes a one-point last block's NaN; both blocks are kept."""
+        ego, checked = KinematicState(0.0, 0.0, 20.0), 0
+        for latency in params.latency_grid:
+            t_react, vr, decel = _scan_inputs(ego, 0.1, latency, params)
+            stop = vr * t_react + vr * vr / (2.0 * decel)
+            # opening at 2 m/s after the jump, far enough only at the horizon
+            ts = [0.0, 5e-324, 40.0]
+            before = oracle._scan_grid(ts, [0.0] * 3, t_react, vr, decel, params)[-2]
+            start = stop / params.distance_margin - (before + params.horizon)
+            traj = Trajectory(t=ts, x=[start, start, start + 80.0], y=[1.0, 0.0, 0.0], v=[0.0] * 3)
+            grid, want = _exhaustive_scan(ego, traj, 0.1, latency, params)
+            assert want == params.horizon
+            assert oracle._earliest_probe(ego, traj, 0.1, latency, params) == want
+            checked += (len(grid) - oracle.HEAD) % oracle.BLOCK == 1
+        assert checked > 0
+
+    @pytest.mark.parametrize("x0, x1", [(1e300, 1e300), (-1e300, 1e300), (-1.5e308, 1.5e308)])
+    def test_huge_coordinates_keep_their_blocks(self, params, x0, x1):
+        """An actor 1e300 m away, still or crossing 3e308 m in 1e-10 s (w inf): the
+        ego cruising at 30 m/s meets the speed test in the tail, at its stop."""
+        ego = KinematicState(0.0, 0.0, 30.0)
+        traj = Trajectory(t=[0.0, 1e-10, 40.0], x=[x0, x1, x1], y=[1e300] * 3, v=[0.0] * 3)
+        for latency in (0.5, 1.0):
+            _, want = _exhaustive_scan(ego, traj, 0.1, latency, params)
+            assert want is not None and want > oracle.HEAD * params.fine_dt
+            assert oracle._earliest_probe(ego, traj, 0.1, latency, params) == want
+
+
 class TestScanMemory:
     """One full scan holds at most 80 B per grid point (docs/formats.md, MAX_SCAN_POINTS)."""
 
     @pytest.mark.parametrize("fine_dt", [0.01, 3e-4])
     def test_traced_peak_per_point(self, fine_dt):
         p = ModelParams(fine_dt=fine_dt)
-        ego = KinematicState(0, 0, 17.88)  # infeasible: every grid point is evaluated
+        ego = KinematicState(0, 0, 17.88)  # infeasible: every grid point is evaluated or bounded
         traj = static_actor_trajectory(30.0)
         points = p.horizon / fine_dt
         for scan in (
@@ -286,6 +435,21 @@ class TestScanMemory:
             finally:
                 tracemalloc.stop()
             assert peak <= 80 * points
+
+    @pytest.mark.parametrize("fine_dt", [0.01, 3e-4])
+    def test_traced_peak_per_point_with_no_block_skipped(self, fine_dt):
+        p = ModelParams(fine_dt=fine_dt)
+        # distance holds at every grid point (the ego covers under 2400 m of
+        # the 4500 m allowed) and speed at none (it still moves at the horizon)
+        ego, traj = KinematicState(0, 0, 150.0), static_actor_trajectory(5000.0)
+        assert oracle._earliest_probe(ego, traj, 0.5, 0.5, p) is None
+        tracemalloc.start()
+        try:
+            oracle._earliest_probe(ego, traj, 0.5, 0.5, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 80 * p.horizon / fine_dt
 
 
 class TestBestLatency:
@@ -377,6 +541,13 @@ class TestCollision:
         ego = KinematicState(0, 0, 11.18)
         traj = static_actor_trajectory(30.0)
         assert not collision_check(ego, traj, 0.5, 0.5, params, 0.5)
+
+    def test_reaction_past_the_horizon_is_not_simulated(self, params):
+        # cruising at 10 m/s, the ego reaches the actor 1000 m ahead at 100 s,
+        # past the 30 s horizon, whatever the latency
+        ego, traj = KinematicState(0, 0, 10.0), static_actor_trajectory(1000.0)
+        for latency in (29.0, 100.0):
+            assert not collision_check(ego, traj, latency, 0.1, params, 2.0)
 
     def test_radius_zero_never_collides(self):
         rng = np.random.default_rng(5)
