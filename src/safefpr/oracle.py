@@ -218,8 +218,6 @@ def _earliest_probe(
     )
     if ok.any():
         return float(head[ok.argmax()])
-    if len(tail) == 0:
-        return None
     # The tail in blocks of BLOCK points, each bounded from its first point
     # c. The actor moves at most w m/s and the ego's distance d never falls
     # (its speed is >= 0), so up to the next block's first point (the last

@@ -288,13 +288,15 @@ def _exhaustive_scan(ego0, traj, l0, latency, p):
 def _fast_actor(rng) -> Trajectory:
     """An actor at up to 60 m/s that turns at every sample, 0.05 to 3 s apart, past the horizon.
 
-    It closes on and opens from the ego within one block, and its reported
-    speeds are drawn apart from its motion.
+    A block of the default grid spans 0.32 s, so the actor's separation can
+    rise and fall inside one block. Its reported speeds are drawn apart
+    from its motion.
     """
     t, x, y = 0.0, rng.uniform(-120.0, 120.0), rng.uniform(-120.0, 120.0)
     rows = [(t, x, y)]
     while t < 32.0:
-        dt, speed, heading = rng.uniform(0.05, 3.0), rng.uniform(0.0, 60.0), rng.uniform(-math.pi, math.pi)
+        dt, speed = rng.uniform(0.05, 3.0), rng.uniform(0.0, 60.0)
+        heading = rng.uniform(-math.pi, math.pi)
         t += dt
         x += speed * dt * math.cos(heading)
         y += speed * dt * math.sin(heading)
@@ -304,7 +306,8 @@ def _fast_actor(rng) -> Trajectory:
 
 
 def _random_ego(rng) -> KinematicState:
-    return KinematicState(0.0, 0.0, rng.uniform(0.0, 35.0), rng.uniform(-6.0, 3.0), rng.uniform(-math.pi, math.pi))
+    v, a, heading = rng.uniform(0.0, 35.0), rng.uniform(-6.0, 3.0), rng.uniform(-math.pi, math.pi)
+    return KinematicState(0.0, 0.0, v, a, heading)
 
 
 def _parity_cases():
@@ -326,13 +329,13 @@ def _parity_cases():
         elif kind == 2:
             # w = 0: the actor reports a speed but holds its separation
             sep, va, bearing = rng.uniform(3.0, 150.0), rng.uniform(0.0, 35.0), rng.uniform(-math.pi, math.pi)
-            ego, traj, l0 = _random_ego(rng), constant_separation_trajectory(sep, va, 40.0, bearing), 0.1
+            traj = constant_separation_trajectory(sep, va, 40.0, bearing)
+            ego, l0 = _random_ego(rng), 0.1
         else:
             # the validation corpus's constant-velocity actor
             r, bearing = rng.uniform(5.0, 150.0), rng.uniform(-math.pi, math.pi)
-            start = KinematicState(
-                r * math.cos(bearing), r * math.sin(bearing), rng.uniform(0.0, 35.0), 0.0, rng.uniform(-math.pi, math.pi)
-            )
+            x, y = r * math.cos(bearing), r * math.sin(bearing)
+            start = KinematicState(x, y, rng.uniform(0.0, 35.0), 0.0, rng.uniform(-math.pi, math.pi))
             ego, traj, l0 = _random_ego(rng), straight_line_trajectory(start, 30.0, 30.0), 1.0 / 30.0
         yield ego, traj, l0, p, (0.0, *p.latency_grid)
     # An actor opening at 2 m/s from an ego that stops from 20 m/s, placed so
@@ -347,8 +350,11 @@ def _parity_cases():
             stop = vr * t_react + vr * vr / (2.0 * decel)
             for k in (0, 1, 5, 31, 32, 40):
                 start = stop / p.distance_margin - 2.0 * (p.horizon - (k + 0.5) * p.fine_dt)
-                yield ego, straight_line_trajectory(KinematicState(start, 0.0, 2.0), 40.0, 40.0), 0.1, p, (latency,)
-                jump = Trajectory(t=[0.0, 5e-324, 40.0], x=[start, start, start + 80.0], y=[1.0, 0.0, 0.0], v=[0.0] * 3)
+                line = straight_line_trajectory(KinematicState(start, 0.0, 2.0), 40.0, 40.0)
+                jump = Trajectory(
+                    t=[0.0, 5e-324, 40.0], x=[start, start, start + 80.0], y=[1.0, 0.0, 0.0], v=[0.0] * 3
+                )
+                yield ego, line, 0.1, p, (latency,)
                 yield ego, jump, 0.1, p, (latency,)
 
 
@@ -404,13 +410,13 @@ class TestBlockedTail:
 
     @pytest.mark.parametrize("x0, x1", [(1e300, 1e300), (-1e300, 1e300), (-1.5e308, 1.5e308)])
     def test_huge_coordinates_keep_their_blocks(self, params, x0, x1):
-        """An actor 1e300 m away, still or crossing 3e308 m in 1e-10 s (w inf): the
-        ego cruising at 30 m/s meets the speed test in the tail, at its stop."""
+        """An actor 1e300 m away, still or crossing 2e300 or 3e308 m in 1e-10 s (w inf):
+        the ego cruising at 30 m/s meets the speed test in the tail, at its stop."""
         ego = KinematicState(0.0, 0.0, 30.0)
         traj = Trajectory(t=[0.0, 1e-10, 40.0], x=[x0, x1, x1], y=[1e300] * 3, v=[0.0] * 3)
         for latency in (0.5, 1.0):
-            _, want = _exhaustive_scan(ego, traj, 0.1, latency, params)
-            assert want is not None and want > oracle.HEAD * params.fine_dt
+            grid, want = _exhaustive_scan(ego, traj, 0.1, latency, params)
+            assert want is not None and want >= grid[oracle.HEAD]
             assert oracle._earliest_probe(ego, traj, 0.1, latency, params) == want
 
 
