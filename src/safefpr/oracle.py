@@ -17,6 +17,19 @@ The other blocks' points are evaluated, the distance test at each and the
 speed test where distance holds. So every grid point of a rejected latency
 is evaluated or bounded, and the witness is the one that evaluating every
 point finds.
+
+``oracle_best_latency`` scans the latency grid from the largest latency
+down and stops at the first witness, but once the largest is rejected it
+proves some latencies rejected instead of scanning them. The lemma: a
+larger latency reacts no earlier (under either l0 policy), and braking is
+never gentler than the held acceleration (``braking_decel(a0) >= -a0``),
+so at every time its ego is no slower and has gone no shorter a distance.
+So a bound showing that the two constraints hold together nowhere in
+[t_react(L), horizon] under L rejects every latency >= L as well, whose
+grids lie inside that interval. The latencies left unscanned are those at
+and above a proved one, all rejected by the scan, and every latency that
+is scanned runs the same scan, so each verdict and witness is the one the
+plain descending scan gives.
 """
 
 from __future__ import annotations
@@ -185,6 +198,34 @@ def _scan_grid(
     return _merge(base, sorted({t for t in extras if t_react <= t <= horizon}))
 
 
+def _distance_rejects(
+    ego0: KinematicState,
+    ts: np.ndarray,
+    xs: np.ndarray,
+    ys: np.ndarray,
+    firsts: np.ndarray,
+    ends: np.ndarray,
+    d: np.ndarray,
+    distance_margin: float,
+) -> np.ndarray:
+    """Per block [first, end]: True where the distance test fails at every time.
+
+    ``d`` is the ego's distance at each first time. The actor moves at most
+    w m/s and the ego's distance never falls (its speed is >= 0), so no time
+    of the block has a distance margin above margin * (sep(first) + w *
+    span) - d(first). A block whose bound fails the test by more than tol,
+    far above the rounding of positions and distances of these magnitudes,
+    is True; a NaN or inf bound is False.
+    """
+    reach = np.hypot(np.interp(firsts, ts, xs) - ego0.x, np.interp(firsts, ts, ys) - ego0.y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # from the positions: a reported speed need not be the actor's motion
+        w = (np.hypot(xs[1:] - xs[:-1], ys[1:] - ys[:-1]) / (ts[1:] - ts[:-1])).max(initial=0.0)
+        reach += w * (ends - firsts)
+        tol = 1e-6 * (1.0 + abs(ego0.x) + abs(ego0.y) + reach + d)
+        return distance_margin * reach - d < -FLOAT_SLACK - tol
+
+
 def _earliest_probe(
     ego0: KinematicState,
     traj: Trajectory,
@@ -219,30 +260,22 @@ def _earliest_probe(
     if ok.any():
         return float(head[ok.argmax()])
     # The tail in blocks of BLOCK points, each bounded from its first point
-    # c. The actor moves at most w m/s and the ego's distance d never falls
-    # (its speed is >= 0), so up to the next block's first point (the last
-    # point, for the last block) no point's distance margin exceeds
-    # margin * (sep(c) + w * span) - d(c). A block whose bound fails the
-    # distance test by more than tol, far above the rounding of positions
-    # and distances of these magnitudes, cannot hold the witness and is
-    # skipped; a NaN or inf bound keeps its block.
+    # up to the next block's first point (the last point, for the last
+    # block); a block the bound rejects cannot hold the witness and is
+    # skipped.
     firsts = tail[::BLOCK]
-    d, _ = _ego_at(firsts, knots)
-    reach = np.hypot(np.interp(firsts, ts, xs) - ego0.x, np.interp(firsts, ts, ys) - ego0.y)
-    with np.errstate(over="ignore", invalid="ignore"):
-        # from the positions: a reported speed need not be the actor's motion
-        w = (np.hypot(xs[1:] - xs[:-1], ys[1:] - ys[:-1]) / (ts[1:] - ts[:-1])).max(initial=0.0)
-        reach += w * (np.concatenate((firsts[1:], tail[-1:])) - firsts)
-        tol = 1e-6 * (1.0 + abs(ego0.x) + abs(ego0.y) + reach + d)
-        keep = ~(params.distance_margin * reach - d < -FLOAT_SLACK - tol)
+    d = _ego_at(firsts, knots)[0]
+    ends = np.concatenate((firsts[1:], tail[-1:]))
+    keep = ~_distance_rejects(ego0, ts, xs, ys, firsts, ends, d, params.distance_margin)
     if not keep.any():
         return None
     if not keep.all():
         tail = tail[np.repeat(keep, BLOCK)[: len(tail)]]
     # The kept points, in place: the distance test at every point, and the
-    # actor's speed read and tested only where distance holds. The floats
-    # are the head's expressions, point by point.
-    d, ve = _ego_at(tail, knots)
+    # ego's and the actor's speeds read and tested only where distance
+    # holds. The floats are the head's expressions, point by point; the
+    # ego's speed is the one _ego_at interpolates.
+    d = _ego_at(tail, knots)[0]
     gap = np.interp(tail, ts, xs)
     gap -= ego0.x
     dy = np.interp(tail, ts, ys)
@@ -251,10 +284,16 @@ def _earliest_probe(
     del dy
     gap *= params.distance_margin
     gap -= d
-    near = (gap >= -FLOAT_SLACK).nonzero()[0]
-    del d, gap
-    at = tail.take(near)
-    ok = ve.take(near) <= params.speed_margin * np.interp(at, ts, vs) + FLOAT_SLACK
+    del d
+    near = gap >= -FLOAT_SLACK
+    del gap
+    at = tail[near]
+    del near
+    ve = np.interp(at, knots[0], knots[1])
+    va = np.interp(at, ts, vs)
+    va *= params.speed_margin
+    va += FLOAT_SLACK
+    ok = ve <= va
     if ok.any():
         return float(at[ok.argmax()])
     return None
@@ -279,15 +318,87 @@ def feasible_latency_scan(
     return _earliest_probe(ego0, traj, l0, latency, params) is not None
 
 
+def _rejects_from(
+    ego0: KinematicState,
+    traj: Trajectory,
+    l0: float,
+    latency: float,
+    params: ModelParams,
+) -> bool:
+    """True when a bound proves that the scan rejects ``latency`` and every larger one.
+
+    The bound covers [t_react, horizon] with blocks ``BLOCK`` scan steps
+    long, the last ending at the horizon, and rejects a block when either
+    test provably fails at every time in it: the distance test by
+    ``_distance_rejects``, or the speed test because the ego's speed at the
+    block's end (it never rises after t_react) exceeds the discounted
+    largest actor speed over the block (at both ends and at any sample
+    inside) by more than a tolerance far above rounding. A latency's scan
+    grid lies in its own [t_react, horizon], and a larger latency reacts no
+    earlier and brakes later, at ``braking_decel(a0) >= -a0``, so its ego is
+    nowhere slower or behind: no grid point of it can pass. True only when
+    every block is rejected; a NaN or inf bound keeps its block, and a
+    reaction at or past the horizon proves nothing.
+    """
+    t_react = reaction_time(latency, resolve_l0(latency, l0, params), params)
+    horizon = params.horizon
+    if not t_react < horizon:
+        return False
+    decel = braking_decel(ego0.a, params)
+    firsts = np.arange(t_react, horizon, BLOCK * params.fine_dt)
+    # the last step may round past the horizon
+    firsts = firsts[: firsts.searchsorted(horizon)]
+    times = np.append(firsts, horizon)
+    d, ve = _ego_at(times, _velocity_knots(ego0.v, ego0.a, t_react, decel, horizon + 1.0))
+    ts, xs, ys, vs = traj.columns()
+    rejected = _distance_rejects(
+        ego0, ts, xs, ys, firsts, times[1:], d[:-1], params.distance_margin
+    )
+    if rejected.all():
+        return True
+    va = np.interp(times, ts, vs)
+    fastest = np.maximum(va[:-1], va[1:])
+    inside = (ts > t_react) & (ts < horizon)
+    np.maximum.at(fastest, times.searchsorted(ts[inside], side="right") - 1, vs[inside])
+    # the scan's speeds round at most a few ulps of these magnitudes
+    tol = 1e-6 * (1.0 + ego0.v + (decel + abs(ego0.a)) * horizon + params.speed_margin * vs.max())
+    rejected |= ve[1:] - params.speed_margin * fastest > FLOAT_SLACK + tol
+    return bool(rejected.all())
+
+
 def oracle_best_latency(
     ego0: KinematicState,
     traj: Trajectory,
     l0: float,
     params: ModelParams,
 ) -> OracleVerdict:
-    """Largest grid latency that passes the exhaustive scan (``l0`` checked once)."""
+    """Largest grid latency that passes the exhaustive scan (``l0`` checked once).
+
+    The verdict is that of scanning the grid in descending order and
+    stopping at the first latency with a witness. When the largest latency
+    is rejected, ``_rejects_from`` proves a suffix of smaller latencies
+    rejected without scanning them: the smallest latency, whose proof ends
+    the search with an infeasible verdict, or else the smallest that a
+    bisection of the grid finds proved. The descending scan resumes just
+    below it, so every latency left unscanned is one the scan rejects, and
+    the verdict and its witness are the plain scan's.
+    """
     params.check_l0(l0)
-    for latency in params.latency_grid:
+    grid = params.latency_grid
+    witness = _earliest_probe(ego0, traj, l0, grid[0], params)
+    if witness is not None:
+        return OracleVerdict(feasible=True, best_latency=grid[0], probe_time=witness)
+    # grid[:lo + 1] is rejected; grid[hi] is not proved
+    lo, hi = 0, len(grid) - 1
+    if hi and _rejects_from(ego0, traj, l0, grid[hi], params):
+        lo = hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _rejects_from(ego0, traj, l0, grid[mid], params):
+            lo = mid
+        else:
+            hi = mid
+    for latency in grid[lo + 1 :]:
         witness = _earliest_probe(ego0, traj, l0, latency, params)
         if witness is not None:
             return OracleVerdict(feasible=True, best_latency=latency, probe_time=witness)

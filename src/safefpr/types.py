@@ -287,7 +287,7 @@ AGGREGATORS = ("min", "max", "mean", "percentile")
 
 MAX_GRID_SIZE = 10_000  # latency candidates; bounds the search's work and memory
 # horizon / fine_dt, the oracle's grid points per scan; a scan holds at most about
-# 53 B per point and a collision check about 72 B (tests/test_oracle.py caps both at 80 B)
+# 33 B per point and a collision check about 72 B (tests/test_oracle.py caps both at 80 B)
 MAX_SCAN_POINTS = 10**6
 _COUNT_FIELDS = ("confirmation_frames", "max_time_adjustments")
 # (lo, hi, open_lo) of each numeric field; rules that compare two fields are in __post_init__

@@ -19,7 +19,7 @@ from safefpr import (
     tolerable_latency,
 )
 from safefpr.model import braking_decel, reaction_time, resolve_l0
-from safefpr.types import L0_FIXED, constant_separation_trajectory, straight_line_trajectory
+from safefpr.types import L0_CANDIDATE, L0_FIXED, constant_separation_trajectory, straight_line_trajectory
 
 from conftest import corpus_params, random_case, static_actor_trajectory
 
@@ -420,6 +420,188 @@ class TestBlockedTail:
             assert oracle._earliest_probe(ego, traj, 0.1, latency, params) == want
 
 
+def _plain_best_latency(ego0, traj, l0, p):
+    """(best latency, probe time) of the descending scan that stops at the first witness.
+
+    ``oracle_best_latency``'s reference: every latency it proves rejected
+    instead of scanning must be one this loop rejects.
+    """
+    for latency in p.latency_grid:
+        witness = oracle._earliest_probe(ego0, traj, l0, latency, p)
+        if witness is not None:
+            return latency, witness
+    return None, None
+
+
+def _checked_proofs(ego0, traj, l0, p) -> list[int]:
+    """Grid indices whose latency the bound proves, each checked against the scan.
+
+    A proof at index i claims the scan rejects latency i and every larger
+    one (every smaller index), so each is scanned.
+    """
+    grid = p.latency_grid
+    proved = [i for i, latency in enumerate(grid) if oracle._rejects_from(ego0, traj, l0, latency, p)]
+    for i in range(max(proved, default=-1) + 1):
+        assert oracle._earliest_probe(ego0, traj, l0, grid[i], p) is None, (i, proved)
+    return proved
+
+
+def _corpus_shaped_cases(seed: int, n: int):
+    """Validation-corpus-shaped cases: half constant-separation, half constant-velocity actors."""
+    rng = np.random.default_rng(seed)
+    p = ModelParams()
+    for i in range(n):
+        ego = KinematicState(0.0, 0.0, rng.uniform(0.0, 35.0), rng.uniform(-4.0, 2.0))
+        r, bearing, speed = rng.uniform(5.0, 150.0), rng.uniform(-math.pi, math.pi), rng.uniform(0.0, 35.0)
+        if i % 2:
+            traj = constant_separation_trajectory(r, speed, p.horizon, bearing)
+        else:
+            start = KinematicState(
+                r * math.cos(bearing), r * math.sin(bearing), speed, heading=rng.uniform(-math.pi, math.pi)
+            )
+            traj = straight_line_trajectory(start, p.horizon, p.horizon)
+        yield ego, traj, 1.0 / 30.0, p
+
+
+def _jump_trajectory(start: float) -> Trajectory:
+    """An actor that jumps 1 m in 5e-324 s (so w is inf), then opens at 2 m/s."""
+    return Trajectory(t=[0.0, 5e-324, 40.0], x=[start, start, start + 80.0], y=[1.0, 0.0, 0.0], v=[0.0] * 3)
+
+
+class TestRejectionBound:
+    """``_rejects_from`` proves only latencies the scan rejects, and with every larger one."""
+
+    # equal hold and braking decelerations: a larger latency moves the ego
+    # exactly as a smaller one, so the scans differ only by rounding
+    EDGE_POLICIES = (ModelParams(brake_boost=1.0), ModelParams(brake_boost=1.0, l0_policy=L0_FIXED))
+
+    def test_larger_latency_is_nowhere_slower_or_behind(self):
+        """The lemma: under L2 > L1 the ego's distance and speed are at least L1's at every time."""
+        rng = np.random.default_rng(29)
+        policies = [ModelParams(l0_policy=lp, brake_boost=b) for lp in (L0_CANDIDATE, L0_FIXED) for b in (1.0, 1.1)]
+        kinds = dict.fromkeys(("stops_in_hold", "braking", "cruising", "accelerating"), 0)
+        rounding = 1e-9  # the bound's tol is at least 1e-6
+        for i in range(400):
+            p = policies[i % len(policies)]
+            lo, hi = sorted(rng.choice(len(p.latency_grid), 2, replace=False))
+            l2, l1 = p.latency_grid[lo], p.latency_grid[hi]
+            l0 = rng.uniform(1.0 / 30.0, 1.0)
+            t1, t2 = (reaction_time(L, resolve_l0(L, l0, p), p) for L in (l1, l2))
+            kind = tuple(kinds)[i % 4]
+            if kind == "stops_in_hold":
+                a0 = rng.uniform(-6.0, -0.5)
+                v0 = -a0 * rng.uniform(0.0, t1)
+            elif kind == "braking":
+                a0 = rng.uniform(-6.0, -1e-3)
+                v0 = rng.uniform(-a0 * t1, 35.0 - a0 * t1)
+            else:
+                a0 = 0.0 if kind == "cruising" else rng.uniform(1e-3, 3.0)
+                v0 = rng.uniform(0.0, 35.0)
+            kinds[kind] += 1
+            decel = braking_decel(a0, p)
+            k1 = oracle._velocity_knots(v0, a0, t1, decel, p.horizon + 1.0)
+            k2 = oracle._velocity_knots(v0, a0, t2, decel, p.horizon + 1.0)
+            times = np.unique(np.concatenate((np.linspace(0.0, p.horizon, 3001), k1[0], k2[0])))
+            times = times[times <= p.horizon]
+            (d1, v1), (d2, v2) = oracle._ego_at(times, k1), oracle._ego_at(times, k2)
+            assert np.all(d2 >= d1 - rounding * (1.0 + d1)), (v0, a0, l1, l2)
+            assert np.all(v2 >= v1 - rounding * (1.0 + v0 + decel * p.horizon)), (v0, a0, l1, l2)
+        assert all(n > 0 for n in kinds.values()), kinds
+
+    def test_a_proof_rejects_every_larger_latency(self):
+        proofs = dict.fromkeys(("total", "smallest", "mid_grid"), 0)
+        for ego, traj, l0, p, _ in _parity_cases():
+            proved = _checked_proofs(ego, traj, l0, p)
+            last = len(p.latency_grid) - 1
+            proofs["total"] += len(proved)
+            proofs["smallest"] += last in proved
+            # the proofs the bisection finds: some latency proved, the smallest not
+            proofs["mid_grid"] += bool(proved) and last not in proved
+        assert proofs["total"] > 10_000 and proofs["smallest"] > 20 and proofs["mid_grid"] > 500, proofs
+
+    def test_best_latency_is_the_plain_descending_scan(self):
+        cases = [case[:4] for case in _parity_cases()]
+        for seed in (11, 29):
+            cases += _corpus_shaped_cases(seed, 400)
+        infeasible = 0
+        for ego, traj, l0, p in cases:
+            verdict = oracle_best_latency(ego, traj, l0, p)
+            assert (verdict.best_latency, verdict.probe_time) == _plain_best_latency(ego, traj, l0, p)
+            assert verdict.feasible == (verdict.best_latency is not None)
+            infeasible += not verdict.feasible
+        assert 100 < infeasible < len(cases) - 100
+
+    def test_unbounded_cases_never_prove(self, params):
+        """An inf or NaN bound (w inf, or coordinates near the float limit) and a reaction
+        at or past the horizon prove nothing."""
+        ego = KinematicState(0.0, 0.0, 20.0)
+        cases = [(ego, _jump_trajectory(start), 0.1, params) for start in (-40.0, 0.0, 40.0, 300.0)]
+        for x0, x1 in ((1e300, 1e300), (-1e300, 1e300), (-1.5e308, 1.5e308)):
+            traj = Trajectory(t=[0.0, 1e-10, 40.0], x=[x0, x1, x1], y=[1e300] * 3, v=[0.0] * 3)
+            cases.append((KinematicState(0.0, 0.0, 30.0), traj, 0.1, params))
+        for ego, traj, l0, p in cases:
+            for latency in p.latency_grid:
+                assert not oracle._rejects_from(ego, traj, l0, latency, p), latency
+        # fixed policy: latencies above about 0.3 s react past the 30 s horizon;
+        # the scan rejects them all, but the bound proves none of them
+        late = ModelParams(l0_policy=L0_FIXED, confirmation_frames=100)
+        ego, traj, l0 = KinematicState(0, 0, 17.88), static_actor_trajectory(30.0), 1.0 / 30.0
+        past = [L for L in late.latency_grid if reaction_time(L, l0, late) > late.horizon]
+        assert len(past) > 10
+        for latency in past:
+            assert not oracle._rejects_from(ego, traj, l0, latency, late), latency
+        cases.append((ego, traj, l0, late))
+        for ego, traj, l0, p in cases:
+            verdict = oracle_best_latency(ego, traj, l0, p)
+            assert (verdict.best_latency, verdict.probe_time) == _plain_best_latency(ego, traj, l0, p)
+
+    def test_speed_peak_inside_a_block_keeps_it(self):
+        """The actor reports 200 m/s for 2 ms around one sample and 0 m/s elsewhere, far
+        ahead; the ego, still braking at the horizon, meets the speed test only within
+        1 ms before that sample, which no block end reads."""
+        ego = KinematicState(0.0, 0.0, 160.0)
+        for p in (ModelParams(), ModelParams(l0_policy=L0_FIXED)):
+            for peak in (2.0, 7.77, 15.0, 29.5):
+                traj = Trajectory(
+                    t=[0.0, peak - 1e-3, peak, peak + 1e-3, 40.0], x=[5000.0] * 5, y=[0.0] * 5,
+                    v=[0.0, 0.0, 200.0, 0.0, 0.0],
+                )
+                # l0 = 1 s: every latency reacts before the sample
+                assert _checked_proofs(ego, traj, 1.0, p) == []
+                best, probe = _plain_best_latency(ego, traj, 1.0, p)
+                assert best == p.latency_max and peak - 1e-3 < probe <= peak
+
+    def test_speed_rounding_at_the_horizon_keeps_its_block(self):
+        """The ego still brakes at the horizon, where its speed meets the actor's to
+        within a few ulps: only the bound's tol keeps the last block."""
+        ego, checked = KinematicState(0.0, 0.0, 160.0, -5.0), 0
+        for p in self.EDGE_POLICIES:
+            knots = oracle._velocity_knots(ego.v, ego.a, 1.0, 5.0, p.horizon + 1.0)
+            ve = float(oracle._ego_at(np.array([p.horizon]), knots)[1][0])
+            va = (ve - oracle.FLOAT_SLACK) / p.speed_margin
+            for k in range(-6, 7):
+                traj = constant_separation_trajectory(5000.0, va + k * 2e-15, 40.0, 0.0)
+                _checked_proofs(ego, traj, 0.1, p)
+                checked += _plain_best_latency(ego, traj, 0.1, p)[1] == p.horizon
+        assert checked > 0
+
+    def test_distance_rounding_at_the_horizon_keeps_its_block(self):
+        """The ego stops early and the actor recedes at 1 m/s, so distance first holds,
+        to within a few ulps, at the horizon: only the bound's tol keeps the last block."""
+        ego, checked = KinematicState(0.0, 0.0, 20.0, -5.0), 0
+        for p in self.EDGE_POLICIES:
+            for latency in p.latency_grid[::6]:
+                knots = oracle._velocity_knots(ego.v, ego.a, latency, 5.0, p.horizon + 1.0)
+                d = float(oracle._ego_at(np.array([p.horizon]), knots)[0][0])
+                at_horizon = (d - oracle.FLOAT_SLACK) / p.distance_margin
+                for k in range(-6, 7):
+                    r = at_horizon + k * 7e-15 - 30.0
+                    traj = Trajectory(t=[0.0, 40.0], x=[-r, -r - 40.0], y=[0.0, 0.0], v=[0.0, 0.0])
+                    _checked_proofs(ego, traj, 0.1, p)
+                    checked += _plain_best_latency(ego, traj, 0.1, p)[1] == p.horizon
+        assert checked > 0
+
+
 class TestScanMemory:
     """One full scan holds at most 80 B per grid point (docs/formats.md, MAX_SCAN_POINTS)."""
 
@@ -452,6 +634,21 @@ class TestScanMemory:
         tracemalloc.start()
         try:
             oracle._earliest_probe(ego, traj, 0.5, 0.5, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 80 * p.horizon / fine_dt
+
+
+    @pytest.mark.parametrize("fine_dt", [0.01, 3e-4])
+    def test_best_latency_traced_peak_per_point(self, fine_dt):
+        p = ModelParams(fine_dt=fine_dt)
+        # infeasible at every latency: the largest is scanned, the rest proved
+        ego, traj = KinematicState(0, 0, 17.88), static_actor_trajectory(30.0)
+        assert not oracle_best_latency(ego, traj, 0.5, p).feasible
+        tracemalloc.start()
+        try:
+            oracle_best_latency(ego, traj, 0.5, p)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
