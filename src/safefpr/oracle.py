@@ -376,11 +376,12 @@ def oracle_best_latency(
 
     The verdict is that of scanning the grid in descending order and
     stopping at the first latency with a witness. When the largest latency
-    is rejected, ``_rejects_from`` proves a suffix of smaller latencies
-    rejected without scanning them: the smallest latency, whose proof ends
-    the search with an infeasible verdict, or else the smallest that a
-    bisection of the grid finds proved. The descending scan resumes just
-    below it, so every latency left unscanned is one the scan rejects, and
+    is rejected, latencies are proved rejected instead of scanned: a proof
+    by ``_rejects_from`` at one latency covers it and every larger one. It
+    is tried at the smallest latency, whose proof ends the search with the
+    infeasible verdict, and otherwise a bisection of the grid looks for the
+    smallest latency it proves. The descending scan resumes just below
+    that one, so every latency left unscanned is one the scan rejects, and
     the verdict and its witness are the plain scan's.
     """
     params.check_l0(l0)

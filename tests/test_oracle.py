@@ -639,7 +639,6 @@ class TestScanMemory:
             tracemalloc.stop()
         assert peak <= 80 * p.horizon / fine_dt
 
-
     @pytest.mark.parametrize("fine_dt", [0.01, 3e-4])
     def test_best_latency_traced_peak_per_point(self, fine_dt):
         p = ModelParams(fine_dt=fine_dt)
