@@ -24,27 +24,39 @@ A run is split in two. The scripted actors and the cruising ego do not
 depend on the frame rate, so ``_World`` simulates them, and which actors the
 cruising ego must brake for, once per script and over its whole duration,
 into a list of ticks, each holding its states as one row of floats.
-``_run`` replays that list with one frame schedule, stops at a collision,
-and steps its own ego only once the brakes engage; a recording run hands
-its rows to the trace. A lone run builds its own world; the MRF scan
-(``oracle.scenario_mrf``) runs every rate against one. A frame can change
-only the count of an actor that is dangerous or already counting, so
-``_run`` tests FOV membership (``in_fov``) for those actors alone; only
-that test and adaptive estimation build ``KinematicState``s.
+``_run`` replays that list with one frame schedule up to the tick its
+brakes engage; a recording run hands its rows to the trace. A lone run
+builds its own world; the MRF scan (``oracle.scenario_mrf``) runs every
+rate against one. A frame can change only the count of an actor that is
+dangerous or already counting, so ``_run`` tests FOV membership
+(``in_fov``) for those actors alone; only that test and adaptive
+estimation build ``KinematicState``s. While no actor is dangerous and no
+count is held, a fixed-rate run jumps to the next dangerous tick, moving
+each camera's next frame by the same ``1 / rate`` additions, in the same
+order, that a walk over the skipped ticks would make.
 
-Each tick of the world also holds the cruising ego's nearest distance to
-an actor. Until its brakes engage, a run tests the actors one by one, in
-the script's order, only on the ticks where that distance is below the
-collision radius; after that, on every tick. A braking tick builds the
-braking ego's row, until the ego stands still, when it keeps the last one;
-only a recording run joins that row to the actors' for its trace.
+A run's outcome is read from its engage tick. The world answers where a
+run collides, each answer memoised: ``cruise_hit``, the first tick at which
+the cruising ego is within the collision radius of an actor (the same for
+every rate), and ``brake_hit``, the first tick after engage tick ``b`` at
+which the ego braking from ``b`` is. A run ends at the cruising hit if it
+comes at or before its engage tick, and at the braking hit otherwise. The
+braking ego's speeds and arc positions are NumPy accumulations that make
+``_Ego.advance``'s roundings in its order, so they equal it bit for bit;
+NumPy distances only pick candidate ticks, and the scalar ``_state_row``
+and ``math.hypot`` test decides each, naming the first actor in the
+script's order. A run steps past its engage tick only to record the
+braking ego's rows or to estimate (adaptive mode).
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .geometry import DEFAULT_CAMERA_RIG, in_fov
 from .model import FprReport, braking_decel, evaluate_scene
@@ -116,7 +128,11 @@ class _Actor:
 
 
 class _Ego:
-    """Road-frame ego: cruises at its speed, or brakes to a stop once ``braking``."""
+    """Road-frame ego: cruises at its speed, or brakes to a stop once ``braking``.
+
+    A world steps only the cruising ego; a braking one is the tick-by-tick
+    reference for ``_World._arc``.
+    """
 
     def __init__(self, s: float, lane: float, speed: float, brake_decel: float, braking: bool):
         self.s = s
@@ -145,14 +161,35 @@ class RunResult:
     allocations: list[tuple[float, dict[str, float]]] = field(default_factory=list)
 
 
-def _state_row(road, body: _Ego | _Actor) -> list[float]:
+def _state_row(road, s: float, lane: float, v: float, a: float) -> list[float]:
     """x, y, v, a and heading of a road-frame body; one that breaks
     ``KinematicState``'s rules raises the ValueError the state raises."""
-    x, y, heading = road.to_world(body.s, road.lane_offset(body.lane))
-    row = [x, y, body.v, body.a, heading]
-    if not (math.isfinite(sum(row)) and body.v >= 0.0):  # rare: the state decides
+    x, y, heading = road.to_world(s, road.lane_offset(lane))
+    row = [x, y, v, a, heading]
+    if not (math.isfinite(sum(row)) and v >= 0.0):  # rare: the state decides
         KinematicState(*row)
     return row
+
+
+def _first_within(ego_row: list[float], tick: _Tick, radius: float) -> str | None:
+    """The first actor, in the script's order, that ``tick`` puts within
+    ``radius`` of the ego at ``ego_row``."""
+    row, x, y = tick.row, ego_row[0], ego_row[1]
+    for aid, j in tick.starts.items():
+        if math.hypot(row[j] - x, row[j + 1] - y) < radius:
+            return aid
+    return None
+
+
+def _world_xy(road, s: np.ndarray, offset: float) -> tuple[np.ndarray, np.ndarray]:
+    """``road.to_world``'s x and y for each arc position of ``s``, in NumPy;
+    on a curved road they may differ from it by rounding."""
+    if road.curvature == 0.0:
+        return s, np.full_like(s, offset)
+    r = 1.0 / road.curvature
+    phi = s * road.curvature
+    sin, cos = np.sin(phi), np.cos(phi)
+    return r * sin - offset * sin, r * (1.0 - cos) + offset * cos
 
 
 def _dangerous(ego: _Ego, actor: _Actor, road, params: ModelParams) -> bool:
@@ -206,8 +243,11 @@ class _World:
 
     Actors follow only their scripted events, and the ego cruises the same
     path until a run engages its brakes, so every run of a script meets the
-    same world until then. The constructor simulates every tick of the
-    script's duration into ``ticks``, which runs read and never change.
+    same world until then, and every run that engages them on one tick
+    meets the same world after it. The constructor simulates every tick of
+    the script's duration into ``ticks``, which runs read and never change.
+    Where a run ends is a question for the world: ``cruise_hit`` and
+    ``brake_hit`` answer it, each memoised.
     """
 
     def __init__(self, script: ScenarioScript, params: ModelParams):
@@ -228,8 +268,11 @@ class _World:
                 ego.advance(ENGINE_DT)
                 for actor in actors:  # i * ENGINE_DT can round differently
                     actor.advance((i - 1) * ENGINE_DT + ENGINE_DT, ENGINE_DT)
-            row = [f for body in (ego, *ordered) for f in _state_row(road, body)]
-            x, y = row[0], row[1]  # ``_run``'s collision test, on the cruising ego
+            row = [
+                f for body in (ego, *ordered)
+                for f in _state_row(road, body.s, body.lane, body.v, body.a)
+            ]
+            x, y = row[0], row[1]  # ``_first_within``'s distances, to the cruising ego
             self.ticks.append(_Tick(
                 ego.s,
                 row,
@@ -238,11 +281,99 @@ class _World:
                 min((math.hypot(row[j] - x, row[j + 1] - y) for j in starts.values()),
                     default=math.inf),
             ))
+        self._dangerous_at = [i for i, tick in enumerate(self.ticks) if tick.dangerous]
+        self._cruise_hits: dict[float, tuple[int, str] | None] = {}
+        self._brake_hits: dict[tuple[int, float], tuple[int, str] | None] = {}
+        self._arcs: dict[int, np.ndarray] = {}
+        # built on the first braking question: the braking ego's speeds, its
+        # arc steps, and the actors' x and y per (tick, actor in script order)
+        self._brake_v: list[float] | None = None
+        self._brake_steps: np.ndarray | None = None
+        self._actors_xy: tuple[np.ndarray, np.ndarray] | None = None
 
-    def braking_ego(self, tick: _Tick) -> _Ego:
-        """The cruising ego at ``tick``, with its brakes engaged."""
-        ego = self._ego
-        return _Ego(tick.ego_s, ego.lane, ego.v, ego.brake_decel, braking=True)
+    def next_dangerous(self, i: int, stop: int) -> int:
+        """The first tick from ``i`` on that flags a dangerous actor, or ``stop``."""
+        k = bisect_left(self._dangerous_at, i)
+        return min(self._dangerous_at[k], stop) if k < len(self._dangerous_at) else stop
+
+    def cruise_hit(self, radius: float) -> tuple[int, str] | None:
+        """The first tick at which the cruising ego is within ``radius`` of an
+        actor, and the first such actor in the script's order; None if no
+        tick is. It holds for every frame rate, so it is memoised per radius."""
+        if radius not in self._cruise_hits:
+            self._cruise_hits[radius] = next(
+                ((i, _first_within(t.row, t, radius))
+                 for i, t in enumerate(self.ticks) if t.nearest < radius),
+                None,
+            )
+        return self._cruise_hits[radius]
+
+    def brake_hit(self, b: int, radius: float) -> tuple[int, str] | None:
+        """The first tick after ``b`` at which the ego whose brakes engaged at
+        tick ``b`` is within ``radius`` of an actor, and the first such actor
+        in the script's order; None if no tick is. Memoised per (b, radius).
+
+        NumPy distances from the braking ego to every actor pick the
+        candidate ticks, with a tolerance far above their rounding (a NaN
+        or inf distance is a candidate); each candidate, in order, is then
+        decided by ``braking_row`` and ``_first_within``, the scalar test.
+        """
+        key = (b, radius)
+        if key not in self._brake_hits:
+            self._brake_hits[key] = self._first_brake_hit(b, radius)
+        return self._brake_hits[key]
+
+    def braking_row(self, b: int, i: int) -> list[float]:
+        """The ``_state_row`` at tick ``i > b`` of the ego whose brakes
+        engaged at tick ``b``."""
+        arc = self._arc(b)
+        v = self._brake_v[i - b]
+        a = -self._ego.brake_decel if v > 0.0 else 0.0
+        return _state_row(self.script.road, float(arc[i - b]), self._ego.lane, v, a)
+
+    def _arc(self, b: int) -> np.ndarray:
+        """The arc positions, from tick ``b`` to the last, of the ego whose
+        brakes engaged at tick ``b``. The speeds and positions are
+        ``_Ego.advance``'s, bit for bit: ``np.subtract.accumulate`` and
+        ``np.add.accumulate`` make the same roundings in the same order."""
+        if b not in self._arcs:
+            n = len(self.ticks)
+            if self._brake_v is None:
+                ego = self._ego
+                dv = np.full(n, ego.brake_decel * ENGINE_DT if ego.v > 0.0 else 0.0)
+                dv[0] = ego.v
+                v = np.subtract.accumulate(dv)
+                v[v < 0.0] = 0.0  # max(0.0, v - dv): a stopped ego keeps v = 0.0
+                self._brake_v = v.tolist()
+                self._brake_steps = 0.5 * (v[:-1] + v[1:]) * ENGINE_DT
+            steps = np.empty(n - b)
+            steps[0] = self.ticks[b].ego_s
+            steps[1:] = self._brake_steps[: n - 1 - b]
+            self._arcs[b] = np.add.accumulate(steps)
+        return self._arcs[b]
+
+    def _first_brake_hit(self, b: int, radius: float) -> tuple[int, str] | None:
+        ticks, road = self.ticks, self.script.road
+        if b + 1 >= len(ticks) or not ticks[0].starts:
+            return None
+        if self._actors_xy is None:
+            js = list(ticks[0].starts.values())  # the script's order
+            rows = np.array([t.row for t in ticks])
+            self._actors_xy = (rows[:, js], rows[:, [j + 1 for j in js]])
+        ax, ay = (c[b + 1:] for c in self._actors_xy)
+        ex, ey = _world_xy(road, self._arc(b)[1:], road.lane_offset(self._ego.lane))
+        with np.errstate(all="ignore"):
+            d = np.hypot(ax - ex[:, None], ay - ey[:, None])
+            scale = max(np.abs(c).max() for c in (ax, ay, ex, ey))
+            if road.curvature:  # the road's centre is 1 / curvature away
+                scale += abs(1.0 / road.curvature)
+            candidates = ~(d >= radius + 1e-6 * (1.0 + radius + scale))
+        for k in np.flatnonzero(candidates.any(axis=1)).tolist():
+            i = b + 1 + k
+            aid = _first_within(self.braking_row(b, i), ticks[i], radius)
+            if aid is not None:
+                return i, aid
+        return None
 
 
 def run_scenario(
@@ -295,12 +426,14 @@ def _run(
     """One closed-loop run over ``world``, with arguments ``run_scenario`` checked.
 
     The run owns everything a frame rate changes: the frame schedule, the
-    confirmations, when the brakes engage, the braking ego from then on,
-    the collision test and, in adaptive mode, estimation and allocation.
-    Until its brakes engage the ego is the world's cruising ego.
+    confirmations, when the brakes engage and, in adaptive mode, estimation
+    and allocation. It walks the ticks of the world's cruising ego up to
+    the tick its brakes engage or the world's ``cruise_hit``, whichever
+    comes first; from an engage tick on, the world's ``brake_hit`` is where
+    it ends, and the run walks on only to record or estimate. A fixed-rate
+    run jumps over the ticks on which no frame can change a count.
     """
     script, params = world.script, world.params
-    road = script.road
     cameras = DEFAULT_CAMERA_RIG
     # only estimation reads the fixed-policy params; a fixed-rate run skips building them
     fixed_params = params.replace(l0_policy=L0_FIXED) if adaptive else None
@@ -316,76 +449,69 @@ def _run(
     confirm_count: dict[str, dict[str, int]] = {cid: {} for cid in next_frame}
     need_frames = max(1, params.confirmation_frames)
 
-    rows: list[list[float]] = []   # per recorded tick: the ego's and the actors' rows
     alarms: list[tuple[float, AlarmEvent]] = []
     camera_log: list[dict[str, FprReport]] = []
     allocations: list[tuple[float, dict[str, float]]] = []
-    collision: tuple[float, str] | None = None
     brake_at: float | None = None   # scheduled engage time
-    braking: _Ego | None = None     # the ego once its brakes have engaged
-    stopped: list[float] | None = None  # its row once it stands still, which it then keeps
 
-    for i, tick in enumerate(world.ticks):
-        t = i * ENGINE_DT
-        # The cruising ego is tested for a collision only on the ticks whose
-        # nearest actor is within the radius, a braking one on every tick.
-        # A braking ego that has stopped keeps its row.
-        if braking is None:
-            ego_row = tick.row
-            if record:
-                rows.append(ego_row)
-            near = tick.nearest < collision_radius
+    def estimate(t: float, tick: _Tick, ego: KinematicState) -> None:
+        """Adaptive mode at one tick: the required rates, the safety check and
+        the rates of the next tick."""
+        nonlocal rates
+        # reference latency for estimation stays at the provisioned
+        # capability; tying it to the allocated rates feeds the estimate
+        # back into itself and oscillates
+        l0 = 1.0 / cap_fpr
+        trajs = {aid: predict_trajectories(st, PREDICTOR) for aid, st in tick.actors.items()}
+        _, reports = evaluate_scene(ego, trajs, cameras, l0, fixed_params)
+        required = {cid: rep.fpr for cid, rep in reports.items()}
+        flagged = {cid for cid, rep in reports.items() if rep.infeasible}
+        alarm = safety_check(required, rates, frozenset(flagged))
+        if alarm is not None:
+            alarms.append((t, alarm))
+        if budget is not None:
+            allocation = allocate(required, budget, params)
+            if allocation.alarm is not None:
+                alarms.append((t, allocation.alarm))
+            rates = dict(allocation.per_camera_fps)
         else:
-            ego_row = stopped or _state_row(road, braking)
-            if not (ego_row[2] or ego_row[3]):  # v and a are 0: no later tick moves it
-                stopped = ego_row
-            if record:
-                rows.append(ego_row + tick.row[5:])
-            near = True
-        if near:
-            tick_row = tick.row
-            ego_x, ego_y = ego_row[0], ego_row[1]
-            for aid, j in tick.starts.items():
-                if math.hypot(tick_row[j] - ego_x, tick_row[j + 1] - ego_y) < collision_radius:
-                    collision = (t, aid)
-                    break
-            if collision:
-                break
+            rates = required  # scene_reports keeps every rate within fpr_bounds()
+        if record:
+            camera_log.append(reports)
+            allocations.append((t, dict(rates)))
 
+    ticks = world.ticks
+    crash = world.cruise_hit(collision_radius)
+    stop = len(ticks) if crash is None else crash[0]  # the cruising hit, or past the last tick
+    engage: int | None = None  # the tick at which the brakes engage
+    i = 0
+    while i < stop:
+        tick = ticks[i]
+        t = i * ENGINE_DT
+        dangerous = tick.dangerous
+        if not (adaptive or brake_at is not None or dangerous or any(confirm_count.values())):
+            # Until the next dangerous tick no frame can start a count: the
+            # frames due only move the schedule, by the additions a walk
+            # over those ticks would make, in its order for each camera.
+            # Past the last dangerous tick nothing reads the schedule.
+            j = world.next_dangerous(i, stop)
+            if j < stop:
+                last = (j - 1) * ENGINE_DT
+                for cid, due in next_frame.items():
+                    while due <= last:
+                        due += 1.0 / rates[cid]
+                    next_frame[cid] = due
+            i = j
+            continue
         if adaptive:
-            # reference latency for estimation stays at the provisioned
-            # capability; tying it to the allocated rates feeds the estimate
-            # back into itself and oscillates
-            l0 = 1.0 / cap_fpr
-            trajs = {
-                aid: predict_trajectories(st, PREDICTOR) for aid, st in tick.actors.items()
-            }
-            ego_world = tick.ego if braking is None else KinematicState(*ego_row)
-            _, reports = evaluate_scene(ego_world, trajs, cameras, l0, fixed_params)
-            required = {cid: rep.fpr for cid, rep in reports.items()}
-            flagged = {cid for cid, rep in reports.items() if rep.infeasible}
-            alarm = safety_check(required, rates, frozenset(flagged))
-            if alarm is not None:
-                alarms.append((t, alarm))
-            if budget is not None:
-                allocation = allocate(required, budget, params)
-                if allocation.alarm is not None:
-                    alarms.append((t, allocation.alarm))
-                rates = dict(allocation.per_camera_fps)
-            else:
-                rates = required  # scene_reports keeps every rate within fpr_bounds()
-            if record:
-                camera_log.append(reports)
-                allocations.append((t, dict(rates)))
+            estimate(t, tick, tick.ego)
 
         # process camera frames that came due this tick, in rig order: the
         # first camera to confirm sets the processing latency. A frame adds
         # one to the count of a dangerous actor in view and resets that of a
         # harmless one, so only the actors that are dangerous or already
         # counting need a FOV test, and which of them confirms does not
-        # matter. Until the brakes are scheduled the ego is the cruising one;
-        # after that no frame changes the run.
-        dangerous = tick.dangerous
+        # matter. Once the brakes are scheduled no frame changes the run.
         for cam in cameras if brake_at is None else ():
             cid = cam.camera_id
             counts = confirm_count[cid]
@@ -404,10 +530,27 @@ def _run(
                         brake_at = t + 1.0 / rates[cid]  # processing latency
                         break
 
-        if braking is None and brake_at is not None and t + ENGINE_DT >= brake_at:
-            braking = world.braking_ego(tick)
-        if braking is not None:
-            braking.advance(ENGINE_DT)
+        if brake_at is not None and t + ENGINE_DT >= brake_at:
+            engage = i
+            break
+        i += 1
+
+    # The cruising ego's ticks end at the engage tick or at its collision;
+    # from the engage tick the braking ego's end at its first hit.
+    hit = crash if engage is None else world.brake_hit(engage, collision_radius)
+    end = len(ticks) - 1 if hit is None else hit[0]
+    rows: list[list[float]] = []   # per recorded tick: the ego's and the actors' rows
+    if record:
+        rows = [tick.row for tick in ticks[: (end if engage is None else engage) + 1]]
+    if engage is not None and (adaptive or record):
+        for i in range(engage + 1, end + 1):
+            tick = ticks[i]
+            ego_row = world.braking_row(engage, i)
+            if record:
+                rows.append(ego_row + tick.row[5:])
+            if adaptive and (hit is None or i < end):
+                estimate(i * ENGINE_DT, tick, KinematicState(*ego_row))
+    collision = None if hit is None else (hit[0] * ENGINE_DT, hit[1])
 
     trace = None
     if record:

@@ -198,6 +198,14 @@ def _scan_grid(
     return _merge(base, sorted({t for t in extras if t_react <= t <= horizon}))
 
 
+def _fastest(traj: Trajectory) -> float:
+    """The actor's fastest segment speed, from its positions: a reported
+    speed need not be the actor's motion. It may be inf or NaN."""
+    ts, xs, ys, _ = traj.columns()
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (np.hypot(xs[1:] - xs[:-1], ys[1:] - ys[:-1]) / (ts[1:] - ts[:-1])).max(initial=0.0)
+
+
 def _distance_rejects(
     ego0: KinematicState,
     ts: np.ndarray,
@@ -207,20 +215,20 @@ def _distance_rejects(
     ends: np.ndarray,
     d: np.ndarray,
     distance_margin: float,
+    w: float,
 ) -> np.ndarray:
     """Per block [first, end]: True where the distance test fails at every time.
 
-    ``d`` is the ego's distance at each first time. The actor moves at most
-    w m/s and the ego's distance never falls (its speed is >= 0), so no time
-    of the block has a distance margin above margin * (sep(first) + w *
-    span) - d(first). A block whose bound fails the test by more than tol,
-    far above the rounding of positions and distances of these magnitudes,
-    is True; a NaN or inf bound is False.
+    ``d`` is the ego's distance at each first time and ``w`` the actor's
+    ``_fastest`` speed. The actor moves at most w m/s and the ego's
+    distance never falls (its speed is >= 0), so no time of the block has
+    a distance margin above margin * (sep(first) + w * span) - d(first). A
+    block whose bound fails the test by more than tol, far above the
+    rounding of positions and distances of these magnitudes, is True; a
+    NaN or inf bound is False.
     """
     reach = np.hypot(np.interp(firsts, ts, xs) - ego0.x, np.interp(firsts, ts, ys) - ego0.y)
     with np.errstate(over="ignore", invalid="ignore"):
-        # from the positions: a reported speed need not be the actor's motion
-        w = (np.hypot(xs[1:] - xs[:-1], ys[1:] - ys[:-1]) / (ts[1:] - ts[:-1])).max(initial=0.0)
         reach += w * (ends - firsts)
         tol = 1e-6 * (1.0 + abs(ego0.x) + abs(ego0.y) + reach + d)
         return distance_margin * reach - d < -FLOAT_SLACK - tol
@@ -232,11 +240,13 @@ def _earliest_probe(
     l0: float,
     latency: float,
     params: ModelParams,
+    w: float | None = None,
 ) -> float | None:
     """The earliest scan-grid probe time at which both constraints hold, or None.
 
     The arguments are not checked: ``latency`` must be finite and >= 0 and
-    ``l0`` must pass ``ModelParams.check_l0``.
+    ``l0`` must pass ``ModelParams.check_l0``. ``w`` is ``_fastest(traj)``,
+    computed here if not given and the tail needs it.
     """
     l0_eff = resolve_l0(latency, l0, params)
     t_react = reaction_time(latency, l0_eff, params)
@@ -266,7 +276,9 @@ def _earliest_probe(
     firsts = tail[::BLOCK]
     d = _ego_at(firsts, knots)[0]
     ends = np.concatenate((firsts[1:], tail[-1:]))
-    keep = ~_distance_rejects(ego0, ts, xs, ys, firsts, ends, d, params.distance_margin)
+    if w is None:
+        w = _fastest(traj)
+    keep = ~_distance_rejects(ego0, ts, xs, ys, firsts, ends, d, params.distance_margin, w)
     if not keep.any():
         return None
     if not keep.all():
@@ -324,6 +336,7 @@ def _rejects_from(
     l0: float,
     latency: float,
     params: ModelParams,
+    w: float | None = None,
 ) -> bool:
     """True when a bound proves that the scan rejects ``latency`` and every larger one.
 
@@ -338,7 +351,8 @@ def _rejects_from(
     earlier and brakes later, at ``braking_decel(a0) >= -a0``, so its ego is
     nowhere slower or behind: no grid point of it can pass. True only when
     every block is rejected; a NaN or inf bound keeps its block, and a
-    reaction at or past the horizon proves nothing.
+    reaction at or past the horizon proves nothing. ``w`` is
+    ``_fastest(traj)``, computed here if not given.
     """
     t_react = reaction_time(latency, resolve_l0(latency, l0, params), params)
     horizon = params.horizon
@@ -351,8 +365,10 @@ def _rejects_from(
     times = np.append(firsts, horizon)
     d, ve = _ego_at(times, _velocity_knots(ego0.v, ego0.a, t_react, decel, horizon + 1.0))
     ts, xs, ys, vs = traj.columns()
+    if w is None:
+        w = _fastest(traj)
     rejected = _distance_rejects(
-        ego0, ts, xs, ys, firsts, times[1:], d[:-1], params.distance_margin
+        ego0, ts, xs, ys, firsts, times[1:], d[:-1], params.distance_margin, w
     )
     if rejected.all():
         return True
@@ -382,25 +398,28 @@ def oracle_best_latency(
     infeasible verdict, and otherwise a bisection of the grid looks for the
     smallest latency it proves. The descending scan resumes just below
     that one, so every latency left unscanned is one the scan rejects, and
-    the verdict and its witness are the plain scan's.
+    the verdict and its witness are the plain scan's. Once the largest
+    latency is rejected, the actor's ``_fastest`` speed is computed once
+    and handed to every later bound and scan.
     """
     params.check_l0(l0)
     grid = params.latency_grid
     witness = _earliest_probe(ego0, traj, l0, grid[0], params)
     if witness is not None:
         return OracleVerdict(feasible=True, best_latency=grid[0], probe_time=witness)
+    w = _fastest(traj)
     # grid[:lo + 1] is rejected; grid[hi] is not proved
     lo, hi = 0, len(grid) - 1
-    if hi and _rejects_from(ego0, traj, l0, grid[hi], params):
+    if hi and _rejects_from(ego0, traj, l0, grid[hi], params, w):
         lo = hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if _rejects_from(ego0, traj, l0, grid[mid], params):
+        if _rejects_from(ego0, traj, l0, grid[mid], params, w):
             lo = mid
         else:
             hi = mid
     for latency in grid[lo + 1 :]:
-        witness = _earliest_probe(ego0, traj, l0, latency, params)
+        witness = _earliest_probe(ego0, traj, l0, latency, params, w)
         if witness is not None:
             return OracleVerdict(feasible=True, best_latency=latency, probe_time=witness)
     return OracleVerdict(feasible=False, best_latency=None)
@@ -463,8 +482,10 @@ def scenario_mrf(script, params: ModelParams, collision_radius: float = 2.0) -> 
     first, and stops at the first rate that collides. Returns the slowest
     rate that ran clean, or None when even the fastest rate collides.
     ``collision_radius`` must be finite and >= 0. The scripted world is
-    simulated once; each rate replays only its frame schedule and, once it
-    brakes, its braking ego against it.
+    simulated once; each rate replays only its frame schedule against it,
+    jumping over the ticks where no frame can change a count with the same
+    frame additions, and reads its outcome from the tick its brakes engage
+    (``engine._World.cruise_hit`` and ``brake_hit``, memoised per world).
     """
     from . import engine  # engine imports the model, not the oracle
 

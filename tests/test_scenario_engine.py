@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import random
 import re
 from pathlib import Path
 
@@ -28,6 +29,8 @@ from safefpr import (
 )
 from safefpr import engine
 from safefpr.geometry import DEFAULT_CAMERA_RIG, CameraConfig
+from safefpr.model import braking_decel, evaluate_scene
+from safefpr.scheduler import allocate, safety_check
 from safefpr.scenarios import (
     FAMILIES,
     ActorEvent,
@@ -37,7 +40,8 @@ from safefpr.scenarios import (
     script_from_dict,
     script_to_dict,
 )
-from safefpr.trace import TickRecord
+from safefpr.trace import ScenarioTrace, TickRecord
+from safefpr.types import L0_FIXED
 
 
 class TestPredictor:
@@ -799,6 +803,278 @@ class TestSharedWorld:
         assert len(world.ticks) == round(script.duration / engine.ENGINE_DT) + 1
         after = [(t.ego_s, t.ego, t.actors, t.dangerous) for t in world.ticks]
         assert after == before
+
+
+def _tick_by_tick_run(
+    world, *, frame_rate, adaptive, budget, collision_radius, seed, record
+) -> engine.RunResult:
+    """The reference run: every tick walked, the collision tested on each tick
+    that could hold one and the braking ego stepped by ``_Ego.advance``. It
+    takes ``engine._run``'s arguments and must give its result."""
+    script, params = world.script, world.params
+    road = script.road
+    cameras = DEFAULT_CAMERA_RIG
+    fixed_params = params.replace(l0_policy=L0_FIXED) if adaptive else None
+    cap_fpr = params.fpr_bounds()[1]
+
+    rng = random.Random(seed)
+    rates = {c.camera_id: (frame_rate if frame_rate is not None else cap_fpr) for c in cameras}
+    next_frame = {
+        c.camera_id: rng.uniform(0.0, 1.0 / rates[c.camera_id]) if seed else 0.0
+        for c in cameras
+    }
+    confirm_count = {cid: {} for cid in next_frame}
+    need_frames = max(1, params.confirmation_frames)
+
+    rows, alarms, camera_log, allocations = [], [], [], []
+    collision = brake_at = braking = stopped = None
+
+    for i, tick in enumerate(world.ticks):
+        t = i * engine.ENGINE_DT
+        if braking is None:
+            ego_row = tick.row
+            if record:
+                rows.append(ego_row)
+            near = tick.nearest < collision_radius
+        else:
+            ego_row = stopped or engine._state_row(
+                road, braking.s, braking.lane, braking.v, braking.a
+            )
+            if not (ego_row[2] or ego_row[3]):
+                stopped = ego_row
+            if record:
+                rows.append(ego_row + tick.row[5:])
+            near = True
+        if near:
+            ego_x, ego_y = ego_row[0], ego_row[1]
+            for aid, j in tick.starts.items():
+                if math.hypot(tick.row[j] - ego_x, tick.row[j + 1] - ego_y) < collision_radius:
+                    collision = (t, aid)
+                    break
+            if collision:
+                break
+
+        if adaptive:
+            trajs = {
+                aid: predict_trajectories(st, engine.PREDICTOR)
+                for aid, st in tick.actors.items()
+            }
+            ego_world = tick.ego if braking is None else KinematicState(*ego_row)
+            _, reports = evaluate_scene(ego_world, trajs, cameras, 1.0 / cap_fpr, fixed_params)
+            required = {cid: rep.fpr for cid, rep in reports.items()}
+            flagged = {cid for cid, rep in reports.items() if rep.infeasible}
+            alarm = safety_check(required, rates, frozenset(flagged))
+            if alarm is not None:
+                alarms.append((t, alarm))
+            if budget is not None:
+                allocation = allocate(required, budget, params)
+                if allocation.alarm is not None:
+                    alarms.append((t, allocation.alarm))
+                rates = dict(allocation.per_camera_fps)
+            else:
+                rates = required
+            if record:
+                camera_log.append(reports)
+                allocations.append((t, dict(rates)))
+
+        dangerous = tick.dangerous
+        for cam in cameras if brake_at is None else ():
+            cid = cam.camera_id
+            counts = confirm_count[cid]
+            while brake_at is None and next_frame[cid] <= t:
+                next_frame[cid] += 1.0 / rates[cid]
+                if not (dangerous or counts):
+                    continue
+                for aid in dangerous | counts.keys():
+                    if not in_fov(tick.ego, tick.state(tick.starts[aid]), cam):
+                        continue
+                    if aid not in dangerous:
+                        del counts[aid]
+                        continue
+                    counts[aid] = counts.get(aid, 0) + 1
+                    if counts[aid] >= need_frames:
+                        brake_at = t + 1.0 / rates[cid]
+                        break
+
+        if braking is None and brake_at is not None and t + engine.ENGINE_DT >= brake_at:
+            braking = engine._Ego(
+                tick.ego_s, float(script.ego_lane), script.ego_speed,
+                braking_decel(0.0, params), braking=True,
+            )
+        if braking is not None:
+            braking.advance(engine.ENGINE_DT)
+
+    trace = None
+    if record:
+        metadata = {
+            "name": script.name,
+            "ego_speed": script.ego_speed,
+            "seed": seed,
+            "collision_radius": collision_radius,
+            "script": script_to_dict(script),
+        }
+        if frame_rate is not None:
+            metadata["fpr0"] = frame_rate
+        times = [k * engine.ENGINE_DT for k in range(len(rows))]
+        trace = ScenarioTrace._from_block(
+            engine.ENGINE_DT, cameras, metadata, world.actor_ids, times, rows
+        )
+    return engine.RunResult(script, trace, collision, brake_at, alarms, camera_log, allocations)
+
+
+def _curved_script() -> ScenarioScript:
+    # a lead on a tight curve brakes to a stop ahead of the ego, a car in
+    # the next lane keeps going: slow rates brake late, on the curve
+    return ScenarioScript(
+        name="curved_stop", ego_lane=1, ego_speed=20.0, duration=10.0,
+        road=RoadSpec(curvature=1.0 / 150.0),
+        actors=(
+            ActorScript("lead", 1, 35.0, 15.0, (
+                ActorEvent(1.5, "speed_change", target_speed=0.0, rate=7.0),
+            )),
+            ActorScript("beside", 2, 5.0, 20.0),
+        ),
+    )
+
+
+def _two_window_script() -> ScenarioScript:
+    # the lead is dangerous while it brakes (from 1 s), speeds away while
+    # still ahead in view, which resets every count, is harmless for a
+    # dead stretch, and brakes again from 6 s
+    lead = ActorScript("lead", 1, 30.0, 20.0, (
+        ActorEvent(1.0, "speed_change", target_speed=14.0, rate=6.0),
+        ActorEvent(2.6, "speed_change", target_speed=30.0, rate=8.0),
+        ActorEvent(6.0, "speed_change", target_speed=5.0, rate=6.0),
+    ))
+    return ScenarioScript("two_windows", 1, 20.0, 14.0, actors=(lead,))
+
+
+REFERENCE_SCRIPTS = {
+    **{family: (lambda f=family: generate_scenario(f)) for family in FAMILIES},
+    "curved_stop": _curved_script,
+    "two_windows": _two_window_script,
+}
+
+
+def _trace_text(result) -> str:
+    buf = io.StringIO()
+    save_trace(result.trace, buf)
+    return buf.getvalue()
+
+
+class TestTickByTickReference:
+    """``engine._run`` settles a run from its engage tick and jumps over dead
+    ticks; the reference walks every tick. They agree on the outcome and on
+    the recorded trace's bytes."""
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_SCRIPTS))
+    def test_fixed_rates(self, name):
+        script = REFERENCE_SCRIPTS[name]()
+        world = engine._World(script, ModelParams())
+        for radius in (0.5, 2.0):
+            for seed in (0, 3):
+                for rate in range(30, 0, -1):
+                    kwargs = dict(
+                        frame_rate=float(rate), adaptive=False, budget=None,
+                        collision_radius=radius, seed=seed,
+                    )
+                    want = _tick_by_tick_run(world, record=True, **kwargs)
+                    for record in (True, False):
+                        got = engine._run(world, record=record, **kwargs)
+                        assert (got.collision, got.brake_time) == (
+                            want.collision, want.brake_time
+                        ), (rate, seed, radius, record)
+                        if record:
+                            assert _trace_text(got) == _trace_text(want), (rate, seed, radius)
+
+    def test_the_two_windows_hold_a_dead_stretch_and_a_reset(self):
+        # positive control for the script: its dangerous ticks form two
+        # windows with dead ticks between them, and at 2 Hz the four frames
+        # counted in the first (1.5 to 3.0 s) are reset, so the brakes wait
+        # for five frames of the second (9.0 to 11.0 s) and 0.5 s of latency
+        world = engine._World(_two_window_script(), ModelParams())
+        d = world._dangerous_at
+        assert [(a, b) for a, b in zip(d, d[1:]) if b - a > 1] == [(96, 268)]
+        result = engine._run(
+            world, frame_rate=2.0, adaptive=False, budget=None,
+            collision_radius=0.5, seed=0, record=False,
+        )
+        assert result.brake_time == 11.5
+
+    @pytest.mark.parametrize("make", [_curved_script, _two_window_script])
+    def test_adaptive(self, make):
+        world = engine._World(make(), ModelParams())
+        kwargs = dict(
+            frame_rate=None, adaptive=True, budget=Budget(40.0),
+            collision_radius=0.5, seed=3, record=True,
+        )
+        got, want = engine._run(world, **kwargs), _tick_by_tick_run(world, **kwargs)
+        for name in ("collision", "brake_time", "alarms", "camera_log", "allocations"):
+            assert getattr(got, name) == getattr(want, name), name
+        assert _trace_text(got) == _trace_text(want)
+
+
+class TestBrakingSearch:
+    """The world's braking ego: its speeds and positions are ``_Ego.advance``'s
+    bit for bit, and its first hit is the scalar walk's, even at a radius
+    equal to a tick's distance."""
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_accumulated_braking_matches_advance(self, family):
+        script, params = generate_scenario(family), ModelParams()
+        world = engine._World(script, params)
+        n = len(world.ticks)
+        for b in range(n):
+            arc = world._arc(b)
+            ego = engine._Ego(
+                world.ticks[b].ego_s, float(script.ego_lane), script.ego_speed,
+                braking_decel(0.0, params), braking=True,
+            )
+            for k in range(1, n - b):
+                ego.advance(engine.ENGINE_DT)
+                assert float(arc[k]).hex() == ego.s.hex(), (b, k)
+                assert world._brake_v[k].hex() == ego.v.hex(), (b, k)
+                row = world.braking_row(b, b + k)
+                assert row[2:4] == [ego.v, ego.a] and row[2].hex() == ego.v.hex(), (b, k)
+
+    @staticmethod
+    def scalar_hit(world, b, radius):
+        """The first hit of the ego braking from tick ``b``, tick by tick."""
+        script = world.script
+        ego = engine._Ego(
+            world.ticks[b].ego_s, float(script.ego_lane), script.ego_speed,
+            braking_decel(0.0, world.params), braking=True,
+        )
+        for i in range(b + 1, len(world.ticks)):
+            ego.advance(engine.ENGINE_DT)
+            row = engine._state_row(script.road, ego.s, ego.lane, ego.v, ego.a)
+            aid = engine._first_within(row, world.ticks[i], radius)
+            if aid is not None:
+                return i, aid
+        return None
+
+    @pytest.mark.parametrize("curvature", [0.0, 1.0 / 150.0])
+    def test_radius_at_a_distance_and_next_to_it(self, curvature):
+        # the ego brakes late towards a stopped car: at its closest tick
+        # the hit turns on the last bit of the radius
+        script = ScenarioScript(
+            name="stopped_ahead", ego_lane=1, ego_speed=20.0, duration=6.0,
+            road=RoadSpec(curvature=curvature),
+            actors=(ActorScript("stopped", 1, 40.0, 0.0), ActorScript("beside", 0, 0.0, 18.0)),
+        )
+        world = engine._World(script, ModelParams())
+        for b in (25, 30, 33):
+            rows = [world.braking_row(b, i) for i in range(b + 1, len(world.ticks))]
+            closest = min(
+                math.hypot(tick.row[j] - row[0], tick.row[j + 1] - row[1])
+                for row, tick in zip(rows, world.ticks[b + 1:])
+                for j in tick.starts.values()
+            )
+            assert 0.0 < closest < 10.0, (b, closest)
+            for radius in (closest, math.nextafter(closest, 0.0), math.nextafter(closest, 1.0)):
+                got = world.brake_hit(b, radius)
+                assert got == self.scalar_hit(world, b, radius), (b, radius)
+                assert (got is not None) == (radius > closest), (b, radius)
 
 
 class TestTwoActorsInReach:
