@@ -23,30 +23,32 @@ processed at the next tick boundary, adding at most one tick of delay.
 A run is split in two. The scripted actors and the cruising ego do not
 depend on the frame rate, so ``_World`` simulates them, and which actors the
 cruising ego must brake for, once per script and over its whole duration,
-into a list of ticks, each holding its states as one row of floats.
-``_run`` replays that list with one frame schedule up to the tick its
-brakes engage; a recording run hands its rows to the trace. A lone run
-builds its own world; the MRF scan (``oracle.scenario_mrf``) runs every
-rate against one. A frame can change only the count of an actor that is
-dangerous or already counting, so ``_run`` tests FOV membership
-(``in_fov``) for those actors alone; only that test and adaptive
-estimation build ``KinematicState``s. While no actor is dangerous and no
-count is held, a fixed-rate run jumps to the next dangerous tick, moving
-each camera's next frame by the same ``1 / rate`` additions, in the same
-order, that a walk over the skipped ticks would make.
+into a list of ticks, each holding its states as one row of floats. The
+ego is a body like an actor, stepped by the same ``_Actor.advance``, that
+has no events of its own. ``_run`` replays that list with one frame
+schedule up to the tick its brakes engage; a recording run hands its rows
+to the trace. A lone run builds its own world; the MRF scan
+(``oracle.scenario_mrf``) runs every rate against one. A frame can change
+only the count of an actor that is dangerous or already counting, so
+``_run`` tests FOV membership (``in_fov``) for those actors alone; only
+that test and adaptive estimation build ``KinematicState``s. While no
+actor is dangerous and no count is held, a fixed-rate run jumps to the next
+dangerous tick, moving each camera's next frame by the same ``1 / rate``
+additions, in the same order, that a walk over the skipped ticks would
+make.
 
-A run's outcome is read from its engage tick. The world answers where a
-run collides, each answer memoised: ``cruise_hit``, the first tick at which
-the cruising ego is within the collision radius of an actor (the same for
-every rate), and ``brake_hit``, the first tick after engage tick ``b`` at
-which the ego braking from ``b`` is. A run ends at the cruising hit if it
-comes at or before its engage tick, and at the braking hit otherwise. The
-braking ego's speeds and arc positions are NumPy accumulations that make
-``_Ego.advance``'s roundings in its order, so they equal it bit for bit;
-NumPy distances only pick candidate ticks, and the scalar ``_state_row``
-and ``math.hypot`` test decides each, naming the first actor in the
-script's order. A run steps past its engage tick only to record the
-braking ego's rows or to estimate (adaptive mode).
+A run's outcome is read from its engage tick. Where a run collides is one
+question for the world, ``hit(b, radius)``, each answer memoised: the first
+tick at which the ego is within the collision radius of an actor, with
+``b`` None for the cruising ego (the same for every rate) and otherwise for
+the ego braking from engage tick ``b``. A run ends at the cruising hit if
+it comes at or before its engage tick, and at the braking hit otherwise.
+The braking ego's speeds and arc positions are NumPy accumulations that
+make ``_Actor.advance``'s roundings in its order, so they equal a braking
+body's bit for bit; NumPy distances only pick candidate ticks, and the
+scalar ``_first_within`` test on the exact ``_state_row`` decides each,
+naming the first actor in the script's order. A run steps past its engage
+tick only to record the braking ego's rows or to estimate (adaptive mode).
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ def _smoothstep(u: float) -> float:
 
 
 class _Actor:
-    """Road-frame actor state driven by scripted events."""
+    """Road-frame body driven by scripted events: an actor, or the ego, which has none."""
 
     def __init__(self, script: ActorScript):
         self.actor_id = script.actor_id
@@ -127,29 +129,6 @@ class _Actor:
         self.s += 0.5 * (v0 + self.v) * dt
 
 
-class _Ego:
-    """Road-frame ego: cruises at its speed, or brakes to a stop once ``braking``.
-
-    A world steps only the cruising ego; a braking one is the tick-by-tick
-    reference for ``_World._arc``.
-    """
-
-    def __init__(self, s: float, lane: float, speed: float, brake_decel: float, braking: bool):
-        self.s = s
-        self.lane = lane
-        self.v = speed
-        self.a = 0.0
-        self.brake_decel = brake_decel
-        self.braking = braking
-
-    def advance(self, dt: float) -> None:
-        v0 = self.v
-        if self.braking and self.v > 0.0:
-            self.v = max(0.0, self.v - self.brake_decel * dt)
-            self.a = -self.brake_decel if self.v > 0.0 else 0.0
-        self.s += 0.5 * (v0 + self.v) * dt
-
-
 @dataclass
 class RunResult:
     script: ScenarioScript
@@ -192,7 +171,7 @@ def _world_xy(road, s: np.ndarray, offset: float) -> tuple[np.ndarray, np.ndarra
     return r * sin - offset * sin, r * (1.0 - cos) + offset * cos
 
 
-def _dangerous(ego: _Ego, actor: _Actor, road, params: ModelParams) -> bool:
+def _dangerous(ego: _Actor, actor: _Actor, road, params: ModelParams) -> bool:
     """Kinematic brake trigger for one same-lane-ahead actor, from road-frame states."""
     ego_s, ego_lane, ego_v = ego.s, ego.lane, ego.v
     s, lane, v = actor.s, actor.lane, actor.v
@@ -221,7 +200,6 @@ class _Tick:
     row: list[float]
     starts: dict[str, int]                     # actor id -> where its state begins in row
     dangerous: frozenset[str]                  # ids of the actors ``_dangerous`` flags
-    nearest: float                             # least cruising-ego-to-actor distance, inf if none
     _states: dict[int, KinematicState] = field(default_factory=dict)
 
     def state(self, start: int) -> KinematicState:
@@ -241,23 +219,21 @@ class _Tick:
 class _World:
     """The part of a run that no frame rate changes, simulated once per script.
 
-    Actors follow only their scripted events, and the ego cruises the same
-    path until a run engages its brakes, so every run of a script meets the
-    same world until then, and every run that engages them on one tick
-    meets the same world after it. The constructor simulates every tick of
-    the script's duration into ``ticks``, which runs read and never change.
-    Where a run ends is a question for the world: ``cruise_hit`` and
-    ``brake_hit`` answer it, each memoised.
+    Actors follow only their scripted events, and the ego is a body without
+    events that cruises the same path until a run engages its brakes, so
+    every run of a script meets the same world until then, and every run
+    that engages them on one tick meets the same world after it. The
+    constructor simulates every tick of the script's duration into
+    ``ticks``, which runs read and never change. Where a run ends is one
+    question for the world, ``hit``, memoised.
     """
 
     def __init__(self, script: ScenarioScript, params: ModelParams):
         self.script = script
         self.params = params
         road = script.road
-        self._ego = ego = _Ego(
-            0.0, float(script.ego_lane), script.ego_speed, braking_decel(0.0, params),
-            braking=False,
-        )
+        self._decel = braking_decel(0.0, params)  # the braking ego's
+        self._ego = ego = _Actor(ActorScript("ego", script.ego_lane, 0.0, script.ego_speed))
         actors = [_Actor(a) for a in script.actors]
         ordered = sorted(actors, key=lambda a: a.actor_id)
         self.actor_ids = tuple(a.actor_id for a in ordered)  # their order in each row
@@ -265,83 +241,90 @@ class _World:
         self.ticks: list[_Tick] = []
         for i in range(int(round(script.duration / ENGINE_DT)) + 1):
             if i:
-                ego.advance(ENGINE_DT)
-                for actor in actors:  # i * ENGINE_DT can round differently
-                    actor.advance((i - 1) * ENGINE_DT + ENGINE_DT, ENGINE_DT)
+                for body in (ego, *actors):  # i * ENGINE_DT can round differently
+                    body.advance((i - 1) * ENGINE_DT + ENGINE_DT, ENGINE_DT)
             row = [
                 f for body in (ego, *ordered)
                 for f in _state_row(road, body.s, body.lane, body.v, body.a)
             ]
-            x, y = row[0], row[1]  # ``_first_within``'s distances, to the cruising ego
             self.ticks.append(_Tick(
                 ego.s,
                 row,
                 starts,
                 frozenset(a.actor_id for a in actors if _dangerous(ego, a, road, params)),
-                min((math.hypot(row[j] - x, row[j + 1] - y) for j in starts.values()),
-                    default=math.inf),
             ))
         self._dangerous_at = [i for i, tick in enumerate(self.ticks) if tick.dangerous]
-        self._cruise_hits: dict[float, tuple[int, str] | None] = {}
-        self._brake_hits: dict[tuple[int, float], tuple[int, str] | None] = {}
+        # per (tick, body): the x and y of the cruising ego and then of each actor
+        self._x = np.array([tick.row[0::5] for tick in self.ticks])
+        self._y = np.array([tick.row[1::5] for tick in self.ticks])
+        self._hits: dict[tuple[int | None, float], tuple[int, str] | None] = {}
         self._arcs: dict[int, np.ndarray] = {}
-        # built on the first braking question: the braking ego's speeds, its
-        # arc steps, and the actors' x and y per (tick, actor in script order)
+        # built on the first braking question: the braking ego's speeds and arc steps
         self._brake_v: list[float] | None = None
         self._brake_steps: np.ndarray | None = None
-        self._actors_xy: tuple[np.ndarray, np.ndarray] | None = None
 
     def next_dangerous(self, i: int, stop: int) -> int:
         """The first tick from ``i`` on that flags a dangerous actor, or ``stop``."""
         k = bisect_left(self._dangerous_at, i)
         return min(self._dangerous_at[k], stop) if k < len(self._dangerous_at) else stop
 
-    def cruise_hit(self, radius: float) -> tuple[int, str] | None:
-        """The first tick at which the cruising ego is within ``radius`` of an
-        actor, and the first such actor in the script's order; None if no
-        tick is. It holds for every frame rate, so it is memoised per radius."""
-        if radius not in self._cruise_hits:
-            self._cruise_hits[radius] = next(
-                ((i, _first_within(t.row, t, radius))
-                 for i, t in enumerate(self.ticks) if t.nearest < radius),
-                None,
-            )
-        return self._cruise_hits[radius]
+    def hit(self, b: int | None, radius: float) -> tuple[int, str] | None:
+        """The first tick at which the ego is within ``radius`` of an actor,
+        and the first such actor in the script's order; None if no tick is.
+        With ``b`` None the ego cruises through every tick, the same for
+        every frame rate; otherwise its brakes engaged at tick ``b`` and the
+        ticks after it are searched. Memoised per (b, radius).
 
-    def brake_hit(self, b: int, radius: float) -> tuple[int, str] | None:
-        """The first tick after ``b`` at which the ego whose brakes engaged at
-        tick ``b`` is within ``radius`` of an actor, and the first such actor
-        in the script's order; None if no tick is. Memoised per (b, radius).
-
-        NumPy distances from the braking ego to every actor pick the
-        candidate ticks, with a tolerance far above their rounding (a NaN
-        or inf distance is a candidate); each candidate, in order, is then
-        decided by ``braking_row`` and ``_first_within``, the scalar test.
+        NumPy distances from the ego to every actor pick the candidate
+        ticks, with a tolerance far above their rounding (a NaN or inf
+        distance is a candidate); each candidate, in order, is then decided
+        by ``_first_within`` on the ego's exact row, the scalar test.
         """
         key = (b, radius)
-        if key not in self._brake_hits:
-            self._brake_hits[key] = self._first_brake_hit(b, radius)
-        return self._brake_hits[key]
+        if key in self._hits:
+            return self._hits[key]
+        road, first = self.script.road, 0 if b is None else b + 1
+        ax, ay = self._x[first:, 1:], self._y[first:, 1:]
+        if b is None:
+            ex, ey = self._x[:, 0], self._y[:, 0]
+        else:
+            ex, ey = _world_xy(road, self._arc(b)[1:], road.lane_offset(self._ego.lane))
+        with np.errstate(all="ignore"):
+            d = np.hypot(ax - ex[:, None], ay - ey[:, None])
+            scale = max(np.abs(c).max(initial=0.0) for c in (ax, ay, ex, ey))
+            if road.curvature:  # the road's centre is 1 / curvature away
+                scale += abs(1.0 / road.curvature)
+            candidates = ~(d >= radius + 1e-6 * (1.0 + radius + scale))
+        found = None
+        for i in (first + np.flatnonzero(candidates.any(axis=1))).tolist():
+            tick = self.ticks[i]
+            aid = _first_within(tick.row if b is None else self.braking_row(b, i), tick, radius)
+            if aid is not None:
+                found = i, aid
+                break
+        self._hits[key] = found
+        return found
 
     def braking_row(self, b: int, i: int) -> list[float]:
         """The ``_state_row`` at tick ``i > b`` of the ego whose brakes
         engaged at tick ``b``."""
         arc = self._arc(b)
         v = self._brake_v[i - b]
-        a = -self._ego.brake_decel if v > 0.0 else 0.0
+        a = -self._decel if v > 0.0 else 0.0
         return _state_row(self.script.road, float(arc[i - b]), self._ego.lane, v, a)
 
     def _arc(self, b: int) -> np.ndarray:
         """The arc positions, from tick ``b`` to the last, of the ego whose
-        brakes engaged at tick ``b``. The speeds and positions are
-        ``_Ego.advance``'s, bit for bit: ``np.subtract.accumulate`` and
-        ``np.add.accumulate`` make the same roundings in the same order."""
+        brakes engaged at tick ``b``. The speeds and positions are those of
+        ``_Actor.advance`` ramping to a stop at ``braking_decel``, bit for
+        bit: ``np.subtract.accumulate`` and ``np.add.accumulate`` make the
+        same roundings in the same order."""
         if b not in self._arcs:
             n = len(self.ticks)
             if self._brake_v is None:
-                ego = self._ego
-                dv = np.full(n, ego.brake_decel * ENGINE_DT if ego.v > 0.0 else 0.0)
-                dv[0] = ego.v
+                v0 = self._ego.v
+                dv = np.full(n, self._decel * ENGINE_DT if v0 > 0.0 else 0.0)
+                dv[0] = v0
                 v = np.subtract.accumulate(dv)
                 v[v < 0.0] = 0.0  # max(0.0, v - dv): a stopped ego keeps v = 0.0
                 self._brake_v = v.tolist()
@@ -351,29 +334,6 @@ class _World:
             steps[1:] = self._brake_steps[: n - 1 - b]
             self._arcs[b] = np.add.accumulate(steps)
         return self._arcs[b]
-
-    def _first_brake_hit(self, b: int, radius: float) -> tuple[int, str] | None:
-        ticks, road = self.ticks, self.script.road
-        if b + 1 >= len(ticks) or not ticks[0].starts:
-            return None
-        if self._actors_xy is None:
-            js = list(ticks[0].starts.values())  # the script's order
-            rows = np.array([t.row for t in ticks])
-            self._actors_xy = (rows[:, js], rows[:, [j + 1 for j in js]])
-        ax, ay = (c[b + 1:] for c in self._actors_xy)
-        ex, ey = _world_xy(road, self._arc(b)[1:], road.lane_offset(self._ego.lane))
-        with np.errstate(all="ignore"):
-            d = np.hypot(ax - ex[:, None], ay - ey[:, None])
-            scale = max(np.abs(c).max() for c in (ax, ay, ex, ey))
-            if road.curvature:  # the road's centre is 1 / curvature away
-                scale += abs(1.0 / road.curvature)
-            candidates = ~(d >= radius + 1e-6 * (1.0 + radius + scale))
-        for k in np.flatnonzero(candidates.any(axis=1)).tolist():
-            i = b + 1 + k
-            aid = _first_within(self.braking_row(b, i), ticks[i], radius)
-            if aid is not None:
-                return i, aid
-        return None
 
 
 def run_scenario(
@@ -428,9 +388,10 @@ def _run(
     The run owns everything a frame rate changes: the frame schedule, the
     confirmations, when the brakes engage and, in adaptive mode, estimation
     and allocation. It walks the ticks of the world's cruising ego up to
-    the tick its brakes engage or the world's ``cruise_hit``, whichever
-    comes first; from an engage tick on, the world's ``brake_hit`` is where
-    it ends, and the run walks on only to record or estimate. A fixed-rate
+    the tick its brakes engage or the cruising ego's ``world.hit``,
+    whichever comes first; from an engage tick on, the braking ego's
+    ``world.hit`` is where it ends, and the run walks on only to record or
+    estimate. A fixed-rate
     run jumps over the ticks on which no frame can change a count.
     """
     script, params = world.script, world.params
@@ -481,7 +442,7 @@ def _run(
             allocations.append((t, dict(rates)))
 
     ticks = world.ticks
-    crash = world.cruise_hit(collision_radius)
+    crash = world.hit(None, collision_radius)
     stop = len(ticks) if crash is None else crash[0]  # the cruising hit, or past the last tick
     engage: int | None = None  # the tick at which the brakes engage
     i = 0
@@ -537,7 +498,7 @@ def _run(
 
     # The cruising ego's ticks end at the engage tick or at its collision;
     # from the engage tick the braking ego's end at its first hit.
-    hit = crash if engage is None else world.brake_hit(engage, collision_radius)
+    hit = crash if engage is None else world.hit(engage, collision_radius)
     end = len(ticks) - 1 if hit is None else hit[0]
     rows: list[list[float]] = []   # per recorded tick: the ego's and the actors' rows
     if record:

@@ -431,7 +431,7 @@ def collision_check(
     latency: float,
     l0: float,
     params: ModelParams,
-    collision_radius: float = 0.0,
+    collision_radius: float,
 ) -> bool:
     """Simulate the full hold-then-brake maneuver and look for a collision.
 
@@ -439,7 +439,8 @@ def collision_check(
     interpolated actor position is compared against the ego position. True
     means the separation dropped below ``collision_radius`` somewhere within
     the horizon. ``latency`` and ``collision_radius`` must be finite and
-    >= 0.
+    >= 0. The radius has no default: no separation is below 0.0, so at that
+    radius no call finds a collision.
     """
     within("latency", latency, 0.0)
     params.check_l0(l0)
@@ -484,8 +485,9 @@ def scenario_mrf(script, params: ModelParams, collision_radius: float = 2.0) -> 
     ``collision_radius`` must be finite and >= 0. The scripted world is
     simulated once; each rate replays only its frame schedule against it,
     jumping over the ticks where no frame can change a count with the same
-    frame additions, and reads its outcome from the tick its brakes engage
-    (``engine._World.cruise_hit`` and ``brake_hit``, memoised per world).
+    frame additions, and reads its outcome from the tick its brakes engage:
+    ``engine._World.hit``, memoised per world, gives the first collision of
+    the cruising ego and of the ego braking from that tick.
     """
     from . import engine  # engine imports the model, not the oracle
 

@@ -758,6 +758,11 @@ class TestCollision:
             ego, traj, l0 = random_case(rng)
             assert not collision_check(ego, traj, 0.5, l0, params, 0.0)
 
+    def test_radius_has_no_default(self, params):
+        with pytest.raises(TypeError, match="collision_radius"):
+            collision_check(KinematicState(0, 0, 10.0), static_actor_trajectory(30.0),
+                            0.5, 0.5, params)
+
     def test_monotone_in_latency_front_geometry(self):
         # braking later can only make a front-approach collision more likely
         rng = np.random.default_rng(99)

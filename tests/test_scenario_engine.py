@@ -805,12 +805,24 @@ class TestSharedWorld:
         assert after == before
 
 
+def _braking_ego(world, b) -> engine._Actor:
+    """The ego whose brakes engage at tick ``b`` of ``world``, to step tick by
+    tick: a body with one event, a ramp to a stop at ``braking_decel``."""
+    script = world.script
+    brake = ActorEvent(0.0, "speed_change", target_speed=0.0,
+                       rate=braking_decel(0.0, world.params))
+    ego = engine._Actor(ActorScript("ego", script.ego_lane, 0.0, script.ego_speed, (brake,)))
+    ego.s = world.ticks[b].ego_s
+    return ego
+
+
 def _tick_by_tick_run(
     world, *, frame_rate, adaptive, budget, collision_radius, seed, record
 ) -> engine.RunResult:
-    """The reference run: every tick walked, the collision tested on each tick
-    that could hold one and the braking ego stepped by ``_Ego.advance``. It
-    takes ``engine._run``'s arguments and must give its result."""
+    """The reference run: every tick walked, every actor tested for the
+    collision on every tick and the braking ego (``_braking_ego``) stepped by
+    ``_Actor.advance``. It takes ``engine._run``'s arguments and must give
+    its result."""
     script, params = world.script, world.params
     road = script.road
     cameras = DEFAULT_CAMERA_RIG
@@ -835,7 +847,6 @@ def _tick_by_tick_run(
             ego_row = tick.row
             if record:
                 rows.append(ego_row)
-            near = tick.nearest < collision_radius
         else:
             ego_row = stopped or engine._state_row(
                 road, braking.s, braking.lane, braking.v, braking.a
@@ -844,15 +855,13 @@ def _tick_by_tick_run(
                 stopped = ego_row
             if record:
                 rows.append(ego_row + tick.row[5:])
-            near = True
-        if near:
-            ego_x, ego_y = ego_row[0], ego_row[1]
-            for aid, j in tick.starts.items():
-                if math.hypot(tick.row[j] - ego_x, tick.row[j + 1] - ego_y) < collision_radius:
-                    collision = (t, aid)
-                    break
-            if collision:
+        ego_x, ego_y = ego_row[0], ego_row[1]
+        for aid, j in tick.starts.items():
+            if math.hypot(tick.row[j] - ego_x, tick.row[j + 1] - ego_y) < collision_radius:
+                collision = (t, aid)
                 break
+        if collision:
+            break
 
         if adaptive:
             trajs = {
@@ -897,12 +906,9 @@ def _tick_by_tick_run(
                         break
 
         if braking is None and brake_at is not None and t + engine.ENGINE_DT >= brake_at:
-            braking = engine._Ego(
-                tick.ego_s, float(script.ego_lane), script.ego_speed,
-                braking_decel(0.0, params), braking=True,
-            )
+            braking = _braking_ego(world, i)
         if braking is not None:
-            braking.advance(engine.ENGINE_DT)
+            braking.advance(t + engine.ENGINE_DT, engine.ENGINE_DT)
 
     trace = None
     if record:
@@ -1015,9 +1021,10 @@ class TestTickByTickReference:
 
 
 class TestBrakingSearch:
-    """The world's braking ego: its speeds and positions are ``_Ego.advance``'s
-    bit for bit, and its first hit is the scalar walk's, even at a radius
-    equal to a tick's distance."""
+    """The world's braking ego: its speeds and positions are those of a body
+    with one braking event stepped by ``_Actor.advance``, bit for bit, and
+    its first hit, like the cruising ego's, is the scalar walk's, even at a
+    radius equal to a tick's distance."""
 
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_accumulated_braking_matches_advance(self, family):
@@ -1026,12 +1033,9 @@ class TestBrakingSearch:
         n = len(world.ticks)
         for b in range(n):
             arc = world._arc(b)
-            ego = engine._Ego(
-                world.ticks[b].ego_s, float(script.ego_lane), script.ego_speed,
-                braking_decel(0.0, params), braking=True,
-            )
+            ego = _braking_ego(world, b)
             for k in range(1, n - b):
-                ego.advance(engine.ENGINE_DT)
+                ego.advance((b + k) * engine.ENGINE_DT, engine.ENGINE_DT)
                 assert float(arc[k]).hex() == ego.s.hex(), (b, k)
                 assert world._brake_v[k].hex() == ego.v.hex(), (b, k)
                 row = world.braking_row(b, b + k)
@@ -1039,15 +1043,16 @@ class TestBrakingSearch:
 
     @staticmethod
     def scalar_hit(world, b, radius):
-        """The first hit of the ego braking from tick ``b``, tick by tick."""
-        script = world.script
-        ego = engine._Ego(
-            world.ticks[b].ego_s, float(script.ego_lane), script.ego_speed,
-            braking_decel(0.0, world.params), braking=True,
-        )
-        for i in range(b + 1, len(world.ticks)):
-            ego.advance(engine.ENGINE_DT)
-            row = engine._state_row(script.road, ego.s, ego.lane, ego.v, ego.a)
+        """The first hit of the cruising ego (``b`` None) or of the ego braking
+        from tick ``b``, tick by tick."""
+        road = world.script.road
+        ego = None if b is None else _braking_ego(world, b)
+        for i in range(0 if b is None else b + 1, len(world.ticks)):
+            if ego is None:
+                row = world.ticks[i].row
+            else:
+                ego.advance(i * engine.ENGINE_DT, engine.ENGINE_DT)
+                row = engine._state_row(road, ego.s, ego.lane, ego.v, ego.a)
             aid = engine._first_within(row, world.ticks[i], radius)
             if aid is not None:
                 return i, aid
@@ -1055,24 +1060,30 @@ class TestBrakingSearch:
 
     @pytest.mark.parametrize("curvature", [0.0, 1.0 / 150.0])
     def test_radius_at_a_distance_and_next_to_it(self, curvature):
-        # the ego brakes late towards a stopped car: at its closest tick
-        # the hit turns on the last bit of the radius
+        # the ego brakes late towards a stopped car, or cruises past it a
+        # quarter metre short of its position: at its closest tick the hit
+        # turns on the last bit of the radius
         script = ScenarioScript(
             name="stopped_ahead", ego_lane=1, ego_speed=20.0, duration=6.0,
             road=RoadSpec(curvature=curvature),
-            actors=(ActorScript("stopped", 1, 40.0, 0.0), ActorScript("beside", 0, 0.0, 18.0)),
+            actors=(ActorScript("stopped", 1, 40.25, 0.0), ActorScript("beside", 0, 0.0, 18.0)),
         )
         world = engine._World(script, ModelParams())
-        for b in (25, 30, 33):
-            rows = [world.braking_row(b, i) for i in range(b + 1, len(world.ticks))]
+        for b in (None, 25, 30, 33):
+            if b is None:
+                ticks = world.ticks
+                rows = [tick.row for tick in ticks]
+            else:
+                ticks = world.ticks[b + 1:]
+                rows = [world.braking_row(b, i) for i in range(b + 1, len(world.ticks))]
             closest = min(
                 math.hypot(tick.row[j] - row[0], tick.row[j + 1] - row[1])
-                for row, tick in zip(rows, world.ticks[b + 1:])
+                for row, tick in zip(rows, ticks)
                 for j in tick.starts.values()
             )
             assert 0.0 < closest < 10.0, (b, closest)
             for radius in (closest, math.nextafter(closest, 0.0), math.nextafter(closest, 1.0)):
-                got = world.brake_hit(b, radius)
+                got = world.hit(b, radius)
                 assert got == self.scalar_hit(world, b, radius), (b, radius)
                 assert (got is not None) == (radius > closest), (b, radius)
 
@@ -1221,15 +1232,18 @@ class TestWorldBoundary:
 
     def test_non_finite_ego_state(self, monkeypatch):
         script = generate_scenario("challenging_cut_in_curved")
-        real, seen = engine._Ego.advance, []
+        real, seen = engine._Actor.advance, []
+        actor_ids = {a.actor_id for a in script.actors}
 
-        def advance(ego, dt):
-            real(ego, dt)
-            seen.append(ego)
+        def advance(body, t, dt):
+            real(body, t, dt)
+            if body.actor_id in actor_ids:
+                return
+            seen.append(body)  # the ego
             if len(seen) == 40:
-                ego.a = math.nan
+                body.a = math.nan
 
-        monkeypatch.setattr(engine._Ego, "advance", advance)
+        monkeypatch.setattr(engine._Actor, "advance", advance)
         with pytest.raises(ValueError) as got:
             engine._World(script, ModelParams())
         ego = seen[-1]
