@@ -28,6 +28,14 @@ class InputError(Exception):
     """Bad user input: the command line, a params, trace or script file."""
 
 
+def _flag(name: str, value: object, lo: float, **kw) -> float:
+    """``within`` for a command-line flag, raising InputError with its message."""
+    try:
+        return within(name, value, lo, **kw)
+    except ValueError as e:
+        raise InputError(str(e)) from None
+
+
 def parse_speed(text: str) -> float:
     """A speed flag value: plain m/s, or with an explicit mph/mps suffix."""
     t = text.strip().lower().replace(" ", "")
@@ -176,10 +184,7 @@ def cmd_analyze(args) -> int:
         args.params,
         own_l0="analyze runs the fixed l0 policy at l0 = 1/fpr0 of the trace (dt without fpr0)",
     )
-    try:
-        within("--collision-radius", args.collision_radius, 0.0)
-    except ValueError as e:
-        raise InputError(str(e)) from None
+    _flag("--collision-radius", args.collision_radius, 0.0)
     try:
         trace = load_trace(args.trace)
     except TraceFormatError as e:
@@ -215,10 +220,7 @@ def cmd_simulate(args) -> int:
         budget = Budget(args.budget) if args.budget is not None else None
     except ValueError as e:
         raise InputError(f"--budget: {e}") from None
-    try:
-        within("--collision-radius", args.collision_radius, 0.0)
-    except ValueError as e:
-        raise InputError(str(e)) from None
+    _flag("--collision-radius", args.collision_radius, 0.0)
     with _output(args.out) as fh:
         result = run_scenario(
             script,
@@ -251,11 +253,8 @@ def cmd_sweep(args) -> int:
         raise InputError(
             f"params file {args.params}: l0 is read only with \"l0_policy\": \"{L0_FIXED}\""
         )
-    try:
-        within("--sn", args.sn, 0.0, open_lo=True)
-        within("--steps", args.steps, 2)
-    except ValueError as e:
-        raise InputError(str(e)) from None
+    _flag("--sn", args.sn, 0.0, open_lo=True)
+    _flag("--steps", args.steps, 2)
     ve0_lo, ve0_hi = parse_speed(args.ve0_min), parse_speed(args.ve0_max)
     van_lo, van_hi = parse_speed(args.van_min), parse_speed(args.van_max)
     if ve0_hi < ve0_lo or van_hi < van_lo:

@@ -171,8 +171,9 @@ def _world_xy(road, s: np.ndarray, offset: float) -> tuple[np.ndarray, np.ndarra
     return r * sin - offset * sin, r * (1.0 - cos) + offset * cos
 
 
-def _dangerous(ego: _Actor, actor: _Actor, road, params: ModelParams) -> bool:
-    """Kinematic brake trigger for one same-lane-ahead actor, from road-frame states."""
+def _dangerous(ego: _Actor, actor: _Actor, road, decel: float, params: ModelParams) -> bool:
+    """Kinematic brake trigger for one same-lane-ahead actor, from road-frame states;
+    ``decel`` is the braking ego's ``braking_decel(0.0, params)``."""
     ego_s, ego_lane, ego_v = ego.s, ego.lane, ego.v
     s, lane, v = actor.s, actor.lane, actor.v
     if s <= ego_s:
@@ -181,7 +182,6 @@ def _dangerous(ego: _Actor, actor: _Actor, road, params: ModelParams) -> bool:
     if lateral > road.lane_width * LANE_CLAIM_FRACTION:
         return False
     gap = s - ego_s - STANDSTILL_GAP
-    decel = braking_decel(0.0, params)
     if ego_v > v:
         need = (ego_v * ego_v - v * v) / (2.0 * decel) / params.distance_margin
     else:
@@ -251,7 +251,7 @@ class _World:
                 ego.s,
                 row,
                 starts,
-                frozenset(a.actor_id for a in actors if _dangerous(ego, a, road, params)),
+                frozenset(a.actor_id for a in actors if _dangerous(ego, a, road, self._decel, params)),
             ))
         self._dangerous_at = [i for i, tick in enumerate(self.ticks) if tick.dangerous]
         # per (tick, body): the x and y of the cruising ego and then of each actor

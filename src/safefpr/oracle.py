@@ -8,28 +8,28 @@ crossings) and integrates the ego motion from its piecewise-linear velocity
 profile, so agreement with the fast search is meaningful. The witness is the
 earliest grid point where both constraints hold. The first ``HEAD`` points
 are evaluated first and the rest only when none of them holds, in blocks of
-``BLOCK`` points. A block is skipped when a bound from its first point proves
-that the distance test fails at every point of the block: the actor moves
-no faster than its fastest segment between samples and the ego's distance
-never falls, so no point of the block has more distance margin than the
-bound, which must fail the test by a tolerance far above rounding error.
-The other blocks' points are evaluated, the distance test at each and the
+``BLOCK`` points. A block is skipped when ``_block_rejects`` proves that no
+point of it passes both tests: the actor moves no faster than its fastest
+segment between samples and the ego's distance never falls, which bounds
+the distance margin from the block's first point, and the braking ego's
+speed never rises while the actor's is linear between samples, which
+bounds the speed excess from its last point and the samples inside. The
+other blocks' points are evaluated, the distance test at each and the
 speed test where distance holds. So every grid point of a rejected latency
 is evaluated or bounded, and the witness is the one that evaluating every
 point finds.
 
 ``oracle_best_latency`` scans the latency grid from the largest latency
 down and stops at the first witness, but once the largest is rejected it
-proves some latencies rejected instead of scanning them. The lemma: a
-larger latency reacts no earlier (under either l0 policy), and braking is
-never gentler than the held acceleration (``braking_decel(a0) >= -a0``),
-so at every time its ego is no slower and has gone no shorter a distance.
-So a bound showing that the two constraints hold together nowhere in
-[t_react(L), horizon] under L rejects every latency >= L as well, whose
-grids lie inside that interval. The latencies left unscanned are those at
-and above a proved one, all rejected by the scan, and every latency that
-is scanned runs the same scan, so each verdict and witness is the one the
-plain descending scan gives.
+proves some latencies rejected instead of scanning them. A larger latency
+reacts no earlier (under either l0 policy), and braking is never gentler
+than the held acceleration (``braking_decel(a0) >= -a0``), so at every time
+its ego is no slower and has gone no shorter a distance. So the bound,
+rejecting every block of [t_react(L), horizon] under L, rejects every
+latency >= L as well, whose grids lie inside that interval. The latencies
+left unscanned are those at and above a proved one, all rejected by the
+scan, and every latency that is scanned runs the same scan, so each verdict
+and witness is the one the plain descending scan gives.
 """
 
 from __future__ import annotations
@@ -54,8 +54,8 @@ FLOAT_SLACK = 1e-8
 # point and about 83% within the first 256), so most feasible scans stop here.
 HEAD = 256
 
-# Tail points per block; a block is skipped whole when a bound from its first
-# point proves the distance test fails at every one of its points.
+# Tail points per block; a block is skipped whole when ``_block_rejects``
+# proves that no point of it passes both tests.
 BLOCK = 32
 
 
@@ -206,32 +206,47 @@ def _fastest(traj: Trajectory) -> float:
         return (np.hypot(xs[1:] - xs[:-1], ys[1:] - ys[:-1]) / (ts[1:] - ts[:-1])).max(initial=0.0)
 
 
-def _distance_rejects(
+def _block_rejects(
     ego0: KinematicState,
-    ts: np.ndarray,
-    xs: np.ndarray,
-    ys: np.ndarray,
+    traj: Trajectory,
     firsts: np.ndarray,
     ends: np.ndarray,
-    d: np.ndarray,
-    distance_margin: float,
-    w: float,
+    knots: tuple[list[float], list[float], list[float]],
+    decel: float,
+    params: ModelParams,
+    w: float | None = None,
 ) -> np.ndarray:
-    """Per block [first, end]: True where the distance test fails at every time.
+    """Per block [first, end]: True where a bound proves no time in it passes both tests.
 
-    ``d`` is the ego's distance at each first time and ``w`` the actor's
-    ``_fastest`` speed. The actor moves at most w m/s and the ego's
-    distance never falls (its speed is >= 0), so no time of the block has
-    a distance margin above margin * (sep(first) + w * span) - d(first). A
-    block whose bound fails the test by more than tol, far above the
-    rounding of positions and distances of these magnitudes, is True; a
-    NaN or inf bound is False.
+    The blocks are contiguous and lie at or after the reaction time of the
+    motion ``knots`` profiles, braking at ``decel``. Distance: the actor
+    moves at most w m/s (``_fastest(traj)``, computed if not given) and the
+    ego's distance never falls, so no time has a distance margin above
+    margin * (sep(first) + w * span) - d(first). Speed: the ego's speed
+    never rises and the actor's is linear between samples, so no time has a
+    speed excess below ve(end) - margin * (the actor's largest speed at
+    either end or at a sample inside). A bound rejects its block when it
+    fails its test by more than a tolerance far above rounding; a NaN or
+    inf bound does not. The speed half is skipped when distance rejects all.
     """
+    ts, xs, ys, vs = traj.columns()
+    if w is None:
+        w = _fastest(traj)
+    d = _ego_at(firsts, knots)[0]
     reach = np.hypot(np.interp(firsts, ts, xs) - ego0.x, np.interp(firsts, ts, ys) - ego0.y)
     with np.errstate(over="ignore", invalid="ignore"):
         reach += w * (ends - firsts)
         tol = 1e-6 * (1.0 + abs(ego0.x) + abs(ego0.y) + reach + d)
-        return distance_margin * reach - d < -FLOAT_SLACK - tol
+        rejected = params.distance_margin * reach - d < -FLOAT_SLACK - tol
+    if rejected.all():
+        return rejected
+    fastest = np.maximum(np.interp(firsts, ts, vs), np.interp(ends, ts, vs))
+    inside = (ts > firsts[0]) & (ts < ends[-1])
+    np.maximum.at(fastest, firsts.searchsorted(ts[inside], side="right") - 1, vs[inside])
+    ve = np.interp(ends, knots[0], knots[1])
+    tol = 1e-6 * (1.0 + ego0.v + (decel + abs(ego0.a)) * params.horizon + params.speed_margin * vs.max())
+    rejected |= ve - params.speed_margin * fastest > FLOAT_SLACK + tol
+    return rejected
 
 
 def _earliest_probe(
@@ -274,11 +289,8 @@ def _earliest_probe(
     # block); a block the bound rejects cannot hold the witness and is
     # skipped.
     firsts = tail[::BLOCK]
-    d = _ego_at(firsts, knots)[0]
     ends = np.concatenate((firsts[1:], tail[-1:]))
-    if w is None:
-        w = _fastest(traj)
-    keep = ~_distance_rejects(ego0, ts, xs, ys, firsts, ends, d, params.distance_margin, w)
+    keep = ~_block_rejects(ego0, traj, firsts, ends, knots, decel, params, w)
     if not keep.any():
         return None
     if not keep.all():
@@ -340,17 +352,9 @@ def _rejects_from(
 ) -> bool:
     """True when a bound proves that the scan rejects ``latency`` and every larger one.
 
-    The bound covers [t_react, horizon] with blocks ``BLOCK`` scan steps
-    long, the last ending at the horizon, and rejects a block when either
-    test provably fails at every time in it: the distance test by
-    ``_distance_rejects``, or the speed test because the ego's speed at the
-    block's end (it never rises after t_react) exceeds the discounted
-    largest actor speed over the block (at both ends and at any sample
-    inside) by more than a tolerance far above rounding. A latency's scan
-    grid lies in its own [t_react, horizon], and a larger latency reacts no
-    earlier and brakes later, at ``braking_decel(a0) >= -a0``, so its ego is
-    nowhere slower or behind: no grid point of it can pass. True only when
-    every block is rejected; a NaN or inf bound keeps its block, and a
+    ``_block_rejects`` must reject every block of [t_react, horizon], in
+    blocks ``BLOCK`` scan steps long, the last ending at the horizon; by the
+    lemma in the module docstring that rejects every larger latency too. A
     reaction at or past the horizon proves nothing. ``w`` is
     ``_fastest(traj)``, computed here if not given.
     """
@@ -362,24 +366,9 @@ def _rejects_from(
     firsts = np.arange(t_react, horizon, BLOCK * params.fine_dt)
     # the last step may round past the horizon
     firsts = firsts[: firsts.searchsorted(horizon)]
-    times = np.append(firsts, horizon)
-    d, ve = _ego_at(times, _velocity_knots(ego0.v, ego0.a, t_react, decel, horizon + 1.0))
-    ts, xs, ys, vs = traj.columns()
-    if w is None:
-        w = _fastest(traj)
-    rejected = _distance_rejects(
-        ego0, ts, xs, ys, firsts, times[1:], d[:-1], params.distance_margin, w
-    )
-    if rejected.all():
-        return True
-    va = np.interp(times, ts, vs)
-    fastest = np.maximum(va[:-1], va[1:])
-    inside = (ts > t_react) & (ts < horizon)
-    np.maximum.at(fastest, times.searchsorted(ts[inside], side="right") - 1, vs[inside])
-    # the scan's speeds round at most a few ulps of these magnitudes
-    tol = 1e-6 * (1.0 + ego0.v + (decel + abs(ego0.a)) * horizon + params.speed_margin * vs.max())
-    rejected |= ve[1:] - params.speed_margin * fastest > FLOAT_SLACK + tol
-    return bool(rejected.all())
+    ends = np.append(firsts[1:], horizon)
+    knots = _velocity_knots(ego0.v, ego0.a, t_react, decel, horizon + 1.0)
+    return bool(_block_rejects(ego0, traj, firsts, ends, knots, decel, params, w).all())
 
 
 def oracle_best_latency(

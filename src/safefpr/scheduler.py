@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .types import LatencyEstimate, ModelParams, within
+from .types import LatencyEstimate, ModelParams, finite_float, within
 
 SEVERITY_DEFICIT = "deficit"
 SEVERITY_INFEASIBLE = "infeasible"
@@ -69,9 +69,13 @@ def safety_check(
 
     Meeting the requirement exactly passes. Severity escalates to
     "infeasible" when any requirement carries the no-safe-latency flag.
+    A rate that is not a finite number raises ValueError naming it.
     """
     if set(required) != set(operating):
         raise ValueError("required and operating must cover the same cameras")
+    for name, rates in (("required", required), ("operating", operating)):
+        for cam, rate in rates.items():
+            finite_float(f"{name}[{cam!r}]", rate)
     below = tuple(
         (cam, required[cam], operating[cam])
         for cam in sorted(required)
@@ -115,12 +119,13 @@ def allocate(
     floor rate) and the slack is water-filled proportionally to the
     requirements up to the per-camera cap. In deficit, floors come first and
     the remainder fills cameras in descending-requirement order; the result
-    carries a deficit alarm. The allocation never exceeds the budget.
+    carries a deficit alarm. The allocation never exceeds the budget. A
+    requirement that is not a finite number raises ValueError naming it.
     """
     if not required:
         raise ValueError("no cameras to allocate")
     floor, cap = params.fpr_bounds()
-    raw = {c: min(cap, max(0.0, float(r))) for c, r in required.items()}
+    raw = {c: min(cap, max(0.0, finite_float(f"required[{c!r}]", r))) for c, r in required.items()}
     want = {c: max(floor, r) for c, r in raw.items()}
     total_want = sum(want.values())
     b = budget.total_fps

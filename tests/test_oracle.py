@@ -265,24 +265,44 @@ class TestParity:
         assert got == params.horizon
 
 
+def _exhaustive_tests(ego0, traj, l0, latency, p):
+    """(grid, the distance test, both tests) with every grid point evaluated, no point skipped."""
+    t_react, vr, decel = _scan_inputs(ego0, l0, latency, p)
+    ts, xs, ys, vs = traj.columns()
+    grid = oracle._scan_grid(ts.tolist(), vs.tolist(), t_react, vr, decel, p)
+    if len(grid) == 0:
+        return grid, np.empty(0, bool), np.empty(0, bool)
+    knots = oracle._velocity_knots(ego0.v, ego0.a, t_react, decel, float(grid[-1]) + 1.0)
+    d, ve = oracle._ego_at(grid, knots)
+    sep = np.hypot(np.interp(grid, ts, xs) - ego0.x, np.interp(grid, ts, ys) - ego0.y)
+    near = p.distance_margin * sep - d >= -oracle.FLOAT_SLACK
+    return grid, near, near & (ve <= p.speed_margin * np.interp(grid, ts, vs) + oracle.FLOAT_SLACK)
+
+
 def _exhaustive_scan(ego0, traj, l0, latency, p):
     """(grid, the earliest probe) with every grid point evaluated, no point skipped.
 
     The scan's reference: its head and its blocked tail must give this
     witness to the bit, since both use these expressions point by point.
     """
-    t_react, vr, decel = _scan_inputs(ego0, l0, latency, p)
-    ts, xs, ys, vs = traj.columns()
-    grid = oracle._scan_grid(ts.tolist(), vs.tolist(), t_react, vr, decel, p)
-    if len(grid) == 0:
-        return grid, None
-    knots = oracle._velocity_knots(ego0.v, ego0.a, t_react, decel, float(grid[-1]) + 1.0)
-    d, ve = oracle._ego_at(grid, knots)
-    sep = np.hypot(np.interp(grid, ts, xs) - ego0.x, np.interp(grid, ts, ys) - ego0.y)
-    ok = (p.distance_margin * sep - d >= -oracle.FLOAT_SLACK) & (
-        ve <= p.speed_margin * np.interp(grid, ts, vs) + oracle.FLOAT_SLACK
-    )
+    grid, _, ok = _exhaustive_tests(ego0, traj, l0, latency, p)
     return grid, float(grid[ok.argmax()]) if ok.any() else None
+
+
+def _tail_marks(ego0, traj, l0, latency, p, grid):
+    """Whether ``_block_rejects`` marks each block of the scan's non-empty tail of ``grid``."""
+    t_react, _, decel = _scan_inputs(ego0, l0, latency, p)
+    tail = grid[oracle.HEAD :]
+    firsts = tail[:: oracle.BLOCK]
+    ends = np.concatenate((firsts[1:], tail[-1:]))
+    knots = oracle._velocity_knots(ego0.v, ego0.a, t_react, decel, float(grid[-1]) + 1.0)
+    return oracle._block_rejects(ego0, traj, firsts, ends, knots, decel, p)
+
+
+def _per_block(mask):
+    """Whether the per-point ``mask`` holds somewhere in each tail block."""
+    tail = mask[oracle.HEAD :]
+    return np.logical_or.reduceat(tail, np.arange(0, len(tail), oracle.BLOCK))
 
 
 def _fast_actor(rng) -> Trajectory:
@@ -362,14 +382,19 @@ class TestBlockedTail:
     """The tail's skipped blocks never hold the witness: every scan equals the exhaustive one."""
 
     def test_witness_is_the_exhaustive_scans(self):
-        hits = dict.fromkeys(("none", "first", "last", "one_point_last", "stop", "sample"), 0)
+        hits = dict.fromkeys(("none", "first", "last", "one_point_last", "stop", "sample", "speed_only"), 0)
         scans = 0
         for ego, traj, l0, p, latencies in _parity_cases():
             ts = traj.t.tolist()
             for latency in latencies:
-                grid, want = _exhaustive_scan(ego, traj, l0, latency, p)
+                grid, near, ok = _exhaustive_tests(ego, traj, l0, latency, p)
+                want = float(grid[ok.argmax()]) if ok.any() else None
                 assert oracle._earliest_probe(ego, traj, l0, latency, p) == want
                 scans += 1
+                if len(grid) > oracle.HEAD:
+                    # skipped blocks where distance holds: the distance bound keeps them
+                    marks = _tail_marks(ego, traj, l0, latency, p, grid)
+                    hits["speed_only"] += int((marks & _per_block(near)).sum())
                 # where the witness lies among the tail's blocks
                 tail = grid[oracle.HEAD :]
                 if want is None:
@@ -389,6 +414,17 @@ class TestBlockedTail:
                 hits["sample"] += any(t in inside for t in ts)
         assert scans >= 20_000
         assert all(n > 0 for n in hits.values()), hits
+
+    def test_marked_blocks_hold_no_passing_point(self):
+        marked = 0
+        for ego, traj, l0, p, latencies in _parity_cases():
+            for latency in latencies:
+                grid, _, ok = _exhaustive_tests(ego, traj, l0, latency, p)
+                if len(grid) > oracle.HEAD:
+                    marks = _tail_marks(ego, traj, l0, latency, p, grid)
+                    assert not (marks & _per_block(ok)).any(), (ego, latency)
+                    marked += int(marks.sum())
+        assert marked > 100_000
 
     def test_inf_or_nan_bound_keeps_its_block(self, params):
         """A segment of 5e-324 s makes w inf: each block's bound is inf, and

@@ -38,6 +38,14 @@ class TestSafetyCheck:
         with pytest.raises(ValueError):
             safety_check({"f": 1.0}, {"g": 1.0})
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_rates_rejected(self, bad):
+        # a NaN requirement compares false against every rate, so no alarm would fire
+        with pytest.raises(ValueError, match=r"required\['l'\] must be finite"):
+            safety_check({"f": 1.0, "l": bad}, {"f": 1.0, "l": 1.0})
+        with pytest.raises(ValueError, match=r"operating\['l'\] must be finite"):
+            safety_check({"f": 1.0, "l": 1.0}, {"f": 1.0, "l": bad})
+
 
 class TestAllocate:
     def test_abundant_proportional_with_caps(self):
@@ -82,6 +90,12 @@ class TestAllocate:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             allocate({}, Budget(10.0), PARAMS)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_requirement_rejected(self, bad):
+        # a NaN requirement would be allocated as 0 fps with no alarm
+        with pytest.raises(ValueError, match=r"required\['a'\] must be finite"):
+            allocate({"a": bad, "b": 5.0}, Budget(20.0), PARAMS)
 
     @pytest.mark.parametrize("total", [float("nan"), float("inf"), -float("inf"), 0.0, -1.0])
     def test_budget_rejects_non_finite_and_non_positive(self, total):
