@@ -353,13 +353,16 @@ def run_scenario(
     given. In adaptive mode rates start at the cap and then follow the
     estimates (through the budget allocator when a budget is given); a
     budget in fixed-rate mode is an error. The run steps ``ENGINE_DT`` ticks
-    over ``DEFAULT_CAMERA_RIG``.
+    over ``DEFAULT_CAMERA_RIG``. ``seed`` is any int but a bool, as
+    ``random.Random`` takes it; the trace's metadata records it.
     """
     if (frame_rate is None) == (not adaptive):
         raise ValueError("pass either frame_rate or adaptive=True")
     if budget is not None and not adaptive:
         raise ValueError("budget needs adaptive=True; a fixed frame_rate is never allocated")
     within("collision_radius", collision_radius, 0.0)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ValueError(f"seed must be an int, got {seed!r}")
     if frame_rate is not None:
         frame_rate = within("frame_rate", frame_rate, *params.fpr_bounds(), "Hz")
     return _run(

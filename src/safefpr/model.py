@@ -296,6 +296,10 @@ def path_table(blocks: Sequence[np.ndarray]) -> PathTable:
     return PathTable(seg, last + 1 - np.array(counts, dtype=np.intp), tuple(groups), len(counts))
 
 
+# Lanes per block of a batched kernel, about one online tick's worth
+BLOCK_LANES = 3000
+
+
 def search_paths(
     egos: np.ndarray,
     offsets: Sequence[float],
@@ -322,11 +326,16 @@ def search_paths(
     moving or pass the horizon, and a pair's lanes leave once a larger
     latency of it has met.
 
-    The lanes run one ``paths.groups`` group at a time, so each lane finds
-    its segment with one real-valued ``searchsorted`` of its lookup time in
-    the group's breakpoints, plus its path's first column. A pair's lanes
-    are all in its path's group, so the order of the groups does not
-    change any result.
+    A call over more than ``BLOCK_LANES`` lanes (egos x ``paths.count`` x
+    candidates within the horizon) searches consecutive blocks of as many
+    egos as fit and joins their lists; a block holds at least one ego,
+    whose lanes may exceed the bound.
+
+    Within a call the lanes run one ``paths.groups`` group at a time, so
+    each lane finds its segment with one real-valued ``searchsorted`` of
+    its lookup time in the group's breakpoints, plus its path's first
+    column. A pair's lanes are all in its path's group, so the order of the
+    groups does not change any result.
     """
     params.check_l0(l0)
     n_ego = egos.shape[0]
@@ -340,6 +349,14 @@ def search_paths(
         t_react = grid + float(params.confirmation_frames) * np.where(excess > 0.0, excess, 0.0)
     cand = np.flatnonzero(t_react <= params.horizon)
     n_cand = cand.shape[0]
+    lanes = paths.count * n_cand  # per ego
+    step = max(1, BLOCK_LANES // lanes) if lanes else n_ego
+    if n_ego > step:
+        parts = [
+            search_paths(egos[i : i + step], offsets[i : i + step], paths, l0, params)
+            for i in range(0, n_ego, step)
+        ]
+        return [x for part, _ in parts for x in part], [x for _, part in parts for x in part]
     tr = t_react[cand]
 
     # Column e * n_cand + c of ``table`` is ego e with candidate c: the
@@ -585,7 +602,7 @@ def scene_reports(
     cameras: Iterable,
     params: ModelParams,
 ) -> list[dict[str, FprReport]]:
-    """The report half of a block of ticks: each camera's required rate per tick.
+    """The report half of a run of ticks: each camera's required rate per tick.
 
     ``actor_ids`` are sorted; at tick i, ego row ``egos[i]`` sees actor
     ``actor_ids[j]`` at ``positions[i, j]`` (arrays as ``fov_mask`` takes
@@ -595,7 +612,8 @@ def scene_reports(
     empty FOV gets the floor, an infeasible member the cap (bound to the
     smallest such id), and otherwise the smallest latency binds (ties to the
     smallest id). Reports are shared between the cameras and ticks that
-    need the same one.
+    need the same one. The ticks run in consecutive blocks of at most
+    ``BLOCK_LANES`` (tick, actor) entries, at least one tick.
     """
     cameras = tuple(cameras)
     lo, hi = params.fpr_bounds()
@@ -603,11 +621,6 @@ def scene_reports(
     cids = [cam.camera_id for cam in cameras]
     if not (egos.shape[0] and actor_ids and cameras):
         return [dict.fromkeys(cids, floor) for _ in range(egos.shape[0])]
-    # an infeasible member ranks as latency -inf, a non-member as +inf;
-    # argmin takes the first of equal ranks: the smallest id
-    rank = np.array([[-math.inf if lat is None else lat for lat in row] for row in latencies])
-    member_rank = np.where(fov_mask(egos, positions, cameras), rank, math.inf)
-    binding, best = member_rank.argmin(axis=2), member_rank.min(axis=2)
     made = {(0, math.inf): floor}  # an empty FOV: no member, argmin 0
 
     def report(j: int, latency: float) -> FprReport:
@@ -622,10 +635,20 @@ def scene_reports(
             made[key] = rep
         return rep
 
-    return [
-        {cid: report(j, latency) for cid, j, latency in zip(cids, js, lats)}
-        for js, lats in zip(binding.T.tolist(), best.T.tolist())
-    ]
+    step = max(1, BLOCK_LANES // len(actor_ids))
+    out: list[dict[str, FprReport]] = []
+    for start in range(0, egos.shape[0], step):
+        part = slice(start, start + step)
+        # an infeasible member ranks as latency -inf, a non-member as +inf;
+        # argmin takes the first of equal ranks: the smallest id
+        rank = np.array([[-math.inf if x is None else x for x in row] for row in latencies[part]])
+        member_rank = np.where(fov_mask(egos[part], positions[part], cameras), rank, math.inf)
+        binding, best = member_rank.argmin(axis=2), member_rank.min(axis=2)
+        out += [
+            {cid: report(j, latency) for cid, j, latency in zip(cids, js, lats)}
+            for js, lats in zip(binding.T.tolist(), best.T.tolist())
+        ]
+    return out
 
 
 def evaluate_scene(
@@ -639,12 +662,13 @@ def evaluate_scene(
 
     Every trajectory of every actor goes through one batched search from
     this one ego's row (``search_paths`` at offset 0.0), whose latency and probe
-    time are each trajectory's ``tolerable_latency``. Each actor's slice of
+    time are each trajectory's ``tolerable_latency`` (one block, over
+    ``BLOCK_LANES`` if the scene is that large). Each actor's slice of
     the kernel's lists is aggregated as ``aggregate_actor_latency`` would
     aggregate them, trajectory probabilities as the weights;
     camera membership is evaluated on each actor's position now (the first
     sample of its first trajectory), and the rates come from
-    ``scene_reports`` on a one-tick block.
+    ``scene_reports`` on this one tick.
     """
     for aid, trajs in actor_trajectories.items():
         if not trajs:

@@ -43,6 +43,8 @@ class PredictorConfig:
         if probs is None:
             probs = tuple(1.0 / n for _ in range(n))
         else:
+            probs = tuple(probs)  # hashable, and equal to its tuple twin
+            object.__setattr__(self, "variant_probabilities", probs)
             if len(probs) != n:
                 raise ValueError("need one probability per variant")
             for i, p in enumerate(probs):
@@ -53,7 +55,7 @@ class PredictorConfig:
         offsets = (0.0,) if n == 1 else tuple(-s + 2.0 * s * i / (n - 1) for i in range(n))
         object.__setattr__(self, "_times", sample_times(self.horizon, SAMPLE_DT))
         object.__setattr__(self, "_offsets", offsets)
-        object.__setattr__(self, "_probs", tuple(probs))
+        object.__setattr__(self, "_probs", probs)
 
     def probabilities(self) -> tuple[float, ...]:
         return self._probs

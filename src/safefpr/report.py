@@ -73,11 +73,6 @@ class AnalysisResult:
         return out
 
 
-# Lanes per batched search over a trace: about one online tick's worth, so
-# a block's working arrays stay small however long the trace is
-BLOCK_LANES = 3000
-
-
 def analyze_trace(trace: ScenarioTrace, params: ModelParams) -> AnalysisResult:
     """Per-tick per-camera required rates over a recorded trace.
 
@@ -87,87 +82,60 @@ def analyze_trace(trace: ScenarioTrace, params: ModelParams) -> AnalysisResult:
     object: the actors' recorded columns (``ScenarioTrace.actor_columns``)
     give their paths and one position block, and the ego rows
     (``ScenarioTrace.ego_rows``) read the paths, each from its tick time
-    on; slices of these arrays go to ``search_paths`` as they are. The
-    search runs in two passes, each in blocks of at most ``BLOCK_LANES``
-    (tick, actor, grid candidate) lanes and at least one tick:
+    on. The search runs in two passes, each cut into blocks by the kernel:
 
-    1. every (tick, actor) pair against the grid head ``latency_max``
-       alone, which settles each pair whose answer is the head;
-    2. one actor at a time, the full grid for the ticks that pass 1 left
+    1. one ``search_paths`` call for every (tick, actor) pair against the
+       grid head ``latency_max`` alone, which settles each pair whose
+       answer is the head;
+    2. one call per actor, the full grid for the ticks that pass 1 left
        unsettled.
 
     A lane's floats depend only on its own ego, path and candidate, and
     the head is grid candidate 0, so each pair gets the first candidate of
     the full grid that meets, as a single search would give it. The
-    camera rates then come from one ``scene_reports`` call per block of
-    ticks, and the summary from the same pass over them. The result keeps
-    these rows as they are; its records equal running each tick through
-    ``evaluate_scene`` with every actor's ``ground_truth_trajectory``.
+    camera rates then come from one ``scene_reports`` call, and the
+    summary from one pass over them. The result keeps these rows as they
+    are; its records equal running each tick through ``evaluate_scene``
+    with every actor's ``ground_truth_trajectory``.
     """
     times = trace.times.tolist()
     actor_ids = trace.actor_ids
     n = len(actor_ids)
-    per_camera_max: dict[str, float] = {c.camera_id: 0.0 for c in trace.cameras}
-    max_total = 0.0
-    max_total_t = 0.0
-    any_infeasible = False
-
     l0 = trace.operating_latency()
     fixed = params.replace(l0_policy=L0_FIXED)
     head = fixed.replace(latency_min=fixed.latency_max)
     columns = [trace.actor_columns(aid) for aid in actor_ids]
     egos = trace.ego_rows
     # entry k * n + j: actor j's latency at tick k
-    found: list[float | None] = []
-    paths = path_table(columns)
-    # the grid head alone, for every pair
-    block = max(1, BLOCK_LANES // max(1, n))
-    for start in range(0, len(times), block):
-        part = slice(start, start + block)
-        found += search_paths(egos[part], trace.times[part], paths, l0, head)[0]
-    # the full grid, one actor at a time, for the pairs the head left open;
-    # rebinding ``paths`` frees the table of every actor before this pass
-    block = max(1, BLOCK_LANES // len(fixed.latency_grid))
+    found = search_paths(egos, trace.times, path_table(columns), l0, head)[0]
     for j, cols in enumerate(columns):
         todo = [k for k in range(len(times)) if found[k * n + j] is None]
-        paths = path_table([cols])
-        for start in range(0, len(todo), block):
-            part = todo[start : start + block]
-            lats, _ = search_paths(egos[part], trace.times[part], paths, l0, fixed)
-            for k, latency in zip(part, lats):
-                found[k * n + j] = latency
+        lats, _ = search_paths(egos[todo], trace.times[todo], path_table([cols]), l0, fixed)
+        for k, latency in zip(todo, lats):
+            found[k * n + j] = latency
 
     latencies = [found[k * n : (k + 1) * n] for k in range(len(times))]
-    reports: list[dict[str, FprReport]] = []
     # (tick, actor, x or y); the reshape gives a trace without actors this shape too
     positions = np.array([c[1:3] for c in columns]).reshape(n, 2, len(times)).transpose(2, 0, 1)
-    block = max(1, BLOCK_LANES // (max(1, n) * len(params.latency_grid)))
-    for start in range(0, len(times), block):
-        part = slice(start, start + block)
-        made = scene_reports(
-            egos[part], actor_ids, positions[part], latencies[part], trace.cameras, params
-        )
-        reports += made
-        for t, reps in zip(times[part], made):
-            total = 0.0
-            for cid, rep in reps.items():
-                any_infeasible = any_infeasible or rep.infeasible
-                total += rep.fpr
-                per_camera_max[cid] = max(per_camera_max[cid], rep.fpr)
-            if total > max_total:
-                max_total = total
-                max_total_t = t
-
+    reports = scene_reports(egos, actor_ids, positions, latencies, trace.cameras, params)
+    cids = [c.camera_id for c in trace.cameras]
+    max_total, max_total_t = 0.0, 0.0
+    for t, reps in zip(times, reports):
+        total = 0.0
+        for rep in reps.values():
+            total += rep.fpr
+        if total > max_total:
+            max_total, max_total_t = total, t
     summary = {
         "ticks": len(times),
         "cameras": len(trace.cameras),
-        "max_fpr_per_camera": per_camera_max,
+        "max_fpr_per_camera": {cid: max([0.0] + [r[cid].fpr for r in reports]) for cid in cids},
         "max_total_fpr": max_total,
         "max_total_fpr_t": max_total_t,
         "fraction_of_provisioned": fraction_of_provisioned(
             max_total, max(1, len(trace.cameras)), params
         ),
-        "any_infeasible": any_infeasible,
+        "any_infeasible": any(rep.infeasible for reps in reports for rep in reps.values()),
     }
     return AnalysisResult(times, actor_ids, latencies, reports, summary)
 
@@ -222,11 +190,11 @@ def sweep_grid(
     ``required_fpr_cell(ego_speeds[i], actor_speeds[j], separation, params, l0)``.
 
     Every ego searches every actor's path, so the searches are one
-    ``search_paths`` call per block of egos (at most ``BLOCK_LANES`` lanes
-    and at least one ego), at offset 0.0, where it gives the scalar search's
-    latencies to the bit. Only the cells it leaves infeasible run the
-    zero-latency scan. The arguments are checked as the cell-by-cell loop
-    checks them, so a bad one raises the error its first cell would raise.
+    ``search_paths`` call, at offset 0.0, where it gives the scalar search's
+    latencies to the bit; the kernel cuts it into blocks of egos. Only the
+    cells it leaves infeasible run the zero-latency scan. The arguments are
+    checked as the cell-by-cell loop checks them, so a bad one raises the
+    error its first cell would raise.
     """
     if not (len(ego_speeds) and len(actor_speeds)):
         return [[] for _ in ego_speeds]
@@ -243,18 +211,14 @@ def sweep_grid(
     egos += [_sweep_ego(ve) for ve in ego_speeds[1:]]
     paths = path_table([traj.columns() for traj in trajs])
     rows = np.array([[ego.x, ego.y, ego.v, ego.a, ego.heading] for ego in egos])
-    block = max(1, BLOCK_LANES // (len(trajs) * len(params.latency_grid)))
-    grid: list[list[float | None]] = []
-    for start in range(0, len(egos), block):
-        part = rows[start : start + block]
-        lats, _ = search_paths(part, (0.0,) * len(part), paths, l0_eff, params)
-        for i, ego in enumerate(egos[start : start + block]):
-            row = lats[i * len(trajs) : (i + 1) * len(trajs)]
-            grid.append([
-                _cell_rate(latency, ego, traj, l0_eff, params)
-                for latency, traj in zip(row, trajs)
-            ])
-    return grid
+    lats, _ = search_paths(rows, (0.0,) * len(egos), paths, l0_eff, params)
+    return [
+        [
+            _cell_rate(latency, ego, traj, l0_eff, params)
+            for latency, traj in zip(lats[i * len(trajs) : (i + 1) * len(trajs)], trajs)
+        ]
+        for i, ego in enumerate(egos)
+    ]
 
 
 def format_cell(value: float | None, params: ModelParams) -> str:

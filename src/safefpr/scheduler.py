@@ -177,7 +177,8 @@ def rank_actors(
 
     Importance is the inverse tolerable latency; infeasible actors rank
     ahead of everything at the maximum rate, tagged unbounded. Ties break by
-    actor id so the order is deterministic.
+    actor id so the order is deterministic. A latency that is not finite
+    and > 0 raises ValueError naming its actor.
     """
     _, hi = params.fpr_bounds()
     ranks = []
@@ -185,6 +186,7 @@ def rank_actors(
         if est.infeasible:
             ranks.append(ActorRank(actor_id=aid, importance=hi, unbounded=True))
         else:
-            ranks.append(ActorRank(actor_id=aid, importance=1.0 / est.latency))
+            latency = within(f"latencies[{aid!r}]", est.latency, 0.0, open_lo=True)
+            ranks.append(ActorRank(actor_id=aid, importance=1.0 / latency))
     ranks.sort(key=lambda r: (not r.unbounded, -r.importance, r.actor_id))
     return ranks

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import safefpr.model as model
 from safefpr import (
     DEFAULT_CAMERA_RIG,
     KinematicState,
@@ -347,11 +348,25 @@ class TestSeveralEgos:
     """One ``search_paths`` call over several egos equals one call per ego.
 
     Every lane reads its ego's values from its own column of the kernel's
-    table, whether the call has one ego or many, so the results are equal
-    to the bit.
+    table, whether the call has one ego or many and however the call is
+    cut into blocks of egos, so the results are equal to the bit.
     """
 
-    def test_seeded_egos_and_scenes(self):
+    @pytest.mark.parametrize("block_lanes", [None, 1, 1000])
+    def test_seeded_egos_and_scenes(self, monkeypatch, block_lanes):
+        # the egos of each block a call is cut into (sizes), and per seed its
+        # call's sizes; a call searches its blocks through the module's
+        # ``search_paths``, so a call of one block records none
+        sizes, blocks = [], []
+        search = model.search_paths
+
+        def counting(egos, *args):
+            sizes.append(egos.shape[0])
+            return search(egos, *args)
+
+        monkeypatch.setattr(model, "search_paths", counting)
+        if block_lanes is not None:
+            monkeypatch.setattr(model, "BLOCK_LANES", block_lanes)
         rng = np.random.default_rng(6)
         for seed in range(12):
             params = ModelParams(
@@ -365,7 +380,9 @@ class TestSeveralEgos:
             # one ego brakes to a stop inside the hold phase
             egos.append(KinematicState(0.0, 0.0, rng.uniform(2.0, 20.0), rng.uniform(-8.0, -3.0)))
             l0 = float(rng.uniform(1.0 / 30.0, 1.0))
+            sizes.clear()
             together = search_paths(state_rows(egos), [0.0] * len(egos), paths, l0, params)
+            blocks.append(sizes.copy())
             each = [search_paths(state_rows([ego]), [0.0], paths, l0, params) for ego in egos]
             alone = (
                 [latency for latencies, _ in each for latency in latencies],
@@ -374,6 +391,13 @@ class TestSeveralEgos:
             assert together == alone
             assert None in alone[0]
             assert any(latency is not None for latency in alone[0])
+            assert sum(blocks[-1]) in (0, len(egos))
+        if block_lanes == 1:
+            assert all(set(cut) == {1} for cut in blocks)
+        elif block_lanes:
+            # some calls run in several blocks, some blocks hold several egos
+            assert any(len(cut) > 1 for cut in blocks)
+            assert any(max(cut) > 1 for cut in blocks)
 
 
 class TestNoPaths:
@@ -738,6 +762,33 @@ class TestSceneReports:
             latencies = [[grid[i] for i in rng.integers(0, len(grid), n)] for _ in range(ticks)]
             ids = [f"a{j}" for j in range(n)]
             self._assert_matches(egos, ids, positions, latencies, cams, params)
+
+    def test_blocks_of_one_tick(self, monkeypatch, params):
+        # ticks cut one to a block give the reports of one block of them all
+        rng = np.random.default_rng(8)
+        ids = [f"a{j}" for j in range(4)]
+        egos = state_rows(
+            KinematicState(*rng.uniform(-5.0, 5.0, 2), 10.0, heading=rng.uniform(-4.0, 4.0))
+            for _ in range(30)
+        )
+        positions = rng.uniform(-60.0, 60.0, (30, 4, 2))
+        grid = [0.05, 0.25, 1.0, None]
+        latencies = [[grid[i] for i in rng.integers(0, len(grid), 4)] for _ in range(30)]
+        whole = scene_reports(egos, ids, positions, latencies, DEFAULT_CAMERA_RIG, params)
+        blocks = []
+        fov_mask = model.fov_mask
+
+        def counting(egos, *args):
+            blocks.append(egos.shape[0])
+            return fov_mask(egos, *args)
+
+        monkeypatch.setattr(model, "fov_mask", counting)
+        monkeypatch.setattr(model, "BLOCK_LANES", 1)
+        assert scene_reports(egos, ids, positions, latencies, DEFAULT_CAMERA_RIG, params) == whole
+        assert blocks == [1] * 30
+        bindings = {rep.binding_actor for reports in whole for rep in reports.values()}
+        assert None in bindings and len(bindings) > 3
+        assert any(rep.infeasible for reports in whole for rep in reports.values())
 
     def test_evaluate_scene_sorts_the_ids(self, params):
         # ids inserted out of order, with tied latencies: the smallest id binds

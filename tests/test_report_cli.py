@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import safefpr.cli as cli
+import safefpr.model as model
 import safefpr.report as report
 from safefpr import (
     DEFAULT_CAMERA_RIG,
@@ -197,12 +198,13 @@ class TestBlockedSearch:
         assert_blocked_matches_reference(synthetic_trace(7, actors=()))
 
     def test_ticks_not_a_multiple_of_the_block(self, monkeypatch):
-        # 3 actors x 30 candidates = 90 lanes a tick, so 4 ticks a block: 4 + 4 + 2
-        monkeypatch.setattr(report, "BLOCK_LANES", 4 * 90 + 89)
+        # the head leaves every pair open, and the full grid runs one actor
+        # at a time: 30 candidates = 30 lanes a tick, so 4 ticks a block: 4 + 4 + 2
+        monkeypatch.setattr(model, "BLOCK_LANES", 4 * 30 + 29)
         assert_blocked_matches_reference(synthetic_trace(10, actors=("lead", "parked", "braking")))
 
     def test_block_smaller_than_one_tick(self, monkeypatch):
-        monkeypatch.setattr(report, "BLOCK_LANES", 1)
+        monkeypatch.setattr(model, "BLOCK_LANES", 1)
         assert_blocked_matches_reference(synthetic_trace(5))
 
     def test_parked_actor(self):
@@ -374,7 +376,7 @@ class TestSweep:
         assert OVER_MAX in cells or separation == 30.0
 
     def test_blocks_of_one_ego_are_the_cells(self, monkeypatch):
-        monkeypatch.setattr(report, "BLOCK_LANES", 1)
+        monkeypatch.setattr(model, "BLOCK_LANES", 1)
         speeds = [0.0, 20.0, 29.6, 35.76]
         want = [[required_fpr_cell(ve, va, 100.0, PARAMS) for va in speeds] for ve in speeds]
         assert sweep_grid(100.0, speeds, speeds, PARAMS) == want

@@ -7,6 +7,7 @@ import random
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -74,6 +75,13 @@ class TestPredictor:
         cfg = PredictorConfig(num_variants=4, variant_probabilities=(0.1, 0.2, 0.3, 0.4))
         probs = [t.probability for t in predict_trajectories(KinematicState(0, 0, 1.0), cfg)]
         assert probs == [0.1, 0.2, 0.3, 0.4]
+
+    def test_probability_list_is_kept_as_a_tuple(self):
+        listed = PredictorConfig(num_variants=2, variant_probabilities=[0.5, 0.5])
+        twin = PredictorConfig(num_variants=2, variant_probabilities=(0.5, 0.5))
+        assert listed.variant_probabilities == (0.5, 0.5)
+        assert listed == twin
+        assert hash(listed) == hash(twin)
 
     def test_bad_probabilities_rejected(self):
         with pytest.raises(ValueError):
@@ -552,6 +560,19 @@ class TestEngine:
         a = run_scenario(script, params, frame_rate=5.0, seed=1)
         b = run_scenario(script, params, frame_rate=5.0, seed=2)
         assert a.brake_time != b.brake_time
+
+    @pytest.mark.parametrize("seed", [True, 2.7, 3.0, "3", None, np.int64(3)])
+    def test_seed_must_be_an_int(self, seed):
+        script = generate_scenario("cut_in")
+        with pytest.raises(ValueError, match="seed must be an int"):
+            run_scenario(script, ModelParams(), frame_rate=30.0, seed=seed)
+
+    def test_any_int_seed_is_recorded(self):
+        # random.Random takes ints of any size and sign
+        script = generate_scenario("cut_in")
+        for seed in (-5, 2**53 + 1, 10**30):
+            trace = run_scenario(script, ModelParams(), frame_rate=30.0, seed=seed).trace
+            assert trace.metadata["seed"] == seed
 
     def test_generated_trace_valid_after_roundtrip(self):
         params = ModelParams()

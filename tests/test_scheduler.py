@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -224,3 +226,9 @@ class TestRankActors:
         assert ranks[0].unbounded
         assert ranks[0].importance == pytest.approx(30.0)
         assert ranks[1].importance == pytest.approx(20.0)
+
+    @pytest.mark.parametrize("bad", [0.0, -0.1, math.nan, math.inf])
+    def test_bad_latency_rejected(self, bad):
+        # 0.0 would divide by zero, and a NaN importance sorts arbitrarily
+        with pytest.raises(ValueError, match=r"latencies\['b'\] must be"):
+            rank_actors({"a": LatencyEstimate(0.2), "b": LatencyEstimate(bad)}, PARAMS)
